@@ -21,6 +21,7 @@ from .space import (
     AdaptedProcess,
     FilteredSpace,
     StoppingTime,
+    cell_mismatch,
     first_hitting_time,
     stop_process,
 )
@@ -88,7 +89,7 @@ class DoobDecomposition:
             raise InvariantViolation(f"M + A differs from S by {err}")
         if np.abs(A.values[:, 0]).max() > IDENT_TOL:
             raise InvariantViolation("predictable part must start at 0")
-        resid = _martingale_residual(M)
+        resid = martingale_residual(M)
         object.__setattr__(self, "residual", float(resid))
         if not self.analytic:
             if resid > IDENT_TOL:
@@ -97,41 +98,40 @@ class DoobDecomposition:
                 raise InvariantViolation("A-increments are not predictable")
 
 
-def _martingale_residual(M: AdaptedProcess) -> float:
-    space = M.space
-    worst = 0.0
-    dM = M.increments()
-    for c in range(1, M.n_times):
-        cond = space.cell_average(dM[:, c - 1], M.time_index[c - 1])
-        worst = max(worst, float(np.abs(cond).max()))
-    return worst
+def conditional_increments(X: AdaptedProcess) -> np.ndarray:
+    """E[X_{t_c} - X_{t_{c-1}} | F_{t_{c-1}}] on X's own sample times, one column per step."""
+    dX = X.increments()
+    out = np.empty_like(dX)
+    for c in range(1, X.n_times):
+        out[:, c - 1] = X.space.cell_average(dX[:, c - 1], X.time_index[c - 1])
+    return out
+
+
+def martingale_residual(M: AdaptedProcess) -> float:
+    return float(np.abs(conditional_increments(M)).max(initial=0.0))
 
 
 def _predictable(A: AdaptedProcess) -> bool:
-    from .space import _constant_on_cells
+    """Each A_{t_c} is constant on the cells at the preceding sample time."""
+    return cell_mismatch(A.space.labels[A.time_index[:-1]], A.values[:, 1:].T, ATOL) is None
 
-    space = A.space
-    for c in range(1, A.n_times):
-        if not _constant_on_cells(space.labels[A.time_index[c - 1]], A.values[:, c], ATOL):
-            return False
-    return True
+
+def _from_increments(n: int, Sn: AdaptedProcess, dA: np.ndarray, analytic: bool) -> DoobDecomposition:
+    space = Sn.space
+    A_vals = np.concatenate([np.zeros((space.n_atoms, 1)), np.cumsum(dA, axis=1)], axis=1)
+    A = AdaptedProcess(space, A_vals, Sn.time_index)
+    M = AdaptedProcess(space, Sn.values - A_vals, Sn.time_index)
+    dS = Sn.increments()
+    qv = np.einsum("ij,ij->i", dS, dS)
+    tv = np.abs(dA).sum(axis=1)
+    m_l2 = float(space.expectation(M.values[:, -1] ** 2))
+    return DoobDecomposition(n, Sn, M, A, qv, tv, m_l2, analytic=analytic)
 
 
 def doob_decompose(S: AdaptedProcess, n: int) -> DoobDecomposition:
     """Unique level-n split into martingale part and predictable drift."""
     Sn = restrict_to_level(S, n)
-    space = S.space
-    dS = Sn.increments()
-    dA = np.empty_like(dS)
-    for c in range(1, Sn.n_times):
-        dA[:, c - 1] = space.cell_average(dS[:, c - 1], Sn.time_index[c - 1])
-    A_vals = np.concatenate([np.zeros((space.n_atoms, 1)), np.cumsum(dA, axis=1)], axis=1)
-    A = AdaptedProcess(space, A_vals, Sn.time_index)
-    M = AdaptedProcess(space, Sn.values - A_vals, Sn.time_index)
-    qv = np.einsum("ij,ij->i", dS, dS)
-    tv = np.abs(dA).sum(axis=1)
-    m_l2 = float(space.expectation(M.values[:, -1] ** 2))
-    return DoobDecomposition(n, Sn, M, A, qv, tv, m_l2)
+    return _from_increments(n, Sn, conditional_increments(Sn), analytic=False)
 
 
 def decompose_with_increments(S: AdaptedProcess, n: int, dA: np.ndarray,
@@ -143,17 +143,9 @@ def decompose_with_increments(S: AdaptedProcess, n: int, dA: np.ndarray,
     not enforced (see DoobDecomposition).
     """
     Sn = restrict_to_level(S, n)
-    space = S.space
-    if dA.shape != (space.n_atoms, Sn.n_times - 1):
+    if dA.shape != (S.space.n_atoms, Sn.n_times - 1):
         raise ParameterError("A-increments must have one column per level-n step")
-    A_vals = np.concatenate([np.zeros((space.n_atoms, 1)), np.cumsum(dA, axis=1)], axis=1)
-    A = AdaptedProcess(space, A_vals, Sn.time_index)
-    M = AdaptedProcess(space, Sn.values - A_vals, Sn.time_index)
-    dS = Sn.increments()
-    qv = np.einsum("ij,ij->i", dS, dS)
-    tv = np.abs(dA).sum(axis=1)
-    m_l2 = float(space.expectation(M.values[:, -1] ** 2))
-    return DoobDecomposition(n, Sn, M, A, qv, tv, m_l2, analytic=analytic)
+    return _from_increments(n, Sn, dA, analytic)
 
 
 def quadratic_variation(S: AdaptedProcess, n: int) -> np.ndarray:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvariantViolation, ParameterError, PreconditionError, StructuralError
-from .space import ATOL, AdaptedProcess, FilteredSpace, StoppingTime, check_stopping_time
+from .space import ATOL, AdaptedProcess, FilteredSpace, StoppingTime, cell_mismatch, check_stopping_time
 
 
 def _measurable_at(space: FilteredSpace, time_idx: np.ndarray, x: np.ndarray, atol: float = ATOL) -> bool:
@@ -25,11 +25,7 @@ def _measurable_at(space: FilteredSpace, time_idx: np.ndarray, x: np.ndarray, at
     """
     for t in np.unique(time_idx):
         sel = time_idx == t
-        lab = space.labels[t][sel]
-        vals = x[sel]
-        rep = np.zeros(lab.max() + 1)
-        rep[lab[::-1]] = vals[::-1]
-        if np.any(np.abs(vals - rep[lab]) > atol):
+        if cell_mismatch(space.labels[t][sel], x[sel], atol) is not None:
             return False
     return True
 

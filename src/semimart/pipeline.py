@@ -26,6 +26,7 @@ from .doob import (
     StageResult,
     discrete_stage,
     doob_maximal_stop,
+    martingale_residual,
 )
 from .errors import (
     ConvergenceError,
@@ -86,6 +87,9 @@ class SemimartingaleCertificate:
     kind = "certificate"
 
     def __post_init__(self):
+        for name, part in (("M", self.M), ("A", self.A)):
+            if not part.is_adapted():
+                raise InvariantViolation(f"certificate part {name} is not adapted")
         for name, value in self.residuals.items():
             if value > CERT_TOL:
                 raise InvariantViolation(f"certificate residual {name} = {value} above {CERT_TOL}")
@@ -180,9 +184,7 @@ def extend_martingale(
         raise PreconditionError(
             f"extension requires ||S||_inf <= 1 (got {S.sup_norm()}); normalize first"
         )
-    m1 = D.M.values[:, -1]
-    cols = [space.cell_average(m1, j) for j in range(space.grid.n_times)]
-    M_ext = AdaptedProcess(space, np.column_stack(cols))
+    M_ext = AdaptedProcess(space, space.conditional_path(D.M.values[:, -1]))
     A_ext = S - M_ext
     step = 1 << (space.grid.level - D.level)
     anchor_idx = (np.arange(space.grid.n_times) // step) * step
@@ -408,7 +410,6 @@ def assemble_decomposition(
     """One simultaneous extraction over the stopped mixed terminals and
     every per-time drift column; the limits define M and A."""
     space = stage.source.space
-    n_times = space.grid.n_times
     alpha = stage.alpha
     stopped_source = stop_process(stage.source, alpha)
 
@@ -419,18 +420,15 @@ def assemble_decomposition(
         a_stopped.append(stop_process(stage.steps[s].a_script, alpha))
 
     seqs = [np.stack([m.values[:, -1] for m in m_stopped])]
-    for j in range(n_times):
+    for j in range(space.grid.n_times):
         seqs.append(np.stack([a.values[:, j] for a in a_stopped]))
     cw, limits = extract_convex_multi(seqs, tol=tol, prob=space.probs, window=window)
 
-    m1_hat = limits[0]
-    M_vals = np.column_stack([space.cell_average(m1_hat, j) for j in range(n_times)])
-    A_vals = np.column_stack(limits[1:])
-    M = AdaptedProcess(space, M_vals)
-    A = AdaptedProcess(space, A_vals)
+    M = AdaptedProcess(space, space.conditional_path(limits[0]))
+    A = AdaptedProcess(space, np.column_stack(limits[1:]))
 
     resid_sum = float(np.abs(M.values + A.values - stopped_source.values).max())
-    resid_mart = _martingale_residual(M)
+    resid_mart = martingale_residual(M)
     resid_a0 = float(np.abs(A.values[:, 0]).max())
     tv_cap = 6.0 * (stage.C + 2.0) + 2.0 * stage.C
     log = stage.log + tuple(cw.log) + (
@@ -445,15 +443,6 @@ def assemble_decomposition(
         residuals={"decomposition": resid_sum, "martingale": resid_mart, "A_start": resid_a0},
         log=log,
     )
-
-
-def _martingale_residual(M: AdaptedProcess) -> float:
-    space = M.space
-    worst = 0.0
-    dM = M.increments()
-    for c in range(1, M.n_times):
-        worst = max(worst, float(np.abs(space.cell_average(dM[:, c - 1], M.time_index[c - 1])).max()))
-    return worst
 
 
 def _stage_table(stage: StageResult) -> tuple:
@@ -577,11 +566,25 @@ def _coerce_source(source):
     return S, None, False
 
 
+def _require_adapted(S: AdaptedProcess) -> None:
+    """Reject values that peek past their filtration, a non-constant S_0 included."""
+    bad = S.nonadapted_at()
+    if bad is not None:
+        c, a = bad
+        cell = S.space.labels[S.time_index[c]]
+        first = int(np.argmax(cell == cell[a]))
+        raise ParameterError(
+            f"atom {a}.v[{c}] = {S.values[a, c]:.17g} differs from atom {first}.v[{c}] = "
+            f"{S.values[first, c]:.17g} in the same cell at time index {S.time_index[c]}: "
+            "the source is not adapted")
+
+
 def detect(source, config: DetectConfig | None = None):
-    """Run the full dichotomy on a process; returns one of the three
-    verdicts and never raises for input-driven failures."""
+    """Run the full dichotomy on a process and return one of the three verdicts;
+    bad input, such as a source that is not adapted, raises ParameterError."""
     config = config or DetectConfig()
     S, decomposer, is_ensemble = _coerce_source(source)
+    _require_adapted(S)
     space = S.space
     log = []
 
@@ -605,13 +608,7 @@ def detect(source, config: DetectConfig | None = None):
     finest = space.grid.level
     levels = config.levels or tuple(range(1, finest + 1))
 
-    try:
-        stage = discrete_stage(
-            Y, levels, config.eps, config.ladder_max,
-            decomposer=decomposer,
-        )
-    except (ParameterError, PreconditionError):
-        raise
+    stage = discrete_stage(Y, levels, config.eps, config.ladder_max, decomposer=decomposer)
     log.extend(stage.log)
     table = _stage_table(stage)
 
@@ -641,7 +638,7 @@ def detect(source, config: DetectConfig | None = None):
     A = inner.A.scale(s_norm) + stop_process(J, alpha_total)
     stopped = stop_process(S, alpha_total)
     resid_sum = float(np.abs(M.values + A.values - stopped.values).max())
-    resid_mart = _martingale_residual(M)
+    resid_mart = martingale_residual(M)
     tv_j = float(np.abs(stop_process(J, alpha_total).increments()).sum(axis=1).max())
     tv_bound = s_norm * inner.constants["tv_bound"] + tv_j
     log.append(

@@ -60,16 +60,24 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _first_per_cell(labels: np.ndarray) -> np.ndarray:
-    """Index of one representative atom per cell label."""
-    _, first = np.unique(labels, return_index=True)
-    return first
+def cell_mismatch(labels: np.ndarray, x: np.ndarray, atol: float = 0.0) -> tuple[int, int] | None:
+    """First (row, atom) where row r of x is not constant on the cells of labels[r], else None.
 
-
-def _constant_on_cells(labels: np.ndarray, x: np.ndarray, atol: float = ATOL) -> bool:
-    rep = np.zeros(labels.max() + 1, dtype=x.dtype)
-    rep[labels[::-1]] = x[::-1]  # representative = first atom of each cell
-    return bool(np.all(np.abs(x - rep[labels]) <= atol))
+    Rows pair up (a 1-d pair is one row); each cell's first atom is its
+    representative, and atol = 0 asks for equality (boolean or integer x).
+    """
+    # walk atoms in reverse: where writes to rep repeat an id the last one
+    # wins, and that is the first atom of the cell
+    labels = np.atleast_2d(labels)[:, ::-1]
+    x = np.ascontiguousarray(np.atleast_2d(x)[:, ::-1])
+    stride = int(labels.max()) + 1
+    # one dense id per (row, cell) lets all rows share one representative lookup
+    glob = labels + (np.arange(labels.shape[0]) * stride)[:, None]
+    rep = np.zeros(labels.shape[0] * stride, dtype=x.dtype)
+    rep[glob] = x
+    dev = rep[glob]
+    bad = dev != x if atol == 0 else np.abs(np.subtract(x, dev, out=dev), out=dev) > atol
+    return divmod(int(bad[:, ::-1].argmax()), bad.shape[1]) if bad.any() else None
 
 
 @dataclass(frozen=True)
@@ -105,16 +113,9 @@ class FilteredSpace:
             raise ParameterError(
                 f"labels must have shape (n_times, n_atoms) = {(self.grid.n_times, probs.size)}"
             )
-        for j in range(1, self.grid.n_times):
-            if not self._refines(labels[j], labels[j - 1]):
-                raise InvariantViolation(f"partition at time index {j} does not refine index {j - 1}")
-
-    @staticmethod
-    def _refines(fine: np.ndarray, coarse: np.ndarray) -> bool:
-        """Every fine cell sits inside a single coarse cell."""
-        rep = np.zeros(fine.max() + 1, dtype=np.int64)
-        rep[fine[::-1]] = coarse[::-1]
-        return bool(np.all(rep[fine] == coarse))
+        bad = cell_mismatch(labels[1:], labels[:-1])  # each time-j cell inside one time-(j-1) cell
+        if bad is not None:
+            raise InvariantViolation(f"partition at time index {bad[0] + 1} does not refine index {bad[0]}")
 
     @property
     def n_atoms(self) -> int:
@@ -124,9 +125,6 @@ class FilteredSpace:
     def times(self) -> np.ndarray:
         return self.grid.times
 
-    def labels_at(self, j: int) -> np.ndarray:
-        return self.labels[j]
-
     def cell_average(self, x: np.ndarray, j: int) -> np.ndarray:
         """Probability-weighted average of x over each cell at time index j."""
         lab = self.labels[j]
@@ -135,6 +133,10 @@ class FilteredSpace:
             raise InvariantViolation("partition cell with zero probability")
         avg = np.bincount(lab, weights=self.probs * x) / mass
         return avg[lab]
+
+    def conditional_path(self, x: np.ndarray) -> np.ndarray:
+        """E[x | F_t] at every grid time, one column per time."""
+        return np.column_stack([self.cell_average(x, j) for j in range(self.grid.n_times)])
 
     def expectation(self, x: np.ndarray) -> float:
         return float(self.probs @ x)
@@ -165,15 +167,6 @@ class StoppingTime:
     @property
     def inf_index(self) -> int:
         return self.space.grid.n_times
-
-    @classmethod
-    def from_times(cls, space: FilteredSpace, times: np.ndarray) -> "StoppingTime":
-        times = np.asarray(times, dtype=float)
-        idx = np.empty(times.shape, dtype=np.int64)
-        finite = np.isfinite(times)
-        idx[~finite] = space.grid.n_times
-        idx[finite] = [space.grid.index_of(t) for t in times[finite]]
-        return cls(space, idx)
 
     @classmethod
     def constant(cls, space: FilteredSpace, t: float) -> "StoppingTime":
@@ -309,11 +302,12 @@ class AdaptedProcess:
             raise ParameterError("process is not sampled at all requested times")
         return AdaptedProcess(self.space, self.values[:, pos], grid_indices)
 
+    def nonadapted_at(self, atol: float = ATOL) -> tuple[int, int] | None:
+        """(column, atom) of the first value not constant on its cell, or None."""
+        return cell_mismatch(self.space.labels[self.time_index], self.values.T, atol)
+
     def is_adapted(self, atol: float = ATOL) -> bool:
-        for c in range(self.n_times):
-            if not _constant_on_cells(self.space.labels[self.time_index[c]], self.values[:, c], atol):
-                return False
-        return True
+        return self.nonadapted_at(atol) is None
 
     def _same_shape(self, other: "AdaptedProcess"):
         if other.space is not self.space:
@@ -354,14 +348,8 @@ def check_stopping_time(tau: StoppingTime) -> bool:
     idx = tau.index
     if idx.size and idx.min() == idx.max():
         return True  # deterministic times always qualify
-    n_times, n_atoms = space.labels.shape
-    events = idx[None, :] <= np.arange(n_times)[:, None]
-    # one dense id per (time, cell) lets all rows share one representative
-    # lookup; reversed assignment leaves the first atom of each cell
-    glob = space.labels + (np.arange(n_times) * n_atoms)[:, None]
-    rep = np.zeros(n_times * n_atoms, dtype=bool)
-    rep[glob[:, ::-1]] = events[:, ::-1]
-    return bool(np.all(rep[glob] == events))
+    events = idx[None, :] <= np.arange(space.grid.n_times)[:, None]
+    return cell_mismatch(space.labels, events) is None
 
 
 def stop_process(S: AdaptedProcess, tau: StoppingTime) -> AdaptedProcess:

@@ -412,6 +412,27 @@ class TestCliFlows:
         assert rc == 2
         assert "parameter error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("col", [1, 0])
+    def test_detect_rejects_non_adapted_source(self, tmp_path, capsys, col):
+        """Raising atom 0's v[col] by 0.01 breaks F_t-measurability at time
+        index col (col 0: S_0 is not F_0-measurable); detect exits 2."""
+        src = str(tmp_path / "walk.jsonl")
+        main(["generate", "--kind", "rademacher_bm", "--level", "2", "--seed", "1", "--out", src])
+        with open(src) as fh:
+            lines = fh.read().splitlines()
+        row = json.loads(lines[1])
+        row["v"][col] = fmt17(float(row["v"][col]) + 0.01)
+        lines[1] = json.dumps(row)
+        with open(src, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+        capsys.readouterr()
+
+        rc = main(["detect", src, "--out", str(tmp_path / "report.json")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert f"atom 0.v[{col}]" in err and f"time index {col}" in err
+        assert "not adapted" in err
+
     def test_detect_inconclusive_exit_code(self, tmp_path, capsys):
         src = str(tmp_path / "mc.jsonl")
         report = str(tmp_path / "report.json")

@@ -230,6 +230,19 @@ class TestAssembleDecomposition:
         assert np.max(np.abs(cert.M.values)) <= 1e-10
         assert np.max(np.abs(cert.A.values - S.values)) <= 1e-10
 
+    @pytest.mark.parametrize("part", ["M", "A"])
+    def test_certificate_rejects_non_adapted_part(self, part):
+        space, S = canonical_walk(2)
+        peek = np.zeros_like(S.values)
+        peek[0, 1] = 0.01  # atom 0 moves alone inside its time-1/4 cell
+        parts = {"M": S, "A": AdaptedProcess(space, np.zeros_like(S.values))}
+        parts[part] = AdaptedProcess(space, parts[part].values + peek)
+        with pytest.raises(InvariantViolation, match=f"part {part} is not adapted"):
+            SemimartingaleCertificate(
+                alpha=StoppingTime(space, np.full(space.n_atoms, space.grid.n_times)),
+                constants={"tv_bound": 1.0}, residuals={}, **parts,
+            )
+
 
 class TestDetect:
     """End-to-end dichotomy verdicts."""
