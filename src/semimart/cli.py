@@ -34,7 +34,7 @@ from .io import (
     write_ensemble,
     write_report,
 )
-from .pipeline import DetectConfig, detect
+from .pipeline import DetectConfig, _require_adapted, detect
 
 EXIT_OK = 0
 EXIT_INVARIANT = 1
@@ -49,11 +49,14 @@ def _resolve_out(out: str | None, default_name: str) -> str:
 
 
 def _unpack(source):
-    """(process, space, level decomposer) for either source shape."""
+    """(process, space, level decomposer) for either source shape; a
+    source that is not adapted is rejected here, as `detect` rejects it."""
     if isinstance(source, EnsembleProcess):
-        return source.process, source.space, source.decomposer()
-    space, S = source
-    return S, space, doob_decompose
+        S, space, decomposer = source.process, source.space, source.decomposer()
+    else:
+        (space, S), decomposer = source, doob_decompose
+    _require_adapted(S)
+    return S, space, decomposer
 
 
 def cmd_generate(args) -> int:

@@ -23,11 +23,24 @@ def _measurable_at(space: FilteredSpace, time_idx: np.ndarray, x: np.ndarray, at
     sigma-algebra of a stopping time: on the event {tau = t}, x is constant
     on the time-t cells (the event itself is a union of such cells).
     """
+    if time_idx.min() == time_idx.max():
+        # a deterministic time is one cell check (every grid-mesh weight)
+        return cell_mismatch(space.labels[time_idx[0]], x, atol) is None
     for t in np.unique(time_idx):
         sel = time_idx == t
         if cell_mismatch(space.labels[t][sel], x[sel], atol) is not None:
             return False
     return True
+
+
+def _held_weights(eff: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Finite weights, read-only, with positions on empty intervals stored as +0."""
+    if not np.all(np.isfinite(w)):
+        raise ParameterError("weights must be finite")
+    # positions on empty intervals are never held; store them as 0
+    w = np.where(eff[:, 1:] > eff[:, :-1], w, 0.0)
+    w.setflags(write=False)
+    return w
 
 
 @dataclass(frozen=True)
@@ -66,12 +79,8 @@ class SimpleIntegrand:
         w = np.asarray(self.weights, dtype=float)
         if w.shape != (self.space.n_atoms, len(self.mesh) - 1):
             raise ParameterError("weights must have shape (n_atoms, len(mesh) - 1)")
-        if not np.all(np.isfinite(w)):
-            raise ParameterError("weights must be finite")
-        # positions on empty intervals are never held; store them as 0
-        w = np.where(eff[:, 1:] > eff[:, :-1], w, 0.0)
-        w.setflags(write=False)
         eff.setflags(write=False)
+        w = _held_weights(eff, w)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "_eff", eff)
         for j in range(1, len(self.mesh)):
@@ -113,7 +122,16 @@ class SimpleIntegrand:
         return SimpleIntegrand(self.space, mesh + (last,), np.hstack([self.weights, pad]))
 
     def scale(self, factor: float) -> "SimpleIntegrand":
-        return SimpleIntegrand(self.space, self.mesh, self.weights * float(factor))
+        """factor * H on the same mesh.  Scaling keeps each weight constant
+        on its cells, so the checked mesh is reused and only finiteness is
+        rechecked (a weight accepted within ATOL is not re-judged at
+        |factor| times its spread)."""
+        out = object.__new__(SimpleIntegrand)
+        object.__setattr__(out, "space", self.space)
+        object.__setattr__(out, "mesh", self.mesh)
+        object.__setattr__(out, "weights", _held_weights(self._eff, self.weights * float(factor)))
+        object.__setattr__(out, "_eff", self._eff)
+        return out
 
     def combine(self, a: float, other: "SimpleIntegrand", b: float) -> "SimpleIntegrand":
         """a*self + b*other; both must share the same mesh."""
@@ -159,31 +177,34 @@ def integral_process(H: SimpleIntegrand, S: AdaptedProcess) -> AdaptedProcess:
     if H.space is not S.space:
         raise StructuralError("integrand and process live on different spaces")
     eff = H._eff
-    # every mesh time must be one of S's sample times
-    needed = np.unique(eff)
-    pos = np.searchsorted(S.time_index, needed)
-    ok = (pos < S.time_index.size) & (S.time_index[np.minimum(pos, S.time_index.size - 1)] == needed)
-    if not np.all(ok):
+    n_grid = S.space.grid.n_times
+    sampled = np.zeros(n_grid, dtype=bool)
+    sampled[S.time_index] = True
+    if not sampled[eff].all():
         raise StructuralError("mesh times are not all sampled by the process")
 
-    n_atoms, n_cols = S.values.shape
-    dS = np.diff(S.values, axis=1)
-    # H is constant on (t_{c-1}, t_c]: position = f_j for the first mesh
-    # entry with eff >= g.  Row-wise searchsorted via per-row offsets
-    # (each eff row is non-decreasing, so blocks stay sorted).
-    span = np.int64(S.space.grid.n_times + 1)
-    offs = np.arange(n_atoms, dtype=np.int64) * span
-    flat = (eff + offs[:, None]).ravel()
-    queries = (S.time_index[None, 1:] + offs[:, None]).ravel()
-    j = (np.searchsorted(flat, queries, side="left") - np.arange(n_atoms).repeat(n_cols - 1) * eff.shape[1]).reshape(n_atoms, n_cols - 1)
-    hold = np.zeros((n_atoms, n_cols - 1))
-    inner = (j >= 1) & (j <= H.n_intervals)
-    rows = np.broadcast_to(np.arange(n_atoms)[:, None], j.shape)
-    hold[inner] = H.weights[rows[inner], j[inner] - 1]
+    n_atoms = eff.shape[0]
+    # H holds f_j on (t_{c-1}, t_c] for j = #{mesh entries with eff < t_c}.
+    # Each row's entries are counted per grid time (entry k in bin eff + 1)
+    # and accumulated, so below[a, g] = #{k: eff[a, k] < g}, in integers.
+    span = n_grid + 1
+    bins = eff + 1 + (np.arange(n_atoms, dtype=np.int64) * span)[:, None]
+    below = np.cumsum(np.bincount(bins.ravel(), minlength=n_atoms * span).reshape(n_atoms, span), axis=1)
+    # zero columns on both sides stand for "before the first" and "after
+    # the last" interval, so every j from 0 to N + 1 reads a position
+    padded = np.pad(H.weights, ((0, 0), (1, 1)))
+    hold = np.take_along_axis(padded, below[:, S.time_index[1:]], axis=1)
     out = np.concatenate(
-        [np.zeros((n_atoms, 1)), np.cumsum(hold * dS, axis=1)], axis=1
+        [np.zeros((n_atoms, 1)), np.cumsum(hold * np.diff(S.values, axis=1), axis=1)], axis=1
     )
     return AdaptedProcess(S.space, out, S.time_index)
+
+
+def terminal_and_drawdown(H: SimpleIntegrand, S: AdaptedProcess) -> tuple[np.ndarray, float]:
+    """((H.S)_1 per atom, worst drawdown) from one running integral:
+    the values `integrate` and `vr_metric` give, at the cost of one."""
+    proc = integral_process(H, S)
+    return proc.at(1.0).copy(), float(np.maximum(-proc.values, 0.0).max())
 
 
 def integrate(H: SimpleIntegrand, S: AdaptedProcess, t: float = 1.0) -> np.ndarray:
@@ -205,14 +226,14 @@ def li_metric(H: SimpleIntegrand) -> float:
 
 def fl_statistic(seq: StrategySequence, S: AdaptedProcess, alpha: float) -> np.ndarray:
     """Exact P[(H^n . S)_1^+ >= alpha] per sequence element."""
+    return win_probabilities((integrate(H, S, 1.0) for H in seq.elements), S.space.probs, alpha)
+
+
+def win_probabilities(terminals, probs: np.ndarray, alpha: float) -> np.ndarray:
+    """Exact P[G >= alpha] for each array G of terminal gains per atom."""
     if not alpha > 0:
         raise ParameterError(f"threshold alpha must be > 0, got {alpha}")
-    out = np.empty(len(seq))
-    probs = S.space.probs
-    for i, H in enumerate(seq.elements):
-        terminal = integrate(H, S, 1.0)
-        out[i] = float(probs[terminal >= alpha].sum())
-    return out
+    return np.array([float(probs[g >= alpha].sum()) for g in terminals])
 
 
 def continuity_probe(S: AdaptedProcess, seq: StrategySequence, delta: float) -> np.ndarray:

@@ -35,7 +35,15 @@ from .errors import (
     PreconditionError,
 )
 from .generators import EnsembleProcess
-from .integrands import StrategySequence, integrate, li_metric, vr_metric
+# integrate and vr_metric stay importable here: perfbench/spans.py wraps them by name
+from .integrands import (  # noqa: F401
+    StrategySequence,
+    integrate,
+    li_metric,
+    terminal_and_drawdown,
+    vr_metric,
+    win_probabilities,
+)
 from .komlos import DEFAULT_WINDOW, extract_convex, extract_convex_multi
 from .space import (
     AdaptedProcess,
@@ -491,8 +499,11 @@ def _free_lunch(
     qv_side = stage.failure.startswith("qv")
     log.append(f"free-lunch branch ({stage.failure}); witnesses from the {'quadratic' if qv_side else 'drift'} side")
 
+    # each strategy is integrated once, against Y here and against S below;
+    # terminals, harvests, drawdowns and win odds are all read off those
     bases = []
     harvests = []
+    vr_raw = []
     for cert in certs:
         H = cert.witness
         if not qv_side:
@@ -501,12 +512,13 @@ def _free_lunch(
             c2w = math.sqrt(8.0 * stage.c1 / eps)
             tau_w = doob_maximal_stop(cert.decomposition, H, c2w)
             H = H.truncate(tau_w)
+        terminal, drawdown = terminal_and_drawdown(H, Y)
         bases.append(H)
-        harvests.append(float(Y.space.expectation(integrate(H, Y))))
+        harvests.append(float(Y.space.expectation(terminal)))
+        vr_raw.append(drawdown)
     log.append("expected harvest per level: " + ", ".join(f"{m:.6g}" for m in harvests))
 
     li_raw = [li_metric(H) for H in bases]
-    vr_raw = [vr_metric(H, Y) for H in bases]
     if min(li_raw) <= 0:
         return Inconclusive("a witness strategy vanishes identically", tuple(log), table)
     eps_end = 0.5 * FL_TARGET * li_raw[-1] / max(li_raw[-1], vr_raw[-1])
@@ -521,7 +533,7 @@ def _free_lunch(
     factors = [t / l for t, l in zip(scales_li, li_raw)]
     elements = [H.scale(f) for H, f in zip(bases, factors)]
 
-    gains = [integrate(H, S) for H in elements]
+    gains, drawdowns = zip(*(terminal_and_drawdown(H, S) for H in elements))
     daggers = [_alpha_dagger(g, S.space.probs) for g in gains]
     log.append("win thresholds per level: " + ", ".join(f"{a:.6g}" for a in daggers))
     if min(daggers) <= 0:
@@ -532,7 +544,14 @@ def _free_lunch(
             table,
         )
     alpha_star = 0.5 * min(daggers)
-    seq = StrategySequence(tuple(elements), notes=tuple(log)).evaluate(S, alpha_star)
+    seq = StrategySequence(
+        tuple(elements),
+        li=tuple(li_metric(H) for H in elements),
+        vr=drawdowns,
+        fl=tuple(win_probabilities(gains, S.space.probs, alpha_star)),
+        fl_threshold=alpha_star,
+        notes=tuple(log),
+    )
     log.append(
         f"alpha* = {alpha_star:.6g}; li = {[f'{x:.3g}' for x in seq.li]}, "
         f"vr = {[f'{x:.3g}' for x in seq.vr]}, fl = {[f'{x:.3g}' for x in seq.fl]}"

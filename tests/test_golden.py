@@ -78,6 +78,19 @@ CASES = {
         "9fc82185ec3806dcf592e7082c2c1cddfe1e3dd69b0eb449aec1020117b0bfdc",
         "3292b605b098c04590d9f5ea0b278036bcb9d7e9807177d8133791efe5a8924e",
     ),
+    # H = 1/4 fails on the quadratic side (qv-growth), so these two pin
+    # the free-lunch branch that builds its witnesses from the qv strategy
+    "rl_fractional-H0.25-L3": (
+        dict(kind="rl_fractional", level=3, hurst=0.25), None, "free_lunch",
+        "5bbbdead219d5c5be274815254c09ff178a6f45c7bb4030dde5fab22ce405cab",
+        "b88830940b604874d0dd69d3891e2abff9407ee8b5c563791cddabba1b820c90",
+    ),
+    "rl_fractional-H0.25-ens-L6": (
+        dict(kind="rl_fractional", level=6, hurst=0.25, mode="ensemble", paths=1024), (3, 4, 5, 6),
+        "free_lunch",
+        "ce88a97efbfb8a576e911f7d2686447459704113dae763016c3c8fb1437dad3e",
+        "76ab7f6fcad2ed507bf08f1158c81c13f48df6ee616c38c7a21ac508e0d60726",
+    ),
     "rademacher_bm-ens-L5": (
         dict(kind="rademacher_bm", level=5, mode="ensemble", paths=512), None, "inconclusive",
         "a7484c1c8f9b8799c1a03a2929544227edb70759537d77c7c189b6d3f6f9f47b",

@@ -412,10 +412,11 @@ class TestCliFlows:
         assert rc == 2
         assert "parameter error:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("col", [1, 0])
-    def test_detect_rejects_non_adapted_source(self, tmp_path, capsys, col):
-        """Raising atom 0's v[col] by 0.01 breaks F_t-measurability at time
-        index col (col 0: S_0 is not F_0-measurable); detect exits 2."""
+    @staticmethod
+    def non_adapted_walk(tmp_path, col) -> str:
+        """A level-2 walk file with atom 0's v[col] raised by 0.01, which
+        breaks F_t-measurability at time index col (col 0: S_0 is not
+        F_0-measurable)."""
         src = str(tmp_path / "walk.jsonl")
         main(["generate", "--kind", "rademacher_bm", "--level", "2", "--seed", "1", "--out", src])
         with open(src) as fh:
@@ -425,6 +426,11 @@ class TestCliFlows:
         lines[1] = json.dumps(row)
         with open(src, "w") as fh:
             fh.write("\n".join(lines) + "\n")
+        return src
+
+    @pytest.mark.parametrize("col", [1, 0])
+    def test_detect_rejects_non_adapted_source(self, tmp_path, capsys, col):
+        src = self.non_adapted_walk(tmp_path, col)
         capsys.readouterr()
 
         rc = main(["detect", src, "--out", str(tmp_path / "report.json")])
@@ -432,6 +438,21 @@ class TestCliFlows:
         assert rc == 2
         assert f"atom 0.v[{col}]" in err and f"time index {col}" in err
         assert "not adapted" in err
+
+    @pytest.mark.parametrize("col", [1, 0])
+    @pytest.mark.parametrize("command", ["decompose", "probe"])
+    def test_rejects_non_adapted_source(self, tmp_path, capsys, command, col):
+        """decompose and probe reject the file at the same boundary as detect."""
+        src = self.non_adapted_walk(tmp_path, col)
+        out = str(tmp_path / f"{command}.json")
+        capsys.readouterr()
+
+        rc = main([command, src, "--out", out])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert f"atom 0.v[{col}]" in err and f"time index {col}" in err
+        assert "not adapted" in err
+        assert not os.path.exists(out)
 
     def test_detect_inconclusive_exit_code(self, tmp_path, capsys):
         src = str(tmp_path / "mc.jsonl")

@@ -138,6 +138,16 @@ def test_integrand_measurable_at(seed):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
+def test_integrand_measurable_at_deterministic_time(seed):
+    rng = np.random.default_rng(seed)
+    space = random_space(rng)
+    t = int(rng.integers(0, space.grid.n_times))
+    x = maybe_move(rng, cell_values(rng, space.labels[t])[:, 0])
+    time_idx = np.full(space.n_atoms, t)
+    assert _measurable_at(space, time_idx, x) == constant_on(space.labels[t], x)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
 def test_conditional_path_matches_cell_means(seed):
     rng = np.random.default_rng(seed)
     space = random_space(rng)
