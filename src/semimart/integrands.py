@@ -111,26 +111,40 @@ class SimpleIntegrand:
         return cls.from_grid_mesh(space, [0, space.grid.n_steps], w)
 
     def truncate(self, tau: StoppingTime) -> "SimpleIntegrand":
-        """The strategy H 1_[0, tau]: stop trading once tau occurs."""
+        """The strategy H 1_[0, tau]: stop trading once tau occurs.
+
+        Only tau is checked: truncation keeps each mesh entry a stopping
+        time and each f_j measurable at tau_{j-1} ^ tau, because f_j is
+        held only on {tau > tau_{j-1}}, an event of F_{tau_{j-1} ^ tau}."""
         if tau.space is not self.space:
             raise StructuralError("stopping time lives on a different space")
-        mesh = tuple(t.min_with(tau) for t in self.mesh)
+        if not check_stopping_time(tau):
+            raise PreconditionError("truncation time is not a stopping time")
+        n_atoms, n_steps = self.space.n_atoms, self.space.grid.n_steps
         # a final zero-position interval (tau_N ^ tau, 1] keeps the mesh
-        # ending at the horizon; construction zeroes emptied intervals
-        last = StoppingTime(self.space, np.full(self.space.n_atoms, self.space.grid.n_times - 1))
-        pad = np.zeros((self.space.n_atoms, 1))
-        return SimpleIntegrand(self.space, mesh + (last,), np.hstack([self.weights, pad]))
+        # ending at the horizon; emptied intervals get +0 weights
+        last = StoppingTime(self.space, np.full(n_atoms, n_steps))
+        mesh = tuple(t.min_with(tau) for t in self.mesh) + (last,)
+        eff = np.minimum(self._eff, tau.index[:, None])
+        eff = np.hstack([eff, np.full((n_atoms, 1), n_steps)])
+        eff.setflags(write=False)
+        return self._rebuilt(mesh, eff, np.hstack([self.weights, np.zeros((n_atoms, 1))]))
 
     def scale(self, factor: float) -> "SimpleIntegrand":
         """factor * H on the same mesh.  Scaling keeps each weight constant
         on its cells, so the checked mesh is reused and only finiteness is
         rechecked (a weight accepted within ATOL is not re-judged at
         |factor| times its spread)."""
+        return self._rebuilt(self.mesh, self._eff, self.weights * float(factor))
+
+    def _rebuilt(self, mesh: tuple, eff: np.ndarray, w: np.ndarray) -> "SimpleIntegrand":
+        """An integrand on a mesh whose stopping-time and measurability
+        checks the calling operation preserves; weights are still held."""
         out = object.__new__(SimpleIntegrand)
         object.__setattr__(out, "space", self.space)
-        object.__setattr__(out, "mesh", self.mesh)
-        object.__setattr__(out, "weights", _held_weights(self._eff, self.weights * float(factor)))
-        object.__setattr__(out, "_eff", self._eff)
+        object.__setattr__(out, "mesh", mesh)
+        object.__setattr__(out, "weights", _held_weights(eff, w))
+        object.__setattr__(out, "_eff", eff)
         return out
 
     def combine(self, a: float, other: "SimpleIntegrand", b: float) -> "SimpleIntegrand":

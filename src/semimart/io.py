@@ -28,11 +28,26 @@ from .space import AdaptedProcess, DyadicGrid, FilteredSpace
 ENSEMBLE_FORMAT = "semimart-ensemble-1"
 REPORT_FORMAT = "semimart-report-1"
 INLINE_ATOM_LIMIT = 1024
+# rows are encoded and decoded in blocks of about this many cells, which
+# bounds the Python objects alive at once whatever the row width
+BLOCK_CELLS = 1 << 16
 
 
 def fmt17(x) -> str:
     """Decimal encoding that round-trips float64 exactly."""
     return format(float(x), ".17g")
+
+
+def _cells(cell: str, k: int) -> str:
+    """A `%` template for k comma-separated cells.  `"%.17g" % x` runs the
+    same float-to-string conversion as `fmt17`, one C call per row."""
+    return ",".join([cell] * k)
+
+
+def _blocks(n: int, width: int):
+    """Row ranges [lo, hi) of about BLOCK_CELLS cells (at least one row)."""
+    step = max(1, BLOCK_CELLS // max(width, 1))
+    return [(lo, min(lo + step, n)) for lo in range(0, n, step)]
 
 
 def _canonical(obj) -> str:
@@ -89,6 +104,7 @@ def write_ensemble(path, spec: GeneratorSpec, probs, xi, values) -> None:
     probs = np.asarray(probs, dtype=float)
     values = np.asarray(values, dtype=float)
     n = probs.size
+    xi = np.empty((n, 0), dtype=np.int8) if xi is None else np.asarray(xi)
     header = {
         "format": ENSEMBLE_FORMAT,
         "kind": spec.kind,
@@ -102,16 +118,18 @@ def write_ensemble(path, spec: GeneratorSpec, probs, xi, values) -> None:
         "jump_size": fmt17(spec.jump_size),
         "atoms": n,
     }
-    lines = [_canonical(header)]
-    for a in range(n):
-        row = {
-            "p": dyadic_encode(probs[a]),
-            "xi": [] if xi is None else [int(v) for v in xi[a]],
-            "v": [fmt17(v) for v in values[a]],
-        }
-        lines.append(_canonical(row))
+    distinct, inverse = np.unique(probs, return_inverse=True)
+    codes = [dyadic_encode(p) for p in distinct]
+    # the key order and separators of `_canonical`
+    v_cells, xi_cells = _cells('"%.17g"', values.shape[1]), _cells("%d", xi.shape[1])
+    row = '{"p":[%d,%d],"v":[' + v_cells + '],"xi":[' + xi_cells + "]}\n"
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(_canonical(header) + "\n")
+        for lo, hi in _blocks(n, values.shape[1] + xi.shape[1]):
+            fh.write("".join([
+                row % (*codes[c], *v, *x)
+                for c, v, x in zip(inverse[lo:hi].tolist(), values[lo:hi].tolist(), xi[lo:hi].tolist())
+            ]))
 
 
 def _header_field(header: dict, key: str, kinds, where: str = "header"):
@@ -162,42 +180,21 @@ def read_ensemble(path) -> EnsembleData:
     if len(lines) - 1 != n:
         raise ParameterError(f"header.atoms: declares {n} atoms, file has {len(lines) - 1} rows")
 
-    n_steps = spec.n_steps
-    xi_len = 0 if kind == "deterministic_drift" else n_steps
-    probs = np.empty(n)
+    n_values = spec.n_steps + 1
+    xi_len = 0 if kind == "deterministic_drift" else spec.n_steps
+    entries = np.empty((n, 2), dtype=np.int64)  # [numerator, k] per atom
     xi = np.empty((n, xi_len), dtype=np.int8)
-    values = np.empty((n, n_steps + 1))
-    num_sum = 0
-    max_k = 0
-    entries = []
-    for a in range(n):
-        where = f"atom {a}"
-        try:
-            row = json.loads(lines[a + 1])
-        except json.JSONDecodeError as exc:
-            raise ParameterError(f"{where}: not valid JSON ({exc})") from exc
-        if not isinstance(row, dict):
-            raise ParameterError(f"{where}: must be a JSON object")
-        for key in ("p", "xi", "v"):
-            if key not in row:
-                raise ParameterError(f"{where}.{key}: missing")
-        probs[a] = dyadic_decode(row["p"], f"{where}.p")
-        entries.append(tuple(row["p"]))
-        max_k = max(max_k, row["p"][1])
-        x = row["xi"]
-        if not isinstance(x, list) or len(x) != xi_len or any(v not in (-1, 1) for v in x):
-            raise ParameterError(f"{where}.xi: need {xi_len} entries from {{-1, +1}}")
-        xi[a] = x
-        v = row["v"]
-        if not isinstance(v, list) or len(v) != n_steps + 1:
-            raise ParameterError(f"{where}.v: need {n_steps + 1} values")
-        try:
-            values[a] = [float(s) for s in v]
-        except (TypeError, ValueError) as exc:
-            raise ParameterError(f"{where}.v: {exc}") from exc
-        if not np.all(np.isfinite(values[a])):
-            raise ParameterError(f"{where}.v: values must be finite")
-    num_sum = sum(num * (1 << (max_k - k)) for num, k in entries)
+    values = np.empty((n, n_values))
+    for lo, hi in _blocks(n, n_values + xi_len):
+        block = _decode_block(lines[lo + 1 : hi + 1], xi_len, n_values)
+        if block is None:
+            _reject_block(lines, lo, hi, xi_len, n_values)
+        entries[lo:hi], xi[lo:hi], values[lo:hi] = block
+    distinct, inverse, counts = np.unique(entries, axis=0, return_inverse=True, return_counts=True)
+    distinct = distinct.tolist()
+    probs = np.array([dyadic_decode(e, "p") for e in distinct])[inverse]
+    max_k = max((k for _, k in distinct), default=0)
+    num_sum = sum(c * num << (max_k - k) for (num, k), c in zip(distinct, counts.tolist()))
     if num_sum != 1 << max_k:
         raise ParameterError("p (sum): probabilities do not sum to 1 exactly")
     return EnsembleData(
@@ -209,14 +206,74 @@ def read_ensemble(path) -> EnsembleData:
     )
 
 
+def _decode_block(lines, xi_len: int, n_values: int):
+    """(p entries, xi, values) arrays of a block of atom rows, or None when
+    any row fails a check; the rows' own checks then name the fault."""
+    try:
+        rows = [json.loads(line) for line in lines]
+        entries = np.array([r["p"] for r in rows])
+        x = np.array([r["xi"] for r in rows])
+        v = np.array([r["v"] for r in rows], dtype=float)
+    except (KeyError, TypeError, ValueError, OverflowError):
+        # not JSON, not an object, a missing key, ragged or mixed lists
+        return None
+    b = len(rows)
+    if (
+        entries.shape != (b, 2)
+        or entries.dtype.kind not in "bi"
+        or np.any(entries[:, 0] < 1)
+        or np.any(entries[:, 1] < 0)
+        or x.shape != (b, xi_len)
+        or not np.all((x == 1) | (x == -1))
+        or v.shape != (b, n_values)
+        # JSON null converts to nan here, so it lands in the row checks
+        or not np.all(np.isfinite(v))
+    ):
+        return None
+    return entries, x, v
+
+
+def _reject_block(lines, lo: int, hi: int, xi_len: int, n_values: int):
+    """Every check on the rows of atoms lo..hi-1, in order: raises the
+    ParameterError naming the first faulty atom and field."""
+    for a in range(lo, hi):
+        where = f"atom {a}"
+        try:
+            row = json.loads(lines[a + 1])
+        except json.JSONDecodeError as exc:
+            raise ParameterError(f"{where}: not valid JSON ({exc})") from exc
+        if not isinstance(row, dict):
+            raise ParameterError(f"{where}: must be a JSON object")
+        for key in ("p", "xi", "v"):
+            if key not in row:
+                raise ParameterError(f"{where}.{key}: missing")
+        dyadic_decode(row["p"], f"{where}.p")
+        x = row["xi"]
+        if not isinstance(x, list) or len(x) != xi_len or any(v not in (-1, 1) for v in x):
+            raise ParameterError(f"{where}.xi: need {xi_len} entries from {{-1, +1}}")
+        v = row["v"]
+        if not isinstance(v, list) or len(v) != n_values:
+            raise ParameterError(f"{where}.v: need {n_values} values")
+        try:
+            values = [float(s) for s in v]
+        except (TypeError, ValueError) as exc:
+            raise ParameterError(f"{where}.v: {exc}") from exc
+        if not np.all(np.isfinite(values)):
+            raise ParameterError(f"{where}.v: values must be finite")
+    # every row passed on its own: only [numerator, k] entries past 64
+    # bits get here, which the block conversion does not take
+    raise ParameterError(f"atoms {lo}-{hi - 1}.p: entries must fit in 64-bit integers")
+
+
 def array_payload(arr: np.ndarray) -> dict:
     """Inline small arrays; summarize large ones behind a content hash."""
     arr = np.asarray(arr, dtype=float)
-    rows = [[fmt17(v) for v in row] for row in arr]
-    digest = hashlib.sha256("\n".join(",".join(r) for r in rows).encode()).hexdigest()
+    row = _cells("%.17g", arr.shape[1])
+    lines = [row % tuple(r) for r in arr.tolist()]
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     out = {"shape": list(arr.shape), "sha256": digest}
     if arr.shape[0] <= INLINE_ATOM_LIMIT:
-        out["data"] = rows
+        out["data"] = [line.split(",") for line in lines]
     else:
         out["min"] = fmt17(arr.min())
         out["max"] = fmt17(arr.max())
@@ -225,11 +282,11 @@ def array_payload(arr: np.ndarray) -> dict:
 
 
 def index_payload(idx: np.ndarray) -> dict:
-    idx = np.asarray(idx, dtype=np.int64)
-    digest = hashlib.sha256(",".join(str(v) for v in idx).encode()).hexdigest()
-    out = {"shape": [int(idx.size)], "sha256": digest}
-    if idx.size <= INLINE_ATOM_LIMIT:
-        out["data"] = [int(v) for v in idx]
+    idx = np.asarray(idx, dtype=np.int64).tolist()
+    digest = hashlib.sha256(",".join(map(str, idx)).encode()).hexdigest()
+    out = {"shape": [len(idx)], "sha256": digest}
+    if len(idx) <= INLINE_ATOM_LIMIT:
+        out["data"] = idx
     return out
 
 

@@ -365,8 +365,8 @@ def stop_process(S: AdaptedProcess, tau: StoppingTime) -> AdaptedProcess:
     if np.any(bad):
         raise StructuralError("stopping time takes values outside the process's sample times")
     cap = np.where(finite, pos, S.n_times - 1)
-    cols = np.minimum(np.arange(S.n_times)[None, :], cap[:, None])
-    return AdaptedProcess(S.space, np.take_along_axis(S.values, cols, axis=1), S.time_index)
+    frozen = S.values[np.arange(S.space.n_atoms), cap][:, None]
+    return AdaptedProcess(S.space, np.where(np.arange(S.n_times) > cap[:, None], frozen, S.values), S.time_index)
 
 
 def first_hitting_time(process: AdaptedProcess, hit: np.ndarray, start_col: int = 0) -> StoppingTime:

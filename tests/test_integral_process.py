@@ -11,11 +11,11 @@ import numpy as np
 import pytest
 
 from semimart.doob import restrict_to_level
-from semimart.errors import ParameterError, StructuralError
+from semimart.errors import ParameterError, PreconditionError, StructuralError
 from semimart.generators import EnsembleProcess, GeneratorSpec, generate
 from semimart.integrands import SimpleIntegrand, StrategySequence, integral_process
 from semimart.pipeline import DetectConfig, detect
-from semimart.space import AdaptedProcess, StoppingTime, first_hitting_time
+from semimart.space import AdaptedProcess, StoppingTime, binary_tree_space, first_hitting_time
 from test_measurability import SEEDS, cell_values, random_space
 
 
@@ -105,6 +105,35 @@ def test_scale_matches_a_fresh_build(seed):
     # empty intervals hold +0, never -0, whatever the sign of the factor
     assert np.array_equal(np.signbit(fast.weights), np.signbit(slow.weights))
     assert not fast.weights.flags.writeable
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_truncate_matches_a_fresh_build(seed):
+    rng = np.random.default_rng(seed)
+    H, S = random_case(rng)
+    tau = random_stop(rng, S)
+    space = S.space
+    fast = H.truncate(tau)
+    last = StoppingTime(space, np.full(space.n_atoms, space.grid.n_steps))
+    slow = SimpleIntegrand(
+        space,
+        tuple(t.min_with(tau) for t in H.mesh) + (last,),
+        np.hstack([H.weights, np.zeros((space.n_atoms, 1))]),
+    )
+    assert len(fast.mesh) == len(slow.mesh)
+    assert all(np.array_equal(f.index, s.index) for f, s in zip(fast.mesh, slow.mesh))
+    assert np.array_equal(fast._eff, slow._eff)
+    assert np.array_equal(fast.weights, slow.weights)
+    assert np.array_equal(np.signbit(fast.weights), np.signbit(slow.weights))
+    assert not fast.weights.flags.writeable and not fast._eff.flags.writeable
+
+
+def test_truncate_rejects_non_stopping_time():
+    # tau = 1/2 exactly when the second innovation is +1: not observable yet
+    space = binary_tree_space(1)
+    tau = StoppingTime(space, np.where(space.innovations[:, 1] > 0, 1, space.grid.n_times))
+    with pytest.raises(PreconditionError, match="not a stopping time"):
+        SimpleIntegrand.constant(space, 1.0).truncate(tau)
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")

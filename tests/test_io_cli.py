@@ -8,6 +8,7 @@ import os
 import numpy as np
 import pytest
 
+import semimart.io as sio
 from semimart.cli import main
 from semimart.errors import ParameterError
 from semimart.generators import EnsembleProcess, GeneratorSpec, generate
@@ -27,6 +28,49 @@ from semimart.io import (
 from semimart.pipeline import DetectConfig, detect
 
 TOL = 1e-12
+
+
+def canonical(obj) -> str:
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def reference_rows(probs, xi, values) -> list:
+    """Atom rows as the per-value writer makes them: one format(v, ".17g")
+    per value and one canonical json.dumps per row."""
+    return [
+        canonical({
+            "p": dyadic_encode(probs[a]),
+            "xi": [] if xi is None else [int(v) for v in xi[a]],
+            "v": [format(float(v), ".17g") for v in values[a]],
+        })
+        for a in range(probs.size)
+    ]
+
+
+def reference_payload(arr) -> dict:
+    """array_payload as the per-value encoder makes it."""
+    rows = [[format(float(v), ".17g") for v in row] for row in arr]
+    out = {
+        "shape": list(arr.shape),
+        "sha256": hashlib.sha256("\n".join(",".join(r) for r in rows).encode()).hexdigest(),
+    }
+    if arr.shape[0] <= 1024:
+        out["data"] = rows
+    else:
+        out.update({k: format(float(f(arr)), ".17g") for k, f in (("min", np.min), ("max", np.max), ("mean", np.mean))})
+    return out
+
+
+def random_floats(rng, shape):
+    """Finite float64s from uniform random bit patterns (every exponent,
+    subnormals included), plus -0.0, +0.0, the subnormal extremes, and
+    1e16 and 1e17 planted."""
+    bits = rng.integers(0, 2**64, size=shape, dtype=np.uint64, endpoint=False)
+    x = bits.view(np.float64).copy()
+    x[~np.isfinite(x)] = -0.0
+    special = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e16, 1e17, -1e17, 1 / 3]
+    x.flat[rng.choice(x.size, len(special), replace=False)] = special
+    return x
 
 
 def write_spec(path, spec):
@@ -243,6 +287,75 @@ class TestEnsembleErrors:
             read_ensemble(path)
 
 
+# (name, edit of one atom's row, message after "atom <a>"); each edit is
+# applied to atom 0 and to an atom inside the last block of rows
+MALFORMED_ROWS = [
+    ("not-json", lambda row: "{not json", r": not valid JSON"),
+    ("not-object", lambda row: "[1, 2]", r": must be a JSON object"),
+    ("p-missing", lambda row: {k: v for k, v in row.items() if k != "p"}, r"\.p: missing"),
+    ("v-missing", lambda row: {k: v for k, v in row.items() if k != "v"}, r"\.v: missing"),
+    ("p-negative-k", lambda row: {**row, "p": [1, -2]}, r"\.p: probability must be"),
+    ("p-float", lambda row: {**row, "p": [float(row["p"][0]), row["p"][1]]}, r"\.p: probability must be"),
+    ("p-nested", lambda row: {**row, "p": [row["p"], 1]}, r"\.p: probability must be"),
+    ("xi-zero", lambda row: {**row, "xi": [0] + row["xi"][1:]}, r"\.xi: need 4 entries"),
+    ("xi-short", lambda row: {**row, "xi": row["xi"][:-1]}, r"\.xi: need 4 entries"),
+    ("xi-string", lambda row: {**row, "xi": ["1"] + row["xi"][1:]}, r"\.xi: need 4 entries"),
+    ("xi-nested", lambda row: {**row, "xi": [[v] for v in row["xi"]]}, r"\.xi: need 4 entries"),
+    ("v-short", lambda row: {**row, "v": row["v"][:-1]}, r"\.v: need 5 values"),
+    ("v-inf", lambda row: {**row, "v": row["v"][:1] + ["inf"] + row["v"][2:]}, r"\.v: values must be finite"),
+    ("v-overflow", lambda row: {**row, "v": row["v"][:1] + ["1e400"] + row["v"][2:]}, r"\.v: values must be finite"),
+    ("v-null", lambda row: {**row, "v": row["v"][:1] + [None] + row["v"][2:]},
+     r"\.v: float\(\) argument must be a string or a real number, not 'NoneType'"),
+    ("v-hex", lambda row: {**row, "v": row["v"][:1] + ["0x10"] + row["v"][2:]},
+     r"\.v: could not convert string to float: '0x10'"),
+    ("v-nested", lambda row: {**row, "v": row["v"][:1] + [["1"]] + row["v"][2:]},
+     r"\.v: float\(\) argument must be a string or a real number, not 'list'"),
+]
+
+
+class TestMalformedRowsInBlocks:
+    """A level-2 walk has 16 atoms of 9 cells; blocks of 4 rows put atom 14
+    inside the last block, two rows past its start."""
+
+    def read_with(self, tmp_path, monkeypatch, edit, atom):
+        monkeypatch.setattr(sio, "BLOCK_CELLS", 4 * 9)
+        path = walk_file(tmp_path, level=2)
+        with open(path) as fh:
+            lines = fh.read().splitlines()
+        row = edit(json.loads(lines[atom + 1]))
+        lines[atom + 1] = row if isinstance(row, str) else json.dumps(row)
+        with open(path, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+        return read_ensemble(path)
+
+    @pytest.mark.parametrize("atom", [0, 14])
+    @pytest.mark.parametrize("edit, message", [case[1:] for case in MALFORMED_ROWS],
+                             ids=[case[0] for case in MALFORMED_ROWS])
+    def test_row_error_names_the_atom(self, tmp_path, monkeypatch, edit, message, atom):
+        with pytest.raises(ParameterError, match=rf"^atom {atom}{message}"):
+            self.read_with(tmp_path, monkeypatch, edit, atom)
+
+    def test_entries_past_64_bits_rejected(self, tmp_path, monkeypatch):
+        # the same probability with numerator and denominator times 2^64:
+        # every row check passes, but the block conversion takes 64-bit entries only
+        def edit(row):
+            return {**row, "p": [row["p"][0] << 64, row["p"][1] + 64]}
+
+        with pytest.raises(ParameterError, match=r"^atoms 12-15\.p: entries must fit in 64-bit integers"):
+            self.read_with(tmp_path, monkeypatch, edit, 14)
+
+    @pytest.mark.parametrize("atom", [0, 14])
+    @pytest.mark.parametrize("one", [1.0, True], ids=["float", "bool"])
+    def test_innovations_equal_to_one_accepted(self, tmp_path, monkeypatch, one, atom):
+        def edit(row):
+            return {**row, "xi": [one if v == 1 else v for v in row["xi"]]}
+
+        data = self.read_with(tmp_path, monkeypatch, edit, atom)
+        reference = read_ensemble(walk_file(tmp_path, name="plain.jsonl", level=2))
+        assert np.array_equal(data.xi, reference.xi)
+        assert np.array_equal(data.values, reference.values)
+
+
 class TestPayloads:
     def test_small_array_inlined(self):
         arr = np.array([[0.5, -1.0], [0.25, 0.0]])
@@ -269,6 +382,53 @@ class TestPayloads:
         out = index_payload(np.array([3, 1, 2], dtype=np.int64))
         assert out["shape"] == [3]
         assert out["data"] == [3, 1, 2]
+
+
+class TestCodecReference:
+    """The bulk encoder against the per-value reference, byte for byte."""
+
+    @pytest.mark.parametrize("block_cells", [sio.BLOCK_CELLS, 7])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_ensemble_rows_match_reference(self, tmp_path, monkeypatch, seed, block_cells):
+        monkeypatch.setattr(sio, "BLOCK_CELLS", block_cells)
+        rng = np.random.default_rng(seed)
+        n_atoms, n_values = 64, 5
+        # distinct dyadic probabilities with several denominators, summing to 1
+        cuts = np.sort(rng.choice(np.arange(1, 2**12), n_atoms - 1, replace=False))
+        probs = np.diff(np.concatenate([[0], cuts, [2**12]])) / 2**12
+        values = random_floats(rng, (n_atoms, n_values))
+        if seed % 2:
+            spec = GeneratorSpec(kind="deterministic_drift", level=2, mu=0.5)
+            xi = None
+        else:
+            spec = GeneratorSpec(kind="rademacher_bm", level=2, seed=seed)
+            xi = rng.choice(np.array([-1, 1], dtype=np.int8), (n_atoms, n_values - 1))
+        path = str(tmp_path / "codec.jsonl")
+        write_ensemble(path, spec, probs, xi, values)
+        with open(path) as fh:
+            text = fh.read()
+        header, *rows = text.split("\n")[:-1]
+        assert text.endswith("\n") and json.loads(header)["atoms"] == n_atoms
+        assert rows == reference_rows(probs, xi, values)
+        data = read_ensemble(path)
+        assert np.array_equal(data.values.view(np.uint64), values.view(np.uint64))
+        assert np.array_equal(data.probs, probs)
+
+    # the summary mean of random bit patterns overflows to nan on both sides
+    @pytest.mark.filterwarnings("ignore:overflow|invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("n_rows", [1024, 1025])
+    def test_array_payload_matches_reference(self, n_rows):
+        arr = random_floats(np.random.default_rng(n_rows), (n_rows, 17))
+        got, want = array_payload(arr), reference_payload(arr)
+        assert first_mismatch(got, want) is None  # a short message when it fails
+        assert canonical(got) == canonical(want)
+
+    def test_index_payload_matches_reference(self):
+        idx = np.random.default_rng(0).integers(-(2**40), 2**40, 1025)
+        for part in (idx[:1024], idx):
+            out = index_payload(part)
+            assert out["sha256"] == hashlib.sha256(",".join(str(int(v)) for v in part).encode()).hexdigest()
+            assert out.get("data") == ([int(v) for v in part] if part.size <= 1024 else None)
 
 
 class TestFirstMismatch:

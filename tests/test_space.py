@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from semimart.doob import restrict_to_level
+
 from semimart.errors import (
     InvariantViolation,
     ParameterError,
@@ -22,6 +24,8 @@ from semimart.space import (
     first_hitting_time,
     stop_process,
 )
+from test_integral_process import random_stop
+from test_measurability import SEEDS, cell_values, random_space
 
 TOL = 1e-12
 
@@ -250,6 +254,34 @@ class TestStopProcess:
         idx = np.where(space.innovations[:, 1] > 0, 1, space.grid.n_times)
         with pytest.raises(PreconditionError):
             stop_process(S, StoppingTime(space, idx))
+
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_matches_per_atom_loop(self, seed):
+        """S_{t ^ tau} per atom and sample time, with S sampled at a random
+        coarser level of a random refining partition."""
+        rng = np.random.default_rng(seed)
+        space = random_space(rng)
+        full = AdaptedProcess(space, cell_values(rng, space.labels))
+        S = restrict_to_level(full, int(rng.integers(0, space.grid.level + 1)))
+        tau = random_stop(rng, S)
+        col = {int(g): c for c, g in enumerate(S.time_index)}
+        expected = np.empty(S.values.shape)
+        for a in range(space.n_atoms):
+            for c, t in enumerate(S.time_index):
+                expected[a, c] = S.values[a, col[min(int(t), int(tau.index[a]))]]
+        stopped = stop_process(S, tau)
+        assert np.array_equal(stopped.time_index, S.time_index)
+        assert np.array_equal(stopped.values, expected)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_unsampled_time_rejected(self, seed):
+        rng = np.random.default_rng(seed)
+        space = random_space(rng)
+        S = restrict_to_level(AdaptedProcess(space, cell_values(rng, space.labels)), 0)
+        odd = int(rng.integers(0, space.grid.n_steps // 2)) * 2 + 1  # never on the level-0 grid
+        with pytest.raises(StructuralError, match="sample times"):
+            stop_process(S, StoppingTime(space, np.full(space.n_atoms, odd)))
 
 
 class TestAdaptedProcess:
