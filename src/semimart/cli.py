@@ -22,7 +22,7 @@ from .errors import (
     ResourceLimitError,
     StructuralError,
 )
-from .generators import DEFAULT_PATHS, KINDS, EnsembleProcess, GeneratorSpec, generate
+from .generators import DEFAULT_PATHS, KINDS, GeneratorSpec, generate
 from .integrands import SimpleIntegrand, StrategySequence, continuity_probe
 from .io import (
     array_payload,
@@ -34,7 +34,7 @@ from .io import (
     write_ensemble,
     write_report,
 )
-from .pipeline import DetectConfig, _require_adapted, detect
+from .pipeline import DetectConfig, detect
 
 EXIT_OK = 0
 EXIT_INVARIANT = 1
@@ -46,17 +46,6 @@ def _resolve_out(out: str | None, default_name: str) -> str:
     if out:
         return os.path.join(out, default_name) if os.path.isdir(out) else out
     return os.path.join(os.environ.get("SEMIMART_OUT", "."), default_name)
-
-
-def _unpack(source):
-    """(process, space, level decomposer) for either source shape; a
-    source that is not adapted is rejected here, as `detect` rejects it."""
-    if isinstance(source, EnsembleProcess):
-        S, space, decomposer = source.process, source.space, source.decomposer()
-    else:
-        (space, S), decomposer = source, doob_decompose
-    _require_adapted(S)
-    return S, space, decomposer
 
 
 def cmd_generate(args) -> int:
@@ -71,23 +60,19 @@ def cmd_generate(args) -> int:
         mu=args.mu,
         jump_size=args.jump_size,
     )
-    result = generate(spec)
-    if isinstance(result, EnsembleProcess):
-        probs, xi, values = result.space.probs, result.xi, result.values
-    else:
-        space, S = result
-        probs, xi, values = space.probs, space.innovations, S.values
+    src = generate(spec)
     out = _resolve_out(args.out, f"{spec.kind}-L{spec.level}-s{spec.seed}.jsonl")
-    write_ensemble(out, spec, probs, xi, values)
-    print(f"wrote {out} ({probs.size} atoms, level {spec.level}, {spec.mode})")
+    write_ensemble(out, spec, src.probs, src.xi, src.values)
+    print(f"wrote {out} ({src.probs.size} atoms, level {spec.level}, {spec.mode})")
     return EXIT_OK
 
 
 def cmd_decompose(args) -> int:
     data = read_ensemble(args.input)
-    S, space, decomposer = _unpack(data.to_source())
+    src = data.to_source()
+    S, space = src.process, src.space
     level = args.level if args.level is not None else data.spec.level
-    D = decomposer(S, level)
+    D = (src.decomposer() or doob_decompose)(S, level)
     doc = {
         "format": "semimart-decomposition-1",
         "source_sha256": data.sha256,
@@ -195,7 +180,8 @@ def cmd_verify(args) -> int:
 
 def cmd_probe(args) -> int:
     data = read_ensemble(args.input)
-    S, space, _ = _unpack(data.to_source())
+    S = data.to_source().process
+    space = S.space
     elements = tuple(
         SimpleIntegrand.constant(space, 1.0 / k) for k in range(1, args.steps + 1)
     )

@@ -20,7 +20,7 @@ import numpy as np
 
 from .doob import DoobDecomposition, decompose_with_increments
 from .errors import InvariantViolation, ParameterError, ResourceLimitError
-from .space import AdaptedProcess, DyadicGrid, FilteredSpace, binary_tree_space
+from .space import AdaptedProcess, DyadicGrid, FilteredSpace, tree_innovations
 
 KINDS = ("rademacher_bm", "drifted", "rl_fractional", "jump", "deterministic_drift")
 MAX_ENSEMBLE_LEVEL = 10
@@ -198,51 +198,64 @@ def _sample_innovations(spec: GeneratorSpec) -> np.ndarray:
 
 
 def _empirical_labels(xi: np.ndarray) -> np.ndarray:
-    """Refining partitions grouping paths by innovation prefixes."""
+    """Refining partitions grouping paths by innovation prefixes; a cell's
+    id is its prefix's rank among the distinct prefixes in sorted order."""
     paths, L = xi.shape
     labels = np.zeros((L + 1, paths), dtype=np.int64)
     for j in range(1, L + 1):
-        pairs = labels[j - 1] * 3 + (xi[:, j - 1] + 1)
-        _, labels[j] = np.unique(pairs, return_inverse=True)
+        pairs = labels[j - 1] * 2 + (xi[:, j - 1] > 0)
+        # dense ranks by counting, as np.unique would give them without a sort
+        rank = np.cumsum(np.bincount(pairs) > 0) - 1
+        labels[j] = rank[pairs]
     return labels
 
 
 @dataclass(frozen=True)
-class EnsembleProcess:
-    """Sampled innovation rows with emitted path values and the analytic
-    compensator oracle; stands in for a full tree at deep levels."""
+class Source:
+    """A process as generated or read from a file: the spec, the atom
+    probabilities, the +/-1 innovation rows (None for deterministic_drift)
+    and the path values.
+
+    The filtration is rebuilt from the innovations, and ``process`` rejects
+    values that are not adapted to it, so every source is checked once,
+    where it enters the pipeline.
+    """
 
     spec: GeneratorSpec
-    xi: np.ndarray
+    probs: np.ndarray
+    xi: np.ndarray | None
     values: np.ndarray
-    bound_factor: float
 
     @cached_property
     def space(self) -> FilteredSpace:
-        probs = np.full(self.xi.shape[0], 1.0 / self.xi.shape[0])
-        return FilteredSpace(
-            DyadicGrid(self.spec.level), probs, _empirical_labels(self.xi), innovations=self.xi
-        )
+        grid = DyadicGrid(self.spec.level)
+        if self.xi is None:
+            labels = np.zeros((grid.n_times, self.probs.size), dtype=np.int64)
+        else:
+            labels = _empirical_labels(self.xi)
+        return FilteredSpace(grid, self.probs, labels, innovations=self.xi)
 
     @cached_property
     def process(self) -> AdaptedProcess:
-        return AdaptedProcess(self.space, self.values)
-
-    def compensator_at_level(self, n: int) -> np.ndarray:
-        return oracle_increments(self.spec, self.xi, n)
+        S = AdaptedProcess(self.space, self.values)
+        S.require_adapted()
+        return S
 
     def decomposer(self):
-        """Level decomposer for the pipeline, backed by the oracle."""
+        """Level decomposer backed by the closed-form oracle for sampled
+        ensembles; None on exact trees, whose cells give exact averages."""
+        if self.spec.mode != "ensemble":
+            return None
 
         def decompose(S: AdaptedProcess, n: int) -> DoobDecomposition:
-            return decompose_with_increments(S, n, self.compensator_at_level(n))
+            return decompose_with_increments(S, n, oracle_increments(self.spec, self.xi, n))
 
         return decompose
 
 
-def compensator_oracle(E: EnsembleProcess) -> np.ndarray:
-    """Per-path exact predictable increments at the ensemble's own level."""
-    return E.compensator_at_level(E.spec.level)
+# the name the ensemble-only class had; perfbench/op.py and
+# perfbench/smoke_check.py check sources against it
+EnsembleProcess = Source
 
 
 def bound_factor_for(spec: GeneratorSpec) -> float:
@@ -250,38 +263,15 @@ def bound_factor_for(spec: GeneratorSpec) -> float:
     return _increment_pieces(spec, np.zeros((1, spec.n_steps)))[1]
 
 
-def ensemble_from_arrays(spec: GeneratorSpec, xi, values) -> EnsembleProcess:
-    """Rebuild an ensemble from stored innovation rows and path values."""
-    xi = np.asarray(xi, dtype=np.int8)
-    values = np.asarray(values, dtype=float)
-    return EnsembleProcess(spec, xi, values, bound_factor_for(spec))
-
-
-def tree_space_from_innovations(level: int, probs, xi) -> FilteredSpace:
-    """Filtration generated by stored +/-1 rows with the given weights."""
-    xi = np.asarray(xi, dtype=np.int8)
-    return FilteredSpace(DyadicGrid(level), probs, _empirical_labels(xi), innovations=xi)
-
-
-def generate(spec: GeneratorSpec):
-    """Build the process: (FilteredSpace, AdaptedProcess) for exact trees,
-    EnsembleProcess for sampled ensembles."""
+def generate(spec: GeneratorSpec) -> Source:
+    """Sample the process: every atom of the full tree in exact_tree mode,
+    spec.paths equally likely paths in ensemble mode."""
     if spec.kind == "deterministic_drift":
-        grid = DyadicGrid(spec.level)
-        space = FilteredSpace(grid, np.ones(1), np.zeros((grid.n_times, 1), dtype=np.int64))
-        B = max(1.0, spec.scale)
-        values = (spec.scale / B) * grid.times[None, :]
-        S = AdaptedProcess(space, values)
-        _certify_bounded(spec, values)
-        return space, S
-    if spec.mode == "exact_tree":
-        space = binary_tree_space(spec.level)
-        dS, _ = _increment_pieces(spec, space.innovations)
-        values = _values_from_increments(dS)
-        _certify_bounded(spec, values)
-        return space, AdaptedProcess(space, values)
-    xi = _sample_innovations(spec)
-    dS, B = _increment_pieces(spec, xi)
-    values = _values_from_increments(dS)
+        xi = None
+        values = (spec.scale / max(1.0, spec.scale)) * DyadicGrid(spec.level).times[None, :]
+    else:
+        xi = tree_innovations(spec.level) if spec.mode == "exact_tree" else _sample_innovations(spec)
+        values = _values_from_increments(_increment_pieces(spec, xi)[0])
     _certify_bounded(spec, values)
-    return EnsembleProcess(spec, xi, values, B)
+    n = values.shape[0]
+    return Source(spec, np.full(n, 1.0 / n), xi, values)

@@ -147,16 +147,6 @@ class SimpleIntegrand:
         object.__setattr__(out, "_eff", eff)
         return out
 
-    def combine(self, a: float, other: "SimpleIntegrand", b: float) -> "SimpleIntegrand":
-        """a*self + b*other; both must share the same mesh."""
-        if other.space is not self.space:
-            raise StructuralError("integrands live on different spaces")
-        if len(other.mesh) != len(self.mesh) or any(
-            not np.array_equal(s.index, o.index) for s, o in zip(self.mesh, other.mesh)
-        ):
-            raise StructuralError("integrands must share a common mesh to combine")
-        return SimpleIntegrand(self.space, self.mesh, a * self.weights + b * other.weights)
-
 
 @dataclass(frozen=True)
 class StrategySequence:

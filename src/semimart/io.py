@@ -17,13 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ParameterError
-from .generators import (
-    KINDS,
-    GeneratorSpec,
-    ensemble_from_arrays,
-    tree_space_from_innovations,
-)
-from .space import AdaptedProcess, DyadicGrid, FilteredSpace
+from .generators import KINDS, GeneratorSpec, Source
 
 ENSEMBLE_FORMAT = "semimart-ensemble-1"
 REPORT_FORMAT = "semimart-report-1"
@@ -86,18 +80,9 @@ class EnsembleData:
     values: np.ndarray
     sha256: str
 
-    def to_source(self):
+    def to_source(self) -> Source:
         """The object `detect`/`decompose` consume."""
-        if self.spec.kind == "deterministic_drift":
-            grid = DyadicGrid(self.spec.level)
-            space = FilteredSpace(
-                grid, self.probs, np.zeros((grid.n_times, self.probs.size), dtype=np.int64)
-            )
-            return space, AdaptedProcess(space, self.values)
-        if self.spec.mode == "ensemble":
-            return ensemble_from_arrays(self.spec, self.xi, self.values)
-        space = tree_space_from_innovations(self.spec.level, self.probs, self.xi)
-        return space, AdaptedProcess(space, self.values)
+        return Source(self.spec, self.probs, self.xi, self.values)
 
 
 def write_ensemble(path, spec: GeneratorSpec, probs, xi, values) -> None:

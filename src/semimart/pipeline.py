@@ -34,7 +34,6 @@ from .errors import (
     ParameterError,
     PreconditionError,
 )
-from .generators import EnsembleProcess
 # integrate and vr_metric stay importable here: perfbench/spans.py wraps them by name
 from .integrands import (  # noqa: F401
     StrategySequence,
@@ -81,7 +80,9 @@ class SemimartingaleCertificate:
 
     M is a martingale on the finest grid, A starts at 0 with total
     variation at most constants["tv_bound"]; residuals records the
-    float-level slack of each verified identity.
+    float-level slack of each verified identity.  The caller supplies the
+    "decomposition" residual against S^alpha; the "martingale" and
+    "A_start" residuals are computed here from M and A.
     """
 
     M: AdaptedProcess
@@ -98,7 +99,13 @@ class SemimartingaleCertificate:
         for name, part in (("M", self.M), ("A", self.A)):
             if not part.is_adapted():
                 raise InvariantViolation(f"certificate part {name} is not adapted")
-        for name, value in self.residuals.items():
+        residuals = {
+            **self.residuals,
+            "martingale": martingale_residual(self.M),
+            "A_start": float(np.abs(self.A.values[:, 0]).max()),
+        }
+        object.__setattr__(self, "residuals", residuals)
+        for name, value in residuals.items():
             if value > CERT_TOL:
                 raise InvariantViolation(f"certificate residual {name} = {value} above {CERT_TOL}")
         tv = float(np.abs(self.A.increments()).sum(axis=1).max())
@@ -436,20 +443,14 @@ def assemble_decomposition(
     A = AdaptedProcess(space, np.column_stack(limits[1:]))
 
     resid_sum = float(np.abs(M.values + A.values - stopped_source.values).max())
-    resid_mart = martingale_residual(M)
-    resid_a0 = float(np.abs(A.values[:, 0]).max())
     tv_cap = 6.0 * (stage.C + 2.0) + 2.0 * stage.C
-    log = stage.log + tuple(cw.log) + (
-        f"assembled decomposition: |M+A-S^alpha| = {resid_sum:.3g}, "
-        f"martingale residual = {resid_mart:.3g}",
-    )
     return SemimartingaleCertificate(
         M=M,
         A=A,
         alpha=alpha,
         constants={"C": stage.C, "tv_bound": tv_cap, "eps": stage.eps},
-        residuals={"decomposition": resid_sum, "martingale": resid_mart, "A_start": resid_a0},
-        log=log,
+        residuals={"decomposition": resid_sum},
+        log=stage.log + tuple(cw.log),
     )
 
 
@@ -574,36 +575,12 @@ def _free_lunch(
     )
 
 
-def _coerce_source(source):
-    if isinstance(source, EnsembleProcess):
-        return source.process, source.decomposer(), True
-    if isinstance(source, AdaptedProcess):
-        return source, None, False
-    space, S = source
-    if not isinstance(S, AdaptedProcess):
-        raise ParameterError("source must be an adapted process or an ensemble")
-    return S, None, False
-
-
-def _require_adapted(S: AdaptedProcess) -> None:
-    """Reject values that peek past their filtration, a non-constant S_0 included."""
-    bad = S.nonadapted_at()
-    if bad is not None:
-        c, a = bad
-        cell = S.space.labels[S.time_index[c]]
-        first = int(np.argmax(cell == cell[a]))
-        raise ParameterError(
-            f"atom {a}.v[{c}] = {S.values[a, c]:.17g} differs from atom {first}.v[{c}] = "
-            f"{S.values[first, c]:.17g} in the same cell at time index {S.time_index[c]}: "
-            "the source is not adapted")
-
-
 def detect(source, config: DetectConfig | None = None):
-    """Run the full dichotomy on a process and return one of the three verdicts;
-    bad input, such as a source that is not adapted, raises ParameterError."""
+    """Run the full dichotomy on a `generators.Source` and return one of the
+    three verdicts; bad input, such as a source that is not adapted, raises
+    ParameterError."""
     config = config or DetectConfig()
-    S, decomposer, is_ensemble = _coerce_source(source)
-    _require_adapted(S)
+    S = source.process
     space = S.space
     log = []
 
@@ -627,14 +604,14 @@ def detect(source, config: DetectConfig | None = None):
     finest = space.grid.level
     levels = config.levels or tuple(range(1, finest + 1))
 
-    stage = discrete_stage(Y, levels, config.eps, config.ladder_max, decomposer=decomposer)
+    stage = discrete_stage(Y, levels, config.eps, config.ladder_max, decomposer=source.decomposer())
     log.extend(stage.log)
     table = _stage_table(stage)
 
     if not stage.passed:
         return _free_lunch(S, Y, stage, log)
 
-    if is_ensemble:
+    if source.spec.mode == "ensemble":
         return Inconclusive(
             "all levels certified on the sampled filtration; certificates are "
             "only issued on the exact tree, rerun in exact mode for one",
@@ -649,6 +626,10 @@ def detect(source, config: DetectConfig | None = None):
         log.append(f"extraction failed to converge: {exc}")
         return Inconclusive("convex-combination extraction did not converge", tuple(log), table)
     log.extend(inner.log[len(cstage.log):])
+    log.append(
+        f"assembled decomposition: |M+A-S^alpha| = {inner.residuals['decomposition']:.3g}, "
+        f"martingale residual = {inner.residuals['martingale']:.3g}"
+    )
 
     # fold the normalization and the jumps back in:
     # M + A = s(script-M + script-A) + X_0 + J^(alpha ^ lambda) = S^(alpha ^ lambda)
@@ -657,7 +638,6 @@ def detect(source, config: DetectConfig | None = None):
     A = inner.A.scale(s_norm) + stop_process(J, alpha_total)
     stopped = stop_process(S, alpha_total)
     resid_sum = float(np.abs(M.values + A.values - stopped.values).max())
-    resid_mart = martingale_residual(M)
     tv_j = float(np.abs(stop_process(J, alpha_total).increments()).sum(axis=1).max())
     tv_bound = s_norm * inner.constants["tv_bound"] + tv_j
     log.append(
@@ -675,11 +655,7 @@ def detect(source, config: DetectConfig | None = None):
             "normalization": s_norm,
             "p_localized": p_lam,
         },
-        residuals={
-            "decomposition": resid_sum,
-            "martingale": resid_mart,
-            "A_start": float(np.abs(A.values[:, 0]).max()),
-        },
+        residuals={"decomposition": resid_sum},
         log=tuple(log),
         table=table,
     )

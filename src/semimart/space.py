@@ -190,54 +190,39 @@ class StoppingTime:
         return StoppingTime(self.space, np.minimum(self.index, other.index))
 
 
-def binary_tree_space(level: int, max_level: int = MAX_TREE_LEVEL) -> FilteredSpace:
+def tree_innovations(level: int) -> np.ndarray:
+    """All +/-1 sequences of length 2^level, one row per atom; the row of
+    atom a spells a's bits, most significant first, with bit 0 -> +1."""
+    if level < 0 or int(level) != level:
+        raise ParameterError(f"level must be a non-negative integer, got {level}")
+    if level > MAX_TREE_LEVEL:
+        raise ResourceLimitError(
+            f"level-{level} full tree needs {2 ** (2 ** level)} atoms; cap is level {MAX_TREE_LEVEL} "
+            f"({2 ** (2 ** MAX_TREE_LEVEL)} atoms) — use the ensemble mode beyond the cap"
+        )
+    steps = 1 << level
+    atoms = np.arange(1 << steps, dtype=np.int64)
+    bits = (atoms[:, None] >> (steps - 1 - np.arange(steps))[None, :]) & 1
+    return (1 - 2 * bits).astype(np.int8)
+
+
+def binary_tree_space(level: int) -> FilteredSpace:
     """The full binary innovation tree at a dyadic level.
 
     Atoms are all +/-1 sequences of length 2^level with equal probability
     2^(-2^level); the partition at time j/2^level groups atoms by their
     first j innovations.
     """
-    if level < 0 or int(level) != level:
-        raise ParameterError(f"level must be a non-negative integer, got {level}")
-    if level > max_level:
-        raise ResourceLimitError(
-            f"level-{level} full tree needs {2 ** (2 ** level)} atoms; cap is level {max_level} "
-            f"({2 ** (2 ** max_level)} atoms) — use the ensemble mode beyond the cap"
-        )
+    innovations = tree_innovations(level)
     grid = DyadicGrid(level)
     steps = grid.n_steps
-    n_atoms = 1 << steps
+    n_atoms = innovations.shape[0]
     atoms = np.arange(n_atoms, dtype=np.int64)
-    # bit j (most significant first) encodes innovation j: bit 0 -> +1
-    bits = (atoms[:, None] >> (steps - 1 - np.arange(steps))[None, :]) & 1
-    innovations = (1 - 2 * bits).astype(np.int8)
     labels = np.zeros((grid.n_times, n_atoms), dtype=np.int64)
     for j in range(1, grid.n_times):
         labels[j] = atoms >> (steps - j)
     probs = np.full(n_atoms, 1.0 / n_atoms)
     return FilteredSpace(grid, probs, labels, innovations=innovations)
-
-
-def build_binary_tree(level: int, innovation_map, max_level: int = MAX_TREE_LEVEL):
-    """Binary tree space plus a process defined by a prefix map.
-
-    ``innovation_map`` maps a sign prefix (tuple) to the process value at
-    the prefix's end time.  Returns (FilteredSpace, AdaptedProcess).
-    """
-    space = binary_tree_space(level, max_level)
-    grid = space.grid
-    n_atoms = space.n_atoms
-    innovations = space.innovations
-    values = np.empty((n_atoms, grid.n_times))
-    cache: dict[tuple, float] = {}
-    for a in range(n_atoms):
-        row = innovations[a]
-        for j in range(grid.n_times):
-            prefix = tuple(int(s) for s in row[:j])
-            if prefix not in cache:
-                cache[prefix] = float(innovation_map(prefix))
-            values[a, j] = cache[prefix]
-    return space, AdaptedProcess(space, values)
 
 
 @dataclass(frozen=True)
@@ -308,6 +293,18 @@ class AdaptedProcess:
 
     def is_adapted(self, atol: float = ATOL) -> bool:
         return self.nonadapted_at(atol) is None
+
+    def require_adapted(self) -> None:
+        """Reject values that peek past their filtration, a non-constant S_0 included."""
+        bad = self.nonadapted_at()
+        if bad is not None:
+            c, a = bad
+            cell = self.space.labels[self.time_index[c]]
+            first = int(np.argmax(cell == cell[a]))
+            raise ParameterError(
+                f"atom {a}.v[{c}] = {self.values[a, c]:.17g} differs from atom {first}.v[{c}] = "
+                f"{self.values[first, c]:.17g} in the same cell at time index {self.time_index[c]}: "
+                "the source is not adapted")
 
     def _same_shape(self, other: "AdaptedProcess"):
         if other.space is not self.space:

@@ -83,7 +83,8 @@ class TestAcceptance:
         started = time.monotonic()
         for kind in ALL_KINDS:
             for level in (1, 2, 3):
-                space, S = generate(GeneratorSpec(kind=kind, level=level, seed=3))
+                src = generate(GeneratorSpec(kind=kind, level=level, seed=3))
+                space, S = src.space, src.process
                 D = doob_decompose(S, level)
                 # decomposition identity and starting point
                 assert np.abs(D.M.values + D.A.values - S.values).max() <= TOL
@@ -125,7 +126,8 @@ class TestAcceptance:
 
     def test_certified_bounds_recomputed(self):
         for kind, scale in (("rademacher_bm", 1.0), ("drifted", 0.125)):
-            space, S = generate(GeneratorSpec(kind=kind, level=3, scale=scale, seed=5))
+            src = generate(GeneratorSpec(kind=kind, level=3, scale=scale, seed=5))
+            space, S = src.space, src.process
             eps = 0.1
             stage = discrete_stage(S, (1, 2, 3), eps)
             assert stage.passed
@@ -179,9 +181,10 @@ class TestAcceptance:
         }
         verdicts = {}
         for name, spec in runs.items():
-            space, S = generate(spec)
+            src = generate(spec)
+            space, S = src.space, src.process
             started = time.monotonic()
-            verdict = detect((space, S))
+            verdict = detect(src)
             assert time.monotonic() - started < 10.0
             assert isinstance(verdict, SemimartingaleCertificate)
             verdicts[name] = (space, S, verdict)
@@ -200,7 +203,8 @@ class TestAcceptance:
     def test_free_lunch_detection(self):
         hurst = 0.75
         spec = GeneratorSpec(kind="rl_fractional", level=4, hurst=hurst)
-        space, S = generate(spec)
+        src = generate(spec)
+        space, S = src.space, src.process
         q = spec.scale * rl_normalizer(hurst, space.grid.n_steps)
         B = bound_factor_for(spec)
         tv, qv = [], []
@@ -216,7 +220,7 @@ class TestAcceptance:
         for (a, b), expect in zip(zip(tv, tv[1:]), ORACLE_EXACT_TV_RATIO):
             assert b / a == pytest.approx(expect, rel=RATIO_RTOL)
 
-        verdict = detect((space, S))
+        verdict = detect(src)
         assert isinstance(verdict, FreeLunchEvidence)
         li, vr, fl = verdict.strategies.li, verdict.strategies.vr, verdict.strategies.fl
         assert all(b < a for a, b in zip(li, li[1:])) and li[-1] < SMALL
@@ -249,7 +253,8 @@ class TestAcceptance:
         assert all(p >= mc_verdict.alpha_star for p in mc_verdict.strategies.fl)
 
     def test_big_jump_split(self):
-        space, S = generate(GeneratorSpec(kind="jump", level=3, jump_size=1.5, seed=7))
+        src = generate(GeneratorSpec(kind="jump", level=3, jump_size=1.5, seed=7))
+        space, S = src.space, src.process
         X, J = big_jump_split(S)
         assert np.abs(X.values + J.values - S.values).max() <= 1e-12
         assert np.abs(X.increments()).max() < 1.0
@@ -314,7 +319,8 @@ class TestAcceptance:
     def test_continuity_probe_vanishes(self):
         delta = 0.05
         for kind in SEMIMARTINGALE_KINDS:
-            space, S = generate(GeneratorSpec(kind=kind, level=2, seed=9))
+            src = generate(GeneratorSpec(kind=kind, level=2, seed=9))
+            space, S = src.space, src.process
             seq = StrategySequence(
                 tuple(SimpleIntegrand.constant(space, 1.0 / k) for k in range(1, 61))
             )

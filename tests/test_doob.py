@@ -389,7 +389,7 @@ class TestDiscreteStage:
 
     def test_rough_path_fails_with_witnesses(self):
         spec = GeneratorSpec(kind="rl_fractional", level=4, seed=0, hurst=0.75)
-        _, S = generate(spec)
+        S = generate(spec).process
         stage = discrete_stage(S, (1, 2, 3, 4), 0.1)
         assert not stage.passed
         assert stage.failure == "tv-growth"

@@ -6,17 +6,14 @@ import pytest
 from semimart.doob import doob_decompose, restrict_to_level
 from semimart.errors import InvariantViolation, ParameterError, ResourceLimitError
 from semimart.generators import (
-    EnsembleProcess,
     GeneratorSpec,
+    Source,
     bound_factor_for,
-    compensator_oracle,
-    ensemble_from_arrays,
     generate,
     oracle_increments,
     rl_cum_kernel,
     rl_kernel,
     rl_normalizer,
-    tree_space_from_innovations,
 )
 
 TOL = 1e-12
@@ -90,7 +87,8 @@ class TestExactTrees:
     """Closed-form values on full binary trees."""
 
     def test_symmetric_walk_level_one(self):
-        space, S = generate(GeneratorSpec(kind="rademacher_bm", level=1))
+        src = generate(GeneratorSpec(kind="rademacher_bm", level=1))
+        space, S = src.space, src.process
         assert space.n_atoms == 4
         assert space.probs == pytest.approx([0.25, 0.25, 0.25, 0.25])
         expected = np.array(
@@ -99,20 +97,21 @@ class TestExactTrees:
         assert np.max(np.abs(S.values - expected)) <= TOL
 
     def test_deterministic_drift_scaling(self):
-        space, S = generate(GeneratorSpec(kind="deterministic_drift", level=1, scale=0.5))
+        S = generate(GeneratorSpec(kind="deterministic_drift", level=1, scale=0.5)).process
         assert S.values == pytest.approx(np.array([[0.0, 0.25, 0.5]]), abs=TOL)
 
     def test_half_hurst_reduces_to_symmetric_walk(self):
         for level in (1, 2, 3):
-            _, Sr = generate(GeneratorSpec(kind="rademacher_bm", level=level, seed=4))
-            _, Sh = generate(
+            Sr = generate(GeneratorSpec(kind="rademacher_bm", level=level, seed=4)).process
+            Sh = generate(
                 GeneratorSpec(kind="rl_fractional", level=level, seed=4, hurst=0.5)
-            )
+            ).process
             assert np.array_equal(Sr.values, Sh.values)
 
     def test_jump_adds_a_unit_plus_move_at_half(self):
         spec = GeneratorSpec(kind="jump", level=2, jump_size=1.5)
-        space, S = generate(spec)
+        src = generate(spec)
+        space, S = src.space, src.process
         dS = S.increments()
         # the step ending at 1/2 carries the jump on top of the 2^-n move
         assert np.max(np.abs(np.abs(dS[:, 1]) - (1.5 + 0.25))) <= TOL
@@ -121,17 +120,17 @@ class TestExactTrees:
     def test_exact_emissions_stay_in_unit_band(self):
         for kind in ("rademacher_bm", "drifted", "rl_fractional"):
             for level in (1, 2, 3):
-                _, S = generate(GeneratorSpec(kind=kind, level=level, seed=1))
+                S = generate(GeneratorSpec(kind=kind, level=level, seed=1)).process
                 assert S.sup_norm() <= 1.0 + 1e-12
 
     def test_jump_kind_exempt_from_unit_band(self):
-        _, S = generate(GeneratorSpec(kind="jump", level=2))
+        S = generate(GeneratorSpec(kind="jump", level=2)).process
         assert S.sup_norm() > 1.0
 
     def test_generate_is_deterministic(self):
         spec = GeneratorSpec(kind="rl_fractional", level=3, seed=12)
-        _, S1 = generate(spec)
-        _, S2 = generate(spec)
+        S1 = generate(spec).process
+        S2 = generate(spec).process
         assert np.array_equal(S1.values, S2.values)
 
 
@@ -140,7 +139,8 @@ class TestDriftOracles:
 
     def test_symmetric_walk_has_zero_compensator(self):
         spec = GeneratorSpec(kind="rademacher_bm", level=3)
-        space, S = generate(spec)
+        src = generate(spec)
+        space, S = src.space, src.process
         for n in (1, 2, 3):
             assert np.max(np.abs(oracle_increments(spec, space.innovations, n))) == 0.0
             D = doob_decompose(S, n)
@@ -151,7 +151,8 @@ class TestDriftOracles:
         scale = (1.0 - mu) * 2.0 ** (-level / 2)
         spec = GeneratorSpec(kind="drifted", level=level, mu=mu, scale=scale)
         assert bound_factor_for(spec) == pytest.approx(1.0)
-        space, S = generate(spec)
+        src = generate(spec)
+        space, S = src.space, src.process
         for n in (1, 2, 3):
             inc = oracle_increments(spec, space.innovations, n)
             assert inc == pytest.approx(np.full_like(inc, mu * 2.0 ** -n), abs=TOL)
@@ -159,7 +160,8 @@ class TestDriftOracles:
     def test_oracle_matches_partition_averaging_on_all_kinds(self):
         for kind in ("rademacher_bm", "drifted", "rl_fractional", "jump"):
             spec = GeneratorSpec(kind=kind, level=3, seed=2)
-            space, S = generate(spec)
+            src = generate(spec)
+            space, S = src.space, src.process
             for n in (1, 2, 3):
                 D = doob_decompose(S, n)
                 dA = D.A.increments()
@@ -168,14 +170,14 @@ class TestDriftOracles:
 
     def test_oracle_level_range_checked(self):
         spec = GeneratorSpec(kind="drifted", level=2)
-        space, _ = generate(spec)
+        space = generate(spec).space
         with pytest.raises(ParameterError):
             oracle_increments(spec, space.innovations, 3)
 
     def test_rough_path_variation_profile(self):
         # drift variation grows and quadratic variation shrinks with depth
         spec = GeneratorSpec(kind="rl_fractional", level=3, hurst=0.75)
-        _, S = generate(spec)
+        S = generate(spec).process
         tv, qv = [], []
         for n in (1, 2, 3):
             D = doob_decompose(S, n)
@@ -191,7 +193,7 @@ class TestEnsembles:
     def test_shapes_and_uniform_probs(self):
         spec = GeneratorSpec(kind="rl_fractional", level=4, mode="ensemble", paths=32, seed=9)
         E = generate(spec)
-        assert isinstance(E, EnsembleProcess)
+        assert isinstance(E, Source)
         assert E.xi.shape == (32, 16)
         assert E.values.shape == (32, 17)
         assert E.space.probs == pytest.approx(np.full(32, 1.0 / 32))
@@ -211,26 +213,30 @@ class TestEnsembles:
         E = generate(spec)
         D = E.decomposer()(E.process, 2)
         assert D.analytic
-        assert np.max(np.abs(D.A.increments() - E.compensator_at_level(2))) <= TOL
+        assert np.max(np.abs(D.A.increments() - oracle_increments(spec, E.xi, 2))) <= TOL
         Sn = restrict_to_level(E.process, 2)
         assert np.max(np.abs(D.M.values + D.A.values - Sn.values)) <= TOL
 
     def test_compensator_oracle_runs_at_native_level(self):
         spec = GeneratorSpec(kind="rl_fractional", level=3, mode="ensemble", paths=16, seed=3)
         E = generate(spec)
-        assert np.array_equal(compensator_oracle(E), E.compensator_at_level(3))
+        D = E.decomposer()(E.process, 3)
+        assert D.level == 3
+        assert np.max(np.abs(D.A.increments() - oracle_increments(spec, E.xi, 3))) <= TOL
 
     def test_rebuild_from_stored_arrays(self):
         spec = GeneratorSpec(kind="rl_fractional", level=3, mode="ensemble", paths=16, seed=8)
         E = generate(spec)
-        R = ensemble_from_arrays(spec, E.xi, E.values)
-        assert np.array_equal(R.values, E.values)
-        assert R.bound_factor == E.bound_factor
+        R = Source(spec, E.probs, E.xi, E.values)
+        assert np.array_equal(R.process.values, E.process.values)
+        # the normalization divisor is a function of the spec alone
+        D_R, D_E = R.decomposer()(R.process, 2), E.decomposer()(E.process, 2)
+        assert np.array_equal(D_R.A.values, D_E.A.values)
 
     def test_tree_space_from_stored_innovations(self):
         spec = GeneratorSpec(kind="rademacher_bm", level=2, mode="ensemble", paths=8, seed=6)
         E = generate(spec)
-        space = tree_space_from_innovations(2, E.space.probs, E.xi)
+        space = Source(spec, E.space.probs, E.xi, E.values).space
         assert space.n_atoms == 8
         assert np.array_equal(space.labels, E.space.labels)
 

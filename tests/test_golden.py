@@ -12,7 +12,7 @@ import json
 
 import pytest
 
-from semimart.generators import EnsembleProcess, GeneratorSpec, generate
+from semimart.generators import GeneratorSpec, generate
 from semimart.io import read_ensemble, report_body, write_ensemble
 from semimart.pipeline import DetectConfig, detect
 
@@ -111,14 +111,9 @@ def _sha(data: bytes) -> str:
 def run_case(tmp_path, fields, levels):
     """(verdict kind, ensemble sha256, canonical body sha256) for one case."""
     spec = GeneratorSpec(seed=1, **fields)
-    result = generate(spec)
-    if isinstance(result, EnsembleProcess):
-        probs, xi, values = result.space.probs, result.xi, result.values
-    else:
-        space, S = result
-        probs, xi, values = space.probs, space.innovations, S.values
+    src = generate(spec)
     path = tmp_path / "source.jsonl"
-    write_ensemble(str(path), spec, probs, xi, values)
+    write_ensemble(str(path), spec, src.probs, src.xi, src.values)
     data = read_ensemble(str(path))
     config = DetectConfig(levels=levels)
     verdict = detect(data.to_source(), config)

@@ -12,7 +12,7 @@ import pytest
 
 from semimart.doob import restrict_to_level
 from semimart.errors import ParameterError, PreconditionError, StructuralError
-from semimart.generators import EnsembleProcess, GeneratorSpec, generate
+from semimart.generators import GeneratorSpec, generate
 from semimart.integrands import SimpleIntegrand, StrategySequence, integral_process
 from semimart.pipeline import DetectConfig, detect
 from semimart.space import AdaptedProcess, StoppingTime, binary_tree_space, first_hitting_time
@@ -158,7 +158,7 @@ def test_evidence_diagnostics_match_evaluate(fields, levels):
     source = generate(GeneratorSpec(seed=1, **fields))
     verdict = detect(source, DetectConfig(levels=levels))
     assert verdict.kind == "free_lunch"
-    S = source.process if isinstance(source, EnsembleProcess) else source[1]
+    S = source.process
     seq = verdict.strategies
     slow = StrategySequence(seq.elements).evaluate(S, verdict.alpha_star)
     assert (seq.li, seq.vr, seq.fl, seq.fl_threshold) == (slow.li, slow.vr, slow.fl, slow.fl_threshold)

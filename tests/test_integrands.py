@@ -27,6 +27,7 @@ from semimart.space import (
     first_hitting_time,
     stop_process,
 )
+from helpers import combine
 
 TOL = 1e-12
 
@@ -94,7 +95,7 @@ class TestIntegrate:
         base = [0, 2, 4]
         H1 = SimpleIntegrand.from_grid_mesh(space, base, w1)
         H2 = SimpleIntegrand.from_grid_mesh(space, base, w2)
-        mix = H1.combine(2.0, H2, -3.0)
+        mix = combine(H1, 2.0, H2, -3.0)
         direct = 2.0 * integrate(H1, S) - 3.0 * integrate(H2, S)
         assert integrate(mix, S) == pytest.approx(direct, abs=TOL)
 

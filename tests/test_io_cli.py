@@ -11,7 +11,7 @@ import pytest
 import semimart.io as sio
 from semimart.cli import main
 from semimart.errors import ParameterError
-from semimart.generators import EnsembleProcess, GeneratorSpec, generate
+from semimart.generators import GeneratorSpec, generate
 from semimart.io import (
     array_payload,
     dyadic_decode,
@@ -75,14 +75,9 @@ def random_floats(rng, shape):
 
 def write_spec(path, spec):
     """Generate `spec` and serialize it to `path`; returns the arrays."""
-    result = generate(spec)
-    if isinstance(result, EnsembleProcess):
-        probs, xi, values = result.space.probs, result.xi, result.values
-    else:
-        space, S = result
-        probs, xi, values = space.probs, space.innovations, S.values
-    write_ensemble(path, spec, probs, xi, values)
-    return probs, xi, values
+    src = generate(spec)
+    write_ensemble(path, spec, src.probs, src.xi, src.values)
+    return src.probs, src.xi, src.values
 
 
 def walk_file(tmp_path, name="walk.jsonl", level=1, seed=7):
@@ -173,8 +168,9 @@ class TestEnsembleRoundTrip:
     def test_source_rebuilds_the_space(self, tmp_path):
         path = walk_file(tmp_path, level=2)
         data = read_ensemble(path)
-        space, S = data.to_source()
-        ref_space, ref_S = generate(data.spec)
+        src, ref = data.to_source(), generate(data.spec)
+        space, S = src.space, src.process
+        ref_space, ref_S = ref.space, ref.process
         assert np.array_equal(S.values, ref_S.values)
         for row, ref_row in zip(space.labels, ref_space.labels):
             pairs = set(zip(row.tolist(), ref_row.tolist()))

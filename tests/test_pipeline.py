@@ -1,5 +1,7 @@
 """Tests for the jump split, budget-stopped mixing, and the full dichotomy."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -71,14 +73,14 @@ class TestBigJumpSplit:
 
     def test_parts_recombine_and_small_part_stays_small(self):
         spec = GeneratorSpec(kind="jump", level=3, seed=3)
-        _, S = generate(spec)
+        S = generate(spec).process
         X, J = big_jump_split(S)
         assert np.max(np.abs(X.values + J.values - S.values)) <= TOL
         assert np.abs(X.increments()).max() < 1.0
 
     def test_split_is_idempotent(self):
         spec = GeneratorSpec(kind="jump", level=2, seed=1)
-        _, S = generate(spec)
+        S = generate(spec).process
         X, _ = big_jump_split(S)
         X2, J2 = big_jump_split(X)
         assert np.max(np.abs(J2.values)) == 0.0
@@ -87,7 +89,8 @@ class TestBigJumpSplit:
     def test_drawdown_bound_under_the_split(self):
         # sup (H.S)^- <= sup (H.X)^- + (|H| . TV(J))_1 for simple strategies
         spec = GeneratorSpec(kind="jump", level=3, seed=7)
-        space, S = generate(spec)
+        src = generate(spec)
+        space, S = src.space, src.process
         X, J = big_jump_split(S)
         tvJ = np.concatenate(
             [np.zeros((space.n_atoms, 1)), np.cumsum(np.abs(J.increments()), axis=1)],
@@ -134,7 +137,8 @@ class TestExtendMartingale:
         mu, level = 0.5, 3
         scale = (1.0 - mu) * 2.0 ** (-level / 2)
         spec = GeneratorSpec(kind="drifted", level=level, mu=mu, scale=scale)
-        space, S = generate(spec)
+        src = generate(spec)
+        space, S = src.space, src.process
         D = doob_decompose(S, 2)
         M_ext, A_ext = extend_martingale(D, S)
         assert np.max(np.abs(M_ext.values + A_ext.values - S.values)) <= TOL
@@ -243,6 +247,28 @@ class TestAssembleDecomposition:
                 constants={"tv_bound": 1.0}, residuals={}, **parts,
             )
 
+    def test_certificate_computes_its_own_residuals(self):
+        space, S = canonical_walk(2)
+        never = StoppingTime(space, np.full(space.n_atoms, space.grid.n_times))
+        zero = AdaptedProcess(space, np.zeros_like(S.values))
+        cert = SemimartingaleCertificate(
+            M=S, A=zero, alpha=never, constants={"tv_bound": 1.0},
+            residuals={"decomposition": 0.0, "martingale": 1.0},
+        )
+        assert cert.residuals == {"decomposition": 0.0, "martingale": 0.0, "A_start": 0.0}
+        # an adapted M with a drift is no martingale, whatever the caller reports
+        drift = AdaptedProcess(space, np.broadcast_to(space.times, S.values.shape))
+        with pytest.raises(InvariantViolation, match="residual martingale"):
+            SemimartingaleCertificate(
+                M=drift, A=zero, alpha=never, constants={"tv_bound": 1.0},
+                residuals={"decomposition": 0.0, "martingale": 0.0},
+            )
+        with pytest.raises(InvariantViolation, match="residual A_start"):
+            SemimartingaleCertificate(
+                M=S, A=AdaptedProcess(space, np.ones_like(S.values)), alpha=never,
+                constants={"tv_bound": 1.0}, residuals={},
+            )
+
 
 class TestDetect:
     """End-to-end dichotomy verdicts."""
@@ -252,7 +278,7 @@ class TestDetect:
         verdict = detect(source)
         assert isinstance(verdict, SemimartingaleCertificate)
         assert verdict.kind == "certificate"
-        assert verdict.residual_against(source[1]) <= CERT_TOL
+        assert verdict.residual_against(source.process) <= CERT_TOL
         assert np.max(np.abs(verdict.A.values)) <= CERT_TOL
         assert verdict.table
 
@@ -261,11 +287,12 @@ class TestDetect:
         verdict = detect(source)
         assert verdict.kind == "certificate"
         assert np.max(np.abs(verdict.M.values)) <= CERT_TOL
-        assert np.max(np.abs(verdict.A.values - source[1].values)) <= CERT_TOL
+        assert np.max(np.abs(verdict.A.values - source.process.values)) <= CERT_TOL
 
     def test_jump_path_gets_certificate_with_jump_in_drift(self):
-        space, S = generate(GeneratorSpec(kind="jump", level=2, seed=2))
-        verdict = detect((space, S))
+        src = generate(GeneratorSpec(kind="jump", level=2, seed=2))
+        S = src.process
+        verdict = detect(src)
         assert verdict.kind == "certificate"
         assert verdict.residual_against(S) <= CERT_TOL
         # the time-1/2 move of size jump + 2^-n sits in A's increments
@@ -286,10 +313,10 @@ class TestDetect:
 
     def test_verdicts_stable_under_positive_scaling(self):
         for lam in (0.3, 1.0):
-            space, S = generate(GeneratorSpec(kind="rademacher_bm", level=2))
-            assert detect((space, S.scale(lam))).kind == "certificate"
-            space, R = generate(GeneratorSpec(kind="rl_fractional", level=4, hurst=0.75))
-            assert detect((space, R.scale(lam))).kind == "free_lunch"
+            src = generate(GeneratorSpec(kind="rademacher_bm", level=2))
+            assert detect(replace(src, values=src.values * lam)).kind == "certificate"
+            src = generate(GeneratorSpec(kind="rl_fractional", level=4, hurst=0.75))
+            assert detect(replace(src, values=src.values * lam)).kind == "free_lunch"
 
     def test_certified_ensemble_is_inconclusive(self):
         E = generate(

@@ -18,12 +18,12 @@ from semimart.space import (
     FilteredSpace,
     StoppingTime,
     binary_tree_space,
-    build_binary_tree,
     check_stopping_time,
     conditional_expectation,
     first_hitting_time,
     stop_process,
 )
+from helpers import build_binary_tree
 from test_integral_process import random_stop
 from test_measurability import SEEDS, cell_values, random_space
 
