@@ -25,6 +25,8 @@ INLINE_ATOM_LIMIT = 1024
 # rows are encoded and decoded in blocks of about this many cells, which
 # bounds the Python objects alive at once whatever the row width
 BLOCK_CELLS = 1 << 16
+# cells sampled to decide whether a payload array repeats its values
+PAYLOAD_SAMPLE = 4096
 
 
 def fmt17(x) -> str:
@@ -250,11 +252,29 @@ def _reject_block(lines, lo: int, hi: int, xi_len: int, n_values: int):
     raise ParameterError(f"atoms {lo}-{hi - 1}.p: entries must fit in 64-bit integers")
 
 
+def _payload_lines(arr: np.ndarray) -> list:
+    """One `fmt17`-joined text line per row.  When a sample of the cells
+    shows that values repeat, each distinct bit pattern is formatted once
+    and mapped back; keying on bits keeps -0.0 and 0.0 apart.  Mostly
+    distinct arrays, where that costs more than it saves, take the
+    per-row template."""
+    n, width = arr.shape
+    k = np.arange(min(PAYLOAD_SAMPLE, arr.size))
+    # rows spread evenly and columns cycling, so that no single column,
+    # such as a constant start, fills the sample
+    sample = arr[k * n // k.size, k % width] if k.size else arr.ravel()
+    if np.unique(sample.view(np.uint64)).size * 2 >= sample.size:
+        row = _cells("%.17g", width)
+        return [row % tuple(r) for r in arr.tolist()]
+    distinct, inverse = np.unique(arr.view(np.uint64), return_inverse=True)
+    text = np.array([fmt17(v) for v in distinct.view(np.float64).tolist()], dtype=object)
+    return [",".join(r) for r in text[inverse.reshape(n, width)].tolist()]
+
+
 def array_payload(arr: np.ndarray) -> dict:
     """Inline small arrays; summarize large ones behind a content hash."""
     arr = np.asarray(arr, dtype=float)
-    row = _cells("%.17g", arr.shape[1])
-    lines = [row % tuple(r) for r in arr.tolist()]
+    lines = _payload_lines(arr)
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     out = {"shape": list(arr.shape), "sha256": digest}
     if arr.shape[0] <= INLINE_ATOM_LIMIT:

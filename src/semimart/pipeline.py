@@ -114,11 +114,6 @@ class SemimartingaleCertificate:
                 f"TV(A) = {tv} exceeds the reported bound {self.constants['tv_bound']}"
             )
 
-    def residual_against(self, S: AdaptedProcess) -> float:
-        """Max deviation of M + A from S stopped at alpha."""
-        stopped = stop_process(S, self.alpha)
-        return float(np.abs(self.M.values + self.A.values - stopped.values).max())
-
 
 @dataclass(frozen=True)
 class FreeLunchEvidence:
@@ -234,7 +229,12 @@ class StageStep:
 @dataclass(frozen=True)
 class ContinuousStage:
     """All per-step objects plus the selected subsequence and its mixed
-    exit time alpha; built only from a fully passing discrete stage."""
+    exit time alpha; built only from a fully passing discrete stage.
+
+    ``stopped_source`` is S^alpha, and ``stopped_m`` / ``stopped_a`` hold
+    each selected step's script-M and script-A stopped at alpha, in the
+    order of ``selected``; the assembly reads them instead of stopping
+    again."""
 
     source: AdaptedProcess
     certificates: tuple
@@ -246,6 +246,9 @@ class ContinuousStage:
     selected: tuple
     alpha: StoppingTime
     p_alpha: float
+    stopped_source: AdaptedProcess
+    stopped_m: tuple
+    stopped_a: tuple
     log: tuple
 
 
@@ -356,6 +359,9 @@ def continuous_stage(
                 a_script=a_script,
             )
         )
+    # the rest of the stage reads only the steps; freeing these now keeps
+    # the stopped mixes below from raising the peak
+    del R, ext_cache, dM, dA, dS
 
     # subsequence selection: exact probabilities against the limit
     selected = []
@@ -382,13 +388,12 @@ def continuous_stage(
 
     # stopped-mix bounds on the selected steps
     tv_cap = 6.0 * (C + 2.0) + 2.0 * C
-    for s in selected:
+    stopped_source = stop_process(source, alpha)
+    stopped_m = tuple(stop_process(steps[s].m_script, alpha) for s in selected)
+    stopped_a = tuple(stop_process(steps[s].a_script, alpha) for s in selected)
+    for s, m_st, a_st in zip(selected, stopped_m, stopped_a):
         st = steps[s]
-        m_st = stop_process(st.m_script, alpha)
-        a_st = stop_process(st.a_script, alpha)
-        resid = float(
-            np.abs(m_st.values + a_st.values - stop_process(source, alpha).values).max()
-        )
+        resid = float(np.abs(m_st.values + a_st.values - stopped_source.values).max())
         if resid > IDENT_TOL:
             raise InvariantViolation(f"stopped mix identity off by {resid} at step {s}")
         m_sq = space.expectation(m_st.values[:, -1] ** 2)
@@ -413,6 +418,9 @@ def continuous_stage(
         selected=tuple(selected),
         alpha=alpha,
         p_alpha=p_alpha,
+        stopped_source=stopped_source,
+        stopped_m=stopped_m,
+        stopped_a=stopped_a,
         log=tuple(log),
     )
 
@@ -425,29 +433,20 @@ def assemble_decomposition(
     """One simultaneous extraction over the stopped mixed terminals and
     every per-time drift column; the limits define M and A."""
     space = stage.source.space
-    alpha = stage.alpha
-    stopped_source = stop_process(stage.source, alpha)
-
-    m_stopped = []
-    a_stopped = []
-    for s in stage.selected:
-        m_stopped.append(stop_process(stage.steps[s].m_script, alpha))
-        a_stopped.append(stop_process(stage.steps[s].a_script, alpha))
-
-    seqs = [np.stack([m.values[:, -1] for m in m_stopped])]
+    seqs = [np.stack([m.values[:, -1] for m in stage.stopped_m])]
     for j in range(space.grid.n_times):
-        seqs.append(np.stack([a.values[:, j] for a in a_stopped]))
+        seqs.append(np.stack([a.values[:, j] for a in stage.stopped_a]))
     cw, limits = extract_convex_multi(seqs, tol=tol, prob=space.probs, window=window)
 
     M = AdaptedProcess(space, space.conditional_path(limits[0]))
     A = AdaptedProcess(space, np.column_stack(limits[1:]))
 
-    resid_sum = float(np.abs(M.values + A.values - stopped_source.values).max())
+    resid_sum = float(np.abs(M.values + A.values - stage.stopped_source.values).max())
     tv_cap = 6.0 * (stage.C + 2.0) + 2.0 * stage.C
     return SemimartingaleCertificate(
         M=M,
         A=A,
-        alpha=alpha,
+        alpha=stage.alpha,
         constants={"C": stage.C, "tv_bound": tv_cap, "eps": stage.eps},
         residuals={"decomposition": resid_sum},
         log=stage.log + tuple(cw.log),
@@ -634,11 +633,12 @@ def detect(source, config: DetectConfig | None = None):
     # fold the normalization and the jumps back in:
     # M + A = s(script-M + script-A) + X_0 + J^(alpha ^ lambda) = S^(alpha ^ lambda)
     alpha_total = inner.alpha.min_with(lam)
+    J_stopped = stop_process(J, alpha_total)
     M = inner.M.scale(s_norm).shift(x0)
-    A = inner.A.scale(s_norm) + stop_process(J, alpha_total)
+    A = inner.A.scale(s_norm) + J_stopped
     stopped = stop_process(S, alpha_total)
     resid_sum = float(np.abs(M.values + A.values - stopped.values).max())
-    tv_j = float(np.abs(stop_process(J, alpha_total).increments()).sum(axis=1).max())
+    tv_j = float(np.abs(J_stopped.increments()).sum(axis=1).max())
     tv_bound = s_norm * inner.constants["tv_bound"] + tv_j
     log.append(
         f"folded back jumps and normalization: s = {s_norm:g}, TV(J) = {tv_j:g}, "

@@ -4,7 +4,7 @@ import numpy as np
 
 from semimart.errors import StructuralError
 from semimart.integrands import SimpleIntegrand
-from semimart.space import AdaptedProcess, binary_tree_space
+from semimart.space import AdaptedProcess, binary_tree_space, stop_process
 
 
 def build_binary_tree(level: int, innovation_map):
@@ -36,3 +36,9 @@ def combine(H: SimpleIntegrand, a: float, other: SimpleIntegrand, b: float) -> S
     ):
         raise StructuralError("integrands must share a common mesh to combine")
     return SimpleIntegrand(H.space, H.mesh, a * H.weights + b * other.weights)
+
+
+def residual_against(cert, S: AdaptedProcess) -> float:
+    """Max deviation of a certificate's M + A from S stopped at its alpha."""
+    stopped = stop_process(S, cert.alpha)
+    return float(np.abs(cert.M.values + cert.A.values - stopped.values).max())

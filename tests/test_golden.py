@@ -28,6 +28,13 @@ CASES = {
         "c2ef293ced008879e0130a5bd69e89c2d466ee6efe8e291325efee3e493f3b41",
         "e5ec772a50df248d421e32de753d9b5a944e979cd1a11afdcbfe164d1cd4f935",
     ),
+    # 65,536 atoms: the one case whose M and A payloads are summarized
+    # behind a hash instead of inlined
+    "rademacher_bm-L4": (
+        dict(kind="rademacher_bm", level=4), None, "certificate",
+        "57e249291338ca45a3c4de899248a0284c397f8ce3b36ffc3d91fe244c192a35",
+        "b7dbb93981f56546fed017c908baeff84d9d87182b9545ebc84a9d8b15b20886",
+    ),
     "drifted-L2": (
         dict(kind="drifted", level=2), None, "certificate",
         "e0e99a430e18a316bb8b59e8a2688081b1a6207c092da5eccd7c402eec02612a",

@@ -73,6 +73,23 @@ def random_floats(rng, shape):
     return x
 
 
+def few_floats(rng, shape):
+    """Cells drawn from eight bit patterns: -0.0 beside 0.0, repeated
+    subnormals, and values whose shortest repr is not 17 digits."""
+    pool = np.array([-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1 / 3, -1e17, 0.1])
+    return rng.choice(pool, shape)
+
+
+# payload inputs by name: (rng, rows) -> a (rows, 17) float array
+PAYLOAD_INPUTS = {
+    "random": lambda rng, n: random_floats(rng, (n, 17)),
+    "random-strided": lambda rng, n: random_floats(rng, (n, 34))[:, ::2],
+    "few": lambda rng, n: few_floats(rng, (n, 17)),
+    "few-strided": lambda rng, n: few_floats(rng, (n, 34))[:, ::2],
+    "few-fortran": lambda rng, n: np.asfortranarray(few_floats(rng, (n, 17))),
+}
+
+
 def write_spec(path, spec):
     """Generate `spec` and serialize it to `path`; returns the arrays."""
     src = generate(spec)
@@ -414,10 +431,12 @@ class TestCodecReference:
     @pytest.mark.filterwarnings("ignore:overflow|invalid value:RuntimeWarning")
     @pytest.mark.parametrize("n_rows", [1024, 1025])
     def test_array_payload_matches_reference(self, n_rows):
-        arr = random_floats(np.random.default_rng(n_rows), (n_rows, 17))
-        got, want = array_payload(arr), reference_payload(arr)
-        assert first_mismatch(got, want) is None  # a short message when it fails
-        assert canonical(got) == canonical(want)
+        for name, make in PAYLOAD_INPUTS.items():
+            arr = make(np.random.default_rng(n_rows), n_rows)
+            assert arr.shape == (n_rows, 17)
+            got, want = array_payload(arr), reference_payload(arr)
+            assert first_mismatch(got, want) is None, name  # a short message when it fails
+            assert canonical(got) == canonical(want), name
 
     def test_index_payload_matches_reference(self):
         idx = np.random.default_rng(0).integers(-(2**40), 2**40, 1025)

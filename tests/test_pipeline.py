@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import semimart.pipeline as pipeline
 from semimart.doob import StageCertificate, discrete_stage, doob_decompose
 from semimart.errors import InvariantViolation, ParameterError, PreconditionError
 from semimart.generators import GeneratorSpec, generate
@@ -28,6 +29,7 @@ from semimart.space import (
     binary_tree_space,
     stop_process,
 )
+from helpers import residual_against
 
 TOL = 1e-12
 CERT_TOL = 1e-10
@@ -226,6 +228,27 @@ class TestAssembleDecomposition:
         assert np.max(np.abs(cert.A.values)) <= 1e-8
         assert cert.residuals["decomposition"] <= CERT_TOL
 
+    def test_assembly_reads_the_stopped_mixes_without_stopping(self, monkeypatch):
+        source = generate(GeneratorSpec(kind="rademacher_bm", level=3))
+        S = source.process
+        stage = discrete_stage(S, (1, 2, 3), 0.1)
+        cstage = continuous_stage(S, stage.certificates)
+        assert np.array_equal(
+            cstage.stopped_source.values.view(np.uint64),
+            stop_process(S, cstage.alpha).values.view(np.uint64),
+        )
+        assert len(cstage.stopped_m) == len(cstage.stopped_a) == len(cstage.selected)
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return stop_process(*args)
+
+        monkeypatch.setattr(pipeline, "stop_process", counted)
+        cert = assemble_decomposition(cstage)
+        assert calls == []
+        assert residual_against(cert, S) <= CERT_TOL
+
     def test_pure_drift_assembles_to_drift_only(self):
         space, S = one_atom_path(np.linspace(0.0, 0.5, 9))
         stage = discrete_stage(S, (1, 2, 3), 0.1)
@@ -278,7 +301,7 @@ class TestDetect:
         verdict = detect(source)
         assert isinstance(verdict, SemimartingaleCertificate)
         assert verdict.kind == "certificate"
-        assert verdict.residual_against(source.process) <= CERT_TOL
+        assert residual_against(verdict, source.process) <= CERT_TOL
         assert np.max(np.abs(verdict.A.values)) <= CERT_TOL
         assert verdict.table
 
@@ -294,7 +317,7 @@ class TestDetect:
         S = src.process
         verdict = detect(src)
         assert verdict.kind == "certificate"
-        assert verdict.residual_against(S) <= CERT_TOL
+        assert residual_against(verdict, S) <= CERT_TOL
         # the time-1/2 move of size jump + 2^-n sits in A's increments
         dA = np.abs(verdict.A.increments())
         assert dA.max() == pytest.approx(1.75, abs=1e-8)
