@@ -66,8 +66,8 @@ class DoobDecomposition:
     ``analytic`` marks decompositions whose A came from a generator's
     closed-form compensator rather than partition averaging; for those
     the partition-based checks (martingale residual, predictability) are
-    recorded as diagnostics instead of enforced, since an empirical
-    ensemble filtration cannot reproduce them exactly.
+    skipped, since an empirical ensemble filtration cannot reproduce them
+    exactly.
     """
 
     level: int
@@ -78,7 +78,6 @@ class DoobDecomposition:
     tv: np.ndarray
     m_l2: float
     analytic: bool = False
-    residual: float = 0.0
 
     def __post_init__(self):
         S, M, A = self.source, self.M, self.A
@@ -89,9 +88,8 @@ class DoobDecomposition:
             raise InvariantViolation(f"M + A differs from S by {err}")
         if np.abs(A.values[:, 0]).max() > IDENT_TOL:
             raise InvariantViolation("predictable part must start at 0")
-        resid = martingale_residual(M)
-        object.__setattr__(self, "residual", float(resid))
         if not self.analytic:
+            resid = martingale_residual(M)
             if resid > IDENT_TOL:
                 raise InvariantViolation(f"martingale residual {resid} exceeds {IDENT_TOL}")
             if not _predictable(A):

@@ -33,6 +33,11 @@ def _measurable_at(space: FilteredSpace, time_idx: np.ndarray, x: np.ndarray, at
     return True
 
 
+def _deterministic(index: np.ndarray, n_steps: int) -> bool:
+    """True iff min(tau, 1) is the same grid time on every atom."""
+    return min(int(index.min()), n_steps) == min(int(index.max()), n_steps)
+
+
 def _held_weights(eff: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Finite weights, read-only, with positions on empty intervals stored as +0."""
     if not np.all(np.isfinite(w)):
@@ -51,6 +56,11 @@ class SimpleIntegrand:
     and tau_N = 1 (infinite values are read as 1: nothing trades after
     the horizon).  weights[:, j-1] holds f_j; weights on empty intervals
     are canonicalized to 0 since the position is never held.
+
+    ``_eff[r, j]`` is min(tau_j, 1) as a grid index.  It has one row,
+    shared by every atom, exactly when each of those mesh times is
+    deterministic (a grid mesh, or one truncated at a deterministic
+    time); otherwise it has one row per atom.
     """
 
     space: FilteredSpace
@@ -62,13 +72,15 @@ class SimpleIntegrand:
             raise ParameterError("mesh needs at least two stopping times")
         object.__setattr__(self, "mesh", tuple(self.mesh))
         n_steps = self.space.grid.n_steps
-        eff = np.empty((self.space.n_atoms, len(self.mesh)), dtype=np.int64)
         for j, tau in enumerate(self.mesh):
             if tau.space is not self.space:
                 raise StructuralError("mesh stopping time lives on a different space")
             if not check_stopping_time(tau):
                 raise PreconditionError(f"mesh entry {j} is not a stopping time")
-            eff[:, j] = np.minimum(tau.index, n_steps)
+        rows = 1 if all(_deterministic(tau.index, n_steps) for tau in self.mesh) else self.space.n_atoms
+        eff = np.empty((rows, len(self.mesh)), dtype=np.int64)
+        for j, tau in enumerate(self.mesh):
+            eff[:, j] = np.minimum(tau.index[:rows], n_steps)
         if np.any(eff[:, 0] != 0):
             raise ParameterError("mesh must start at time 0")
         if np.any(eff[:, -1] != n_steps):
@@ -99,9 +111,13 @@ class SimpleIntegrand:
     @classmethod
     def from_grid_mesh(cls, space: FilteredSpace, grid_indices, weights) -> "SimpleIntegrand":
         """Deterministic mesh 0 = t_0 < ... < t_N = 1 given by grid indices."""
-        grid_indices = np.asarray(grid_indices, dtype=np.int64)
+        # each entry is a read-only zero-stride view of one frozen grid
+        # index, so the mesh holds no per-atom data
+        grid_indices = np.array(grid_indices, dtype=np.int64)
+        grid_indices.setflags(write=False)
         mesh = tuple(
-            StoppingTime(space, np.full(space.n_atoms, j, dtype=np.int64)) for j in grid_indices
+            StoppingTime(space, np.broadcast_to(grid_indices[k:k + 1], (space.n_atoms,)))
+            for k in range(grid_indices.size)
         )
         return cls(space, mesh, weights)
 
@@ -125,8 +141,11 @@ class SimpleIntegrand:
         # ending at the horizon; emptied intervals get +0 weights
         last = StoppingTime(self.space, np.full(n_atoms, n_steps))
         mesh = tuple(t.min_with(tau) for t in self.mesh) + (last,)
-        eff = np.minimum(self._eff, tau.index[:, None])
-        eff = np.hstack([eff, np.full((n_atoms, 1), n_steps)])
+        stop = tau.index[:1] if _deterministic(tau.index, n_steps) else tau.index
+        eff = np.minimum(self._eff, stop[:, None])
+        if len(eff) > 1 and (eff == eff[0]).all():
+            eff = eff[:1]  # a deterministic tau can leave every mesh time deterministic
+        eff = np.hstack([eff, np.full((len(eff), 1), n_steps)])
         eff.setflags(write=False)
         return self._rebuilt(mesh, eff, np.hstack([self.weights, np.zeros((n_atoms, 1))]))
 
@@ -187,19 +206,21 @@ def integral_process(H: SimpleIntegrand, S: AdaptedProcess) -> AdaptedProcess:
     if not sampled[eff].all():
         raise StructuralError("mesh times are not all sampled by the process")
 
-    n_atoms = eff.shape[0]
+    rows = eff.shape[0]
     # H holds f_j on (t_{c-1}, t_c] for j = #{mesh entries with eff < t_c}.
     # Each row's entries are counted per grid time (entry k in bin eff + 1)
-    # and accumulated, so below[a, g] = #{k: eff[a, k] < g}, in integers.
+    # and accumulated, so below[r, g] = #{k: eff[r, k] < g}, in integers.
+    # A deterministic mesh is one row, which the gather below broadcasts
+    # over the atoms.
     span = n_grid + 1
-    bins = eff + 1 + (np.arange(n_atoms, dtype=np.int64) * span)[:, None]
-    below = np.cumsum(np.bincount(bins.ravel(), minlength=n_atoms * span).reshape(n_atoms, span), axis=1)
+    bins = eff + 1 + (np.arange(rows, dtype=np.int64) * span)[:, None]
+    below = np.cumsum(np.bincount(bins.ravel(), minlength=rows * span).reshape(rows, span), axis=1)
     # zero columns on both sides stand for "before the first" and "after
     # the last" interval, so every j from 0 to N + 1 reads a position
     padded = np.pad(H.weights, ((0, 0), (1, 1)))
     hold = np.take_along_axis(padded, below[:, S.time_index[1:]], axis=1)
     out = np.concatenate(
-        [np.zeros((n_atoms, 1)), np.cumsum(hold * np.diff(S.values, axis=1), axis=1)], axis=1
+        [np.zeros((S.space.n_atoms, 1)), np.cumsum(hold * np.diff(S.values, axis=1), axis=1)], axis=1
     )
     return AdaptedProcess(S.space, out, S.time_index)
 

@@ -55,6 +55,18 @@ class DyadicGrid:
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
+    """a itself when no one can write its data, else a read-only copy.
+
+    Data no one can write is read-only down the whole base chain: frozen
+    owned data, a view of it, or a zero-stride broadcast of it.  A
+    writeable array, or a view of one, is copied, so the caller's later
+    writes never reach the result.
+    """
+    base = a
+    while isinstance(base, np.ndarray) and not base.flags.writeable:
+        if base.base is None:
+            return a
+        base = base.base
     out = np.array(a, copy=True)
     out.setflags(write=False)
     return out
@@ -187,6 +199,11 @@ class StoppingTime:
     def min_with(self, other: "StoppingTime") -> "StoppingTime":
         if other.space is not self.space:
             raise StructuralError("stopping times live on different spaces")
+        # a time never later than the other is the minimum itself, shared uncopied
+        if self.index.max() <= other.index.min():
+            return self
+        if other.index.max() <= self.index.min():
+            return other
         return StoppingTime(self.space, np.minimum(self.index, other.index))
 
 

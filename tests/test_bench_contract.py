@@ -15,7 +15,10 @@ import pytest
 
 import semimart
 from semimart.generators import GeneratorSpec, generate
+from semimart.integrands import SimpleIntegrand
 from semimart.io import read_ensemble, write_ensemble
+from semimart.pipeline import DetectConfig, detect
+from semimart.space import StoppingTime
 
 SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -57,3 +60,27 @@ def test_sources_are_ensemble_processes(tmp_path, fields):
         assert s.space.probs.shape == (s.values.shape[0],)
         assert s.xi is None or s.xi.shape[0] == s.values.shape[0]
         assert np.array_equal(s.process.values, s.values)
+
+
+@pytest.mark.parametrize("hurst", [0.75, 0.25], ids=["drift-side", "qv-side"])
+def test_free_lunch_strategies_read_as_per_atom_meshes(hurst):
+    """op.py and checks.py read each strategy's mesh as np.column_stack of
+    the entries' per-atom indices, however the integrand stores it."""
+    source = generate(GeneratorSpec(kind="rl_fractional", level=3, hurst=hurst))
+    verdict = detect(source, DetectConfig())
+    assert verdict.kind == "free_lunch"
+    n_atoms = source.space.n_atoms
+    for H in verdict.strategies.elements:
+        assert all(isinstance(t, StoppingTime) and t.index.shape == (n_atoms,) for t in H.mesh)
+        mesh = np.column_stack([t.index for t in H.mesh])
+        assert np.array_equal(mesh, np.broadcast_to(H._eff, mesh.shape))
+
+
+def test_grid_mesh_build_runs_the_constructor_once(monkeypatch):
+    """spans.py times integrand builds by wrapping SimpleIntegrand.__post_init__."""
+    calls = []
+    post_init = SimpleIntegrand.__post_init__
+    monkeypatch.setattr(SimpleIntegrand, "__post_init__", lambda self: calls.append(post_init(self)))
+    space = generate(GeneratorSpec(kind="rademacher_bm", level=2)).space
+    SimpleIntegrand.from_grid_mesh(space, [0, 2, 4], np.ones((space.n_atoms, 2)))
+    assert len(calls) == 1

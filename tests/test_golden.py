@@ -85,6 +85,14 @@ CASES = {
         "9fc82185ec3806dcf592e7082c2c1cddfe1e3dd69b0eb449aec1020117b0bfdc",
         "3292b605b098c04590d9f5ea0b278036bcb9d7e9807177d8133791efe5a8924e",
     ),
+    # 257 grid times on the drift side: every witness is a grid mesh
+    # whose maximal-inequality truncation never bites
+    "rl_fractional-ens-L8": (
+        dict(kind="rl_fractional", level=8, hurst=0.75, mode="ensemble", paths=1024), (5, 6, 7, 8),
+        "free_lunch",
+        "31e375c3d9c6437a9f90a4e351afc89bf80b333f9b5ed187ccd5676410e8363b",
+        "4e8ca907ed7084dd2c138b9c6382cfacb77c9f45cac86618012ec6ab4ccc842c",
+    ),
     # H = 1/4 fails on the quadratic side (qv-growth), so these two pin
     # the free-lunch branch that builds its witnesses from the qv strategy
     "rl_fractional-H0.25-L3": (

@@ -81,6 +81,100 @@ def test_integral_process_matches_brute_force(seed):
     assert np.array_equal(proc.values, brute_integral(H, S))
 
 
+def random_grid_case(rng):
+    """(H, S) with H on a deterministic grid mesh that S samples; repeated
+    grid indices leave empty intervals."""
+    space = random_space(rng)
+    full = AdaptedProcess(space, cell_values(rng, space.labels))
+    S = restrict_to_level(full, int(rng.integers(0, space.grid.level + 1)))
+    inner = S.time_index[1:-1]
+    picks = np.sort(rng.choice(inner, int(rng.integers(0, 2 * inner.size + 1))) if inner.size else inner)
+    idx = np.concatenate([[0], picks, [space.grid.n_steps]])
+    weights = np.hstack([cell_values(rng, space.labels[j]) for j in idx[:-1]]) / 2.0
+    return SimpleIntegrand.from_grid_mesh(space, idx, weights), S
+
+
+def materialized(H):
+    """H rebuilt on the same mesh with one owned, per-atom array per entry."""
+    return SimpleIntegrand(H.space, tuple(StoppingTime(H.space, np.array(t.index)) for t in H.mesh), H.weights)
+
+
+def fresh_truncation(H, tau):
+    """H 1_[0, tau] built and checked from scratch by the constructor."""
+    space = H.space
+    last = StoppingTime(space, np.full(space.n_atoms, space.grid.n_steps))
+    return SimpleIntegrand(
+        space,
+        tuple(t.min_with(tau) for t in H.mesh) + (last,),
+        np.hstack([H.weights, np.zeros((space.n_atoms, 1))]),
+    )
+
+
+def effective_mesh(H):
+    """(n_atoms, N + 1) effective mesh times min(tau_j, 1), one column per entry."""
+    return np.column_stack([np.minimum(t.index, H.space.grid.n_steps) for t in H.mesh])
+
+
+def assert_same_integrand(fast, ref, S):
+    """Same mesh, _eff, weight bits and running integral (bit for bit, and
+    against the per-atom brute force)."""
+    assert len(fast.mesh) == len(ref.mesh)
+    assert all(np.array_equal(f.index, r.index) for f, r in zip(fast.mesh, ref.mesh))
+    assert fast._eff.shape == ref._eff.shape and np.array_equal(fast._eff, ref._eff)
+    assert np.array_equal(fast.weights.view(np.uint64), ref.weights.view(np.uint64))
+    got = integral_process(fast, S).values
+    assert np.array_equal(got.view(np.uint64), integral_process(ref, S).values.view(np.uint64))
+    assert np.array_equal(got, brute_integral(fast, S))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_grid_mesh_matches_its_materialized_mesh(seed):
+    """A grid mesh is one broadcast row; the same mesh passed as per-atom
+    stopping times must give the same integrand under every operation."""
+    rng = np.random.default_rng(seed)
+    H, S = random_grid_case(rng)
+    space = H.space
+    ref = materialized(H)
+    assert all(t.index.strides == (0,) and not t.index.flags.writeable for t in H.mesh)
+    assert H._eff.shape == (1, len(H.mesh))
+    assert_same_integrand(H, ref, S)
+    factor = float(rng.choice([-2.5, -1.0, -0.125, 0.0, 0.75, 3.0]))
+    assert_same_integrand(H.scale(factor), ref.scale(factor), S)
+    taus = (
+        StoppingTime.constant(space, float(space.grid.times[rng.choice(S.time_index)])),
+        StoppingTime.constant(space, np.inf),
+        random_stop(rng, S),
+    )
+    for tau in taus:
+        fast = H.truncate(tau)
+        assert_same_integrand(fast, ref.truncate(tau), S)
+        assert_same_integrand(fast, fresh_truncation(ref, tau), S)
+        assert (fast._eff.shape[0] == 1) == (np.unique(np.minimum(tau.index, space.grid.n_steps)).size == 1)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_eff_has_one_row_exactly_when_the_mesh_is_deterministic(seed):
+    rng = np.random.default_rng(seed)
+    H, S = random_case(rng)
+    G, _ = random_grid_case(rng)
+    space = H.space
+    cases = [
+        H,
+        H.scale(-0.5),
+        H.truncate(StoppingTime.constant(space, 0.0)),
+        H.truncate(random_stop(rng, S)),
+        G,
+        G.truncate(StoppingTime.constant(G.space, np.inf)),
+        G.truncate(StoppingTime.constant(G.space, 0.0)),
+    ]
+    for K in cases:
+        full = effective_mesh(K)
+        deterministic = bool((full == full[0]).all())
+        assert K._eff.shape == ((1 if deterministic else K.space.n_atoms), len(K.mesh))
+        assert np.array_equal(np.broadcast_to(K._eff, full.shape), full)
+        assert not K._eff.flags.writeable
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 def test_unsampled_mesh_time_rejected(seed):
     rng = np.random.default_rng(seed)
@@ -95,15 +189,12 @@ def test_unsampled_mesh_time_rejected(seed):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_scale_matches_a_fresh_build(seed):
     rng = np.random.default_rng(seed)
-    H, _ = random_case(rng)
+    H, S = random_case(rng)
     factor = float(rng.choice([-2.5, -1.0, -0.125, 0.0, 0.75, 3.0]))
     fast = H.scale(factor)
-    slow = SimpleIntegrand(H.space, H.mesh, H.weights * factor)
-    assert fast.mesh == slow.mesh
-    assert np.array_equal(fast._eff, slow._eff)
-    assert np.array_equal(fast.weights, slow.weights)
-    # empty intervals hold +0, never -0, whatever the sign of the factor
-    assert np.array_equal(np.signbit(fast.weights), np.signbit(slow.weights))
+    # comparing weight bits also holds empty intervals at +0, never -0,
+    # whatever the sign of the factor
+    assert_same_integrand(fast, SimpleIntegrand(H.space, H.mesh, H.weights * factor), S)
     assert not fast.weights.flags.writeable
 
 
@@ -112,19 +203,8 @@ def test_truncate_matches_a_fresh_build(seed):
     rng = np.random.default_rng(seed)
     H, S = random_case(rng)
     tau = random_stop(rng, S)
-    space = S.space
     fast = H.truncate(tau)
-    last = StoppingTime(space, np.full(space.n_atoms, space.grid.n_steps))
-    slow = SimpleIntegrand(
-        space,
-        tuple(t.min_with(tau) for t in H.mesh) + (last,),
-        np.hstack([H.weights, np.zeros((space.n_atoms, 1))]),
-    )
-    assert len(fast.mesh) == len(slow.mesh)
-    assert all(np.array_equal(f.index, s.index) for f, s in zip(fast.mesh, slow.mesh))
-    assert np.array_equal(fast._eff, slow._eff)
-    assert np.array_equal(fast.weights, slow.weights)
-    assert np.array_equal(np.signbit(fast.weights), np.signbit(slow.weights))
+    assert_same_integrand(fast, fresh_truncation(H, tau), S)
     assert not fast.weights.flags.writeable and not fast._eff.flags.writeable
 
 

@@ -205,6 +205,48 @@ class TestStoppingTimes:
         assert np.all(m.index <= a.index)
         assert np.all(m.index <= b.index)
 
+    def test_min_with_a_later_time_is_the_time_itself(self):
+        space, S = canonical_walk(2)
+        a = first_hitting_time(S, S.values >= 0.5)
+        never, start = StoppingTime.constant(space, np.inf), StoppingTime.constant(space, 0.0)
+        assert a.min_with(never) is a and never.min_with(a) is a
+        assert a.min_with(start) is start and start.min_with(a) is start
+
+
+class TestFrozenInputs:
+    """Constructors share data no one can write and copy everything else."""
+
+    def test_caller_writes_never_reach_the_object(self):
+        space, S = canonical_walk(2)
+        values = S.values.copy()
+        idx = np.full(space.n_atoms, 2)
+        base = np.array([3])
+        view = idx.copy()[:]
+        view.setflags(write=False)  # read-only, but its base is still writeable
+        P = AdaptedProcess(space, values)
+        taus = [
+            StoppingTime(space, idx),
+            StoppingTime(space, view),
+            StoppingTime(space, np.broadcast_to(base, idx.shape)),
+        ]
+        values[:] = 7.0
+        idx[:] = 0
+        view.base[:] = 0
+        base[0] = 0
+        assert np.array_equal(P.values, S.values)
+        assert [t.index.tolist() for t in taus] == [[2] * space.n_atoms] * 2 + [[3] * space.n_atoms]
+        assert not P.values.flags.writeable and all(not t.index.flags.writeable for t in taus)
+
+    def test_frozen_data_is_shared(self):
+        space, S = canonical_walk(2)
+        assert AdaptedProcess(space, S.values).values is S.values
+        tail = AdaptedProcess(space, S.values[:, 1:], S.time_index[1:])
+        assert np.shares_memory(tail.values, S.values)
+        grid = np.array([0, 2, 4])
+        grid.setflags(write=False)
+        tau = StoppingTime(space, np.broadcast_to(grid[1:2], (space.n_atoms,)))
+        assert tau.index.strides == (0,) and np.shares_memory(tau.index, grid)
+
 
 class TestStopProcess:
     """Freezing a process at a stopping time."""
