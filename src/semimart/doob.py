@@ -10,12 +10,13 @@ integral leaves a budget; each rule absorbs at most one extra increment,
 which the threshold offsets account for.
 """
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvariantViolation, ParameterError, PreconditionError
-from .integrands import SimpleIntegrand, integral_process, integrate
+from .integrands import SimpleIntegrand, integral_process
 from .space import (
     ATOL,
     AdaptedProcess,
@@ -132,9 +133,8 @@ def doob_decompose(S: AdaptedProcess, n: int) -> DoobDecomposition:
     return _from_increments(n, Sn, conditional_increments(Sn), analytic=False)
 
 
-def decompose_with_increments(S: AdaptedProcess, n: int, dA: np.ndarray,
-                              analytic: bool = True) -> DoobDecomposition:
-    """Build a level-n decomposition from externally supplied A-increments.
+def decompose_with_increments(S: AdaptedProcess, n: int, dA: np.ndarray) -> DoobDecomposition:
+    """Build an analytic level-n decomposition from supplied A-increments.
 
     Used by generators whose compensator is known in closed form; the
     standard invariants that depend on partition averaging are recorded,
@@ -143,7 +143,7 @@ def decompose_with_increments(S: AdaptedProcess, n: int, dA: np.ndarray,
     Sn = restrict_to_level(S, n)
     if dA.shape != (S.space.n_atoms, Sn.n_times - 1):
         raise ParameterError("A-increments must have one column per level-n step")
-    return _from_increments(n, Sn, dA, analytic)
+    return _from_increments(n, Sn, dA, analytic=True)
 
 
 def quadratic_variation(S: AdaptedProcess, n: int) -> np.ndarray:
@@ -201,6 +201,25 @@ def tau_stop(D: DoobDecomposition, c: float) -> StoppingTime:
     return first_hitting_time(A, hit, start_col=1)
 
 
+def _ladder_search(name: str, space: FilteredSpace, totals, offset: float, eps: float,
+                   ladder_max: float):
+    """First ladder rung c with P[total_n >= c - offset] < eps/2 at every
+    level n, and the search log; c is None when the ladder runs out.
+
+    ``totals`` holds, per level, each atom's running sum of non-negative
+    terms at its last step.  Such a sum reaches c - offset at some step
+    exactly when its last value does, so each probability is P[stop < inf]
+    of the matching first-hitting time, without building it."""
+    log = []
+    for c in ladder(ladder_max):
+        worst = max(float(space.probs[t >= c - offset].sum()) for t in totals)
+        log.append(f"{name} ladder c={c:g}: max_n P[{name}<inf]={worst:.6g} (need < {eps / 2:g})")
+        if worst < eps / 2:
+            return c, log
+    log.append(f"{name} ladder exhausted")
+    return None, log
+
+
 def find_c1(S: AdaptedProcess, levels, eps: float, ladder_max: float = LADDER_MAX):
     """Smallest ladder budget c with P[sigma_n(c) < inf] < eps/2 at all levels.
 
@@ -209,36 +228,24 @@ def find_c1(S: AdaptedProcess, levels, eps: float, ladder_max: float = LADDER_MA
     """
     if not 0 < eps < 1:
         raise ParameterError(f"eps must lie in (0, 1), got {eps}")
-    log = []
-    for c in ladder(ladder_max):
-        worst = 0.0
-        for n in levels:
-            p = sigma_stop(S, n, c).prob_finite()
-            worst = max(worst, p)
-        log.append(f"sigma ladder c={c:g}: max_n P[sigma<inf]={worst:.6g} (need < {eps / 2:g})")
-        if worst < eps / 2:
-            return c, log
-    log.append("sigma ladder exhausted")
-    return None, log
+    totals = [np.cumsum(restrict_to_level(S, n).increments() ** 2, axis=1)[:, -1] for n in levels]
+    return _ladder_search("sigma", S.space, totals, 4.0, eps, ladder_max)
 
 
-def martingale_l2(M: AdaptedProcess, check: bool = True) -> float:
+def martingale_l2(M: AdaptedProcess) -> float:
     """E[M_1^2] - E[M_0^2], the martingale's accumulated second moment.
 
-    With check=True the orthogonality-of-increments identity (the value
-    equals the summed increment second moments) is enforced to 1e-10;
-    ensemble callers pass check=False since empirical averaging cannot
-    reproduce it exactly.
+    The orthogonality-of-increments identity (the value equals the summed
+    increment second moments) is enforced to 1e-10.
     """
     space = M.space
     total = float(space.expectation(M.values[:, -1] ** 2) - space.expectation(M.values[:, 0] ** 2))
-    if check:
-        dM = M.increments()
-        by_steps = float(sum(space.expectation(dM[:, c] ** 2) for c in range(dM.shape[1])))
-        if abs(total - by_steps) > BOUND_TOL:
-            raise InvariantViolation(
-                f"increment orthogonality failed: E[M_1^2]-E[M_0^2]={total} vs sum {by_steps}"
-            )
+    dM = M.increments()
+    by_steps = float(sum(space.expectation(dM[:, c] ** 2) for c in range(dM.shape[1])))
+    if abs(total - by_steps) > BOUND_TOL:
+        raise InvariantViolation(
+            f"increment orthogonality failed: E[M_1^2]-E[M_0^2]={total} vs sum {by_steps}"
+        )
     return total
 
 
@@ -282,9 +289,9 @@ class StageCertificate:
     """Per-level outcome of the discrete stage.
 
     A passing certificate pins the stopping time rho (quadratic cut at c1
-    meets drift cut at c2), the budget C = max(c1, c2), and the verified
-    bounds; a failing certificate instead carries the witnessing strategy
-    for the free-lunch branch.
+    meets drift cut at c2), the budget C = max(c1, c2), the verified
+    bounds and the level decomposition; a failing certificate instead
+    carries only the finished witness strategy for the free-lunch branch.
     """
 
     level: int
@@ -366,7 +373,10 @@ def discrete_stage(
     every level simultaneously.  A search fails when its ladder is
     exhausted or when the growth guard extrapolates that no budget can
     hold at all levels (the operational reading of unbounded variation);
-    failed levels carry witness strategies instead of stopping times.
+    failed levels carry finished witness strategies instead of stopping
+    times: the qv strategy, or on the drift side sign(A^sigma_n(c1)) cut
+    where its martingale integral reaches sqrt(8 c1 / eps), which the
+    maximal inequality makes rare and which bounds the drawdown.
     """
     if not 0 < eps < 1:
         raise ParameterError(f"eps must lie in (0, 1), got {eps}")
@@ -414,15 +424,11 @@ def discrete_stage(
                 "no budget can hold at every level (growth guard)"
             )
         else:
-            for c in ladder(ladder_max):
-                worst = max(tau_stop(decs[n], c).prob_finite() for n in levels)
-                log.append(f"tau ladder c={c:g}: max_n P[tau<inf]={worst:.6g} (need < {eps / 2:g})")
-                if worst < eps / 2:
-                    c2 = c
-                    break
+            totals = [np.cumsum(np.abs(decs[n].A.increments()), axis=1)[:, -1] for n in levels]
+            c2, c2_log = _ladder_search("tau", S.space, totals, 2.0, eps, ladder_max)
+            log.extend(c2_log)
             if c2 is None:
                 failure = "tv-ladder"
-                log.append("tau ladder exhausted")
 
     certs = []
     if not failure:
@@ -453,12 +459,12 @@ def discrete_stage(
     else:
         qv_side = failure.startswith("qv")
         for n in levels:
-            D = decs[n]
             if qv_side:
                 witness = qv_strategy(S, n)
             else:
-                sigma = sigma_stop(S, n, c1)
-                witness = sign_strategy(D, sigma)
+                D = decs[n]
+                witness = sign_strategy(D, sigma_stop(S, n, c1))
+                witness = witness.truncate(doob_maximal_stop(D, witness, math.sqrt(8.0 * c1 / eps)))
             certs.append(
                 StageCertificate(
                     level=n,
@@ -467,7 +473,6 @@ def discrete_stage(
                     c1=c1,
                     failure=failure,
                     witness=witness,
-                    decomposition=D,
                 )
             )
         log.append(f"stage failed ({failure}); emitted witness strategies per level")

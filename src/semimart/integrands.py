@@ -176,7 +176,6 @@ class StrategySequence:
     vr: tuple = ()
     fl: tuple = ()
     fl_threshold: float | None = None
-    notes: tuple = ()
 
     def __post_init__(self):
         object.__setattr__(self, "elements", tuple(self.elements))
@@ -191,8 +190,7 @@ class StrategySequence:
         li = tuple(li_metric(H) for H in self.elements)
         vr = tuple(vr_metric(H, S) for H in self.elements)
         fl = tuple(fl_statistic(self, S, alpha))
-        return StrategySequence(self.elements, li=li, vr=vr, fl=fl,
-                                fl_threshold=alpha, notes=self.notes)
+        return StrategySequence(self.elements, li=li, vr=vr, fl=fl, fl_threshold=alpha)
 
 
 def integral_process(H: SimpleIntegrand, S: AdaptedProcess) -> AdaptedProcess:

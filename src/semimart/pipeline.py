@@ -5,7 +5,7 @@ finest grid, mixes indicator processes of the per-level stopping times
 through the convex-combination engine, stops everything at the mixed
 exit time alpha, and extracts one more simultaneous combination whose
 limits assemble the decomposition M + A = S^alpha.  The fail branch
-packages the per-level witness strategies, rescaled to force vanishing
+rescales the discrete stage's finished witnesses to force vanishing
 position size and drawdown while the win probability stays put.
 
 Big jumps are split off first and folded back into A at the end; paths
@@ -14,7 +14,6 @@ shifted/normalized onto the unit band the discrete stage expects, with
 both recorded and undone in the reported decomposition.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +24,6 @@ from .doob import (
     LADDER_MAX,
     StageResult,
     discrete_stage,
-    doob_maximal_stop,
     martingale_residual,
 )
 from .errors import (
@@ -491,29 +489,20 @@ def _free_lunch(
     stage: StageResult,
     log: list,
 ):
-    """Scale the failed stage's witnesses into a strategy sequence with
-    vanishing size and drawdown; Inconclusive when the logged rule fails."""
-    certs = stage.certificates
-    eps = stage.eps
+    """Scale the witnesses, finished by ``discrete_stage``, into a strategy
+    sequence with vanishing size and drawdown; Inconclusive when the
+    logged rule fails."""
     table = _stage_table(stage)
     qv_side = stage.failure.startswith("qv")
     log.append(f"free-lunch branch ({stage.failure}); witnesses from the {'quadratic' if qv_side else 'drift'} side")
 
     # each strategy is integrated once, against Y here and against S below;
     # terminals, harvests, drawdowns and win odds are all read off those
-    bases = []
+    bases = [cert.witness for cert in stage.certificates]
     harvests = []
     vr_raw = []
-    for cert in certs:
-        H = cert.witness
-        if not qv_side:
-            # cap the martingale contribution so the drawdown stays bounded:
-            # the maximal inequality puts the cap's failure odds below eps/2
-            c2w = math.sqrt(8.0 * stage.c1 / eps)
-            tau_w = doob_maximal_stop(cert.decomposition, H, c2w)
-            H = H.truncate(tau_w)
+    for H in bases:
         terminal, drawdown = terminal_and_drawdown(H, Y)
-        bases.append(H)
         harvests.append(float(Y.space.expectation(terminal)))
         vr_raw.append(drawdown)
     log.append("expected harvest per level: " + ", ".join(f"{m:.6g}" for m in harvests))
@@ -550,7 +539,6 @@ def _free_lunch(
         vr=drawdowns,
         fl=tuple(win_probabilities(gains, S.space.probs, alpha_star)),
         fl_threshold=alpha_star,
-        notes=tuple(log),
     )
     log.append(
         f"alpha* = {alpha_star:.6g}; li = {[f'{x:.3g}' for x in seq.li]}, "
@@ -583,20 +571,21 @@ def detect(source, config: DetectConfig | None = None):
     space = S.space
     log = []
 
-    X, J = big_jump_split(S)
+    # one name through split, stop, shift and scale keeps one array alive
+    Y, J = big_jump_split(S)
     n_jumps = int((np.abs(S.increments()) >= 1.0).sum())
     if n_jumps:
         log.append(f"split off {n_jumps} big jumps")
 
-    lam = first_hitting_time(X, np.abs(X.values) > 1.0)
-    X_stopped = stop_process(X, lam)
+    lam = first_hitting_time(Y, np.abs(Y.values) > 1.0)
+    Y = stop_process(Y, lam)
     p_lam = lam.prob_finite()
     if p_lam:
         log.append(f"localized at the first exit from [-1, 1]: P[lambda<inf] = {p_lam:g}")
-    x0 = X_stopped.values[:, 0].copy()
-    shifted = X_stopped.shift(-x0)
-    s_norm = max(1.0, shifted.sup_norm())
-    Y = shifted.scale(1.0 / s_norm)
+    x0 = Y.values[:, 0].copy()
+    Y = Y.shift(-x0)
+    s_norm = max(1.0, Y.sup_norm())
+    Y = Y.scale(1.0 / s_norm)
     if s_norm > 1.0:
         log.append(f"normalized the localized path onto the unit band (factor {s_norm:g})")
 

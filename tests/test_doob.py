@@ -1,5 +1,7 @@
 """Tests for grid decompositions, budget stops, and the per-level stage."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -29,6 +31,7 @@ from semimart.space import (
     StoppingTime,
     binary_tree_space,
 )
+from test_integral_process import assert_same_integrand
 
 TOL = 1e-12
 BOUND_TOL = 1e-10
@@ -67,6 +70,39 @@ def random_tree_process(level, seed, drift_scale=0.3):
         [np.zeros((space.n_atoms, 1)), np.cumsum(incr, axis=1)], axis=1
     )
     values = values / (np.abs(values).max() + 1e-9)
+    return space, AdaptedProcess(space, values)
+
+
+def rare_jump_walk(level, delta=0.05, drift=0.25):
+    """A walk on its own filtration whose common path steps -delta, +delta,
+    ... against a conditional drift of +drift, -drift, ...; the step's
+    balancing jump to the far edge of [-1, 1] is rare and absorbing.
+
+    Atom j < 2^level leaves the common path at step j + 1, the last atom
+    never does.  Along the common path the sign strategy's martingale
+    integral grows by delta + drift per step, so on a long enough grid
+    the maximal-inequality cap of a drift-side witness bites there.
+    """
+    grid = DyadicGrid(level)
+    N = grid.n_steps
+    atoms = np.arange(N + 1)
+    probs = np.empty(N + 1)
+    values = np.zeros((N + 1, N + 1))
+    labels = np.zeros((N + 1, N + 1), dtype=np.int64)
+    stay, s = 1.0, 0.0
+    for j in range(N):
+        down = j % 2 == 0
+        jump = 1.0 - s if down else 1.0 + s
+        # the jump's odds that make the step's conditional mean +-drift
+        q = (drift + delta) / (jump + delta)
+        probs[j] = stay * q
+        stay *= 1.0 - q
+        values[j, j + 1:] = s + jump if down else s - jump
+        s = s - delta if down else s + delta
+        values[j + 1:, j + 1] = s
+        labels[j + 1] = np.where(atoms <= j, atoms + 1, 0)
+    probs[N] = stay
+    space = FilteredSpace(grid, probs, labels)
     return space, AdaptedProcess(space, values)
 
 
@@ -427,3 +463,37 @@ class TestDiscreteStage:
             discrete_stage(S, (0, 1), 0.1)
         with pytest.raises(ParameterError):
             discrete_stage(S, (1, 2), 2.0)
+
+
+def drift_side_case(name):
+    """(S, decomposer, levels, eps) of a source that fails on the drift side."""
+    if name == "tree":
+        tree = generate(GeneratorSpec(kind="rl_fractional", level=3, hurst=0.75))
+        return tree.process, None, (1, 2, 3), 0.1
+    if name == "ensemble":
+        E = generate(GeneratorSpec(kind="rl_fractional", level=5, hurst=0.75, mode="ensemble",
+                                   paths=128, seed=11))
+        return E.process, E.decomposer(), (2, 3, 4, 5), 0.1
+    return rare_jump_walk(6)[1], None, (5, 6), 0.5
+
+
+@pytest.mark.parametrize("name", ["tree", "ensemble", "rare-jump"])
+def test_drift_witness_is_the_capped_sign_strategy(name):
+    """A failing drift-side level hands over sign(A^sigma) cut where its
+    martingale integral reaches sqrt(8 c1 / eps), and no decomposition."""
+    S, decomposer, levels, eps = drift_side_case(name)
+    stage = discrete_stage(S, levels, eps, decomposer=decomposer)
+    assert stage.failure == "tv-growth"
+    decompose = decomposer or doob_decompose
+    # the witnesses' weights are signs, so whole-number values keep the
+    # brute-force integral in assert_same_integrand exact
+    probe = AdaptedProcess(S.space, np.round(8.0 * S.values))
+    for cert in stage.certificates:
+        assert cert.decomposition is None
+        D = decompose(S, cert.level)
+        H = sign_strategy(D, sigma_stop(S, cert.level, stage.c1))
+        ref = H.truncate(doob_maximal_stop(D, H, math.sqrt(8.0 * stage.c1 / eps)))
+        assert_same_integrand(cert.witness, ref, probe)
+    if name == "rare-jump":
+        # the cap stops some atoms and not others
+        assert stage.certificates[-1].witness._eff.shape[0] == S.space.n_atoms

@@ -16,7 +16,8 @@ from semimart.generators import GeneratorSpec, generate
 from semimart.io import read_ensemble, report_body, write_ensemble
 from semimart.pipeline import DetectConfig, detect
 
-# name -> (spec fields, detect levels, verdict, ensemble sha256, body sha256)
+# name -> (spec fields, detect levels, verdict, ensemble sha256, body sha256
+#          [, transform of the generated values before they are written])
 CASES = {
     "rademacher_bm-L2": (
         dict(kind="rademacher_bm", level=2), None, "certificate",
@@ -34,6 +35,14 @@ CASES = {
         dict(kind="rademacher_bm", level=4), None, "certificate",
         "57e249291338ca45a3c4de899248a0284c397f8ce3b36ffc3d91fe244c192a35",
         "b7dbb93981f56546fed017c908baeff84d9d87182b9545ebc84a9d8b15b20886",
+    ),
+    # values x 3 + 0.5 leave [-1, 1]: the certificate localizes at lambda,
+    # shifts by x0 = 0.5 and normalizes, so alpha is not constant
+    "rademacher_bm-L3-localized": (
+        dict(kind="rademacher_bm", level=3), None, "certificate",
+        "c6321fc4197c22efe39f52bb1477745ddb334c419c6b635c0f282a9b8c0cb352",
+        "0c7d0a5a3bb5cee7c1249d63878718551accfbdf4ac20175c7da98bcc547dcdb",
+        lambda values: values * 3.0 + 0.5,
     ),
     "drifted-L2": (
         dict(kind="drifted", level=2), None, "certificate",
@@ -123,12 +132,13 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def run_case(tmp_path, fields, levels):
+def run_case(tmp_path, fields, levels, transform=None):
     """(verdict kind, ensemble sha256, canonical body sha256) for one case."""
     spec = GeneratorSpec(seed=1, **fields)
     src = generate(spec)
+    values = src.values if transform is None else transform(src.values)
     path = tmp_path / "source.jsonl"
-    write_ensemble(str(path), spec, src.probs, src.xi, src.values)
+    write_ensemble(str(path), spec, src.probs, src.xi, values)
     data = read_ensemble(str(path))
     config = DetectConfig(levels=levels)
     verdict = detect(data.to_source(), config)
@@ -138,5 +148,5 @@ def run_case(tmp_path, fields, levels):
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_case(tmp_path, name):
-    fields, levels, kind, file_sha, body_sha = CASES[name]
-    assert run_case(tmp_path, fields, levels) == (kind, file_sha, body_sha)
+    fields, levels, kind, file_sha, body_sha, *transform = CASES[name]
+    assert run_case(tmp_path, fields, levels, *transform) == (kind, file_sha, body_sha)

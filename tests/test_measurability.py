@@ -10,7 +10,15 @@ are the same question.
 import numpy as np
 import pytest
 
-from semimart.doob import _predictable
+from semimart.doob import (
+    _ladder_search,
+    _predictable,
+    doob_decompose,
+    ladder,
+    restrict_to_level,
+    sigma_stop,
+    tau_stop,
+)
 from semimart.errors import InvariantViolation
 from semimart.integrands import _measurable_at
 from semimart.space import (
@@ -158,3 +166,30 @@ def test_conditional_path_matches_cell_means(seed):
             cell = lab == c
             mean = (space.probs[cell] * x[cell]).sum() / space.probs[cell].sum()
             assert np.allclose(got[cell, j], mean, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_ladder_rungs_match_the_stopping_times(seed):
+    """Each rung's probability is P[sigma_n(c) < inf] (P[tau_n(c) < inf])
+    bit for bit.  The probabilities fall along the ladder and a rung
+    passes exactly when its probability is below eps/2, so a search up to
+    c must fail at eps/2 = P[stop_c < inf] and, at the next float above,
+    stop at the first rung with that probability."""
+    rng = np.random.default_rng(seed)
+    space = random_space(rng)
+    S = AdaptedProcess(space, cell_values(rng, space.labels) / 2.0)
+    for n in range(1, space.grid.level + 1):
+        D = doob_decompose(S, n)
+        qv_total = np.cumsum(restrict_to_level(S, n).increments() ** 2, axis=1)[:, -1]
+        tv_total = np.cumsum(np.abs(D.A.increments()), axis=1)[:, -1]
+        for name, total, offset, stop in (
+            ("sigma", qv_total, 4.0, lambda c: sigma_stop(S, n, c)),
+            ("tau", tv_total, 2.0, lambda c: tau_stop(D, c)),
+        ):
+            p = {c: stop(c).prob_finite() for c in ladder(64.0)}
+            for c in p:
+                def search(bar):
+                    return _ladder_search(name, space, [total], offset, 2.0 * bar, c)[0]
+
+                assert search(p[c]) is None
+                assert search(np.nextafter(p[c], np.inf)) == min(r for r in p if p[r] == p[c])

@@ -1,12 +1,14 @@
 """Tests for the jump split, budget-stopped mixing, and the full dichotomy."""
 
+import gc
+import weakref
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import semimart.pipeline as pipeline
-from semimart.doob import StageCertificate, discrete_stage, doob_decompose
+from semimart.doob import DoobDecomposition, StageCertificate, discrete_stage, doob_decompose
 from semimart.errors import InvariantViolation, ParameterError, PreconditionError
 from semimart.generators import GeneratorSpec, generate
 from semimart.integrands import SimpleIntegrand, integral_process, integrate, vr_metric
@@ -370,3 +372,38 @@ class TestDetect:
         assert verdict.constants["normalization"] >= 1.0
         assert verdict.constants["p_localized"] == 0.0
         assert verdict.constants["tv_bound"] >= 0.0
+
+
+@pytest.mark.parametrize(
+    "spec, levels",
+    [
+        (dict(kind="rl_fractional", level=3, hurst=0.75), None),
+        (dict(kind="rl_fractional", level=6, hurst=0.75, mode="ensemble", paths=256, seed=11),
+         (3, 4, 5, 6)),
+        (dict(kind="rl_fractional", level=3, hurst=0.25), None),
+    ],
+    ids=["drift-tree", "drift-ensemble", "qv-tree"],
+)
+def test_no_decomposition_outlives_the_discrete_stage(monkeypatch, spec, levels):
+    """The free-lunch branch reads only finished witnesses, so every level
+    decomposition is garbage by the time it starts."""
+    made = []
+    post_init = DoobDecomposition.__post_init__
+
+    def recording_post_init(self):
+        post_init(self)
+        made.append(weakref.ref(self))
+
+    alive_at_entry = []
+    free_lunch = pipeline._free_lunch
+
+    def checked_free_lunch(*args):
+        gc.collect()
+        alive_at_entry.append(sum(ref() is not None for ref in made))
+        return free_lunch(*args)
+
+    monkeypatch.setattr(DoobDecomposition, "__post_init__", recording_post_init)
+    monkeypatch.setattr(pipeline, "_free_lunch", checked_free_lunch)
+    verdict = detect(generate(GeneratorSpec(**spec)), DetectConfig(levels=levels))
+    assert verdict.kind == "free_lunch"
+    assert made and alive_at_entry == [0]
