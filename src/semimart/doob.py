@@ -37,6 +37,8 @@ LADDER_MAX = float(2 ** 20)
 
 def ladder(cap: float = LADDER_MAX) -> list[float]:
     """The constant search ladder: powers of two from 8 up to cap."""
+    if not math.isfinite(cap):
+        raise ParameterError(f"ladder cap must be finite, got {cap}")
     if cap < LADDER_BASE:
         raise ParameterError(f"ladder cap {cap} below base {LADDER_BASE}")
     out = []
@@ -292,20 +294,18 @@ class StageCertificate:
     meets drift cut at c2), the budget C = max(c1, c2), the verified
     bounds and the level decomposition; a failing certificate instead
     carries only the finished witness strategy for the free-lunch branch.
+    The budgets c1, c2 and the failure reason are the stage's, kept once
+    on `StageResult`.
     """
 
     level: int
     eps: float
     passed: bool
-    c1: float | None = None
-    c2: float | None = None
     C: float | None = None
     rho: StoppingTime | None = None
-    sigma: StoppingTime | None = None
     tv_stopped: float = 0.0
     m_l2_stopped: float = 0.0
     p_stop: float = 0.0
-    failure: str = ""
     witness: SimpleIntegrand | None = None
     decomposition: DoobDecomposition | None = None
 
@@ -330,7 +330,6 @@ class StageResult:
 
     certificates: tuple
     levels: tuple
-    eps: float
     c1: float | None
     c2: float | None
     qv_means: tuple
@@ -435,8 +434,7 @@ def discrete_stage(
         C = max(c1, c2)
         for n in levels:
             D = decs[n]
-            sigma = sigma_stop(S, n, c1)
-            rho = sigma.min_with(tau_stop(D, c2))
+            rho = sigma_stop(S, n, c1).min_with(tau_stop(D, c2))
             M_st = stop_process(D.M, rho)
             A_st = stop_process(D.A, rho)
             certs.append(
@@ -444,11 +442,8 @@ def discrete_stage(
                     level=n,
                     eps=eps,
                     passed=True,
-                    c1=c1,
-                    c2=c2,
                     C=C,
                     rho=rho,
-                    sigma=sigma,
                     tv_stopped=float(np.abs(A_st.increments()).sum(axis=1).max()),
                     m_l2_stopped=float(S.space.expectation(M_st.values[:, -1] ** 2)),
                     p_stop=rho.prob_finite(),
@@ -470,8 +465,6 @@ def discrete_stage(
                     level=n,
                     eps=eps,
                     passed=False,
-                    c1=c1,
-                    failure=failure,
                     witness=witness,
                 )
             )
@@ -480,7 +473,6 @@ def discrete_stage(
     return StageResult(
         certificates=tuple(certs),
         levels=levels,
-        eps=eps,
         c1=c1,
         c2=c2,
         qv_means=qv_means,

@@ -13,6 +13,7 @@ innovations already revealed.  The oracle makes level statistics
 available in ensemble mode, where the full tree is out of reach.
 """
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -51,6 +52,9 @@ class GeneratorSpec:
             raise ParameterError(f"unknown kind {self.kind!r}; choose one of {KINDS}")
         if self.level < 1 or int(self.level) != self.level:
             raise ParameterError(f"level must be a positive integer, got {self.level}")
+        for name in ("scale", "mu", "jump_size"):
+            if not math.isfinite(getattr(self, name)):
+                raise ParameterError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.scale > 0:
             raise ParameterError(f"scale must be > 0, got {self.scale}")
         if self.mode not in ("exact_tree", "ensemble"):
@@ -106,35 +110,48 @@ def _jump_col(n_steps: int) -> int:
     return n_steps // 2 - 1
 
 
-def _increment_pieces(spec: GeneratorSpec, xi: np.ndarray):
-    """Emitted increments of the kind for the given innovation rows, plus
-    the normalization factor that was applied."""
+def _raw_sup(spec: GeneratorSpec) -> float:
+    """The analytic supremum bound of the kind's raw construction (the
+    jump kind's bound leaves out its jump)."""
+    n = spec.level
+    if spec.kind in ("rademacher_bm", "jump"):
+        return spec.scale * 2.0 ** (n / 2)
+    if spec.kind == "drifted":
+        return spec.scale * 2.0 ** (n / 2) + spec.mu
+    if spec.kind == "rl_fractional":
+        q = spec.scale * rl_normalizer(spec.hurst, spec.n_steps)
+        return q * float(rl_cum_kernel(spec.hurst, np.arange(1, spec.n_steps + 1)).sum())
+    # deterministic_drift: the line t -> scale t
+    return spec.scale
+
+
+def bound_factor_for(spec: GeneratorSpec) -> float:
+    """The normalization divisor, a function of the spec alone."""
+    return max(1.0, _raw_sup(spec))
+
+
+def _emitted_increments(spec: GeneratorSpec, xi: np.ndarray) -> np.ndarray:
+    """Emitted increments of the kind for the given innovation rows."""
     n = spec.level
     L = spec.n_steps
     x = xi.astype(float)
+    B = bound_factor_for(spec)
     if spec.kind in ("rademacher_bm", "jump"):
-        raw_sup = spec.scale * 2.0 ** (n / 2)
         # scale cancels against the bound, leaving the exact dyadic 2^-n
-        coef = 2.0 ** (-n) if raw_sup >= 1.0 else spec.scale * 2.0 ** (-n / 2)
-        B = max(1.0, raw_sup)
+        coef = 2.0 ** (-n) if _raw_sup(spec) >= 1.0 else spec.scale * 2.0 ** (-n / 2)
         dS = coef * x
         if spec.kind == "jump":
             dS[:, _jump_col(L)] += spec.jump_size * x[:, _jump_col(L)]
-        return dS, B
+        return dS
     if spec.kind == "drifted":
-        raw_sup = spec.scale * 2.0 ** (n / 2) + spec.mu
-        B = max(1.0, raw_sup)
-        dS = (spec.scale * 2.0 ** (-n / 2) * x + spec.mu * 2.0 ** (-n)) / B
-        return dS, B
+        return (spec.scale * 2.0 ** (-n / 2) * x + spec.mu * 2.0 ** (-n)) / B
     if spec.kind == "rl_fractional":
         H = spec.hurst
         q = spec.scale * rl_normalizer(H, L)
-        raw_sup = q * float(rl_cum_kernel(H, np.arange(1, L + 1)).sum())
-        B = max(1.0, raw_sup)
         # lower-triangular Toeplitz of kernel values: row j holds k(j-i+1)
         offs = np.arange(L)[:, None] - np.arange(L)[None, :] + 1
         T = np.where(offs >= 1, rl_kernel(H, np.maximum(offs, 1)), 0.0)
-        return (q / B) * (x @ T.T), B
+        return (q / B) * (x @ T.T)
     raise ParameterError(f"kind {spec.kind!r} is not innovation-driven")
 
 
@@ -159,14 +176,11 @@ def oracle_increments(spec: GeneratorSpec, xi: np.ndarray, n: int) -> np.ndarray
     if spec.kind in ("rademacher_bm", "jump"):
         return np.zeros((rows, m_coarse))
     if spec.kind == "drifted":
-        raw_sup = spec.scale * 2.0 ** (spec.level / 2) + spec.mu
-        B = max(1.0, raw_sup)
-        return np.full((rows, m_coarse), spec.mu * 2.0 ** (-n) / B)
+        return np.full((rows, m_coarse), spec.mu * 2.0 ** (-n) / bound_factor_for(spec))
     if spec.kind == "rl_fractional":
         H = spec.hurst
         q = spec.scale * rl_normalizer(H, L)
-        raw_sup = q * float(rl_cum_kernel(H, np.arange(1, L + 1)).sum())
-        B = max(1.0, raw_sup)
+        B = bound_factor_for(spec)
         # W[m-1, i-1] = K(m Bs - i + 1) - K((m-1) Bs - i + 1) for i <= (m-1) Bs
         ends = (np.arange(1, m_coarse + 1) * Bs)[:, None]
         i = np.arange(1, L + 1)[None, :]
@@ -258,20 +272,15 @@ class Source:
 EnsembleProcess = Source
 
 
-def bound_factor_for(spec: GeneratorSpec) -> float:
-    """The normalization divisor, a function of the spec alone."""
-    return _increment_pieces(spec, np.zeros((1, spec.n_steps)))[1]
-
-
 def generate(spec: GeneratorSpec) -> Source:
     """Sample the process: every atom of the full tree in exact_tree mode,
     spec.paths equally likely paths in ensemble mode."""
     if spec.kind == "deterministic_drift":
         xi = None
-        values = (spec.scale / max(1.0, spec.scale)) * DyadicGrid(spec.level).times[None, :]
+        values = (spec.scale / bound_factor_for(spec)) * DyadicGrid(spec.level).times[None, :]
     else:
         xi = tree_innovations(spec.level) if spec.mode == "exact_tree" else _sample_innovations(spec)
-        values = _values_from_increments(_increment_pieces(spec, xi)[0])
+        values = _values_from_increments(_emitted_increments(spec, xi))
     _certify_bounded(spec, values)
     n = values.shape[0]
     return Source(spec, np.full(n, 1.0 / n), xi, values)

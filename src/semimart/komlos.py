@@ -173,14 +173,13 @@ def extract_convex_gram(
     gram: np.ndarray,
     tol: float = DEFAULT_TOL,
     window: int = DEFAULT_WINDOW,
-    min_converged: int = 2,
 ) -> ConvexWeights:
     """Core extraction, driven by the Gram matrix alone.
 
     Steps s = 0..k-2 use window {f_s, ..., f_{min(s+W,k)-1}} (width >= 2
     everywhere, nested tails once the prefix fits in the window).  The
-    converged tail must span at least `min_converged` steps, else
-    ConvergenceError carrying the error sequence.
+    converged tail must span at least two steps, else ConvergenceError
+    carrying the error sequence.
     """
     G = _check_gram(gram)
     k = G.shape[0]
@@ -233,9 +232,9 @@ def extract_convex_gram(
         if all(errors[t] <= tol for t in range(s, len(errors))):
             run_start = s
             break
-    if run_start is None or len(errors) - run_start < min_converged:
+    if run_start is None or len(errors) - run_start < 2:
         err = ConvergenceError(
-            f"no {min_converged}-step converged tail at tol {tol:g}; "
+            f"no 2-step converged tail at tol {tol:g}; "
             "certified errors " + ", ".join(f"{e:.3g}" for e in errors)
         )
         err.distances = errors
@@ -255,17 +254,10 @@ def extract_convex(
     tol: float = DEFAULT_TOL,
     prob: np.ndarray | None = None,
     window: int = DEFAULT_WINDOW,
-    min_converged: int = 2,
 ) -> tuple[ConvexWeights, np.ndarray]:
     """Extraction on a concrete sequence (rows); returns weights and the
     limit, which is the combination chosen at the final step."""
-    vecs = np.asarray(vectors, dtype=float)
-    if vecs.ndim == 1:
-        vecs = vecs[:, None]
-    cw = extract_convex_gram(
-        gram_matrix(vecs, prob), tol=tol, window=window, min_converged=min_converged
-    )
-    limit = cw.combination(cw.n_steps - 1, vecs)
+    cw, (limit,) = extract_convex_multi([vectors], tol=tol, prob=prob, window=window)
     return cw, limit
 
 
@@ -274,7 +266,6 @@ def extract_convex_multi(
     tol: float = DEFAULT_TOL,
     prob: np.ndarray | None = None,
     window: int = DEFAULT_WINDOW,
-    min_converged: int = 2,
 ) -> tuple[ConvexWeights, list[np.ndarray]]:
     """One weight schedule making several sequences converge at once.
 
@@ -299,6 +290,6 @@ def extract_convex_multi(
     total = np.zeros(shape)
     for g in mats:
         total += g
-    cw = extract_convex_gram(total, tol=tol, window=window, min_converged=min_converged)
+    cw = extract_convex_gram(total, tol=tol, window=window)
     limits = [cw.combination(cw.n_steps - 1, vecs) for vecs in arrays]
     return cw, limits

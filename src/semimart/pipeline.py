@@ -14,6 +14,7 @@ shifted/normalized onto the unit band the discrete stage expects, with
 both recorded and undone in the reported decomposition.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +22,7 @@ import numpy as np
 from .doob import (
     BOUND_TOL,
     IDENT_TOL,
+    LADDER_BASE,
     LADDER_MAX,
     StageResult,
     discrete_stage,
@@ -70,6 +72,12 @@ class DetectConfig:
             raise ParameterError(f"eps must lie in (0, 1), got {self.eps}")
         if not self.tol > 0:
             raise ParameterError(f"tol must be > 0, got {self.tol}")
+        if not (math.isfinite(self.ladder_max) and self.ladder_max >= LADDER_BASE):
+            raise ParameterError(
+                f"ladder_max must be finite and >= {LADDER_BASE:g}, got {self.ladder_max}"
+            )
+        if not self.window >= 2:
+            raise ParameterError(f"window must be >= 2, got {self.window}")
 
 
 @dataclass(frozen=True)
@@ -208,13 +216,11 @@ def extend_martingale(
 
 @dataclass(frozen=True)
 class StageStep:
-    """One extraction step of the continuous stage: the mixed indicator's
-    exit time, the step integrand's bounds, and the mixed processes."""
+    """One extraction step of the continuous stage: the level of its
+    first block member, the mixed indicator's exit time, the step
+    integrand's bounds, and the mixed processes."""
 
-    index: int
     level: int
-    start: int
-    weights: np.ndarray
     alpha_k: StoppingTime
     p_alpha_k: float
     rbar_terminal: np.ndarray
@@ -231,12 +237,9 @@ class ContinuousStage:
 
     ``stopped_source`` is S^alpha, and ``stopped_m`` / ``stopped_a`` hold
     each selected step's script-M and script-A stopped at alpha, in the
-    order of ``selected``; the assembly reads them instead of stopping
-    again."""
+    order of ``selected``; the assembly reads them, and the space of
+    ``stopped_source``, instead of stopping again."""
 
-    source: AdaptedProcess
-    certificates: tuple
-    levels: tuple
     eps: float
     C: float
     steps: tuple
@@ -250,12 +253,6 @@ class ContinuousStage:
     log: tuple
 
 
-def _pad_certificates(certs) -> tuple:
-    """Levels beyond the finest grid repeat the finest decomposition, so
-    the sequence fed to the extraction gets a saturated constant tail."""
-    return tuple(certs) + (certs[-1],) * PAD_COPIES
-
-
 def continuous_stage(
     source: AdaptedProcess,
     certs,
@@ -263,7 +260,12 @@ def continuous_stage(
     window: int = DEFAULT_WINDOW,
 ) -> ContinuousStage:
     """Mix the per-level stopped decompositions into the objects the
-    final assembly needs, verifying every bound along the way."""
+    final assembly needs, verifying every bound along the way.
+
+    Each certified level contributes one indicator 1[0, rho_n] and one
+    pair of stopped finest-grid increments, built once.  The sequence fed
+    to the extraction repeats the finest level PAD_COPIES more times, as
+    an index ``pos`` into the levels rather than as copies."""
     certs = tuple(certs)
     if not certs:
         raise ParameterError("need at least one certificate")
@@ -277,13 +279,12 @@ def continuous_stage(
     n_times = space.grid.n_times
     log = []
 
-    certs = _pad_certificates(certs)
-    levels = tuple(c.level for c in certs)
-    K = len(certs)
-    log.append(f"{K - PAD_COPIES} certificates, padded to {K} by repeating the finest level")
+    n = len(certs)
+    pos = np.minimum(np.arange(n + PAD_COPIES), n - 1)
+    log.append(f"{n} certificates, padded to {len(pos)} by repeating the finest level")
 
     # indicator of still running: R_t = 1 while t <= rho
-    R = np.empty((K, space.n_atoms, n_times))
+    R = np.empty((n, space.n_atoms, n_times))
     grid_idx = np.arange(n_times)
     for i, c in enumerate(certs):
         R[i] = grid_idx[None, :] <= c.rho.index[:, None]
@@ -291,24 +292,21 @@ def continuous_stage(
         if e_r1 < 1.0 - eps - BOUND_TOL:
             raise InvariantViolation(f"E[R_1] = {e_r1} below 1 - eps at position {i}")
 
-    cw, rbar_limit = extract_convex(
-        R[:, :, -1], tol=tol, prob=space.probs, window=window, min_converged=2
-    )
+    cw, rbar_limit = extract_convex(R[pos, :, -1], tol=tol, prob=space.probs, window=window)
     log.extend(cw.log)
 
-    # finest-grid extensions, shared by padded repeats
-    ext_cache: dict[int, tuple] = {}
+    # each level's finest-grid increments, stopped at its rho
+    inc_m = []
+    inc_a = []
     for i, c in enumerate(certs):
-        if id(c) not in ext_cache:
-            ext_cache[id(c)] = extend_martingale(c.decomposition, source, rho=c.rho, C=C)
-    dM = {k: np.diff(v[0].values, axis=1) for k, v in ext_cache.items()}
-    dA = {k: np.diff(v[1].values, axis=1) for k, v in ext_cache.items()}
-    dS = source.increments()
+        M_ext, A_ext = extend_martingale(c.decomposition, source, rho=c.rho, C=C)
+        inc_m.append(R[i][:, 1:] * M_ext.increments())
+        inc_a.append(R[i][:, 1:] * A_ext.increments())
 
     steps = []
     for s in range(cw.n_steps):
         blk = cw.blocks[s]
-        mu, idx = blk.weights, blk.indices
+        mu, idx = blk.weights, pos[blk.indices]
         rbar = np.einsum("k,kat->at", mu, R[idx])
         mask = rbar >= 0.5
         count = mask.sum(axis=1)
@@ -327,12 +325,13 @@ def continuous_stage(
         sbar_tv = float(np.abs(np.diff(w, axis=1)).sum(axis=1).max()) if w.shape[1] > 1 else 0.0
         if sbar_tv > 3.0 + BOUND_TOL:
             raise InvariantViolation(f"normalized integrand variation {sbar_tv} > 3 at step {s}")
-        dN_m = np.zeros_like(dS)
-        dN_a = np.zeros_like(dS)
+        # R is 0/1 and mu >= 0, so mu * (R dM) equals (mu R) dM up to the
+        # sign of a zero, which the +0 accumulators absorb
+        dN_m = np.zeros((space.n_atoms, n_times - 1))
+        dN_a = np.zeros((space.n_atoms, n_times - 1))
         for j, i in enumerate(idx):
-            key = id(certs[i])
-            dN_m += mu[j] * R[i][:, 1:] * dM[key]
-            dN_a += mu[j] * R[i][:, 1:] * dA[key]
+            dN_m += mu[j] * inc_m[i]
+            dN_a += mu[j] * inc_a[i]
         zeros = np.zeros((space.n_atoms, 1))
         m_script = AdaptedProcess(space, np.concatenate([zeros, np.cumsum(w * dN_m, axis=1)], axis=1))
         a_script = AdaptedProcess(space, np.concatenate([zeros, np.cumsum(w * dN_a, axis=1)], axis=1))
@@ -344,10 +343,7 @@ def continuous_stage(
             raise InvariantViolation(f"mix identity off by {resid} at step {s}")
         steps.append(
             StageStep(
-                index=s,
-                level=levels[blk.start],
-                start=blk.start,
-                weights=mu,
+                level=certs[idx[0]].level,
                 alpha_k=alpha_k,
                 p_alpha_k=p_k,
                 rbar_terminal=rbar[:, -1],
@@ -359,7 +355,7 @@ def continuous_stage(
         )
     # the rest of the stage reads only the steps; freeing these now keeps
     # the stopped mixes below from raising the peak
-    del R, ext_cache, dM, dA, dS
+    del R, inc_m, inc_a
 
     # subsequence selection: exact probabilities against the limit
     selected = []
@@ -406,9 +402,6 @@ def continuous_stage(
     log.append(f"selected-step bounds verified: E[M^2] <= {4 * C:g}, TV <= {tv_cap:g}")
 
     return ContinuousStage(
-        source=source,
-        certificates=certs,
-        levels=levels,
         eps=eps,
         C=C,
         steps=tuple(steps),
@@ -430,7 +423,7 @@ def assemble_decomposition(
 ) -> SemimartingaleCertificate:
     """One simultaneous extraction over the stopped mixed terminals and
     every per-time drift column; the limits define M and A."""
-    space = stage.source.space
+    space = stage.stopped_source.space
     seqs = [np.stack([m.values[:, -1] for m in stage.stopped_m])]
     for j in range(space.grid.n_times):
         seqs.append(np.stack([a.values[:, j] for a in stage.stopped_a]))
@@ -454,17 +447,16 @@ def assemble_decomposition(
 def _stage_table(stage: StageResult) -> tuple:
     """Per-level summary rows for reports."""
     rows = []
-    for i, n in enumerate(stage.levels):
-        cert = stage.certificates[i] if i < len(stage.certificates) else None
+    for i, cert in enumerate(stage.certificates):
         rows.append(
             {
-                "level": n,
+                "level": stage.levels[i],
                 "qv_mean": stage.qv_means[i],
                 "tv_mean": stage.tv_means[i],
                 "c1": stage.c1,
                 "c2": stage.c2,
-                "C": cert.C if cert is not None else None,
-                "p_stop": cert.p_stop if cert is not None else None,
+                "C": cert.C,
+                "p_stop": cert.p_stop,
             }
         )
     return tuple(rows)

@@ -279,6 +279,11 @@ class TestBudgetSearch:
         rungs = ladder(64.0)
         assert rungs == [8.0, 16.0, 32.0, 64.0]
 
+    def test_ladder_rejects_a_cap_that_is_not_finite(self):
+        # a nan cap used to give an empty ladder, read as "exhausted"
+        with pytest.raises(ParameterError, match="finite"):
+            ladder(float("nan"))
+
     def test_constant_process_certifies_first_rung(self):
         space, _ = canonical_walk(1)
         S = AdaptedProcess(space, np.zeros((4, 3)))

@@ -54,6 +54,16 @@ class TestSpecValidation:
         with pytest.raises(ParameterError):
             GeneratorSpec(kind="jump", level=2, jump_size=0.5)
 
+    @pytest.mark.parametrize(
+        "kind, field, value",
+        [("drifted", "mu", float("nan")), ("drifted", "mu", float("inf")),
+         ("jump", "jump_size", float("inf")), ("jump", "jump_size", float("nan")),
+         ("drifted", "scale", float("inf")), ("rademacher_bm", "scale", float("inf"))],
+    )
+    def test_values_must_be_finite(self, kind, field, value):
+        with pytest.raises(ParameterError, match=f"^{field} must be finite"):
+            GeneratorSpec(kind=kind, level=2, **{field: value})
+
 
 class TestKernel:
     """Moving-average kernel identities."""

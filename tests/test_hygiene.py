@@ -4,6 +4,9 @@ Every name a module of src/semimart imports must be used in that module.
 An import kept for another reader (a name wrapped from outside the
 package, say) is marked on its statement with ``# noqa: F401``.  The
 package's ``__init__.py`` re-exports by design and is not checked.
+
+Every module-level function and class must be read somewhere in the
+package outside its own definition, or be listed in ``__all__``.
 """
 
 import ast
@@ -57,3 +60,63 @@ def test_an_unused_import_is_found(tmp_path):
         "y = os.path.join('a')\n"
     )
     assert unused_imports(module) == [(1, "math"), (3, "arr")]
+
+
+def exported_names() -> set:
+    """The names the package's ``__init__.py`` lists in ``__all__``."""
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+def unreferenced_definitions(paths, exported) -> list:
+    """(module, name) of each module-level function or class that no
+    module reads outside the definition itself and that is not exported."""
+    trees = {path.name: ast.parse(path.read_text()) for path in paths}
+    defined = [
+        (module, node)
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+    ]
+    out = []
+    for module, definition in defined:
+        inside = {id(node) for node in ast.walk(definition)}
+        referenced = any(
+            id(node) not in inside
+            and (
+                (isinstance(node, ast.Name) and node.id == definition.name)
+                or (isinstance(node, ast.Attribute) and node.attr == definition.name)
+            )
+            for tree in trees.values()
+            for node in ast.walk(tree)
+        )
+        if not referenced and definition.name not in exported:
+            out.append((module, definition.name))
+    return out
+
+
+def test_every_module_level_definition_is_read_or_exported():
+    assert unreferenced_definitions(sorted(PACKAGE.glob("*.py")), exported_names()) == []
+
+
+def test_an_unreferenced_definition_is_found(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "def used():\n    return 1\n\n"
+        "def recursive(n):\n    return recursive(n - 1) if n else 0\n\n"
+        "def exported():\n    pass\n\n"
+        "class Lonely:\n    pass\n"
+    )
+    (tmp_path / "b.py").write_text(
+        "from .a import used\n\n"
+        "def caller():\n    return used()\n\n"
+        "class Holder:\n    def method(self, a):\n        return a.caller\n"
+    )
+    paths = sorted(tmp_path.glob("*.py"))
+    assert unreferenced_definitions(paths, {"exported"}) == [
+        ("a.py", "recursive"), ("a.py", "Lonely"), ("b.py", "Holder"),
+    ]

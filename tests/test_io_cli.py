@@ -587,6 +587,52 @@ class TestCliFlows:
         assert rc == 2
         assert "parameter error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "kind, flag, value, field",
+        [("drifted", "--mu", "nan", "mu"), ("jump", "--jump-size", "inf", "jump_size"),
+         ("drifted", "--scale", "inf", "scale")],
+    )
+    def test_generate_rejects_values_that_are_not_finite(self, tmp_path, capsys, kind, flag,
+                                                         value, field):
+        out = str(tmp_path / "gen.jsonl")
+        rc = main(["generate", "--kind", kind, "--level", "2", flag, value, "--out", out])
+        assert rc == 2
+        assert f"{field} must be finite" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    # the ladder is only read on the free-lunch paths these two sources take
+    # with the bad value: a nan cap empties it, and window 1 never reaches komlos
+    @pytest.mark.parametrize(
+        "spec, flag, value, field",
+        [(dict(kind="rademacher_bm", level=2, seed=1), "--ladder-max", "nan", "ladder_max"),
+         (dict(kind="rl_fractional", level=3, hurst=0.75), "--window", "1", "window")],
+    )
+    def test_detect_rejects_a_ladder_or_window_the_stages_cannot_use(self, tmp_path, capsys,
+                                                                      spec, flag, value, field):
+        src = str(tmp_path / "src.jsonl")
+        write_spec(src, GeneratorSpec(**spec))
+        report = str(tmp_path / "report.json")
+        rc = main(["detect", src, flag, value, "--out", report])
+        assert rc == 2
+        assert f"{field} must be" in capsys.readouterr().err
+        assert not os.path.exists(report)
+
+    def test_verify_rejects_a_body_config_ladder_that_is_not_finite(self, tmp_path, capsys):
+        src = walk_file(tmp_path, level=2, seed=1)
+        report = str(tmp_path / "report.json")
+        assert main(["detect", src, "--out", report]) == 0
+        with open(report) as fh:
+            doc = json.load(fh)
+        doc["body"]["config"]["ladder_max"] = "nan"
+        with open(report, "w") as fh:
+            json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
+        capsys.readouterr()
+
+        rc = main(["verify", report])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "report.body.config: ladder_max must be finite" in err
+
     @staticmethod
     def non_adapted_walk(tmp_path, col) -> str:
         """A level-2 walk file with atom 0's v[col] raised by 0.01, which

@@ -10,7 +10,9 @@ are the same question.
 import numpy as np
 import pytest
 
+import semimart.pipeline as pipeline
 from semimart.doob import (
+    StageCertificate,
     _ladder_search,
     _predictable,
     doob_decompose,
@@ -21,6 +23,8 @@ from semimart.doob import (
 )
 from semimart.errors import InvariantViolation
 from semimart.integrands import _measurable_at
+from semimart.komlos import ConvexWeights, WeightBlock
+from semimart.pipeline import PAD_COPIES, continuous_stage
 from semimart.space import (
     AdaptedProcess,
     DyadicGrid,
@@ -28,7 +32,10 @@ from semimart.space import (
     StoppingTime,
     check_stopping_time,
     first_hitting_time,
+    stop_process,
 )
+
+from helpers import per_position_mixes
 
 SEEDS = range(25)
 
@@ -193,3 +200,75 @@ def test_ladder_rungs_match_the_stopping_times(seed):
 
                 assert search(p[c]) is None
                 assert search(np.nextafter(p[c], np.inf)) == min(r for r in p if p[r] == p[c])
+
+
+def random_rho(rng, Sn, eps):
+    """A stopping time on Sn's sample times from random cell events,
+    redrawn until it stops some paths before the last time and stops with
+    probability below eps."""
+    space = Sn.space
+    while True:
+        hit = np.column_stack(
+            [rng.integers(0, 4, lab.max() + 1)[lab] == 0 for lab in space.labels[Sn.time_index]]
+        )
+        rho = first_hitting_time(Sn, hit)
+        if (rho.index < space.grid.n_times - 1).any() and rho.prob_finite() < eps:
+            return rho
+
+
+def random_extraction(rng, n_levels):
+    """A stand-in for the extraction over the padded positions: a random
+    convex block at every step, where the blocks from step n_levels - 1
+    on touch only the finest level's copies, so those steps share the
+    limit and the subsequence selection passes."""
+    K = n_levels + PAD_COPIES
+
+    def extract(vectors, tol, **_):
+        blocks = []
+        for s in range(K - 1):
+            start = s if s >= n_levels - 1 else int(rng.integers(s, K - 1))
+            width = int(rng.integers(1, K - start + 1))
+            blocks.append(WeightBlock(start, rng.dirichlet(np.ones(width))))
+        cw = ConvexWeights(tuple(blocks), (0.0,) * (K - 1), n_levels - 1, tol, ())
+        return cw, cw.combination(K - 2, vectors)
+
+    return extract
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_level_mixes_match_the_per_position_reference(seed, monkeypatch):
+    """The continuous stage mixes each level once and reads padded
+    positions through an index; its script-M and script-A must equal the
+    per-position mixing bit for bit, with stopping times that cut some
+    paths early so that R has zeros."""
+    rng = np.random.default_rng(seed)
+    space = random_space(rng)
+    # |S| <= 3/8 keeps the extension's drift inside its 2-band on any partition
+    values = cell_values(rng, space.labels) / 8.0
+    values[:, 0] = 0.0
+    S = AdaptedProcess(space, values)
+    eps = 0.5
+    certs = []
+    for n in range(1, space.grid.level + 1):
+        D = doob_decompose(S, n)
+        rho = random_rho(rng, restrict_to_level(S, n), eps)
+        certs.append(StageCertificate(
+            level=n, eps=eps, passed=True, C=256.0, rho=rho,
+            tv_stopped=float(np.abs(stop_process(D.A, rho).increments()).sum(axis=1).max()),
+            m_l2_stopped=float(space.expectation(stop_process(D.M, rho).values[:, -1] ** 2)),
+            p_stop=rho.prob_finite(), decomposition=D,
+        ))
+    made = []
+    extract = random_extraction(rng, len(certs))
+
+    def recorded(*args, **kwargs):
+        made.append(extract(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(pipeline, "extract_convex", recorded)
+    cstage = continuous_stage(S, certs)
+    expected = per_position_mixes(S, certs, made[0][0])
+    assert len(cstage.steps) == len(expected)
+    for step, (m_ref, a_ref) in zip(cstage.steps, expected):
+        assert np.array_equal(step.m_script.values.view(np.uint64), m_ref.view(np.uint64))
+        assert np.array_equal(step.a_script.values.view(np.uint64), a_ref.view(np.uint64))

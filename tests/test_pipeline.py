@@ -190,11 +190,8 @@ class TestContinuousStage:
                     level=3,
                     eps=eps,
                     passed=True,
-                    c1=8.0,
-                    c2=8.0,
                     C=8.0,
                     rho=rho,
-                    sigma=rho,
                     tv_stopped=float(np.abs(A_st.increments()).sum(axis=1).max()),
                     m_l2_stopped=float(space.expectation(M_st.values[:, -1] ** 2)),
                     p_stop=rho.prob_finite(),
@@ -213,7 +210,7 @@ class TestContinuousStage:
 
     def test_failed_certificates_rejected(self):
         space, S = canonical_walk(2)
-        bad = StageCertificate(level=1, eps=0.1, passed=False, failure="tv-growth")
+        bad = StageCertificate(level=1, eps=0.1, passed=False)
         with pytest.raises(PreconditionError):
             continuous_stage(S, (bad,))
 
@@ -365,6 +362,16 @@ class TestDetect:
             DetectConfig(eps=0.0)
         with pytest.raises(ParameterError):
             DetectConfig(tol=-1e-8)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("ladder_max", float("nan")), ("ladder_max", float("inf")), ("ladder_max", 4.0),
+         ("window", 1)],
+        ids=["ladder-nan", "ladder-inf", "ladder-below-base", "window-1"],
+    )
+    def test_config_rejects_a_ladder_or_window_the_stages_cannot_use(self, field, value):
+        with pytest.raises(ParameterError, match=f"^{field} must be"):
+            DetectConfig(**{field: value})
 
     def test_half_level_localization_and_normalization_constants(self):
         source = generate(GeneratorSpec(kind="rademacher_bm", level=2))
