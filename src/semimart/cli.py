@@ -13,7 +13,7 @@ import sys
 
 import numpy as np
 
-from .doob import LADDER_MAX, doob_decompose
+from .doob import doob_decompose
 from .errors import (
     ConvergenceError,
     InvariantViolation,
@@ -22,7 +22,7 @@ from .errors import (
     ResourceLimitError,
     StructuralError,
 )
-from .generators import DEFAULT_PATHS, KINDS, GeneratorSpec, generate
+from .generators import KINDS, GeneratorSpec, generate
 from .integrands import SimpleIntegrand, StrategySequence, continuity_probe
 from .io import (
     array_payload,
@@ -213,13 +213,13 @@ def build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("generate", help="sample a process and write an ensemble file")
     gen.add_argument("--kind", required=True, choices=KINDS)
     gen.add_argument("--level", required=True, type=int)
-    gen.add_argument("--scale", type=float, default=1.0)
-    gen.add_argument("--seed", type=int, default=0)
+    gen.add_argument("--scale", type=float, default=GeneratorSpec.scale)
+    gen.add_argument("--seed", type=int, default=GeneratorSpec.seed)
     gen.add_argument("--mode", choices=("exact", "ensemble"), default="exact")
-    gen.add_argument("--paths", type=int, default=DEFAULT_PATHS)
-    gen.add_argument("--hurst", type=float, default=0.75)
-    gen.add_argument("--mu", type=float, default=0.5)
-    gen.add_argument("--jump-size", type=float, default=1.5)
+    gen.add_argument("--paths", type=int, default=GeneratorSpec.paths)
+    gen.add_argument("--hurst", type=float, default=GeneratorSpec.hurst)
+    gen.add_argument("--mu", type=float, default=GeneratorSpec.mu)
+    gen.add_argument("--jump-size", type=float, default=GeneratorSpec.jump_size)
     gen.add_argument("--out")
     gen.set_defaults(func=cmd_generate)
 
@@ -231,11 +231,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     det = sub.add_parser("detect", help="run the dichotomy and write a report")
     det.add_argument("input")
-    det.add_argument("--eps", type=float, default=0.1)
-    det.add_argument("--tol", type=float, default=1e-8)
+    det.add_argument("--eps", type=float, default=DetectConfig.eps)
+    det.add_argument("--tol", type=float, default=DetectConfig.tol)
     det.add_argument("--levels", help="comma-separated level list, default 1..file level")
-    det.add_argument("--ladder-max", type=float, default=LADDER_MAX)
-    det.add_argument("--window", type=int, default=16)
+    det.add_argument("--ladder-max", type=float, default=DetectConfig.ladder_max)
+    det.add_argument("--window", type=int, default=DetectConfig.window)
     det.add_argument("--out")
     det.add_argument("--csv", help="also write plot-ready series to this CSV path")
     det.set_defaults(func=cmd_detect)
@@ -259,10 +259,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ParameterError as exc:
-        print(f"parameter error: {exc}", file=sys.stderr)
-        return EXIT_PARAMETER
-    except (PreconditionError, StructuralError, ResourceLimitError) as exc:
+    except (ParameterError, PreconditionError, StructuralError, ResourceLimitError) as exc:
         print(f"parameter error: {exc}", file=sys.stderr)
         return EXIT_PARAMETER
     except (InvariantViolation, ConvergenceError) as exc:

@@ -288,47 +288,47 @@ def doob_maximal_stop(D: DoobDecomposition, h: SimpleIntegrand, c2: float) -> St
 
 @dataclass(frozen=True)
 class StageCertificate:
-    """Per-level outcome of the discrete stage.
-
-    A passing certificate pins the stopping time rho (quadratic cut at c1
-    meets drift cut at c2), the budget C = max(c1, c2), the verified
-    bounds and the level decomposition; a failing certificate instead
-    carries only the finished witness strategy for the free-lunch branch.
-    The budgets c1, c2 and the failure reason are the stage's, kept once
-    on `StageResult`.
+    """One certified level of the discrete stage: the stopping time rho
+    (quadratic cut at c1 meets drift cut at c2), the budget
+    C = max(c1, c2), the verified stopped bounds and the level
+    decomposition.  The budgets c1, c2 are the stage's, kept once on
+    `StageResult`.
     """
 
     level: int
     eps: float
-    passed: bool
-    C: float | None = None
-    rho: StoppingTime | None = None
-    tv_stopped: float = 0.0
-    m_l2_stopped: float = 0.0
-    p_stop: float = 0.0
-    witness: SimpleIntegrand | None = None
-    decomposition: DoobDecomposition | None = None
+    C: float
+    rho: StoppingTime
+    tv_stopped: float
+    m_l2_stopped: float
+    p_stop: float
+    decomposition: DoobDecomposition
 
     def __post_init__(self):
-        if self.passed:
-            bad = []
-            if self.tv_stopped > self.C + BOUND_TOL:
-                bad.append(f"TV {self.tv_stopped} > C {self.C}")
-            if self.m_l2_stopped > self.C + BOUND_TOL:
-                bad.append(f"E[M_1^2] {self.m_l2_stopped} > C {self.C}")
-            if not self.p_stop < self.eps:
-                bad.append(f"P[rho<inf] {self.p_stop} >= eps {self.eps}")
-            # ensemble decompositions carry sampling noise in the L2 bound;
-            # their certificates are provisional and never leave the pipeline
-            if bad and not (self.decomposition is not None and self.decomposition.analytic):
-                raise InvariantViolation("certificate bounds failed: " + "; ".join(bad))
+        bad = []
+        if self.tv_stopped > self.C + BOUND_TOL:
+            bad.append(f"TV {self.tv_stopped} > C {self.C}")
+        if self.m_l2_stopped > self.C + BOUND_TOL:
+            bad.append(f"E[M_1^2] {self.m_l2_stopped} > C {self.C}")
+        if not self.p_stop < self.eps:
+            bad.append(f"P[rho<inf] {self.p_stop} >= eps {self.eps}")
+        # ensemble decompositions carry sampling noise in the L2 bound;
+        # their certificates are provisional and never leave the pipeline
+        if bad and not self.decomposition.analytic:
+            raise InvariantViolation("certificate bounds failed: " + "; ".join(bad))
 
 
 @dataclass(frozen=True)
 class StageResult:
-    """All certificates of a discrete stage plus the search/guard log."""
+    """The outcome of a discrete stage plus its search/guard log.
+
+    A passing stage holds one certificate per level and no witnesses.  A
+    failing stage names its failure and holds, instead of certificates,
+    one finished witness strategy per level for the free-lunch branch.
+    """
 
     certificates: tuple
+    witnesses: tuple
     levels: tuple
     c1: float | None
     c2: float | None
@@ -339,7 +339,7 @@ class StageResult:
 
     @property
     def passed(self) -> bool:
-        return all(c.passed for c in self.certificates)
+        return not self.failure
 
 
 # A strictly growing per-level mean is the finite surrogate for an
@@ -365,17 +365,18 @@ def discrete_stage(
     ladder_max: float = LADDER_MAX,
     decomposer=None,
 ) -> StageResult:
-    """Run the per-level budget searches and emit certificates.
+    """Run the per-level budget searches and emit certificates or witnesses.
 
-    On success each level gets rho_n = sigma_n(c1) ^ tau_n(c2) with
-    C = max(c1, c2); both searches demand stop probability < eps/2 at
-    every level simultaneously.  A search fails when its ladder is
-    exhausted or when the growth guard extrapolates that no budget can
-    hold at all levels (the operational reading of unbounded variation);
-    failed levels carry finished witness strategies instead of stopping
-    times: the qv strategy, or on the drift side sign(A^sigma_n(c1)) cut
-    where its martingale integral reaches sqrt(8 c1 / eps), which the
-    maximal inequality makes rare and which bounds the drawdown.
+    Every level must lie in 1..finest.  On success each level gets
+    rho_n = sigma_n(c1) ^ tau_n(c2) with C = max(c1, c2); both searches
+    demand stop probability < eps/2 at every level simultaneously.  A
+    search fails when its ladder is exhausted or when the growth guard
+    extrapolates that no budget can hold at all levels (the operational
+    reading of unbounded variation); a failed stage yields one finished
+    witness strategy per level instead of certificates: the qv strategy,
+    or on the drift side sign(A^sigma_n(c1)) cut where its martingale
+    integral reaches sqrt(8 c1 / eps), which the maximal inequality makes
+    rare and which bounds the drawdown.
     """
     if not 0 < eps < 1:
         raise ParameterError(f"eps must lie in (0, 1), got {eps}")
@@ -388,9 +389,8 @@ def discrete_stage(
         )
     levels = tuple(sorted(set(int(n) for n in levels)))
     finest = S.space.grid.level
-    if any(n < 1 for n in levels):
-        raise ParameterError("levels must be >= 1")
-    levels = tuple(n for n in levels if n <= finest) or (finest,)
+    if not levels or levels[0] < 1 or levels[-1] > finest:
+        raise ParameterError(f"levels must lie in 1..{finest}, got {list(levels)}")
 
     decomposer = decomposer or doob_decompose
     log = []
@@ -430,6 +430,7 @@ def discrete_stage(
                 failure = "tv-ladder"
 
     certs = []
+    witnesses = []
     if not failure:
         C = max(c1, c2)
         for n in levels:
@@ -441,7 +442,6 @@ def discrete_stage(
                 StageCertificate(
                     level=n,
                     eps=eps,
-                    passed=True,
                     C=C,
                     rho=rho,
                     tv_stopped=float(np.abs(A_st.increments()).sum(axis=1).max()),
@@ -460,18 +460,12 @@ def discrete_stage(
                 D = decs[n]
                 witness = sign_strategy(D, sigma_stop(S, n, c1))
                 witness = witness.truncate(doob_maximal_stop(D, witness, math.sqrt(8.0 * c1 / eps)))
-            certs.append(
-                StageCertificate(
-                    level=n,
-                    eps=eps,
-                    passed=False,
-                    witness=witness,
-                )
-            )
+            witnesses.append(witness)
         log.append(f"stage failed ({failure}); emitted witness strategies per level")
 
     return StageResult(
         certificates=tuple(certs),
+        witnesses=tuple(witnesses),
         levels=levels,
         c1=c1,
         c2=c2,

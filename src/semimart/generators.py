@@ -26,6 +26,8 @@ from .space import AdaptedProcess, DyadicGrid, FilteredSpace, tree_innovations
 KINDS = ("rademacher_bm", "drifted", "rl_fractional", "jump", "deterministic_drift")
 MAX_ENSEMBLE_LEVEL = 10
 DEFAULT_PATHS = 16384
+# paths x steps of the largest ensemble (default paths at level 10, ~2.3 GB peak)
+MAX_ENSEMBLE_CELLS = DEFAULT_PATHS << MAX_ENSEMBLE_LEVEL
 SUP_TOL = 1e-12
 
 
@@ -70,6 +72,11 @@ class GeneratorSpec:
             if p < 2 or p & (p - 1):
                 raise ParameterError(
                     f"paths must be a power of two >= 2 for exact dyadic probabilities, got {p}"
+                )
+            if p << self.level > MAX_ENSEMBLE_CELLS:
+                raise ResourceLimitError(
+                    f"paths: {p} paths of 2^{self.level} steps exceed the "
+                    f"{MAX_ENSEMBLE_CELLS} innovation cells ensemble mode supports"
                 )
         if not 0 < self.hurst < 1:
             raise ParameterError(f"hurst must lie in (0, 1), got {self.hurst}")
@@ -202,11 +209,12 @@ def _certify_bounded(spec: GeneratorSpec, values: np.ndarray):
 
 
 def _sample_innovations(spec: GeneratorSpec) -> np.ndarray:
-    """One +/-1 row per path, each from its own spawned seed stream."""
-    children = np.random.SeedSequence(spec.seed).spawn(spec.paths)
+    """One +/-1 row per path, each from its own spawned seed stream; spawns
+    are numbered consecutively, so row r reads the r-th child's stream."""
+    root = np.random.SeedSequence(spec.seed)
     xi = np.empty((spec.paths, spec.n_steps), dtype=np.int8)
-    for row, child in enumerate(children):
-        bits = np.random.default_rng(child).integers(0, 2, size=spec.n_steps)
+    for row in range(spec.paths):
+        bits = np.random.default_rng(root.spawn(1)[0]).integers(0, 2, size=spec.n_steps)
         xi[row] = 1 - 2 * bits
     return xi
 

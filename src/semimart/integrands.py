@@ -101,10 +101,6 @@ class SimpleIntegrand:
                     f"weight {j} is not measurable at the preceding mesh time"
                 )
 
-    @property
-    def n_intervals(self) -> int:
-        return len(self.mesh) - 1
-
     def sup_norm(self) -> float:
         return float(np.abs(self.weights).max()) if self.weights.size else 0.0
 

@@ -135,19 +135,33 @@ class FreeLunchEvidence:
     kind = "free_lunch"
 
     def __post_init__(self):
-        li, vr, fl = self.strategies.li, self.strategies.vr, self.strategies.fl
-        if not (li and vr and fl):
+        seq = self.strategies
+        if not (seq.li and seq.vr and seq.fl):
             raise ParameterError("evidence requires evaluated diagnostics")
-        if any(b >= a for a, b in zip(li, li[1:])) or not li[-1] < FL_TARGET:
-            raise InvariantViolation(f"position sizes not strictly decreasing below {FL_TARGET}: {li}")
-        if not vr[-1] < FL_TARGET:
-            raise InvariantViolation(f"final drawdown {vr[-1]} not below {FL_TARGET}")
+        broken = _broken_evidence_rule(seq, self.alpha_star)
+        if broken:
+            raise InvariantViolation(broken)
         if not self.alpha_star > 0:
             raise InvariantViolation("alpha_star must be positive")
-        if any(p < self.alpha_star for p in fl):
-            raise InvariantViolation(
-                f"win probability dropped below alpha_star={self.alpha_star}: {fl}"
-            )
+
+
+def _broken_evidence_rule(seq: StrategySequence, alpha_star: float) -> str | None:
+    """The first free-lunch evidence rule the sequence breaks, or None:
+    li strictly decreasing and below FL_TARGET, the final vr below it,
+    and every fl at least alpha_star."""
+    li, vr, fl = seq.li, seq.vr, seq.fl
+    if not (all(b < a for a, b in zip(li, li[1:])) and li[-1] < FL_TARGET):
+        return f"position sizes not strictly decreasing below {FL_TARGET}: {li}"
+    if not vr[-1] < FL_TARGET:
+        return f"final drawdown {vr[-1]} not below {FL_TARGET}"
+    if not all(p >= alpha_star for p in fl):
+        return f"win probability dropped below alpha_star={alpha_star}: {fl}"
+    return None
+
+
+def _tv_cap(C: float) -> float:
+    """The certified bound 6(C+2)+2C on the drift's total variation."""
+    return 6.0 * (C + 2.0) + 2.0 * C
 
 
 @dataclass(frozen=True)
@@ -269,8 +283,6 @@ def continuous_stage(
     certs = tuple(certs)
     if not certs:
         raise ParameterError("need at least one certificate")
-    if any(not c.passed for c in certs):
-        raise PreconditionError("continuous stage requires all certificates to have passed")
     eps = certs[0].eps
     C = certs[0].C
     if any(c.eps != eps or c.C != C for c in certs):
@@ -381,7 +393,7 @@ def continuous_stage(
     log.append(f"alpha fixed from {len(selected)} selected steps; P[alpha<inf] = {p_alpha:g}")
 
     # stopped-mix bounds on the selected steps
-    tv_cap = 6.0 * (C + 2.0) + 2.0 * C
+    tv_cap = _tv_cap(C)
     stopped_source = stop_process(source, alpha)
     stopped_m = tuple(stop_process(steps[s].m_script, alpha) for s in selected)
     stopped_a = tuple(stop_process(steps[s].a_script, alpha) for s in selected)
@@ -433,33 +445,25 @@ def assemble_decomposition(
     A = AdaptedProcess(space, np.column_stack(limits[1:]))
 
     resid_sum = float(np.abs(M.values + A.values - stage.stopped_source.values).max())
-    tv_cap = 6.0 * (stage.C + 2.0) + 2.0 * stage.C
     return SemimartingaleCertificate(
         M=M,
         A=A,
         alpha=stage.alpha,
-        constants={"C": stage.C, "tv_bound": tv_cap, "eps": stage.eps},
+        constants={"C": stage.C, "tv_bound": _tv_cap(stage.C), "eps": stage.eps},
         residuals={"decomposition": resid_sum},
         log=stage.log + tuple(cw.log),
     )
 
 
 def _stage_table(stage: StageResult) -> tuple:
-    """Per-level summary rows for reports."""
-    rows = []
-    for i, cert in enumerate(stage.certificates):
-        rows.append(
-            {
-                "level": stage.levels[i],
-                "qv_mean": stage.qv_means[i],
-                "tv_mean": stage.tv_means[i],
-                "c1": stage.c1,
-                "c2": stage.c2,
-                "C": cert.C,
-                "p_stop": cert.p_stop,
-            }
-        )
-    return tuple(rows)
+    """One report row per level of the stage; a failed stage certifies no
+    level, so its rows carry no budget C and a stop probability of 0."""
+    certs = stage.certificates or (None,) * len(stage.levels)
+    return tuple(
+        {"level": n, "qv_mean": qv, "tv_mean": tv, "c1": stage.c1, "c2": stage.c2,
+         "C": cert.C if cert else None, "p_stop": cert.p_stop if cert else 0.0}
+        for n, qv, tv, cert in zip(stage.levels, stage.qv_means, stage.tv_means, certs)
+    )
 
 
 def _alpha_dagger(gains: np.ndarray, probs: np.ndarray) -> float:
@@ -480,17 +484,17 @@ def _free_lunch(
     Y: AdaptedProcess,
     stage: StageResult,
     log: list,
+    table: tuple,
 ):
     """Scale the witnesses, finished by ``discrete_stage``, into a strategy
     sequence with vanishing size and drawdown; Inconclusive when the
-    logged rule fails."""
-    table = _stage_table(stage)
+    logged rule fails.  ``table`` is the stage's report rows."""
     qv_side = stage.failure.startswith("qv")
     log.append(f"free-lunch branch ({stage.failure}); witnesses from the {'quadratic' if qv_side else 'drift'} side")
 
     # each strategy is integrated once, against Y here and against S below;
     # terminals, harvests, drawdowns and win odds are all read off those
-    bases = [cert.witness for cert in stage.certificates]
+    bases = stage.witnesses
     harvests = []
     vr_raw = []
     for H in bases:
@@ -536,13 +540,7 @@ def _free_lunch(
         f"alpha* = {alpha_star:.6g}; li = {[f'{x:.3g}' for x in seq.li]}, "
         f"vr = {[f'{x:.3g}' for x in seq.vr]}, fl = {[f'{x:.3g}' for x in seq.fl]}"
     )
-    ok = (
-        all(b < a for a, b in zip(seq.li, seq.li[1:]))
-        and seq.li[-1] < FL_TARGET
-        and seq.vr[-1] < FL_TARGET
-        and all(p >= alpha_star for p in seq.fl)
-    )
-    if not ok:
+    if _broken_evidence_rule(seq, alpha_star):
         return Inconclusive("scaled witnesses break the evidence rule against the original process",
                             tuple(log), table)
     return FreeLunchEvidence(
@@ -589,7 +587,7 @@ def detect(source, config: DetectConfig | None = None):
     table = _stage_table(stage)
 
     if not stage.passed:
-        return _free_lunch(S, Y, stage, log)
+        return _free_lunch(S, Y, stage, log, table)
 
     if source.spec.mode == "ensemble":
         return Inconclusive(

@@ -416,8 +416,9 @@ class TestDiscreteStage:
         assert stage.passed
         assert stage.failure == ""
         assert stage.c1 == 8.0 and stage.c2 == 8.0
+        assert stage.witnesses == ()
+        assert [cert.level for cert in stage.certificates] == [1, 2, 3]
         for cert in stage.certificates:
-            assert cert.passed
             assert cert.C == 8.0
             assert cert.rho.prob_finite() == 0.0
             assert cert.p_stop < 0.1
@@ -434,9 +435,12 @@ class TestDiscreteStage:
         stage = discrete_stage(S, (1, 2, 3, 4), 0.1)
         assert not stage.passed
         assert stage.failure == "tv-growth"
-        for cert in stage.certificates:
-            assert not cert.passed
-            assert cert.witness is not None
+        assert stage.certificates == ()
+        assert len(stage.witnesses) == len(stage.levels) == 4
+        for n, witness in zip(stage.levels, stage.witnesses):
+            # the level-n grid mesh plus the cap's closing interval
+            assert witness.space is S.space
+            assert len(witness.mesh) == (1 << n) + 2
         # the level means that triggered the guard grow strictly
         assert all(
             b > 1.05 * a for a, b in zip(stage.tv_means, stage.tv_means[1:])
@@ -469,6 +473,13 @@ class TestDiscreteStage:
         with pytest.raises(ParameterError):
             discrete_stage(S, (1, 2), 2.0)
 
+    def test_levels_above_the_finest_are_rejected(self):
+        space, S = canonical_walk(2)
+        with pytest.raises(ParameterError, match=r"levels must lie in 1\.\.2, got \[9\]"):
+            discrete_stage(S, (9,), 0.1)
+        with pytest.raises(ParameterError, match="levels"):
+            discrete_stage(S, (1, 3), 0.1)
+
 
 def drift_side_case(name):
     """(S, decomposer, levels, eps) of a source that fails on the drift side."""
@@ -493,12 +504,14 @@ def test_drift_witness_is_the_capped_sign_strategy(name):
     # the witnesses' weights are signs, so whole-number values keep the
     # brute-force integral in assert_same_integrand exact
     probe = AdaptedProcess(S.space, np.round(8.0 * S.values))
-    for cert in stage.certificates:
-        assert cert.decomposition is None
-        D = decompose(S, cert.level)
-        H = sign_strategy(D, sigma_stop(S, cert.level, stage.c1))
+    assert stage.certificates == ()
+    assert stage.levels == levels
+    assert len(stage.witnesses) == len(levels)
+    for n, witness in zip(stage.levels, stage.witnesses):
+        D = decompose(S, n)
+        H = sign_strategy(D, sigma_stop(S, n, stage.c1))
         ref = H.truncate(doob_maximal_stop(D, H, math.sqrt(8.0 * stage.c1 / eps)))
-        assert_same_integrand(cert.witness, ref, probe)
+        assert_same_integrand(witness, ref, probe)
     if name == "rare-jump":
         # the cap stops some atoms and not others
-        assert stage.certificates[-1].witness._eff.shape[0] == S.space.n_atoms
+        assert stage.witnesses[-1]._eff.shape[0] == S.space.n_atoms

@@ -46,6 +46,17 @@ class TestSpecValidation:
         with pytest.raises(ResourceLimitError):
             GeneratorSpec(kind="rademacher_bm", level=11, mode="ensemble", paths=16)
 
+    @pytest.mark.parametrize("level, paths", [(10, 1 << 15), (1, 1 << 24), (4, 1 << 30)])
+    def test_ensemble_cells_cap(self, level, paths):
+        # only specs are built: the refused sizes would not fit in memory
+        with pytest.raises(ResourceLimitError, match="^paths"):
+            GeneratorSpec(kind="rademacher_bm", level=level, mode="ensemble", paths=paths)
+
+    @pytest.mark.parametrize("level, paths", [(10, 1 << 14), (1, 1 << 23)])
+    def test_ensemble_cells_cap_admits_the_largest_supported(self, level, paths):
+        assert GeneratorSpec(kind="rademacher_bm", level=level, mode="ensemble",
+                             paths=paths).paths == paths
+
     def test_hurst_range(self):
         with pytest.raises(ParameterError):
             GeneratorSpec(kind="rl_fractional", level=2, hurst=1.0)

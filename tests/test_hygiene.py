@@ -7,6 +7,9 @@ package's ``__init__.py`` re-exports by design and is not checked.
 
 Every module-level function and class must be read somewhere in the
 package outside its own definition, or be listed in ``__all__``.
+
+Every method or property of a class in the package, dunders aside, must
+be read as an attribute somewhere in the package or its tests.
 """
 
 import ast
@@ -15,6 +18,7 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "semimart"
+TESTS = Path(__file__).resolve().parent
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -119,4 +123,50 @@ def test_an_unreferenced_definition_is_found(tmp_path):
     paths = sorted(tmp_path.glob("*.py"))
     assert unreferenced_definitions(paths, {"exported"}) == [
         ("a.py", "recursive"), ("a.py", "Lonely"), ("b.py", "Holder"),
+    ]
+
+
+def unread_members(paths, readers) -> list:
+    """(module, class, name) of each non-dunder method or property of a
+    class in ``paths`` that no file in ``readers`` reads as ``.name``."""
+    trees = {path.name: ast.parse(path.read_text()) for path in paths}
+    read = {
+        node.attr
+        for path in readers
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute)
+    }
+    out = []
+    for module, tree in trees.items():
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if (
+                    isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and not (node.name.startswith("__") and node.name.endswith("__"))
+                    and node.name not in read
+                ):
+                    out.append((module, cls.name, node.name))
+    return out
+
+
+def test_every_method_and_property_is_read():
+    sources = sorted(PACKAGE.glob("*.py"))
+    assert unread_members(sources, sources + sorted(TESTS.glob("*.py"))) == []
+
+
+def test_an_unread_member_is_found(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "class Box:\n"
+        "    def __init__(self):\n        self.x = 1\n\n"
+        "    def used(self):\n        return self.x\n\n"
+        "    @property\n    def size(self):\n        return 1\n\n"
+        "    @classmethod\n    def build(cls):\n        return cls()\n\n"
+        "    def _helper(self):\n        return self.used()\n"
+    )
+    (tmp_path / "test_a.py").write_text("def test_box(box):\n    assert box.size\n")
+    module = tmp_path / "a.py"
+    assert unread_members([module], sorted(tmp_path.glob("*.py"))) == [
+        ("a.py", "Box", "build"), ("a.py", "Box", "_helper"),
     ]

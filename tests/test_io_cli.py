@@ -8,6 +8,7 @@ import os
 import numpy as np
 import pytest
 
+import semimart.cli as cli
 import semimart.io as sio
 from semimart.cli import main
 from semimart.errors import ParameterError
@@ -246,6 +247,15 @@ class TestEnsembleErrors:
         lines[0] = json.dumps(header)
         self.rewrite(path, lines)
         with pytest.raises(ParameterError, match="header.kind"):
+            read_ensemble(path)
+
+    def test_header_declaring_too_many_paths(self, tmp_path):
+        path, lines = self.lines(tmp_path)
+        header = json.loads(lines[0])
+        header.update(mode="ensemble", paths=1 << 30)
+        lines[0] = json.dumps(header)
+        self.rewrite(path, lines)
+        with pytest.raises(ParameterError, match="header: paths"):
             read_ensemble(path)
 
     def test_atom_count_mismatch(self, tmp_path):
@@ -599,6 +609,27 @@ class TestCliFlows:
         assert rc == 2
         assert f"{field} must be finite" in capsys.readouterr().err
         assert not os.path.exists(out)
+
+    def test_generate_refuses_too_many_paths_before_sampling(self, tmp_path, capsys,
+                                                             monkeypatch):
+        def refuse(spec):
+            raise AssertionError("generate ran")
+
+        monkeypatch.setattr(cli, "generate", refuse)
+        out = str(tmp_path / "gen.jsonl")
+        rc = main(["generate", "--kind", "rademacher_bm", "--level", "10", "--mode", "ensemble",
+                   "--paths", str(1 << 30), "--out", out])
+        assert rc == 2
+        assert "paths" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    def test_detect_rejects_levels_above_the_file_level(self, tmp_path, capsys):
+        src = walk_file(tmp_path, level=2)
+        report = str(tmp_path / "report.json")
+        rc = main(["detect", src, "--levels", "9", "--out", report])
+        assert rc == 2
+        assert "levels must lie in 1..2" in capsys.readouterr().err
+        assert not os.path.exists(report)
 
     # the ladder is only read on the free-lunch paths these two sources take
     # with the bad value: a nan cap empties it, and window 1 never reaches komlos

@@ -253,7 +253,7 @@ def test_level_mixes_match_the_per_position_reference(seed, monkeypatch):
         D = doob_decompose(S, n)
         rho = random_rho(rng, restrict_to_level(S, n), eps)
         certs.append(StageCertificate(
-            level=n, eps=eps, passed=True, C=256.0, rho=rho,
+            level=n, eps=eps, C=256.0, rho=rho,
             tv_stopped=float(np.abs(stop_process(D.A, rho).increments()).sum(axis=1).max()),
             m_l2_stopped=float(space.expectation(stop_process(D.M, rho).values[:, -1] ** 2)),
             p_stop=rho.prob_finite(), decomposition=D,

@@ -1,6 +1,7 @@
 """Tests for the jump split, budget-stopped mixing, and the full dichotomy."""
 
 import gc
+import re
 import weakref
 from dataclasses import replace
 
@@ -11,7 +12,13 @@ import semimart.pipeline as pipeline
 from semimart.doob import DoobDecomposition, StageCertificate, discrete_stage, doob_decompose
 from semimart.errors import InvariantViolation, ParameterError, PreconditionError
 from semimart.generators import GeneratorSpec, generate
-from semimart.integrands import SimpleIntegrand, integral_process, integrate, vr_metric
+from semimart.integrands import (
+    SimpleIntegrand,
+    StrategySequence,
+    integral_process,
+    integrate,
+    vr_metric,
+)
 from semimart.pipeline import (
     DetectConfig,
     FreeLunchEvidence,
@@ -189,7 +196,6 @@ class TestContinuousStage:
                 StageCertificate(
                     level=3,
                     eps=eps,
-                    passed=True,
                     C=8.0,
                     rho=rho,
                     tv_stopped=float(np.abs(A_st.increments()).sum(axis=1).max()),
@@ -209,10 +215,12 @@ class TestContinuousStage:
         assert cstage.p_alpha <= 4.0 * eps + CERT_TOL
 
     def test_failed_certificates_rejected(self):
-        space, S = canonical_walk(2)
-        bad = StageCertificate(level=1, eps=0.1, passed=False)
-        with pytest.raises(PreconditionError):
-            continuous_stage(S, (bad,))
+        # a failed stage hands over witnesses and no certificates
+        S = generate(GeneratorSpec(kind="rl_fractional", level=3, hurst=0.75)).process
+        stage = discrete_stage(S, (1, 2, 3), 0.1)
+        assert not stage.passed and stage.certificates == ()
+        with pytest.raises(ParameterError, match="at least one certificate"):
+            continuous_stage(S, stage.certificates)
 
 
 class TestAssembleDecomposition:
@@ -414,3 +422,41 @@ def test_no_decomposition_outlives_the_discrete_stage(monkeypatch, spec, levels)
     verdict = detect(generate(GeneratorSpec(**spec)), DetectConfig(levels=levels))
     assert verdict.kind == "free_lunch"
     assert made and alive_at_entry == [0]
+
+
+@pytest.mark.parametrize(
+    "spec, kind",
+    [(dict(kind="rademacher_bm", level=2), "certificate"),
+     (dict(kind="rl_fractional", level=4, hurst=0.75), "free_lunch")],
+)
+def test_stage_table_is_built_once_per_detect(monkeypatch, spec, kind):
+    calls = []
+    stage_table = pipeline._stage_table
+
+    def counted(stage):
+        calls.append(stage)
+        return stage_table(stage)
+
+    monkeypatch.setattr(pipeline, "_stage_table", counted)
+    verdict = detect(generate(GeneratorSpec(**spec)))
+    assert verdict.kind == kind
+    assert len(calls) == 1
+    assert verdict.table == stage_table(calls[0])
+
+
+@pytest.mark.parametrize(
+    "li, vr, fl, message",
+    [((2e-4, 3e-4), (1e-4, 1e-4), (0.5, 0.5),
+      "position sizes not strictly decreasing below 0.001: (0.0002, 0.0003)"),
+     ((3e-3, 2e-3), (1e-4, 1e-4), (0.5, 0.5),
+      "position sizes not strictly decreasing below 0.001: (0.003, 0.002)"),
+     ((2e-4, 1e-4), (1e-4, 2e-3), (0.5, 0.5), "final drawdown 0.002 not below 0.001"),
+     ((2e-4, 1e-4), (1e-4, 1e-4), (0.5, 0.125),
+      "win probability dropped below alpha_star=0.25: (0.5, 0.125)")],
+)
+def test_evidence_names_the_rule_it_breaks(li, vr, fl, message):
+    space, _ = canonical_walk(1)
+    H = SimpleIntegrand.constant(space, 1.0)
+    seq = StrategySequence((H, H), li=li, vr=vr, fl=fl)
+    with pytest.raises(InvariantViolation, match="^" + re.escape(message) + "$"):
+        FreeLunchEvidence(seq, alpha_star=0.25, levels=(1,))
