@@ -8,24 +8,6 @@ an exhaustive, auditable dichotomy up to an explicit inconclusive
 verdict.
 """
 
-from .doob import (
-    DoobDecomposition,
-    StageCertificate,
-    StageResult,
-    decompose_with_increments,
-    discrete_stage,
-    doob_decompose,
-    doob_maximal_stop,
-    find_c1,
-    ladder,
-    martingale_l2,
-    qv_strategy,
-    quadratic_variation,
-    restrict_to_level,
-    sigma_stop,
-    sign_strategy,
-    tau_stop,
-)
 from .errors import (
     ConvergenceError,
     InvariantViolation,
@@ -35,70 +17,19 @@ from .errors import (
     SemimartError,
     StructuralError,
 )
-from .generators import (
-    EnsembleProcess,
-    GeneratorSpec,
-    Source,
-    generate,
-    rl_kernel,
-    rl_normalizer,
-)
-from .integrands import (
-    GridFunction,
-    SimpleIntegrand,
-    StepFunction,
-    StrategySequence,
-    continuity_probe,
-    fl_statistic,
-    integral_process,
-    integrate,
-    li_metric,
-    step_integral,
-    sum_by_parts_bound,
-    vr_metric,
-)
-from .io import EnsembleData, read_ensemble, read_report, report_body, write_ensemble, write_report
-from .komlos import ConvexWeights, WeightBlock, extract_convex, extract_convex_multi, min_norm_point
-from .pipeline import (
-    ContinuousStage,
-    DetectConfig,
-    FreeLunchEvidence,
-    Inconclusive,
-    SemimartingaleCertificate,
-    assemble_decomposition,
-    big_jump_split,
-    continuous_stage,
-    detect,
-    extend_martingale,
-)
-from .space import (
-    AdaptedProcess,
-    DyadicGrid,
-    FilteredSpace,
-    StoppingTime,
-    binary_tree_space,
-    check_stopping_time,
-    conditional_expectation,
-    first_hitting_time,
-    stop_process,
-)
+from .generators import EnsembleProcess, GeneratorSpec, Source, generate
+from .integrands import integral_process, vr_metric
+from .io import read_ensemble, read_report, report_body, write_ensemble, write_report
+from .pipeline import DetectConfig, FreeLunchEvidence, Inconclusive, SemimartingaleCertificate, detect
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdaptedProcess",
-    "ContinuousStage",
     "ConvergenceError",
-    "ConvexWeights",
     "DetectConfig",
-    "DoobDecomposition",
-    "DyadicGrid",
-    "EnsembleData",
     "EnsembleProcess",
-    "FilteredSpace",
     "FreeLunchEvidence",
     "GeneratorSpec",
-    "GridFunction",
     "Inconclusive",
     "InvariantViolation",
     "ParameterError",
@@ -106,54 +37,14 @@ __all__ = [
     "ResourceLimitError",
     "SemimartError",
     "SemimartingaleCertificate",
-    "SimpleIntegrand",
     "Source",
-    "StageCertificate",
-    "StageResult",
-    "StepFunction",
-    "StoppingTime",
-    "StrategySequence",
     "StructuralError",
-    "WeightBlock",
-    "assemble_decomposition",
-    "big_jump_split",
-    "binary_tree_space",
-    "check_stopping_time",
-    "conditional_expectation",
-    "continuity_probe",
-    "continuous_stage",
-    "decompose_with_increments",
     "detect",
-    "discrete_stage",
-    "doob_decompose",
-    "doob_maximal_stop",
-    "extend_martingale",
-    "extract_convex",
-    "extract_convex_multi",
-    "find_c1",
-    "first_hitting_time",
-    "fl_statistic",
     "generate",
     "integral_process",
-    "integrate",
-    "ladder",
-    "li_metric",
-    "martingale_l2",
-    "min_norm_point",
-    "qv_strategy",
-    "quadratic_variation",
     "read_ensemble",
     "read_report",
     "report_body",
-    "restrict_to_level",
-    "rl_kernel",
-    "rl_normalizer",
-    "sigma_stop",
-    "sign_strategy",
-    "step_integral",
-    "stop_process",
-    "sum_by_parts_bound",
-    "tau_stop",
     "vr_metric",
     "write_ensemble",
     "write_report",

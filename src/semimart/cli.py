@@ -1,13 +1,12 @@
 """Command-line entry points: generate, decompose, detect, verify, probe.
 
 Exit codes: 0 success (or verified), 1 invariant failure or failed
-verification, 2 parameter error or malformed file, 3 inconclusive
-verdict.  The SEMIMART_OUT environment variable sets the directory for
-default output paths.
+verification, 2 parameter error, malformed file or unwritable output
+path, 3 inconclusive verdict.  The SEMIMART_OUT environment variable
+sets the directory for default output paths.
 """
 
 import argparse
-import json
 import os
 import sys
 
@@ -28,10 +27,12 @@ from .io import (
     array_payload,
     fmt17,
     first_mismatch,
+    open_output,
     read_ensemble,
     read_report,
     report_body,
     write_ensemble,
+    write_json,
     write_report,
 )
 from .pipeline import DetectConfig, detect
@@ -84,9 +85,7 @@ def cmd_decompose(args) -> int:
         "A": array_payload(D.A.values),
     }
     out = _resolve_out(args.out, f"decomposition-L{level}.json")
-    with open(out, "w") as fh:
-        json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
+    write_json(out, doc)
     print(f"wrote {out} (level {level}: E[QV]={doc['qv_mean']}, E[TV]={doc['tv_mean']})")
     return EXIT_OK
 
@@ -133,7 +132,7 @@ def _write_series_csv(path, verdict, data) -> None:
             f"{fmt17(t)},{fmt17(space.expectation(np.abs(verdict.A.values[:, j])))},"
             f"{fmt17(space.expectation(verdict.M.values[:, j] ** 2))}"
         )
-    with open(path, "w") as fh:
+    with open_output(path) as fh:
         fh.write("\n".join(rows) + "\n")
     print(f"wrote {path}")
 
@@ -196,9 +195,7 @@ def cmd_probe(args) -> int:
             "delta": fmt17(args.delta),
             "stats": [fmt17(v) for v in stats],
         }
-        with open(args.out, "w") as fh:
-            json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
-            fh.write("\n")
+        write_json(args.out, doc)
         print(f"wrote {args.out}")
     return EXIT_OK
 

@@ -148,12 +148,6 @@ def decompose_with_increments(S: AdaptedProcess, n: int, dA: np.ndarray) -> Doob
     return _from_increments(n, Sn, dA, analytic=True)
 
 
-def quadratic_variation(S: AdaptedProcess, n: int) -> np.ndarray:
-    """Per-atom sum of squared level-n increments."""
-    dS = restrict_to_level(S, n).increments()
-    return np.einsum("ij,ij->i", dS, dS)
-
-
 def qv_strategy(S: AdaptedProcess, n: int) -> SimpleIntegrand:
     """The strategy holding -S_{(j-1)/2^n} on each level-n step.
 
@@ -234,23 +228,6 @@ def find_c1(S: AdaptedProcess, levels, eps: float, ladder_max: float = LADDER_MA
     return _ladder_search("sigma", S.space, totals, 4.0, eps, ladder_max)
 
 
-def martingale_l2(M: AdaptedProcess) -> float:
-    """E[M_1^2] - E[M_0^2], the martingale's accumulated second moment.
-
-    The orthogonality-of-increments identity (the value equals the summed
-    increment second moments) is enforced to 1e-10.
-    """
-    space = M.space
-    total = float(space.expectation(M.values[:, -1] ** 2) - space.expectation(M.values[:, 0] ** 2))
-    dM = M.increments()
-    by_steps = float(sum(space.expectation(dM[:, c] ** 2) for c in range(dM.shape[1])))
-    if abs(total - by_steps) > BOUND_TOL:
-        raise InvariantViolation(
-            f"increment orthogonality failed: E[M_1^2]-E[M_0^2]={total} vs sum {by_steps}"
-        )
-    return total
-
-
 def sign_strategy(D: DoobDecomposition, stop: StoppingTime) -> SimpleIntegrand:
     """Unit positions along the drift direction of the stopped A.
 
@@ -312,9 +289,7 @@ class StageCertificate:
             bad.append(f"E[M_1^2] {self.m_l2_stopped} > C {self.C}")
         if not self.p_stop < self.eps:
             bad.append(f"P[rho<inf] {self.p_stop} >= eps {self.eps}")
-        # ensemble decompositions carry sampling noise in the L2 bound;
-        # their certificates are provisional and never leave the pipeline
-        if bad and not self.decomposition.analytic:
+        if bad:
             raise InvariantViolation("certificate bounds failed: " + "; ".join(bad))
 
 
@@ -322,14 +297,16 @@ class StageCertificate:
 class StageResult:
     """The outcome of a discrete stage plus its search/guard log.
 
-    A passing stage holds one certificate per level and no witnesses.  A
-    failing stage names its failure and holds, instead of certificates,
-    one finished witness strategy per level for the free-lunch branch.
+    A passing stage holds P[rho_n < inf] per level in ``p_stops``, no
+    witnesses, and one certificate per level on exact (not analytic)
+    decompositions.  A failing stage names its failure and holds one
+    finished witness strategy per level for the free-lunch branch.
     """
 
     certificates: tuple
     witnesses: tuple
     levels: tuple
+    p_stops: tuple
     c1: float | None
     c2: float | None
     qv_means: tuple
@@ -431,11 +408,15 @@ def discrete_stage(
 
     certs = []
     witnesses = []
+    p_stops = []
     if not failure:
         C = max(c1, c2)
         for n in levels:
             D = decs[n]
             rho = sigma_stop(S, n, c1).min_with(tau_stop(D, c2))
+            p_stops.append(rho.prob_finite())
+            if D.analytic:
+                continue  # sampled paths meet the bounds only up to noise
             M_st = stop_process(D.M, rho)
             A_st = stop_process(D.A, rho)
             certs.append(
@@ -446,7 +427,7 @@ def discrete_stage(
                     rho=rho,
                     tv_stopped=float(np.abs(A_st.increments()).sum(axis=1).max()),
                     m_l2_stopped=float(S.space.expectation(M_st.values[:, -1] ** 2)),
-                    p_stop=rho.prob_finite(),
+                    p_stop=p_stops[-1],
                     decomposition=D,
                 )
             )
@@ -467,6 +448,7 @@ def discrete_stage(
         certificates=tuple(certs),
         witnesses=tuple(witnesses),
         levels=levels,
+        p_stops=tuple(p_stops),
         c1=c1,
         c2=c2,
         qv_means=qv_means,

@@ -181,13 +181,6 @@ class StrategySequence:
     def __len__(self):
         return len(self.elements)
 
-    def evaluate(self, S: AdaptedProcess, alpha: float) -> "StrategySequence":
-        """Return a copy with (LI)/(VR)/(FL at alpha) diagnostics filled in."""
-        li = tuple(li_metric(H) for H in self.elements)
-        vr = tuple(vr_metric(H, S) for H in self.elements)
-        fl = tuple(fl_statistic(self, S, alpha))
-        return StrategySequence(self.elements, li=li, vr=vr, fl=fl, fl_threshold=alpha)
-
 
 def integral_process(H: SimpleIntegrand, S: AdaptedProcess) -> AdaptedProcess:
     """The running integral t -> (H.S)_t evaluated at S's sample times."""
@@ -220,8 +213,7 @@ def integral_process(H: SimpleIntegrand, S: AdaptedProcess) -> AdaptedProcess:
 
 
 def terminal_and_drawdown(H: SimpleIntegrand, S: AdaptedProcess) -> tuple[np.ndarray, float]:
-    """((H.S)_1 per atom, worst drawdown) from one running integral:
-    the values `integrate` and `vr_metric` give, at the cost of one."""
+    """((H.S)_1 per atom, worst drawdown) from one running integral."""
     proc = integral_process(H, S)
     return proc.at(1.0).copy(), float(np.maximum(-proc.values, 0.0).max())
 
@@ -241,11 +233,6 @@ def vr_metric(H: SimpleIntegrand, S: AdaptedProcess) -> float:
 def li_metric(H: SimpleIntegrand) -> float:
     """Position size bound ||H||_inf."""
     return H.sup_norm()
-
-
-def fl_statistic(seq: StrategySequence, S: AdaptedProcess, alpha: float) -> np.ndarray:
-    """Exact P[(H^n . S)_1^+ >= alpha] per sequence element."""
-    return win_probabilities((integrate(H, S, 1.0) for H in seq.elements), S.space.probs, alpha)
 
 
 def win_probabilities(terminals, probs: np.ndarray, alpha: float) -> np.ndarray:
@@ -277,102 +264,3 @@ def continuity_probe(S: AdaptedProcess, seq: StrategySequence, delta: float) -> 
         terminal = integrate(H, S, 1.0)
         out[i] = float(probs[np.abs(terminal) > delta].sum())
     return out
-
-
-@dataclass(frozen=True)
-class StepFunction:
-    """Deterministic left-continuous step function on [0, 1].
-
-    f = sum_k values[k-1] * 1_{(breaks[k-1], breaks[k]]}; breaks must run
-    from 0 to 1 strictly increasing.
-    """
-
-    breaks: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        b = np.asarray(self.breaks, dtype=float)
-        v = np.asarray(self.values, dtype=float)
-        b.setflags(write=False)
-        v.setflags(write=False)
-        object.__setattr__(self, "breaks", b)
-        object.__setattr__(self, "values", v)
-        if b.ndim != 1 or b.size < 2 or v.shape != (b.size - 1,):
-            raise ParameterError("need breaks (N+1,) and values (N,)")
-        if abs(b[0]) > 0 or abs(b[-1] - 1.0) > 0:
-            raise ParameterError("breaks must start at 0 and end at 1")
-        if np.any(np.diff(b) <= 0):
-            raise ParameterError("breaks must be strictly increasing")
-        if not (np.all(np.isfinite(b)) and np.all(np.isfinite(v))):
-            raise ParameterError("step function data must be finite")
-
-    def sup_norm(self) -> float:
-        return float(np.abs(self.values).max())
-
-    def total_variation(self) -> float:
-        return float(np.abs(np.diff(self.values)).sum())
-
-
-@dataclass(frozen=True)
-class GridFunction:
-    """A deterministic path known at finitely many times in [0, 1]."""
-
-    times: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
-        v = np.asarray(self.values, dtype=float)
-        t.setflags(write=False)
-        v.setflags(write=False)
-        object.__setattr__(self, "times", t)
-        object.__setattr__(self, "values", v)
-        if t.ndim != 1 or t.size == 0 or v.shape != t.shape:
-            raise ParameterError("times and values must be matching 1-d arrays")
-        if np.any(np.diff(t) <= 0):
-            raise ParameterError("sample times must be strictly increasing")
-
-    def value_at(self, t: float) -> float:
-        pos = int(np.searchsorted(self.times, t))
-        if pos >= self.times.size or self.times[pos] != t:
-            raise ParameterError(f"function is not sampled at time {t!r}")
-        return float(self.values[pos])
-
-
-def step_integral(f: StepFunction, g: GridFunction, t: float) -> float:
-    """Partial Riemann sum of the step function f against g up to time t.
-
-    With n(t) = #{k >= 1: breaks[k] < t}, the sum runs over the full
-    intervals before t plus the partial term on the interval containing t.
-    """
-    if t < 0 or t > 1:
-        raise ParameterError(f"time {t!r} outside [0, 1]")
-    interior = f.breaks[1:]
-    n = int(np.searchsorted(interior, t, side="left"))
-    total = 0.0
-    for k in range(1, n + 1):
-        total += f.values[k - 1] * (g.value_at(f.breaks[k]) - g.value_at(f.breaks[k - 1]))
-    if n < f.values.size:
-        total += f.values[n] * (g.value_at(t) - g.value_at(f.breaks[n]))
-    return total
-
-
-def sum_by_parts_bound(f: StepFunction, g: GridFunction, partition) -> tuple[float, float]:
-    """LHS: variation of t -> (f.g)_t along the partition; RHS: the bound
-    2 TV(f) ||g||_inf + ||f||_inf sum |g(t_i) - g(t_{i-1})|.
-
-    The inequality LHS <= RHS is a contract; violation past 1e-10 raises.
-    """
-    pts = np.asarray(partition, dtype=float)
-    if pts.ndim != 1 or pts.size < 2:
-        raise ParameterError("partition needs at least two points")
-    if np.any(np.diff(pts) < 0) or pts[0] < 0 or pts[-1] > 1:
-        raise ParameterError("partition must be non-decreasing within [0, 1]")
-    vals = [step_integral(f, g, t) for t in pts]
-    lhs = float(np.abs(np.diff(vals)).sum())
-    g_sup = float(np.abs(g.values).max())
-    dg = float(sum(abs(g.value_at(pts[i]) - g.value_at(pts[i - 1])) for i in range(1, pts.size)))
-    rhs = 2.0 * f.total_variation() * g_sup + f.sup_norm() * dg
-    if lhs > rhs + 1e-10:
-        raise InvariantViolation(f"summation-by-parts bound violated: {lhs} > {rhs}")
-    return lhs, rhs

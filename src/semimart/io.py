@@ -50,6 +50,20 @@ def _canonical(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+def open_output(path):
+    """``path`` opened for writing; an unwritable path is bad input."""
+    try:
+        return open(path, "w")
+    except OSError as exc:
+        raise ParameterError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
+def write_json(path, doc: dict) -> None:
+    """doc as one canonical JSON line."""
+    with open_output(path) as fh:
+        fh.write(_canonical(doc) + "\n")
+
+
 def dyadic_encode(p: float) -> list:
     """Probability as [numerator, k] meaning numerator / 2**k, exactly."""
     frac = Fraction(p)
@@ -110,7 +124,7 @@ def write_ensemble(path, spec: GeneratorSpec, probs, xi, values) -> None:
     # the key order and separators of `_canonical`
     v_cells, xi_cells = _cells('"%.17g"', values.shape[1]), _cells("%d", xi.shape[1])
     row = '{"p":[%d,%d],"v":[' + v_cells + '],"xi":[' + xi_cells + "]}\n"
-    with open(path, "w") as fh:
+    with open_output(path) as fh:
         fh.write(_canonical(header) + "\n")
         for lo, hi in _blocks(n, values.shape[1] + xi.shape[1]):
             fh.write("".join([
@@ -302,10 +316,7 @@ def _encode_scalar(x):
 
 
 def _table_rows(table) -> list:
-    rows = []
-    for row in table:
-        rows.append({k: _encode_scalar(v) for k, v in row.items()})
-    return rows
+    return [{k: _encode_scalar(v) for k, v in row.items()} for row in table]
 
 
 def report_body(data: EnsembleData, config, verdict) -> dict:
@@ -357,8 +368,7 @@ def write_report(path, body: dict, source_name: str) -> None:
         "source_name": source_name,
         "body": body,
     }
-    with open(path, "w") as fh:
-        fh.write(_canonical(doc) + "\n")
+    write_json(path, doc)
 
 
 def read_report(path) -> dict:
@@ -376,6 +386,8 @@ def read_report(path) -> dict:
     for key in ("source_name", "body"):
         if key not in doc:
             raise ParameterError(f"report.{key}: missing")
+    if not isinstance(doc["source_name"], str):
+        raise ParameterError("report.source_name: must be a string")
     if not isinstance(doc["body"], dict):
         raise ParameterError("report.body: must be a JSON object")
     return doc

@@ -214,12 +214,11 @@ def extract_convex_gram(
     for s, dsq in enumerate(dists_sq):
         e = float(np.sqrt(max(0.0, d_last - dsq)))
         if e > prev + 1e-9 * scale:
-            err = ConvergenceError(
+            raise ConvergenceError(
                 f"hull distances to the anchor decreased at step {s}; windows are "
-                "not nested (prefix longer than the window) and no certificate holds"
+                "not nested (prefix longer than the window) and no certificate holds",
+                [float(np.sqrt(d)) for d in dists_sq],
             )
-            err.distances = [float(np.sqrt(d)) for d in dists_sq]
-            raise err
         prev = min(prev, e)
         errors.append(e)
         log.append(
@@ -233,12 +232,11 @@ def extract_convex_gram(
             run_start = s
             break
     if run_start is None or len(errors) - run_start < 2:
-        err = ConvergenceError(
+        raise ConvergenceError(
             f"no 2-step converged tail at tol {tol:g}; "
-            "certified errors " + ", ".join(f"{e:.3g}" for e in errors)
+            "certified errors " + ", ".join(f"{e:.3g}" for e in errors),
+            errors,
         )
-        err.distances = errors
-        raise err
     log.append(f"converged from step {run_start} of {len(blocks)} (tol {tol:g})")
     return ConvexWeights(
         blocks=tuple(blocks),

@@ -458,11 +458,12 @@ def assemble_decomposition(
 def _stage_table(stage: StageResult) -> tuple:
     """One report row per level of the stage; a failed stage certifies no
     level, so its rows carry no budget C and a stop probability of 0."""
-    certs = stage.certificates or (None,) * len(stage.levels)
+    C = max(stage.c1, stage.c2) if stage.passed else None
+    p_stops = stage.p_stops or (0.0,) * len(stage.levels)
     return tuple(
         {"level": n, "qv_mean": qv, "tv_mean": tv, "c1": stage.c1, "c2": stage.c2,
-         "C": cert.C if cert else None, "p_stop": cert.p_stop if cert else 0.0}
-        for n, qv, tv, cert in zip(stage.levels, stage.qv_means, stage.tv_means, certs)
+         "C": C, "p_stop": p}
+        for n, qv, tv, p in zip(stage.levels, stage.qv_means, stage.tv_means, p_stops)
     )
 
 

@@ -223,25 +223,6 @@ def tree_innovations(level: int) -> np.ndarray:
     return (1 - 2 * bits).astype(np.int8)
 
 
-def binary_tree_space(level: int) -> FilteredSpace:
-    """The full binary innovation tree at a dyadic level.
-
-    Atoms are all +/-1 sequences of length 2^level with equal probability
-    2^(-2^level); the partition at time j/2^level groups atoms by their
-    first j innovations.
-    """
-    innovations = tree_innovations(level)
-    grid = DyadicGrid(level)
-    steps = grid.n_steps
-    n_atoms = innovations.shape[0]
-    atoms = np.arange(n_atoms, dtype=np.int64)
-    labels = np.zeros((grid.n_times, n_atoms), dtype=np.int64)
-    for j in range(1, grid.n_times):
-        labels[j] = atoms >> (steps - j)
-    probs = np.full(n_atoms, 1.0 / n_atoms)
-    return FilteredSpace(grid, probs, labels, innovations=innovations)
-
-
 @dataclass(frozen=True)
 class AdaptedProcess:
     """Grid-indexed values per atom, constant on partition cells.
@@ -344,16 +325,6 @@ class AdaptedProcess:
         """Add a per-atom constant (an F_0-measurable shift)."""
         off = np.asarray(offset, dtype=float).reshape(-1, 1)
         return AdaptedProcess(self.space, self.values + off, self.time_index)
-
-
-def conditional_expectation(space: FilteredSpace, x: np.ndarray, t: float) -> np.ndarray:
-    """E[x | F_t]: the cell-wise probability-weighted average at time t."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (space.n_atoms,):
-        raise ParameterError("random variable needs one value per atom")
-    if not np.all(np.isfinite(x)):
-        raise PreconditionError("conditional expectation requires finite values")
-    return space.cell_average(x, space.grid.index_of(t))
 
 
 def check_stopping_time(tau: StoppingTime) -> bool:

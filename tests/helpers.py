@@ -1,11 +1,53 @@
-"""Test-only helpers that the package itself never calls."""
+"""Test-only helpers that the package itself never calls: the binary tree,
+the lemma-level checks (summation by parts, martingale orthogonality,
+conditional expectation at a time) and the slow diagnostics path that
+the pipeline's one-integral-per-strategy path is compared against."""
+
+from dataclasses import dataclass
 
 import numpy as np
 
-from semimart.errors import StructuralError
-from semimart.integrands import SimpleIntegrand
+from semimart.doob import BOUND_TOL, restrict_to_level
+from semimart.errors import InvariantViolation, ParameterError, PreconditionError, StructuralError
+from semimart.integrands import (
+    SimpleIntegrand,
+    StrategySequence,
+    integrate,
+    li_metric,
+    vr_metric,
+    win_probabilities,
+)
 from semimart.pipeline import PAD_COPIES, extend_martingale
-from semimart.space import AdaptedProcess, binary_tree_space, stop_process
+from semimart.space import AdaptedProcess, DyadicGrid, FilteredSpace, stop_process, tree_innovations
+
+
+def binary_tree_space(level: int) -> FilteredSpace:
+    """The full binary innovation tree at a dyadic level.
+
+    Atoms are all +/-1 sequences of length 2^level with equal probability
+    2^(-2^level); the partition at time j/2^level groups atoms by their
+    first j innovations.
+    """
+    innovations = tree_innovations(level)
+    grid = DyadicGrid(level)
+    steps = grid.n_steps
+    n_atoms = innovations.shape[0]
+    atoms = np.arange(n_atoms, dtype=np.int64)
+    labels = np.zeros((grid.n_times, n_atoms), dtype=np.int64)
+    for j in range(1, grid.n_times):
+        labels[j] = atoms >> (steps - j)
+    probs = np.full(n_atoms, 1.0 / n_atoms)
+    return FilteredSpace(grid, probs, labels, innovations=innovations)
+
+
+def conditional_expectation(space: FilteredSpace, x: np.ndarray, t: float) -> np.ndarray:
+    """E[x | F_t]: the cell-wise probability-weighted average at time t."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (space.n_atoms,):
+        raise ParameterError("random variable needs one value per atom")
+    if not np.all(np.isfinite(x)):
+        raise PreconditionError("conditional expectation requires finite values")
+    return space.cell_average(x, space.grid.index_of(t))
 
 
 def build_binary_tree(level: int, innovation_map):
@@ -76,3 +118,139 @@ def per_position_mixes(source: AdaptedProcess, certs, cw) -> list:
             np.concatenate([zeros, np.cumsum(w * dN_a, axis=1)], axis=1),
         ))
     return out
+
+
+def quadratic_variation(S: AdaptedProcess, n: int) -> np.ndarray:
+    """Per-atom sum of squared level-n increments."""
+    dS = restrict_to_level(S, n).increments()
+    return np.einsum("ij,ij->i", dS, dS)
+
+
+def martingale_l2(M: AdaptedProcess) -> float:
+    """E[M_1^2] - E[M_0^2], the martingale's accumulated second moment.
+
+    The orthogonality-of-increments identity (the value equals the summed
+    increment second moments) is enforced to 1e-10.
+    """
+    space = M.space
+    total = float(space.expectation(M.values[:, -1] ** 2) - space.expectation(M.values[:, 0] ** 2))
+    dM = M.increments()
+    by_steps = float(sum(space.expectation(dM[:, c] ** 2) for c in range(dM.shape[1])))
+    if abs(total - by_steps) > BOUND_TOL:
+        raise InvariantViolation(
+            f"increment orthogonality failed: E[M_1^2]-E[M_0^2]={total} vs sum {by_steps}"
+        )
+    return total
+
+
+def fl_statistic(seq: StrategySequence, S: AdaptedProcess, alpha: float) -> np.ndarray:
+    """Exact P[(H^n . S)_1^+ >= alpha] per sequence element."""
+    return win_probabilities((integrate(H, S, 1.0) for H in seq.elements), S.space.probs, alpha)
+
+
+def evaluate(seq: StrategySequence, S: AdaptedProcess, alpha: float) -> StrategySequence:
+    """A copy of seq with (LI)/(VR)/(FL at alpha) diagnostics filled in,
+    one integral per element and diagnostic."""
+    li = tuple(li_metric(H) for H in seq.elements)
+    vr = tuple(vr_metric(H, S) for H in seq.elements)
+    fl = tuple(fl_statistic(seq, S, alpha))
+    return StrategySequence(seq.elements, li=li, vr=vr, fl=fl, fl_threshold=alpha)
+
+
+@dataclass(frozen=True)
+class StepFunction:
+    """Deterministic left-continuous step function on [0, 1].
+
+    f = sum_k values[k-1] * 1_{(breaks[k-1], breaks[k]]}; breaks must run
+    from 0 to 1 strictly increasing.
+    """
+
+    breaks: np.ndarray
+    values: np.ndarray
+
+    def __post_init__(self):
+        b = np.asarray(self.breaks, dtype=float)
+        v = np.asarray(self.values, dtype=float)
+        b.setflags(write=False)
+        v.setflags(write=False)
+        object.__setattr__(self, "breaks", b)
+        object.__setattr__(self, "values", v)
+        if b.ndim != 1 or b.size < 2 or v.shape != (b.size - 1,):
+            raise ParameterError("need breaks (N+1,) and values (N,)")
+        if abs(b[0]) > 0 or abs(b[-1] - 1.0) > 0:
+            raise ParameterError("breaks must start at 0 and end at 1")
+        if np.any(np.diff(b) <= 0):
+            raise ParameterError("breaks must be strictly increasing")
+        if not (np.all(np.isfinite(b)) and np.all(np.isfinite(v))):
+            raise ParameterError("step function data must be finite")
+
+    def sup_norm(self) -> float:
+        return float(np.abs(self.values).max())
+
+    def total_variation(self) -> float:
+        return float(np.abs(np.diff(self.values)).sum())
+
+
+@dataclass(frozen=True)
+class GridFunction:
+    """A deterministic path known at finitely many times in [0, 1]."""
+
+    times: np.ndarray
+    values: np.ndarray
+
+    def __post_init__(self):
+        t = np.asarray(self.times, dtype=float)
+        v = np.asarray(self.values, dtype=float)
+        t.setflags(write=False)
+        v.setflags(write=False)
+        object.__setattr__(self, "times", t)
+        object.__setattr__(self, "values", v)
+        if t.ndim != 1 or t.size == 0 or v.shape != t.shape:
+            raise ParameterError("times and values must be matching 1-d arrays")
+        if np.any(np.diff(t) <= 0):
+            raise ParameterError("sample times must be strictly increasing")
+
+    def value_at(self, t: float) -> float:
+        pos = int(np.searchsorted(self.times, t))
+        if pos >= self.times.size or self.times[pos] != t:
+            raise ParameterError(f"function is not sampled at time {t!r}")
+        return float(self.values[pos])
+
+
+def step_integral(f: StepFunction, g: GridFunction, t: float) -> float:
+    """Partial Riemann sum of the step function f against g up to time t.
+
+    With n(t) = #{k >= 1: breaks[k] < t}, the sum runs over the full
+    intervals before t plus the partial term on the interval containing t.
+    """
+    if t < 0 or t > 1:
+        raise ParameterError(f"time {t!r} outside [0, 1]")
+    interior = f.breaks[1:]
+    n = int(np.searchsorted(interior, t, side="left"))
+    total = 0.0
+    for k in range(1, n + 1):
+        total += f.values[k - 1] * (g.value_at(f.breaks[k]) - g.value_at(f.breaks[k - 1]))
+    if n < f.values.size:
+        total += f.values[n] * (g.value_at(t) - g.value_at(f.breaks[n]))
+    return total
+
+
+def sum_by_parts_bound(f: StepFunction, g: GridFunction, partition) -> tuple[float, float]:
+    """LHS: variation of t -> (f.g)_t along the partition; RHS: the bound
+    2 TV(f) ||g||_inf + ||f||_inf sum |g(t_i) - g(t_{i-1})|.
+
+    The inequality LHS <= RHS is a contract; violation past 1e-10 raises.
+    """
+    pts = np.asarray(partition, dtype=float)
+    if pts.ndim != 1 or pts.size < 2:
+        raise ParameterError("partition needs at least two points")
+    if np.any(np.diff(pts) < 0) or pts[0] < 0 or pts[-1] > 1:
+        raise ParameterError("partition must be non-decreasing within [0, 1]")
+    vals = [step_integral(f, g, t) for t in pts]
+    lhs = float(np.abs(np.diff(vals)).sum())
+    g_sup = float(np.abs(g.values).max())
+    dg = float(sum(abs(g.value_at(pts[i]) - g.value_at(pts[i - 1])) for i in range(1, pts.size)))
+    rhs = 2.0 * f.total_variation() * g_sup + f.sup_norm() * dg
+    if lhs > rhs + 1e-10:
+        raise InvariantViolation(f"summation-by-parts bound violated: {lhs} > {rhs}")
+    return lhs, rhs

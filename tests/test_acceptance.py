@@ -18,20 +18,15 @@ from semimart.cli import main
 from semimart.doob import (
     discrete_stage,
     doob_decompose,
-    martingale_l2,
-    quadratic_variation,
     qv_strategy,
     sign_strategy,
 )
 from semimart.generators import GeneratorSpec, bound_factor_for, generate, rl_normalizer
 from semimart.integrands import (
-    GridFunction,
     SimpleIntegrand,
-    StepFunction,
     StrategySequence,
     continuity_probe,
     integrate,
-    sum_by_parts_bound,
     vr_metric,
 )
 from semimart.io import first_mismatch, read_ensemble, read_report, write_ensemble
@@ -47,8 +42,15 @@ from semimart.pipeline import (
 from semimart.space import (
     AdaptedProcess,
     StoppingTime,
-    conditional_expectation,
     stop_process,
+)
+from helpers import (
+    GridFunction,
+    StepFunction,
+    conditional_expectation,
+    martingale_l2,
+    quadratic_variation,
+    sum_by_parts_bound,
 )
 
 TOL = 1e-10

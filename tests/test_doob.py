@@ -13,9 +13,7 @@ from semimart.doob import (
     doob_maximal_stop,
     find_c1,
     ladder,
-    martingale_l2,
     qv_strategy,
-    quadratic_variation,
     restrict_to_level,
     sigma_stop,
     sign_strategy,
@@ -29,8 +27,8 @@ from semimart.space import (
     DyadicGrid,
     FilteredSpace,
     StoppingTime,
-    binary_tree_space,
 )
+from helpers import binary_tree_space, martingale_l2, quadratic_variation
 from test_integral_process import assert_same_integrand
 
 TOL = 1e-12

@@ -3,7 +3,12 @@
 Every name a module of src/semimart imports must be used in that module.
 An import kept for another reader (a name wrapped from outside the
 package, say) is marked on its statement with ``# noqa: F401``.  The
-package's ``__init__.py`` re-exports by design and is not checked.
+package's ``__init__.py`` re-exports by design, so this check skips it.
+
+The package's ``__init__.py`` is its public surface: ``__all__`` lists
+exactly the names it imports, each of them resolves, and it covers every
+``semimart.<name>`` that the benchmark in perfbench/ reads, submodules
+aside.  Test-only code lives in tests/helpers.py, not in the package.
 
 Every module-level function and class must be read somewhere in the
 package outside its own definition, or be listed in ``__all__``.
@@ -18,6 +23,7 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "semimart"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 TESTS = Path(__file__).resolve().parent
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
@@ -66,9 +72,9 @@ def test_an_unused_import_is_found(tmp_path):
     assert unused_imports(module) == [(1, "math"), (3, "arr")]
 
 
-def exported_names() -> set:
-    """The names the package's ``__init__.py`` lists in ``__all__``."""
-    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+def exported_names(init: Path = PACKAGE / "__init__.py") -> set:
+    """The names a package's ``__init__.py`` lists in ``__all__``."""
+    tree = ast.parse(init.read_text())
     for node in tree.body:
         if isinstance(node, ast.Assign) and any(
             isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
@@ -169,4 +175,70 @@ def test_an_unread_member_is_found(tmp_path):
     module = tmp_path / "a.py"
     assert unread_members([module], sorted(tmp_path.glob("*.py"))) == [
         ("a.py", "Box", "build"), ("a.py", "Box", "_helper"),
+    ]
+
+
+def package_reads(paths) -> set:
+    """Every name the files read as ``semimart.<name>``."""
+    return {
+        node.attr
+        for path in paths
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "semimart"
+    }
+
+
+def surface_faults(init: Path, readers, modules) -> list:
+    """(fault, name) for each name ``__all__`` lists that ``init`` does not
+    import, each name it imports that ``__all__`` does not list, and each
+    ``semimart.<name>`` the readers take that ``__all__`` does not list,
+    the submodules in ``modules`` aside."""
+    exported = exported_names(init)
+    imported = {
+        alias.asname or alias.name
+        for node in ast.parse(init.read_text()).body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    return sorted(
+        [("not imported", name) for name in exported - imported]
+        + [("not exported", name) for name in imported - exported]
+        + [("read but not exported", name) for name in package_reads(readers) - exported - modules]
+    )
+
+
+def test_the_public_surface_covers_what_perfbench_reads():
+    readers = sorted(PERFBENCH.glob("*.py"))
+    assert {"EnsembleProcess", "detect", "integral_process"} <= package_reads(readers)
+    modules = {path.stem for path in MODULES}
+    assert surface_faults(PACKAGE / "__init__.py", readers, modules) == []
+
+
+def test_every_exported_name_resolves():
+    import semimart
+
+    assert set(semimart.__all__) == exported_names()
+    for name in semimart.__all__:
+        assert getattr(semimart, name) is not None
+
+
+def test_a_stale_public_surface_is_found(tmp_path):
+    init = tmp_path / "__init__.py"
+    init.write_text(
+        '"""A package."""\n\n'
+        "from .a import kept, unlisted\n"
+        "from .b import inner as renamed\n\n"
+        "__version__ = '1'\n\n"
+        "__all__ = ['kept', 'renamed', 'stale']\n"
+    )
+    reader = tmp_path / "op.py"
+    reader.write_text(
+        "import semimart\nimport semimart.cli\n\n"
+        "x = semimart.kept\ny = semimart.dropped\n"
+        "semimart.cli.main([])\nz = other.missing\n"
+    )
+    assert surface_faults(init, [reader], {"cli"}) == [
+        ("not exported", "unlisted"), ("not imported", "stale"), ("read but not exported", "dropped"),
     ]

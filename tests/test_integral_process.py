@@ -15,7 +15,8 @@ from semimart.errors import ParameterError, PreconditionError, StructuralError
 from semimart.generators import GeneratorSpec, generate
 from semimart.integrands import SimpleIntegrand, StrategySequence, integral_process
 from semimart.pipeline import DetectConfig, detect
-from semimart.space import AdaptedProcess, StoppingTime, binary_tree_space, first_hitting_time
+from semimart.space import AdaptedProcess, StoppingTime, first_hitting_time
+from helpers import binary_tree_space, evaluate
 from test_measurability import SEEDS, cell_values, random_space
 
 
@@ -240,5 +241,5 @@ def test_evidence_diagnostics_match_evaluate(fields, levels):
     assert verdict.kind == "free_lunch"
     S = source.process
     seq = verdict.strategies
-    slow = StrategySequence(seq.elements).evaluate(S, verdict.alpha_star)
+    slow = evaluate(StrategySequence(seq.elements), S, verdict.alpha_star)
     assert (seq.li, seq.vr, seq.fl, seq.fl_threshold) == (slow.li, slow.vr, slow.fl, slow.fl_threshold)

@@ -5,17 +5,12 @@ import pytest
 
 from semimart.errors import InvariantViolation, ParameterError
 from semimart.integrands import (
-    GridFunction,
     SimpleIntegrand,
-    StepFunction,
     StrategySequence,
     continuity_probe,
-    fl_statistic,
     integral_process,
     integrate,
     li_metric,
-    step_integral,
-    sum_by_parts_bound,
     vr_metric,
 )
 from semimart.space import (
@@ -23,11 +18,19 @@ from semimart.space import (
     DyadicGrid,
     FilteredSpace,
     StoppingTime,
-    binary_tree_space,
     first_hitting_time,
     stop_process,
 )
-from helpers import combine
+from helpers import (
+    GridFunction,
+    StepFunction,
+    binary_tree_space,
+    combine,
+    evaluate,
+    fl_statistic,
+    step_integral,
+    sum_by_parts_bound,
+)
 
 TOL = 1e-12
 
@@ -176,9 +179,9 @@ class TestWinProbability:
 
     def test_evaluate_fills_all_diagnostics(self):
         space, S = canonical_walk(1)
-        seq = StrategySequence(
+        seq = evaluate(StrategySequence(
             [SimpleIntegrand.constant(space, 1.0 / k) for k in (1, 2)]
-        ).evaluate(S, 0.25)
+        ), S, 0.25)
         assert seq.li == pytest.approx([1.0, 0.5])
         assert seq.vr == pytest.approx([1.0, 0.5])
         assert seq.fl == pytest.approx([0.25, 0.25])

@@ -648,6 +648,32 @@ class TestCliFlows:
         assert f"{field} must be" in capsys.readouterr().err
         assert not os.path.exists(report)
 
+    @pytest.mark.parametrize("target", ["generate-out", "detect-out", "detect-csv"])
+    def test_unwritable_output_path_exits_2(self, tmp_path, capsys, target):
+        src = walk_file(tmp_path, level=2)
+        bad = str(tmp_path / "missing" / "out")
+        argv = {
+            "generate-out": ["generate", "--kind", "rademacher_bm", "--level", "1", "--out", bad],
+            "detect-out": ["detect", src, "--out", bad],
+            "detect-csv": ["detect", src, "--out", str(tmp_path / "r.json"), "--csv", bad],
+        }[target]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"parameter error: cannot write {bad}")
+
+    def test_verify_rejects_a_source_name_that_is_not_a_string(self, tmp_path, capsys):
+        src = walk_file(tmp_path, level=2)
+        report = str(tmp_path / "report.json")
+        assert main(["detect", src, "--out", report]) == 0
+        with open(report) as fh:
+            doc = json.load(fh)
+        doc["source_name"] = 5
+        with open(report, "w") as fh:
+            json.dump(doc, fh)
+        capsys.readouterr()
+        assert main(["verify", report]) == 2
+        assert "report.source_name: must be a string" in capsys.readouterr().err
+
     def test_verify_rejects_a_body_config_ladder_that_is_not_finite(self, tmp_path, capsys):
         src = walk_file(tmp_path, level=2, seed=1)
         report = str(tmp_path / "report.json")

@@ -35,10 +35,9 @@ from semimart.space import (
     DyadicGrid,
     FilteredSpace,
     StoppingTime,
-    binary_tree_space,
     stop_process,
 )
-from helpers import residual_against
+from helpers import binary_tree_space, residual_against
 
 TOL = 1e-12
 CERT_TOL = 1e-10

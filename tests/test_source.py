@@ -16,7 +16,7 @@ from semimart.errors import ParameterError
 from semimart.generators import KINDS, GeneratorSpec, Source, _empirical_labels, generate
 from semimart.io import fmt17, read_ensemble, report_body, write_ensemble
 from semimart.pipeline import DetectConfig, detect
-from semimart.space import binary_tree_space
+from helpers import binary_tree_space
 
 SPECS = [
     dict(kind=kind, level=3, seed=2) for kind in KINDS

@@ -17,13 +17,11 @@ from semimart.space import (
     DyadicGrid,
     FilteredSpace,
     StoppingTime,
-    binary_tree_space,
     check_stopping_time,
-    conditional_expectation,
     first_hitting_time,
     stop_process,
 )
-from helpers import build_binary_tree
+from helpers import binary_tree_space, build_binary_tree, conditional_expectation
 from test_integral_process import random_stop
 from test_measurability import SEEDS, cell_values, random_space
 
