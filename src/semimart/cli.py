@@ -25,6 +25,7 @@ from .generators import KINDS, GeneratorSpec, generate
 from .integrands import SimpleIntegrand, StrategySequence, continuity_probe
 from .io import (
     array_payload,
+    check_output,
     fmt17,
     first_mismatch,
     open_output,
@@ -107,11 +108,14 @@ def _config_from_args(args) -> DetectConfig:
 
 
 def cmd_detect(args) -> int:
+    out = _resolve_out(args.out, "report.json")
+    # an unwritable output fails before the detection runs and before any file is written
+    for path in filter(None, (out, args.csv)):
+        check_output(path)
     data = read_ensemble(args.input)
     config = _config_from_args(args)
     verdict = detect(data.to_source(), config)
     body = report_body(data, config, verdict)
-    out = _resolve_out(args.out, "report.json")
     write_report(out, body, source_name=os.path.basename(args.input))
     print(f"verdict: {verdict.kind}; wrote {out}")
     if args.csv:

@@ -8,8 +8,10 @@ body is byte-reproducible from the ensemble file and the configuration,
 which is what `verify` exploits.
 """
 
+import errno
 import hashlib
 import json
+import os
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -56,6 +58,21 @@ def open_output(path):
         return open(path, "w")
     except OSError as exc:
         raise ParameterError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
+def check_output(path) -> None:
+    """Raise what ``open_output(path)`` would for a path it cannot open,
+    creating and truncating nothing."""
+    parent = os.path.dirname(os.path.abspath(path))
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif not os.path.isdir(parent):
+        code = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
+    elif not os.access(path if os.path.exists(path) else parent, os.W_OK):
+        code = errno.EACCES
+    else:
+        return
+    raise ParameterError(f"cannot write {path}: {os.strerror(code)}")
 
 
 def write_json(path, doc: dict) -> None:

@@ -252,7 +252,8 @@ class ContinuousStage:
     ``stopped_source`` is S^alpha, and ``stopped_m`` / ``stopped_a`` hold
     each selected step's script-M and script-A stopped at alpha, in the
     order of ``selected``; the assembly reads them, and the space of
-    ``stopped_source``, instead of stopping again."""
+    ``stopped_source``, instead of stopping again.  Where alpha stops no
+    atom, they are the source and the steps' own scripts, shared."""
 
     eps: float
     C: float
@@ -265,6 +266,21 @@ class ContinuousStage:
     stopped_m: tuple
     stopped_a: tuple
     log: tuple
+
+
+def _stopped_increments(cert, source: AdaptedProcess, C: float, running: np.ndarray):
+    """The level's finest-grid martingale and drift increments, stopped at
+    its rho by the running indicator."""
+    M_ext, A_ext = extend_martingale(cert.decomposition, source, rho=cert.rho, C=C)
+    return running[:, 1:] * M_ext.increments(), running[:, 1:] * A_ext.increments()
+
+
+def _script(space, dN: np.ndarray, w: np.ndarray) -> AdaptedProcess:
+    """The running sum of w * dN from 0, built in place; dN is consumed."""
+    dN *= w
+    values = np.zeros((space.n_atoms, dN.shape[1] + 1))
+    np.cumsum(dN, axis=1, out=values[:, 1:])
+    return AdaptedProcess(space, values)
 
 
 def continuous_stage(
@@ -295,25 +311,20 @@ def continuous_stage(
     pos = np.minimum(np.arange(n + PAD_COPIES), n - 1)
     log.append(f"{n} certificates, padded to {len(pos)} by repeating the finest level")
 
-    # indicator of still running: R_t = 1 while t <= rho
-    R = np.empty((n, space.n_atoms, n_times))
+    # indicator of still running: R_t = 1 while t <= rho; bool, cast to
+    # float only where a float reduction reads it
+    R = np.empty((n, space.n_atoms, n_times), dtype=bool)
     grid_idx = np.arange(n_times)
     for i, c in enumerate(certs):
         R[i] = grid_idx[None, :] <= c.rho.index[:, None]
-        e_r1 = space.expectation(R[i][:, -1])
+        e_r1 = space.expectation(R[i][:, -1].astype(float))
         if e_r1 < 1.0 - eps - BOUND_TOL:
             raise InvariantViolation(f"E[R_1] = {e_r1} below 1 - eps at position {i}")
 
-    cw, rbar_limit = extract_convex(R[pos, :, -1], tol=tol, prob=space.probs, window=window)
+    cw, rbar_limit = extract_convex(R[pos, :, -1].astype(float), tol=tol, prob=space.probs, window=window)
     log.extend(cw.log)
 
-    # each level's finest-grid increments, stopped at its rho
-    inc_m = []
-    inc_a = []
-    for i, c in enumerate(certs):
-        M_ext, A_ext = extend_martingale(c.decomposition, source, rho=c.rho, C=C)
-        inc_m.append(R[i][:, 1:] * M_ext.increments())
-        inc_a.append(R[i][:, 1:] * A_ext.increments())
+    inc_m, inc_a = zip(*(_stopped_increments(c, source, C, R[i]) for i, c in enumerate(certs)))
 
     steps = []
     for s in range(cw.n_steps):
@@ -344,9 +355,8 @@ def continuous_stage(
         for j, i in enumerate(idx):
             dN_m += mu[j] * inc_m[i]
             dN_a += mu[j] * inc_a[i]
-        zeros = np.zeros((space.n_atoms, 1))
-        m_script = AdaptedProcess(space, np.concatenate([zeros, np.cumsum(w * dN_m, axis=1)], axis=1))
-        a_script = AdaptedProcess(space, np.concatenate([zeros, np.cumsum(w * dN_a, axis=1)], axis=1))
+        m_script = _script(space, dN_m, w)
+        a_script = _script(space, dN_a, w)
         # the two mixes must reassemble the source stopped at the exit time
         resid = float(
             np.abs(m_script.values + a_script.values - stop_process(source, alpha_k).values).max()
@@ -358,7 +368,7 @@ def continuous_stage(
                 level=certs[idx[0]].level,
                 alpha_k=alpha_k,
                 p_alpha_k=p_k,
-                rbar_terminal=rbar[:, -1],
+                rbar_terminal=rbar[:, -1].copy(),  # a view would keep all of rbar alive
                 sbar_sup=sbar_sup,
                 sbar_tv=sbar_tv,
                 m_script=m_script,
@@ -600,6 +610,7 @@ def detect(source, config: DetectConfig | None = None):
 
     try:
         cstage = continuous_stage(Y, stage.certificates, tol=config.tol, window=config.window)
+        del stage  # the table is built; free the level decompositions before assembly
         inner = assemble_decomposition(cstage, tol=config.tol, window=config.window)
     except ConvergenceError as exc:
         log.append(f"extraction failed to converge: {exc}")

@@ -338,7 +338,12 @@ def check_stopping_time(tau: StoppingTime) -> bool:
 
 
 def stop_process(S: AdaptedProcess, tau: StoppingTime) -> AdaptedProcess:
-    """Freeze S at tau: values become S_{t ∧ tau} per atom."""
+    """Freeze S at tau: values become S_{t ∧ tau} per atom.
+
+    When tau stops no atom before S's last sampled time (it is infinite,
+    or equals that time), the result is S itself, shared uncopied;
+    processes are read-only, and tau is validated either way.
+    """
     if tau.space is not S.space:
         raise StructuralError("stopping time and process live on different spaces")
     if not check_stopping_time(tau):
@@ -350,6 +355,8 @@ def stop_process(S: AdaptedProcess, tau: StoppingTime) -> AdaptedProcess:
     if np.any(bad):
         raise StructuralError("stopping time takes values outside the process's sample times")
     cap = np.where(finite, pos, S.n_times - 1)
+    if cap.min() == S.n_times - 1:
+        return S
     frozen = S.values[np.arange(S.space.n_atoms), cap][:, None]
     return AdaptedProcess(S.space, np.where(np.arange(S.n_times) > cap[:, None], frozen, S.values), S.time_index)
 

@@ -661,6 +661,44 @@ class TestCliFlows:
         err = capsys.readouterr().err
         assert err.startswith(f"parameter error: cannot write {bad}")
 
+    @pytest.mark.parametrize("existing", [False, True], ids=["new-report", "old-report"])
+    def test_unwritable_csv_fails_before_detect_and_writes_no_report(self, tmp_path, capsys,
+                                                                    monkeypatch, existing):
+        src = walk_file(tmp_path, level=2)
+        report = tmp_path / "report.json"
+        if existing:
+            report.write_text("old\n")
+        bad = str(tmp_path / "missing" / "series.csv")
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return detect(*args)
+
+        monkeypatch.setattr(cli, "detect", counted)
+        assert main(["detect", src, "--out", str(report), "--csv", bad]) == 2
+        assert capsys.readouterr().err.startswith(f"parameter error: cannot write {bad}")
+        assert calls == []
+        assert report.read_text() == "old\n" if existing else not report.exists()
+
+    @pytest.mark.parametrize("case", ["directory", "missing-dir", "file-as-dir"])
+    def test_check_output_rejects_what_open_output_cannot_open(self, tmp_path, case):
+        (tmp_path / "file").write_text("x")
+        path = {"directory": tmp_path, "missing-dir": tmp_path / "missing" / "out",
+                "file-as-dir": tmp_path / "file" / "out"}[case]
+        with pytest.raises(ParameterError) as opened:
+            sio.open_output(str(path))
+        with pytest.raises(ParameterError) as checked:
+            sio.check_output(str(path))
+        assert str(checked.value) == str(opened.value)
+
+    def test_check_output_creates_and_truncates_nothing(self, tmp_path):
+        (tmp_path / "old.json").write_text("old\n")
+        sio.check_output(str(tmp_path / "old.json"))
+        sio.check_output(str(tmp_path / "new.json"))
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["old.json"]
+        assert (tmp_path / "old.json").read_text() == "old\n"
+
     def test_verify_rejects_a_source_name_that_is_not_a_string(self, tmp_path, capsys):
         src = walk_file(tmp_path, level=2)
         report = str(tmp_path / "report.json")

@@ -255,6 +255,20 @@ class TestAssembleDecomposition:
         assert calls == []
         assert residual_against(cert, S) <= CERT_TOL
 
+    def test_a_never_stopping_alpha_shares_the_source_and_the_scripts(self):
+        """p_stop = 0 at every level, so alpha stops no atom: the stopped
+        source and mixes are the source and the selected steps' own scripts."""
+        S = generate(GeneratorSpec(kind="rademacher_bm", level=3)).process
+        stage = discrete_stage(S, (1, 2, 3), 0.1)
+        assert [c.p_stop for c in stage.certificates] == [0.0, 0.0, 0.0]
+        cstage = continuous_stage(S, stage.certificates)
+        assert cstage.p_alpha == 0.0
+        assert cstage.stopped_source is S
+        assert len(cstage.stopped_m) == len(cstage.stopped_a) == len(cstage.selected) >= 3
+        for s, m_st, a_st in zip(cstage.selected, cstage.stopped_m, cstage.stopped_a):
+            assert m_st is cstage.steps[s].m_script
+            assert a_st is cstage.steps[s].a_script
+
     def test_pure_drift_assembles_to_drift_only(self):
         space, S = one_atom_path(np.linspace(0.0, 0.5, 9))
         stage = discrete_stage(S, (1, 2, 3), 0.1)
@@ -420,6 +434,31 @@ def test_no_decomposition_outlives_the_discrete_stage(monkeypatch, spec, levels)
     monkeypatch.setattr(pipeline, "_free_lunch", checked_free_lunch)
     verdict = detect(generate(GeneratorSpec(**spec)), DetectConfig(levels=levels))
     assert verdict.kind == "free_lunch"
+    assert made and alive_at_entry == [0]
+
+
+def test_no_decomposition_outlives_the_continuous_stage(monkeypatch):
+    """The assembly reads only the stopped mixes, so every level
+    decomposition is garbage by the time it starts."""
+    made = []
+    post_init = DoobDecomposition.__post_init__
+
+    def recording_post_init(self):
+        post_init(self)
+        made.append(weakref.ref(self))
+
+    alive_at_entry = []
+    assemble = pipeline.assemble_decomposition
+
+    def checked_assemble(*args, **kwargs):
+        gc.collect()
+        alive_at_entry.append(sum(ref() is not None for ref in made))
+        return assemble(*args, **kwargs)
+
+    monkeypatch.setattr(DoobDecomposition, "__post_init__", recording_post_init)
+    monkeypatch.setattr(pipeline, "assemble_decomposition", checked_assemble)
+    verdict = detect(generate(GeneratorSpec(kind="rademacher_bm", level=3)))
+    assert verdict.kind == "certificate"
     assert made and alive_at_entry == [0]
 
 

@@ -296,6 +296,48 @@ class TestStopProcess:
             stop_process(S, StoppingTime(space, idx))
 
 
+    def test_a_time_that_stops_no_atom_shares_the_process(self):
+        space, S = canonical_walk(2)
+        last = space.grid.n_times - 1
+        coarse = restrict_to_level(S, 1)
+        head = AdaptedProcess(space, S.values[:, :3], S.time_index[:3])
+        mixed = np.where(space.innovations[:, 0] > 0, last, space.grid.n_times)
+        assert stop_process(S, StoppingTime.constant(space, np.inf)) is S
+        assert stop_process(S, StoppingTime.constant(space, 1.0)) is S
+        assert stop_process(coarse, StoppingTime.constant(space, np.inf)) is coarse
+        assert stop_process(coarse, StoppingTime.constant(space, 1.0)) is coarse
+        assert stop_process(coarse, StoppingTime(space, mixed)) is coarse
+        # the last sampled time of a process sampled up to t = 1/2 only
+        assert stop_process(head, StoppingTime.constant(space, 0.5)) is head
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_a_time_that_stops_one_cell_early_copies_bit_for_bit(self, seed):
+        rng = np.random.default_rng(seed)
+        space = random_space(rng)
+        S = AdaptedProcess(space, cell_values(rng, space.labels))
+        idx = np.where(space.labels[1] == 0, 1, space.grid.n_times - 1)
+        stopped = stop_process(S, StoppingTime(space, idx))
+        expected = S.values.copy()
+        expected[idx == 1, 1:] = S.values[idx == 1, 1:2]
+        assert stopped is not S
+        assert np.array_equal(stopped.values.view(np.uint64), expected.view(np.uint64))
+
+    def test_a_non_stopping_time_at_the_end_is_rejected_before_sharing(self):
+        # the final partition pairs atoms, so {tau <= 1} may not split a pair
+        grid = DyadicGrid(1)
+        labels = np.array([[0, 0, 0, 0], [0, 0, 1, 1], [0, 0, 1, 1]])
+        space = FilteredSpace(grid, np.full(4, 0.25), labels)
+        S = AdaptedProcess(space, np.array([[0.0, 1, 2], [0, 1, 2], [0, -1, -2], [0, -1, -2]]))
+        last = grid.n_times - 1
+        with pytest.raises(PreconditionError):
+            stop_process(S, StoppingTime(space, np.array([last, grid.n_times, last, grid.n_times])))
+
+    def test_a_time_past_the_last_sample_is_rejected_before_sharing(self):
+        space, S = canonical_walk(2)
+        head = AdaptedProcess(space, S.values[:, :3], S.time_index[:3])
+        with pytest.raises(StructuralError, match="sample times"):
+            stop_process(head, StoppingTime.constant(space, 1.0))
+
     @pytest.mark.parametrize("seed", SEEDS)
     def test_matches_per_atom_loop(self, seed):
         """S_{t ^ tau} per atom and sample time, with S sampled at a random
