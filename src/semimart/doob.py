@@ -267,9 +267,13 @@ def doob_maximal_stop(D: DoobDecomposition, h: SimpleIntegrand, c2: float) -> St
 class StageCertificate:
     """One certified level of the discrete stage: the stopping time rho
     (quadratic cut at c1 meets drift cut at c2), the budget
-    C = max(c1, c2), the verified stopped bounds and the level
-    decomposition.  The budgets c1, c2 are the stage's, kept once on
-    `StageResult`.
+    C = max(c1, c2), the verified stopped bounds and the level's terminal
+    martingale value M_1, one per atom.  The budgets c1, c2 are the
+    stage's, kept once on `StageResult`.
+
+    M_1 is all the continuous stage reads of the level decomposition, so
+    the certificate keeps an owned, read-only copy of it and not the
+    decomposition: a view of M's last column would keep all of M alive.
     """
 
     level: int
@@ -279,9 +283,12 @@ class StageCertificate:
     tv_stopped: float
     m_l2_stopped: float
     p_stop: float
-    decomposition: DoobDecomposition
+    m_terminal: np.ndarray
 
     def __post_init__(self):
+        m_terminal = np.array(self.m_terminal, dtype=float)
+        m_terminal.setflags(write=False)
+        object.__setattr__(self, "m_terminal", m_terminal)
         bad = []
         if self.tv_stopped > self.C + BOUND_TOL:
             bad.append(f"TV {self.tv_stopped} > C {self.C}")
@@ -428,7 +435,7 @@ def discrete_stage(
                     tv_stopped=float(np.abs(A_st.increments()).sum(axis=1).max()),
                     m_l2_stopped=float(S.space.expectation(M_st.values[:, -1] ** 2)),
                     p_stop=p_stops[-1],
-                    decomposition=D,
+                    m_terminal=D.M.values[:, -1],
                 )
             )
         log.append(f"all levels certified with c1={c1:g}, c2={c2:g}, C={C:g}")

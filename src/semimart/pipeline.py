@@ -194,18 +194,22 @@ def big_jump_split(S: AdaptedProcess) -> tuple[AdaptedProcess, AdaptedProcess]:
 
 
 def extend_martingale(
-    D,
+    level: int,
+    m_terminal: np.ndarray,
     S: AdaptedProcess,
     rho: StoppingTime | None = None,
     C: float | None = None,
 ) -> tuple[AdaptedProcess, AdaptedProcess]:
-    """Extend a level decomposition to the finest grid.
+    """Extend a level-``level`` decomposition, given by its terminal
+    martingale value M_1 (one per atom), to the finest grid.
 
     The martingale part becomes E[M_1 | F_t] at every finest time, the
-    drift part the remainder S - M.  Inside each coarse cell the drift
-    can wander from its cell-start value by at most 2; when the level's
-    stopping time and budget are supplied, the stopped drift is checked
-    to stay within C + 2 uniformly.
+    drift part the remainder S - M; M_1 and the level are all this reads
+    of the level decomposition, which is why a `StageCertificate` keeps
+    only those.  Inside each coarse cell the drift can wander from its
+    cell-start value by at most 2; when the level's stopping time and
+    budget are supplied, the stopped drift is checked to stay within
+    C + 2 uniformly.
     """
     space = S.space
     if np.abs(S.values[:, 0]).max() > BOUND_TOL:
@@ -214,9 +218,9 @@ def extend_martingale(
         raise PreconditionError(
             f"extension requires ||S||_inf <= 1 (got {S.sup_norm()}); normalize first"
         )
-    M_ext = AdaptedProcess(space, space.conditional_path(D.M.values[:, -1]))
+    M_ext = AdaptedProcess(space, space.conditional_path(m_terminal))
     A_ext = S - M_ext
-    step = 1 << (space.grid.level - D.level)
+    step = 1 << (space.grid.level - level)
     anchor_idx = (np.arange(space.grid.n_times) // step) * step
     dev = float(np.abs(A_ext.values - A_ext.values[:, anchor_idx]).max())
     if dev > 2.0 + BOUND_TOL:
@@ -248,6 +252,9 @@ class StageStep:
 class ContinuousStage:
     """All per-step objects plus the selected subsequence and its mixed
     exit time alpha; built only from a fully passing discrete stage.
+    It keeps no certified level: each level's stopped increments are
+    freed inside `continuous_stage` once the last step that mixes them
+    is built.
 
     ``stopped_source`` is S^alpha, and ``stopped_m`` / ``stopped_a`` hold
     each selected step's script-M and script-A stopped at alpha, in the
@@ -271,7 +278,7 @@ class ContinuousStage:
 def _stopped_increments(cert, source: AdaptedProcess, C: float, running: np.ndarray):
     """The level's finest-grid martingale and drift increments, stopped at
     its rho by the running indicator."""
-    M_ext, A_ext = extend_martingale(cert.decomposition, source, rho=cert.rho, C=C)
+    M_ext, A_ext = extend_martingale(cert.level, cert.m_terminal, source, rho=cert.rho, C=C)
     return running[:, 1:] * M_ext.increments(), running[:, 1:] * A_ext.increments()
 
 
@@ -281,6 +288,65 @@ def _script(space, dN: np.ndarray, w: np.ndarray) -> AdaptedProcess:
     values = np.zeros((space.n_atoms, dN.shape[1] + 1))
     np.cumsum(dN, axis=1, out=values[:, 1:])
     return AdaptedProcess(space, values)
+
+
+def _mixed(inc: list, part: int, mu: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """sum_j mu_j * inc[idx_j][part], accumulated in block order.  R is 0/1
+    and mu >= 0, so mu * (R dM) equals (mu R) dM up to the sign of a
+    zero, which the +0 accumulator absorbs."""
+    out = np.zeros_like(inc[idx[0]][part])
+    for j, i in enumerate(idx):
+        out += mu[j] * inc[i][part]
+    return out
+
+
+def _mix_step(s: int, mu: np.ndarray, idx: np.ndarray, certs, R: np.ndarray, inc: list,
+              source: AdaptedProcess, eps: float) -> StageStep:
+    """Extraction step s: mix the levels idx (one per block position)
+    with weights mu and check every bound of the step; the mixed
+    indicator and the integrand weights die with the call."""
+    space = source.space
+    n_times = space.grid.n_times
+    rbar = np.einsum("k,kat->at", mu, R[idx])
+    mask = rbar >= 0.5
+    count = mask.sum(axis=1)
+    alpha_idx = np.where(count == n_times, space.grid.n_times, count - 1)
+    alpha_k = StoppingTime(space, alpha_idx)
+    if not check_stopping_time(alpha_k):
+        raise InvariantViolation(f"mixed exit time at step {s} is not a stopping time")
+    p_k = alpha_k.prob_finite()
+    if p_k > 2.0 * eps + BOUND_TOL:
+        raise InvariantViolation(f"P[alpha_{s} < inf] = {p_k} above 2 eps")
+    # predictable step weights of the normalized integrand
+    w = np.where(mask[:, 1:], 1.0 / np.where(mask[:, 1:], rbar[:, 1:], 1.0), 0.0)
+    rbar_terminal = rbar[:, -1].copy()  # a view would keep all of rbar alive
+    del rbar, mask
+    sbar_sup = float(w.max())
+    if sbar_sup > 2.0 + BOUND_TOL:
+        raise InvariantViolation(f"normalized integrand reaches {sbar_sup} > 2 at step {s}")
+    sbar_tv = float(np.abs(np.diff(w, axis=1)).sum(axis=1).max()) if w.shape[1] > 1 else 0.0
+    if sbar_tv > 3.0 + BOUND_TOL:
+        raise InvariantViolation(f"normalized integrand variation {sbar_tv} > 3 at step {s}")
+    m_script = _script(space, _mixed(inc, 0, mu, idx), w)
+    a_script = _script(space, _mixed(inc, 1, mu, idx), w)
+    del w
+    # the two mixes must reassemble the source stopped at the exit time;
+    # (M + A) - S^alpha_k, then abs, in one temporary
+    resid = np.add(m_script.values, a_script.values)
+    resid -= stop_process(source, alpha_k).values
+    resid = float(np.abs(resid, out=resid).max())
+    if resid > IDENT_TOL:
+        raise InvariantViolation(f"mix identity off by {resid} at step {s}")
+    return StageStep(
+        level=certs[idx[0]].level,
+        alpha_k=alpha_k,
+        p_alpha_k=p_k,
+        rbar_terminal=rbar_terminal,
+        sbar_sup=sbar_sup,
+        sbar_tv=sbar_tv,
+        m_script=m_script,
+        a_script=a_script,
+    )
 
 
 def continuous_stage(
@@ -295,7 +361,11 @@ def continuous_stage(
     Each certified level contributes one indicator 1[0, rho_n] and one
     pair of stopped finest-grid increments, built once.  The sequence fed
     to the extraction repeats the finest level PAD_COPIES more times, as
-    an index ``pos`` into the levels rather than as copies."""
+    an index ``pos`` into the levels rather than as copies.  The
+    extraction takes forward convex combinations (step s mixes positions
+    s, s+1, ... only), so a level's increments are freed right after the
+    last step whose block mixes it, and each step's own temporaries die
+    with its helper `_mix_step`."""
     certs = tuple(certs)
     if not certs:
         raise ParameterError("need at least one certificate")
@@ -324,60 +394,19 @@ def continuous_stage(
     cw, rbar_limit = extract_convex(R[pos, :, -1].astype(float), tol=tol, prob=space.probs, window=window)
     log.extend(cw.log)
 
-    inc_m, inc_a = zip(*(_stopped_increments(c, source, C, R[i]) for i, c in enumerate(certs)))
+    # the last step whose block holds one of each level's positions; a
+    # level no block holds is freed after the first step
+    last_step = np.zeros(n, dtype=np.int64)
+    for s, blk in enumerate(cw.blocks):
+        last_step[pos[blk.indices]] = s
+    inc = [_stopped_increments(c, source, C, R[i]) for i, c in enumerate(certs)]
 
     steps = []
-    for s in range(cw.n_steps):
-        blk = cw.blocks[s]
-        mu, idx = blk.weights, pos[blk.indices]
-        rbar = np.einsum("k,kat->at", mu, R[idx])
-        mask = rbar >= 0.5
-        count = mask.sum(axis=1)
-        alpha_idx = np.where(count == n_times, space.grid.n_times, count - 1)
-        alpha_k = StoppingTime(space, alpha_idx)
-        if not check_stopping_time(alpha_k):
-            raise InvariantViolation(f"mixed exit time at step {s} is not a stopping time")
-        p_k = alpha_k.prob_finite()
-        if p_k > 2.0 * eps + BOUND_TOL:
-            raise InvariantViolation(f"P[alpha_{s} < inf] = {p_k} above 2 eps")
-        # predictable step weights of the normalized integrand
-        w = np.where(mask[:, 1:], 1.0 / np.where(mask[:, 1:], rbar[:, 1:], 1.0), 0.0)
-        sbar_sup = float(w.max())
-        if sbar_sup > 2.0 + BOUND_TOL:
-            raise InvariantViolation(f"normalized integrand reaches {sbar_sup} > 2 at step {s}")
-        sbar_tv = float(np.abs(np.diff(w, axis=1)).sum(axis=1).max()) if w.shape[1] > 1 else 0.0
-        if sbar_tv > 3.0 + BOUND_TOL:
-            raise InvariantViolation(f"normalized integrand variation {sbar_tv} > 3 at step {s}")
-        # R is 0/1 and mu >= 0, so mu * (R dM) equals (mu R) dM up to the
-        # sign of a zero, which the +0 accumulators absorb
-        dN_m = np.zeros((space.n_atoms, n_times - 1))
-        dN_a = np.zeros((space.n_atoms, n_times - 1))
-        for j, i in enumerate(idx):
-            dN_m += mu[j] * inc_m[i]
-            dN_a += mu[j] * inc_a[i]
-        m_script = _script(space, dN_m, w)
-        a_script = _script(space, dN_a, w)
-        # the two mixes must reassemble the source stopped at the exit time
-        resid = float(
-            np.abs(m_script.values + a_script.values - stop_process(source, alpha_k).values).max()
-        )
-        if resid > IDENT_TOL:
-            raise InvariantViolation(f"mix identity off by {resid} at step {s}")
-        steps.append(
-            StageStep(
-                level=certs[idx[0]].level,
-                alpha_k=alpha_k,
-                p_alpha_k=p_k,
-                rbar_terminal=rbar[:, -1].copy(),  # a view would keep all of rbar alive
-                sbar_sup=sbar_sup,
-                sbar_tv=sbar_tv,
-                m_script=m_script,
-                a_script=a_script,
-            )
-        )
-    # the rest of the stage reads only the steps; freeing these now keeps
-    # the stopped mixes below from raising the peak
-    del R, inc_m, inc_a
+    for s, blk in enumerate(cw.blocks):
+        steps.append(_mix_step(s, blk.weights, pos[blk.indices], certs, R, inc, source, eps))
+        for i in np.flatnonzero(last_step == s):
+            inc[i] = None
+    del R, inc
 
     # subsequence selection: exact probabilities against the limit
     selected = []
@@ -438,6 +467,17 @@ def continuous_stage(
     )
 
 
+def _assembly_limits(stage: ContinuousStage, tol: float, window: int):
+    """The assembly's extraction and its limits: the stopped mixed
+    terminals first, then one drift column per time.  The stacked
+    sequences die with the call, before M and A are built."""
+    space = stage.stopped_source.space
+    seqs = [np.stack([m.values[:, -1] for m in stage.stopped_m])]
+    for j in range(space.grid.n_times):
+        seqs.append(np.stack([a.values[:, j] for a in stage.stopped_a]))
+    return extract_convex_multi(seqs, tol=tol, prob=space.probs, window=window)
+
+
 def assemble_decomposition(
     stage: ContinuousStage,
     tol: float = 1e-8,
@@ -446,13 +486,10 @@ def assemble_decomposition(
     """One simultaneous extraction over the stopped mixed terminals and
     every per-time drift column; the limits define M and A."""
     space = stage.stopped_source.space
-    seqs = [np.stack([m.values[:, -1] for m in stage.stopped_m])]
-    for j in range(space.grid.n_times):
-        seqs.append(np.stack([a.values[:, j] for a in stage.stopped_a]))
-    cw, limits = extract_convex_multi(seqs, tol=tol, prob=space.probs, window=window)
-
+    cw, limits = _assembly_limits(stage, tol, window)
     M = AdaptedProcess(space, space.conditional_path(limits[0]))
     A = AdaptedProcess(space, np.column_stack(limits[1:]))
+    del limits  # freed before the certificate's checks, which set the peak nearby
 
     resid_sum = float(np.abs(M.values + A.values - stage.stopped_source.values).max())
     return SemimartingaleCertificate(
@@ -616,6 +653,7 @@ def detect(source, config: DetectConfig | None = None):
         log.append(f"extraction failed to converge: {exc}")
         return Inconclusive("convex-combination extraction did not converge", tuple(log), table)
     log.extend(inner.log[len(cstage.log):])
+    del cstage  # the steps' scripts and the stopped mixes are not read again
     log.append(
         f"assembled decomposition: |M+A-S^alpha| = {inner.residuals['decomposition']:.3g}, "
         f"martingale residual = {inner.residuals['martingale']:.3g}"

@@ -98,7 +98,7 @@ def per_position_mixes(source: AdaptedProcess, certs, cw) -> list:
     R = np.empty((len(certs), space.n_atoms, n_times))
     for i, c in enumerate(certs):
         R[i] = np.arange(n_times)[None, :] <= c.rho.index[:, None]
-    ext = [extend_martingale(c.decomposition, source, rho=c.rho, C=c.C) for c in certs]
+    ext = [extend_martingale(c.level, c.m_terminal, source, rho=c.rho, C=c.C) for c in certs]
     dM = [np.diff(M.values, axis=1) for M, _ in ext]
     dA = [np.diff(A.values, axis=1) for _, A in ext]
     zeros = np.zeros((space.n_atoms, 1))

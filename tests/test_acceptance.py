@@ -135,7 +135,8 @@ class TestAcceptance:
             assert stage.passed
             n_times = space.grid.n_times
             for cert in stage.certificates:
-                D = cert.decomposition
+                D = doob_decompose(S, cert.level)
+                assert np.array_equal(D.M.values[:, -1], cert.m_terminal)
                 A_stop = stop_process(D.A, cert.rho)
                 M_stop = stop_process(D.M, cert.rho)
                 tv = np.abs(A_stop.increments()).sum(axis=1)

@@ -26,6 +26,7 @@ from semimart.integrands import _measurable_at
 from semimart.komlos import ConvexWeights, WeightBlock
 from semimart.pipeline import PAD_COPIES, continuous_stage
 from semimart.space import (
+    ATOL,
     AdaptedProcess,
     DyadicGrid,
     FilteredSpace,
@@ -176,6 +177,39 @@ def test_conditional_path_matches_cell_means(seed):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
+def test_conditional_path_tower_property(seed):
+    """E[E[x | F_t] | F_u] = E[x | F_u] for every u <= t."""
+    rng = np.random.default_rng(seed)
+    space = random_space(rng)
+    cond = space.conditional_path(rng.standard_normal(space.n_atoms))
+    for t in range(space.grid.n_times):
+        for u in range(t + 1):
+            assert np.abs(space.cell_average(cond[:, t], u) - cond[:, u]).max() <= ATOL
+
+
+def random_stopping_times(rng, space):
+    """Stopping times from random cell events, plus the two that stop no
+    atom before the last time (never, and the last time itself)."""
+    n_times = space.grid.n_times
+    zero = AdaptedProcess(space, np.zeros((space.n_atoms, n_times)))
+    taus = [first_hitting_time(zero, cell_values(rng, space.labels) > 1) for _ in range(4)]
+    return taus + [StoppingTime(space, np.full(space.n_atoms, k)) for k in (n_times, n_times - 1)]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_stopping_twice_is_stopping_at_the_minimum(seed):
+    rng = np.random.default_rng(seed)
+    space = random_space(rng)
+    S = AdaptedProcess(space, np.column_stack([rng.standard_normal(lab.max() + 1)[lab] for lab in space.labels]))
+    taus = random_stopping_times(rng, space)
+    for s in taus:
+        for t in taus:
+            twice = stop_process(stop_process(S, s), t).values
+            once = stop_process(S, s.min_with(t)).values
+            assert np.array_equal(twice.view(np.uint64), once.view(np.uint64))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
 def test_ladder_rungs_match_the_stopping_times(seed):
     """Each rung's probability is P[sigma_n(c) < inf] (P[tau_n(c) < inf])
     bit for bit.  The probabilities fall along the ladder and a rung
@@ -256,7 +290,7 @@ def test_level_mixes_match_the_per_position_reference(seed, monkeypatch):
             level=n, eps=eps, C=256.0, rho=rho,
             tv_stopped=float(np.abs(stop_process(D.A, rho).increments()).sum(axis=1).max()),
             m_l2_stopped=float(space.expectation(stop_process(D.M, rho).values[:, -1] ** 2)),
-            p_stop=rho.prob_finite(), decomposition=D,
+            p_stop=rho.prob_finite(), m_terminal=D.M.values[:, -1],
         ))
     made = []
     extract = random_extraction(rng, len(certs))
