@@ -6,12 +6,21 @@ as 17-significant-digit decimal strings (bit-exact round trip for
 float64).  A report file wraps a canonical body under a timestamp; the
 body is byte-reproducible from the ensemble file and the configuration,
 which is what `verify` exploits.
+
+Rows are written and read in blocks of about BLOCK_CELLS cells.  The
+writer formats each distinct value of a block once when its values
+repeat.  The reader converts a block whose text has exactly the writer's
+layout with one `np.loadtxt` call; any other block is decoded row by row
+as JSON, and that path names the atom and the field of a fault.
 """
 
 import errno
 import hashlib
+import io
+import itertools
 import json
 import os
+import re
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -29,6 +38,14 @@ INLINE_ATOM_LIMIT = 1024
 BLOCK_CELLS = 1 << 16
 # cells sampled to decide whether a payload array repeats its values
 PAYLOAD_SAMPLE = 4096
+# the characters of a number; every other character of a row in the
+# writer's layout belongs to its fixed skeleton
+_NUMBER = b"0123456789.eE+-"
+_CELLS_TO_SPACES = bytes.maketrans(b'",', b"  ")
+# the line breaks of str.splitlines besides "\n" that ASCII text can hold
+_OTHER_BREAKS = b"\r\x0b\x0c\x1c\x1d\x1e"
+# one atom row in the writer's layout: its p, v and xi texts
+_ROW = re.compile(rb'^\{"p":(\[[^]]*\]),"v":\[("[^]]*")\],"xi":\[([^]]*)\]\}$', re.M)
 
 
 def fmt17(x) -> str:
@@ -137,16 +154,18 @@ def write_ensemble(path, spec: GeneratorSpec, probs, xi, values) -> None:
         "atoms": n,
     }
     distinct, inverse = np.unique(probs, return_inverse=True)
-    codes = [dyadic_encode(p) for p in distinct]
-    # the key order and separators of `_canonical`
-    v_cells, xi_cells = _cells('"%.17g"', values.shape[1]), _cells("%d", xi.shape[1])
-    row = '{"p":[%d,%d],"v":[' + v_cells + '],"xi":[' + xi_cells + "]}\n"
+    codes = ["%d,%d" % tuple(dyadic_encode(p)) for p in distinct]
     with open_output(path) as fh:
         fh.write(_canonical(header) + "\n")
         for lo, hi in _blocks(n, values.shape[1] + xi.shape[1]):
+            # the key order and separators of `_canonical`
             fh.write("".join([
-                row % (*codes[c], *v, *x)
-                for c, v, x in zip(inverse[lo:hi].tolist(), values[lo:hi].tolist(), xi[lo:hi].tolist())
+                '{"p":[%s],"v":[%s],"xi":[%s]}\n' % row
+                for row in zip(
+                    [codes[c] for c in inverse[lo:hi].tolist()],
+                    _payload_lines(values[lo:hi], '"%.17g"'),
+                    _payload_lines(xi[lo:hi], "%d"),
+                )
             ]))
 
 
@@ -166,11 +185,20 @@ def read_ensemble(path) -> EnsembleData:
     except OSError as exc:
         raise ParameterError(f"cannot read ensemble file: {exc}") from exc
     sha = hashlib.sha256(raw).hexdigest()
-    lines = raw.decode("utf-8").splitlines()
-    if not lines:
+    if not raw:
         raise ParameterError("header: file is empty")
+    # an ASCII file whose lines end in "\n" alone is read as bytes, never
+    # decoded; any other file is re-encoded from the lines str.splitlines
+    # cuts from its UTF-8 text
+    if not raw.isascii() or any(c in raw for c in _OTHER_BREAKS):
+        raw = ("\n".join(raw.decode("utf-8").splitlines()) + "\n").encode()
+    # as in str.splitlines, a break at the very end starts no line
+    size = len(raw) - raw.endswith(b"\n")
+    head_end = raw.find(b"\n", 0, size)
+    if head_end < 0:
+        head_end = size
     try:
-        header = json.loads(lines[0])
+        header = json.loads(raw[:head_end].decode())
     except json.JSONDecodeError as exc:
         raise ParameterError(f"header: not valid JSON ({exc})") from exc
     if not isinstance(header, dict):
@@ -195,24 +223,35 @@ def read_ensemble(path) -> EnsembleData:
     except (ParameterError, ValueError) as exc:
         raise ParameterError(f"header: {exc}") from exc
     n = _header_field(header, "atoms", int)
-    if len(lines) - 1 != n:
-        raise ParameterError(f"header.atoms: declares {n} atoms, file has {len(lines) - 1} rows")
+    rows = raw.count(b"\n", head_end, size)
+    if rows != n:
+        raise ParameterError(f"header.atoms: declares {n} atoms, file has {rows} rows")
 
     n_values = spec.n_steps + 1
     xi_len = 0 if kind == "deterministic_drift" else spec.n_steps
-    entries = np.empty((n, 2), dtype=np.int64)  # [numerator, k] per atom
+    codes = {}  # [numerator, k] pair -> its position in the dict
+    inverse = np.empty(n, dtype=np.intp)
     xi = np.empty((n, xi_len), dtype=np.int8)
     values = np.empty((n, n_values))
+    lines_in = io.BytesIO(raw)  # shares raw's buffer
+    lines_in.readline()
     for lo, hi in _blocks(n, n_values + xi_len):
-        block = _decode_block(lines[lo + 1 : hi + 1], xi_len, n_values)
-        if block is None:
-            _reject_block(lines, lo, hi, xi_len, n_values)
-        entries[lo:hi], xi[lo:hi], values[lo:hi] = block
-    distinct, inverse, counts = np.unique(entries, axis=0, return_inverse=True, return_counts=True)
-    distinct = distinct.tolist()
-    probs = np.array([dyadic_decode(e, "p") for e in distinct])[inverse]
+        # rows lo..hi-1, each ended by "\n" unless it ends the file
+        block = b"".join(itertools.islice(lines_in, hi - lo))
+        parsed = _parse_block(block, hi - lo, xi_len, n_values, codes)
+        if parsed is None:
+            lines = block.decode().splitlines()
+            parsed = _decode_block(lines, xi_len, n_values)
+            if parsed is None:
+                _reject_block(lines, lo, xi_len, n_values)
+            entries, x, v = parsed
+            parsed = [codes.setdefault(e, len(codes)) for e in map(tuple, entries.tolist())], x, v
+        inverse[lo:hi], xi[lo:hi], values[lo:hi] = parsed
+    distinct = list(codes)
+    counts = np.bincount(inverse, minlength=len(distinct)).tolist()
+    probs = np.array([dyadic_decode(list(e), "p") for e in distinct])[inverse]
     max_k = max((k for _, k in distinct), default=0)
-    num_sum = sum(c * num << (max_k - k) for (num, k), c in zip(distinct, counts.tolist()))
+    num_sum = sum(c * num << (max_k - k) for (num, k), c in zip(distinct, counts))
     if num_sum != 1 << max_k:
         raise ParameterError("p (sum): probabilities do not sum to 1 exactly")
     return EnsembleData(
@@ -222,6 +261,58 @@ def read_ensemble(path) -> EnsembleData:
         values=values,
         sha256=sha,
     )
+
+
+def _parse_block(block: bytes, b: int, xi_len: int, n_values: int, codes: dict):
+    """(p positions in `codes`, xi, values) of b atom rows whose text has
+    exactly the layout `write_ensemble` writes, or None for any other text.
+
+    The regex pins each row's layout outside its v cells.  Within them,
+    deleting the number characters must leave the cells' quotes and commas
+    and no empty cell, so that the v tokens are ASCII number texts, which
+    `float` and `np.loadtxt` parse alike (through PyOS_string_to_double).
+    Each distinct [numerator, k] text must pass strict `json.loads`, and
+    every innovation must be the literal token 1 or -1.  Together these
+    accept only rows that the JSON path accepts, with the same arrays."""
+    rows = _ROW.findall(block)
+    if len(rows) != b:
+        return None
+    p_texts, v_texts, xi_texts = zip(*rows)
+    v_text = b"\n".join(v_texts)
+    if v_text.translate(None, _NUMBER) != b"\n".join([b",".join([b'""'] * n_values)] * b) or b'""' in v_text:
+        return None
+    # deleting every "-" must leave tokens of 1 alone, and each "-" must
+    # stand right before a 1: so each token is 1 or -1
+    xi_text = b"\n".join(xi_texts)
+    ones = b",".join([b"1"] * xi_len)
+    if xi_text.translate(None, b"-") != b"\n".join([ones] * b) or xi_text.count(b"-") != xi_text.count(b"-1"):
+        return None
+    texts = {}  # each distinct [numerator, k] text -> its position in `codes`
+    for text in dict.fromkeys(p_texts):
+        try:
+            entry = json.loads(text.decode())
+        except ValueError:
+            return None
+        if not (
+            len(entry) == 2
+            and all(type(v) is int for v in entry)
+            and 1 <= entry[0] < 1 << 63
+            and 0 <= entry[1] < 1 << 63
+        ):
+            return None
+        texts[text] = codes.setdefault(tuple(entry), len(codes))
+    try:
+        # a number put outside its quotes becomes a token of its own here
+        v = np.loadtxt(v_text.translate(_CELLS_TO_SPACES).split(b"\n"), comments=None, ndmin=2)
+    except ValueError:
+        return None
+    if v.shape != (b, n_values) or not np.all(np.isfinite(v)):
+        return None
+    # the sign of each innovation stands right before its 1; a text that
+    # starts with a 1 wraps round to its last character, also a 1
+    u = np.frombuffer(xi_text, dtype=np.uint8)
+    x = np.where(u[np.flatnonzero(u == ord("1")) - 1] == ord("-"), -1, 1)
+    return [texts[t] for t in p_texts], x.reshape(b, xi_len), v
 
 
 def _decode_block(lines, xi_len: int, n_values: int):
@@ -251,13 +342,13 @@ def _decode_block(lines, xi_len: int, n_values: int):
     return entries, x, v
 
 
-def _reject_block(lines, lo: int, hi: int, xi_len: int, n_values: int):
-    """Every check on the rows of atoms lo..hi-1, in order: raises the
+def _reject_block(lines, lo: int, xi_len: int, n_values: int):
+    """Every check on the rows of atoms lo, lo+1, ..., in order: raises the
     ParameterError naming the first faulty atom and field."""
-    for a in range(lo, hi):
+    for a, line in enumerate(lines, lo):
         where = f"atom {a}"
         try:
-            row = json.loads(lines[a + 1])
+            row = json.loads(line)
         except json.JSONDecodeError as exc:
             raise ParameterError(f"{where}: not valid JSON ({exc})") from exc
         if not isinstance(row, dict):
@@ -280,25 +371,30 @@ def _reject_block(lines, lo: int, hi: int, xi_len: int, n_values: int):
             raise ParameterError(f"{where}.v: values must be finite")
     # every row passed on its own: only [numerator, k] entries past 64
     # bits get here, which the block conversion does not take
-    raise ParameterError(f"atoms {lo}-{hi - 1}.p: entries must fit in 64-bit integers")
+    raise ParameterError(f"atoms {lo}-{a}.p: entries must fit in 64-bit integers")
 
 
-def _payload_lines(arr: np.ndarray) -> list:
-    """One `fmt17`-joined text line per row.  When a sample of the cells
-    shows that values repeat, each distinct bit pattern is formatted once
-    and mapped back; keying on bits keeps -0.0 and 0.0 apart.  Mostly
-    distinct arrays, where that costs more than it saves, take the
-    per-row template."""
+def _payload_lines(arr: np.ndarray, cell: str = "%.17g") -> list:
+    """One text line per row: its cells, each `cell % value`, joined by
+    commas.  When a sample of the cells shows that values repeat, each
+    distinct bit pattern is formatted once and mapped back; keying on bits
+    keeps -0.0 and 0.0 apart.  Mostly distinct arrays, where that costs
+    more than it saves, take the per-row template.  Report payloads take
+    the default cell, which formats as `fmt17` does; `write_ensemble`
+    passes its quoted value cell and its innovation cell."""
     n, width = arr.shape
+    bits = arr.view(f"u{arr.itemsize}")
     k = np.arange(min(PAYLOAD_SAMPLE, arr.size))
     # rows spread evenly and columns cycling, so that no single column,
     # such as a constant start, fills the sample
-    sample = arr[k * n // k.size, k % width] if k.size else arr.ravel()
-    if np.unique(sample.view(np.uint64)).size * 2 >= sample.size:
-        row = _cells("%.17g", width)
+    sample = np.sort(bits[k * n // k.size, k % width] if k.size else bits.ravel())
+    # distinct values counted on the sorted sample: np.unique would import
+    # numpy.ma on its first call in a process
+    if (np.count_nonzero(sample[1:] != sample[:-1]) + 1) * 2 >= sample.size:
+        row = _cells(cell, width)
         return [row % tuple(r) for r in arr.tolist()]
-    distinct, inverse = np.unique(arr.view(np.uint64), return_inverse=True)
-    text = np.array([fmt17(v) for v in distinct.view(np.float64).tolist()], dtype=object)
+    distinct, inverse = np.unique(bits, return_inverse=True)
+    text = np.array([cell % v for v in distinct.view(arr.dtype).tolist()], dtype=object)
     return [",".join(r) for r in text[inverse.reshape(n, width)].tolist()]
 
 

@@ -4,6 +4,7 @@ import hashlib
 import json
 from fractions import Fraction
 import os
+import re
 
 import numpy as np
 import pytest
@@ -336,20 +337,80 @@ MALFORMED_ROWS = [
 ]
 
 
+# (name, edit of one atom's row text in the writer's compact layout,
+# message after "atom <a>"): faults that only that layout can carry
+MALFORMED_TEXTS = [
+    ("xi-plus", lambda line: re.sub(r'"xi":\[-?1', '"xi":[+1', line), r": not valid JSON"),
+    ("xi-leading-zero", lambda line: re.sub(r'"xi":\[-?1', '"xi":[01', line), r": not valid JSON"),
+    ("xi-trailing-dot", lambda line: re.sub(r'"xi":\[-?1', '"xi":[1.', line), r": not valid JSON"),
+    ("p-leading-zero", lambda line: line.replace('"p":[', '"p":[0', 1), r": not valid JSON"),
+    ("p-exponent", lambda line: re.sub(r'"p":\[(\d+)', r'"p":[\1e0', line), r"\.p: probability must be"),
+    ("v-empty", lambda line: re.sub(r'"v":\["[^"]*"', '"v":[""', line), r"\.v: could not convert string to float: ''"),
+    ("blank-line", lambda line: "", r": not valid JSON"),
+]
+
+# (name, edit of one atom's row text): rows outside the writer's layout
+# that read as the unedited file does; every row ends in an innovation
+# of 1 or -1 and starts at the value 0
+ACCEPTED_TEXTS = [
+    ("xi-float", lambda line: line[:-2] + ".0]}"),
+    ("xi-exponent", lambda line: line[:-2] + "e0]}"),
+    ("v-underscore", lambda line: line.replace('"v":["0"', '"v":["0_0"')),
+    ("v-arabic-zero", lambda line: line.replace('"v":["0"', '"v":["\u0660"')),
+    ("v-escape", lambda line: line.replace('"v":["0"', '"v":["\\u0030"')),
+    ("v-plus", lambda line: line.replace('"v":["0"', '"v":["+0"')),
+    ("v-unquoted", lambda line: line.replace('"v":["0"', '"v":[0')),
+]
+
+
+def same_arrays(a, b) -> bool:
+    return a.probs.tobytes() == b.probs.tobytes() and a.xi.tobytes() == b.xi.tobytes() and (
+        a.values.tobytes() == b.values.tobytes()
+    )
+
+
 class TestMalformedRowsInBlocks:
     """A level-2 walk has 16 atoms of 9 cells; blocks of 4 rows put atom 14
-    inside the last block, two rows past its start."""
+    inside the last block, two rows past its start.  Edits are written
+    back with json.dumps' default separators, which leave the writer's
+    layout, and again with compact ones, which keep it outside the fault,
+    so that both block readers meet each fault."""
 
-    def read_with(self, tmp_path, monkeypatch, edit, atom):
+    def read_with(self, tmp_path, monkeypatch, edit, atom, separators=None, text_edit=None):
         monkeypatch.setattr(sio, "BLOCK_CELLS", 4 * 9)
         path = walk_file(tmp_path, level=2)
         with open(path) as fh:
             lines = fh.read().splitlines()
-        row = edit(json.loads(lines[atom + 1]))
-        lines[atom + 1] = row if isinstance(row, str) else json.dumps(row)
-        with open(path, "w") as fh:
+        if text_edit is not None:
+            lines[atom + 1] = text_edit(lines[atom + 1])
+        else:
+            row = edit(json.loads(lines[atom + 1]))
+            lines[atom + 1] = row if isinstance(row, str) else json.dumps(row, separators=separators)
+        with open(path, "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines) + "\n")
         return read_ensemble(path)
+
+    @pytest.mark.parametrize("atom", [0, 14])
+    @pytest.mark.parametrize("edit, message", [case[1:] for case in MALFORMED_ROWS],
+                             ids=[case[0] for case in MALFORMED_ROWS])
+    def test_compact_row_error_names_the_atom(self, tmp_path, monkeypatch, edit, message, atom):
+        with pytest.raises(ParameterError, match=rf"^atom {atom}{message}"):
+            self.read_with(tmp_path, monkeypatch, edit, atom, separators=(",", ":"))
+
+    @pytest.mark.parametrize("atom", [0, 14])
+    @pytest.mark.parametrize("text_edit, message", [case[1:] for case in MALFORMED_TEXTS],
+                             ids=[case[0] for case in MALFORMED_TEXTS])
+    def test_compact_text_error_names_the_atom(self, tmp_path, monkeypatch, text_edit, message, atom):
+        with pytest.raises(ParameterError, match=rf"^atom {atom}{message}"):
+            self.read_with(tmp_path, monkeypatch, None, atom, text_edit=text_edit)
+
+    @pytest.mark.parametrize("atom", [0, 14])
+    @pytest.mark.parametrize("text_edit", [case[1] for case in ACCEPTED_TEXTS],
+                             ids=[case[0] for case in ACCEPTED_TEXTS])
+    def test_compact_text_outside_the_layout_accepted(self, tmp_path, monkeypatch, text_edit, atom):
+        data = self.read_with(tmp_path, monkeypatch, None, atom, text_edit=text_edit)
+        reference = read_ensemble(walk_file(tmp_path, name="plain.jsonl", level=2))
+        assert same_arrays(data, reference)
 
     @pytest.mark.parametrize("atom", [0, 14])
     @pytest.mark.parametrize("edit, message", [case[1:] for case in MALFORMED_ROWS],
@@ -411,15 +472,17 @@ class TestCodecReference:
     """The bulk encoder against the per-value reference, byte for byte."""
 
     @pytest.mark.parametrize("block_cells", [sio.BLOCK_CELLS, 7])
-    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("seed", range(6))
     def test_ensemble_rows_match_reference(self, tmp_path, monkeypatch, seed, block_cells):
+        """Seeds 4 and 5 draw values from eight bit patterns, both zeros
+        among them, so that the writer formats each distinct value once."""
         monkeypatch.setattr(sio, "BLOCK_CELLS", block_cells)
         rng = np.random.default_rng(seed)
         n_atoms, n_values = 64, 5
         # distinct dyadic probabilities with several denominators, summing to 1
         cuts = np.sort(rng.choice(np.arange(1, 2**12), n_atoms - 1, replace=False))
         probs = np.diff(np.concatenate([[0], cuts, [2**12]])) / 2**12
-        values = random_floats(rng, (n_atoms, n_values))
+        values = (random_floats if seed < 4 else few_floats)(rng, (n_atoms, n_values))
         if seed % 2:
             spec = GeneratorSpec(kind="deterministic_drift", level=2, mu=0.5)
             xi = None
@@ -436,6 +499,36 @@ class TestCodecReference:
         data = read_ensemble(path)
         assert np.array_equal(data.values.view(np.uint64), values.view(np.uint64))
         assert np.array_equal(data.probs, probs)
+        assert data.xi is None if xi is None else np.array_equal(data.xi, xi)
+
+    @pytest.mark.parametrize("spec", [
+        GeneratorSpec(kind="rademacher_bm", level=4, mode="exact_tree", seed=1),
+        GeneratorSpec(kind="rl_fractional", level=8, mode="ensemble", paths=512, hurst=0.75, seed=1),
+    ], ids=["L4-tree", "L8-ensemble"])
+    def test_generated_files_take_the_block_conversion(self, tmp_path, monkeypatch, spec):
+        """Every block of a generated file is in the writer's layout, so
+        none of them may fall back to the row-by-row JSON decoder."""
+        path = str(tmp_path / "generated.jsonl")
+        probs, xi, values = write_spec(path, spec)
+
+        def refuse(*args):
+            raise AssertionError("a block of a generated file went to the JSON decoder")
+
+        monkeypatch.setattr(sio, "_decode_block", refuse)
+        data = read_ensemble(path)
+        assert data.values.tobytes() == values.tobytes()
+        assert np.array_equal(data.xi, xi) and np.array_equal(data.probs, probs)
+
+    def test_other_line_breaks_read_as_newlines(self, tmp_path):
+        """Rows cut as str.splitlines cuts them: CRLF ends, and no end
+        after the last row."""
+        path = walk_file(tmp_path, level=2)
+        with open(path) as fh:
+            lines = fh.read().splitlines()
+        edited = str(tmp_path / "crlf.jsonl")
+        with open(edited, "w", newline="") as fh:
+            fh.write("\r\n".join(lines))
+        assert same_arrays(read_ensemble(edited), read_ensemble(path))
 
     # the summary mean of random bit patterns overflows to nan on both sides
     @pytest.mark.filterwarnings("ignore:overflow|invalid value:RuntimeWarning")
