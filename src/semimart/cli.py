@@ -62,8 +62,10 @@ def cmd_generate(args) -> int:
         mu=args.mu,
         jump_size=args.jump_size,
     )
-    src = generate(spec)
     out = _resolve_out(args.out, f"{spec.kind}-L{spec.level}-s{spec.seed}.jsonl")
+    # an unwritable output fails before the sampling runs
+    check_output(out)
+    src = generate(spec)
     write_ensemble(out, spec, src.probs, src.xi, src.values)
     print(f"wrote {out} ({src.probs.size} atoms, level {spec.level}, {spec.mode})")
     return EXIT_OK
@@ -74,6 +76,10 @@ def cmd_decompose(args) -> int:
     src = data.to_source()
     S, space = src.process, src.space
     level = args.level if args.level is not None else data.spec.level
+    # the default name needs the file's level; the path is checked before
+    # the decomposition runs
+    out = _resolve_out(args.out, f"decomposition-L{level}.json")
+    check_output(out)
     D = (src.decomposer() or doob_decompose)(S, level)
     doc = {
         "format": "semimart-decomposition-1",
@@ -85,7 +91,6 @@ def cmd_decompose(args) -> int:
         "M": array_payload(D.M.values),
         "A": array_payload(D.A.values),
     }
-    out = _resolve_out(args.out, f"decomposition-L{level}.json")
     write_json(out, doc)
     print(f"wrote {out} (level {level}: E[QV]={doc['qv_mean']}, E[TV]={doc['tv_mean']})")
     return EXIT_OK

@@ -9,9 +9,12 @@ which is what `verify` exploits.
 
 Rows are written and read in blocks of about BLOCK_CELLS cells.  The
 writer formats each distinct value of a block once when its values
-repeat.  The reader converts a block whose text has exactly the writer's
-layout with one `np.loadtxt` call; any other block is decoded row by row
-as JSON, and that path names the atom and the field of a fault.
+repeat; when they are mostly distinct, forked workers, one per CPU,
+format the blocks and the writer writes them in order, so the bytes do
+not depend on the CPU count.  The reader converts a block whose text has
+exactly the writer's layout with one `np.loadtxt` call; any other block
+is decoded row by row as JSON, and that path names the atom and the
+field of a fault.
 """
 
 import errno
@@ -136,6 +139,14 @@ class EnsembleData:
 
 
 def write_ensemble(path, spec: GeneratorSpec, probs, xi, values) -> None:
+    """Write an ensemble file: the header line, then one row per atom.
+
+    Rows are formatted in blocks (`_blocks`).  When a sample of `values`
+    shows mostly distinct cells, forked worker processes, one per CPU
+    this process may run on, format the blocks and this process writes
+    them in order; values that repeat, a single block or a single CPU
+    keep the formatting here.  Either way every block is the same text,
+    so the file's bytes do not depend on the CPU count."""
     probs = np.asarray(probs, dtype=float)
     values = np.asarray(values, dtype=float)
     n = probs.size
@@ -155,18 +166,69 @@ def write_ensemble(path, spec: GeneratorSpec, probs, xi, values) -> None:
     }
     distinct, inverse = np.unique(probs, return_inverse=True)
     codes = ["%d,%d" % tuple(dyadic_encode(p)) for p in distinct]
+    spans = _blocks(n, values.shape[1] + xi.shape[1])
     with open_output(path) as fh:
         fh.write(_canonical(header) + "\n")
-        for lo, hi in _blocks(n, values.shape[1] + xi.shape[1]):
-            # the key order and separators of `_canonical`
-            fh.write("".join([
-                '{"p":[%s],"v":[%s],"xi":[%s]}\n' % row
-                for row in zip(
-                    [codes[c] for c in inverse[lo:hi].tolist()],
-                    _payload_lines(values[lo:hi], '"%.17g"'),
-                    _payload_lines(xi[lo:hi], "%d"),
+        fh.writelines(_span_results(
+            _block_text, (codes, inverse, values, xi), spans, fork=not _repeats(values)
+        ))
+
+
+def _block_text(state, lo: int, hi: int) -> str:
+    """The file text of atom rows lo..hi-1."""
+    codes, inverse, values, xi = state
+    # the key order and separators of `_canonical`
+    return "".join([
+        '{"p":[%s],"v":[%s],"xi":[%s]}\n' % row
+        for row in zip(
+            [codes[c] for c in inverse[lo:hi].tolist()],
+            _payload_lines(values[lo:hi], '"%.17g"'),
+            _payload_lines(xi[lo:hi], "%d"),
+        )
+    ])
+
+
+def _span_results(fn, state, spans, fork: bool):
+    """Yield fn(state, lo, hi) for each span (lo, hi), in order.
+
+    With `fork`, a pool of forked workers, one per CPU this process may
+    run on, computes them: the workers inherit `state` through the fork,
+    so only the spans and the results are pickled, and none of them
+    outlives the iteration.  The spans are computed here instead with a
+    single CPU or span, without `os.sched_getaffinity`, in a daemonic
+    process (which may have no children), or when the pool cannot start."""
+    cpus = len(os.sched_getaffinity(0)) if fork and hasattr(os, "sched_getaffinity") else 1
+    workers = min(cpus, len(spans))
+    pool = None
+    if workers > 1:
+        import multiprocessing
+
+        if not multiprocessing.current_process().daemon:
+            try:
+                pool = multiprocessing.get_context("fork").Pool(
+                    workers, _adopted.append, ((fn, state),)
                 )
-            ]))
+            except OSError:
+                pass
+    if pool is None:
+        for lo, hi in spans:
+            yield fn(state, lo, hi)
+        return
+    try:
+        yield from pool.imap(_adopted_span, spans)
+    finally:
+        pool.terminate()
+        pool.join()
+
+
+# the (fn, state) of a forked worker of `_span_results`, which the pool's
+# initializer appends; empty in every other process
+_adopted = []
+
+
+def _adopted_span(span):
+    fn, state = _adopted[0]
+    return fn(state, *span)
 
 
 def _header_field(header: dict, key: str, kinds, where: str = "header"):
@@ -191,7 +253,17 @@ def read_ensemble(path) -> EnsembleData:
     # decoded; any other file is re-encoded from the lines str.splitlines
     # cuts from its UTF-8 text
     if not raw.isascii() or any(c in raw for c in _OTHER_BREAKS):
-        raw = ("\n".join(raw.decode("utf-8").splitlines()) + "\n").encode()
+        try:
+            lines = raw.decode("utf-8").splitlines()
+        except UnicodeDecodeError as exc:
+            # the line that holds the bad byte, counted as above
+            line = len((raw[:exc.start].decode() + ".").splitlines()) - 1
+            where = f"atom {line - 1}" if line else "header"
+            raise ParameterError(
+                f"{where}: not valid UTF-8 (byte {exc.start} of the file: {exc.reason})"
+            ) from exc
+        raw = ("\n".join(lines) + "\n").encode()
+        del lines  # not held through the parse below
     # as in str.splitlines, a break at the very end starts no line
     size = len(raw) - raw.endswith(b"\n")
     head_end = raw.find(b"\n", 0, size)
@@ -374,14 +446,9 @@ def _reject_block(lines, lo: int, xi_len: int, n_values: int):
     raise ParameterError(f"atoms {lo}-{a}.p: entries must fit in 64-bit integers")
 
 
-def _payload_lines(arr: np.ndarray, cell: str = "%.17g") -> list:
-    """One text line per row: its cells, each `cell % value`, joined by
-    commas.  When a sample of the cells shows that values repeat, each
-    distinct bit pattern is formatted once and mapped back; keying on bits
-    keeps -0.0 and 0.0 apart.  Mostly distinct arrays, where that costs
-    more than it saves, take the per-row template.  Report payloads take
-    the default cell, which formats as `fmt17` does; `write_ensemble`
-    passes its quoted value cell and its innovation cell."""
+def _repeats(arr: np.ndarray) -> bool:
+    """Whether a sample of the cells of a 2-D array shows its values
+    repeating: at most half of the sampled bit patterns distinct."""
     n, width = arr.shape
     bits = arr.view(f"u{arr.itemsize}")
     k = np.arange(min(PAYLOAD_SAMPLE, arr.size))
@@ -390,9 +457,22 @@ def _payload_lines(arr: np.ndarray, cell: str = "%.17g") -> list:
     sample = np.sort(bits[k * n // k.size, k % width] if k.size else bits.ravel())
     # distinct values counted on the sorted sample: np.unique would import
     # numpy.ma on its first call in a process
-    if (np.count_nonzero(sample[1:] != sample[:-1]) + 1) * 2 >= sample.size:
-        row = _cells(cell, width)
+    return (np.count_nonzero(sample[1:] != sample[:-1]) + 1) * 2 < sample.size
+
+
+def _payload_lines(arr: np.ndarray, cell: str = "%.17g") -> list:
+    """One text line per row: its cells, each `cell % value`, joined by
+    commas.  When values repeat (`_repeats`), each distinct bit pattern is
+    formatted once and mapped back; keying on bits keeps -0.0 and 0.0
+    apart.  Mostly distinct arrays, where that costs more than it saves,
+    take the per-row template.  Report payloads take the default cell,
+    which formats as `fmt17` does; `write_ensemble` passes its quoted
+    value cell and its innovation cell."""
+    if not _repeats(arr):
+        row = _cells(cell, arr.shape[1])
         return [row % tuple(r) for r in arr.tolist()]
+    n, width = arr.shape
+    bits = arr.view(f"u{arr.itemsize}")
     distinct, inverse = np.unique(bits, return_inverse=True)
     text = np.array([cell % v for v in distinct.view(arr.dtype).tolist()], dtype=object)
     return [",".join(r) for r in text[inverse.reshape(n, width)].tolist()]
@@ -486,10 +566,16 @@ def write_report(path, body: dict, source_name: str) -> None:
 
 def read_report(path) -> dict:
     try:
-        with open(path) as fh:
-            doc = json.load(fh)
+        with open(path, "rb") as fh:
+            raw = fh.read()
     except OSError as exc:
         raise ParameterError(f"cannot read report file: {exc}") from exc
+    try:
+        doc = json.loads(raw.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ParameterError(
+            f"report: not valid UTF-8 (byte {exc.start} of the file: {exc.reason})"
+        ) from exc
     except json.JSONDecodeError as exc:
         raise ParameterError(f"report: not valid JSON ({exc})") from exc
     if not isinstance(doc, dict):

@@ -15,9 +15,15 @@ package outside its own definition, or be listed in ``__all__``.
 
 Every method or property of a class in the package, dunders aside, must
 be read as an attribute somewhere in the package or its tests.
+
+Importing the package and its CLI does not import ``multiprocessing``:
+only the ensemble writer's worker pool needs it, and it imports it there.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -242,3 +248,13 @@ def test_a_stale_public_surface_is_found(tmp_path):
     assert surface_faults(init, [reader], {"cli"}) == [
         ("not exported", "unlisted"), ("not imported", "stale"), ("read but not exported", "dropped"),
     ]
+
+
+def test_importing_the_package_and_cli_leaves_out_multiprocessing():
+    code = (
+        "import sys, semimart, semimart.cli\n"
+        "print(sorted(m for m in sys.modules if m.startswith('multiprocessing')))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=str(PACKAGE.parent)), timeout=120)
+    assert out.stdout.strip() == "[]"

@@ -3,8 +3,10 @@
 import hashlib
 import json
 from fractions import Fraction
+import multiprocessing
 import os
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -440,6 +442,75 @@ class TestMalformedRowsInBlocks:
         assert np.array_equal(data.values, reference.values)
 
 
+# bytes that are not UTF-8 where an ASCII byte stood: a lone
+# continuation byte, a lead byte before an ASCII byte, and 0xff
+BAD_BYTES = [0x80, 0xC3, 0xFF]
+
+
+class TestNotUtf8:
+    """A byte that is not UTF-8 is bad input: the error names the line and
+    the byte's offset in the file."""
+
+    @staticmethod
+    def offset_in(raw: bytes, rng, start: bytes, end: bytes, line: int) -> int:
+        """A seeded offset inside the text between `start` and `end` on
+        line `line` (0 is the header)."""
+        begin = 0
+        for _ in range(line):
+            begin = raw.index(b"\n", begin) + 1
+        lo = raw.index(start, begin) + len(start)
+        return int(rng.integers(lo, raw.index(end, lo)))
+
+    @pytest.mark.parametrize("crlf", [False, True], ids=["lf", "crlf"])
+    @pytest.mark.parametrize("part", ["header", "v"])
+    @pytest.mark.parametrize("bad", BAD_BYTES, ids=hex)
+    @pytest.mark.parametrize("seed", range(3))
+    def test_ensemble_error_names_the_line_and_byte(self, tmp_path, seed, bad, part, crlf):
+        path = walk_file(tmp_path, level=2)
+        raw = Path(path).read_bytes()
+        if crlf:
+            raw = raw.replace(b"\n", b"\r\n")
+        rng = np.random.default_rng(seed)
+        if part == "header":
+            line, offset = 0, self.offset_in(raw, rng, b"{", b"}", 0)
+        else:
+            line = int(rng.integers(1, 17))
+            offset = self.offset_in(raw, rng, b'"v":[', b"]", line)
+        edited = bytearray(raw)
+        edited[offset] = bad
+        Path(path).write_bytes(edited)
+        where = f"atom {line - 1}" if line else "header"
+        with pytest.raises(ParameterError, match=rf"^{where}: not valid UTF-8 \(byte {offset} of the file: "):
+            read_ensemble(path)
+
+    def test_detect_exits_2(self, tmp_path, capsys):
+        path = walk_file(tmp_path, level=2)
+        raw = bytearray(Path(path).read_bytes())
+        offset = self.offset_in(bytes(raw), np.random.default_rng(4), b'"v":[', b"]", 6)
+        raw[offset] = 0xFF
+        Path(path).write_bytes(raw)
+        assert main(["detect", path, "--out", str(tmp_path / "report.json")]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"parameter error: atom 5: not valid UTF-8 (byte {offset} of the file: invalid start byte)"
+        )
+
+    @pytest.mark.parametrize("bad", BAD_BYTES, ids=hex)
+    @pytest.mark.parametrize("seed", range(3))
+    def test_report_error_names_the_byte(self, tmp_path, capsys, seed, bad):
+        src = walk_file(tmp_path, level=2)
+        report = str(tmp_path / "report.json")
+        assert main(["detect", src, "--out", report]) == 0
+        capsys.readouterr()
+        raw = bytearray(Path(report).read_bytes())
+        offset = self.offset_in(bytes(raw), np.random.default_rng(seed), b'"timestamp":"', b'"', 0)
+        raw[offset] = bad
+        Path(report).write_bytes(raw)
+        with pytest.raises(ParameterError, match=rf"^report: not valid UTF-8 \(byte {offset} of the file: "):
+            read_report(report)
+        assert main(["verify", report]) == 2
+        assert capsys.readouterr().err.startswith("parameter error: report: not valid UTF-8")
+
+
 class TestPayloads:
     def test_small_array_inlined(self):
         arr = np.array([[0.5, -1.0], [0.25, 0.0]])
@@ -547,6 +618,122 @@ class TestCodecReference:
             out = index_payload(part)
             assert out["sha256"] == hashlib.sha256(",".join(str(int(v)) for v in part).encode()).hexdigest()
             assert out.get("data") == ([int(v) for v in part] if part.size <= 1024 else None)
+
+
+class TestPooledWriter:
+    """write_ensemble formats mostly distinct values in forked workers.  The
+    file must not depend on how many there are, and none may outlive the
+    call."""
+
+    @staticmethod
+    def cpus(monkeypatch, n):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+    @staticmethod
+    def spy_pool(monkeypatch, fail=False):
+        """The number of pools write_ensemble starts, in a list; with
+        `fail`, starting one raises OSError instead."""
+        started = []
+        context = type(multiprocessing.get_context("fork"))
+        pool = context.Pool
+
+        def spy(self, *args, **kwargs):
+            started.append(args)
+            if fail:
+                raise OSError(11, "Resource temporarily unavailable")
+            return pool(self, *args, **kwargs)
+
+        monkeypatch.setattr(context, "Pool", spy)
+        return started
+
+    @staticmethod
+    def written(tmp_path, name, spec, src) -> bytes:
+        path = tmp_path / name
+        write_ensemble(str(path), spec, src.probs, src.xi, src.values)
+        assert multiprocessing.active_children() == []
+        return path.read_bytes()
+
+    def one_cpu_bytes(self, tmp_path, monkeypatch, spec, src) -> bytes:
+        with monkeypatch.context() as m:
+            self.cpus(m, 1)
+            started = self.spy_pool(m)
+            data = self.written(tmp_path, "one-cpu.jsonl", spec, src)
+        assert started == []
+        return data
+
+    # name -> (spec fields, BLOCK_CELLS, blocks, whether a pool formats
+    # them); an L4 row holds 17 values and 16 innovations.  The values of
+    # a jump ensemble repeat, so they are formatted here.
+    ENSEMBLES = {
+        "rl-1-block": (dict(kind="rl_fractional", level=4, paths=256, hurst=0.75), None, 1, False),
+        "rl-2-blocks": (dict(kind="rl_fractional", level=4, paths=2048, hurst=0.3), None, 2, True),
+        "rl-many-blocks": (dict(kind="rl_fractional", level=4, paths=256, hurst=0.75), 33 * 7, 37, True),
+        "jump": (dict(kind="jump", level=4, paths=512, seed=3), 33 * 50, 11, False),
+    }
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    @pytest.mark.parametrize("case", list(ENSEMBLES))
+    def test_bytes_do_not_depend_on_the_cpus(self, tmp_path, monkeypatch, case, cpus):
+        fields, block_cells, blocks, pooled = self.ENSEMBLES[case]
+        if block_cells:
+            monkeypatch.setattr(sio, "BLOCK_CELLS", block_cells)
+        spec = GeneratorSpec(mode="ensemble", **fields)
+        src = generate(spec)
+        assert len(sio._blocks(src.probs.size, 33)) == blocks
+        reference = self.one_cpu_bytes(tmp_path, monkeypatch, spec, src)
+        self.cpus(monkeypatch, cpus)
+        started = self.spy_pool(monkeypatch)
+        assert self.written(tmp_path, "pooled.jsonl", spec, src) == reference
+        # one worker per CPU, and never more workers than blocks
+        assert [args[0] for args in started] == ([min(cpus, blocks)] if pooled else [])
+
+    @pytest.mark.parametrize("spec", [
+        GeneratorSpec(kind="rademacher_bm", level=4, mode="exact_tree", seed=1),
+        GeneratorSpec(kind="deterministic_drift", level=8, mu=0.5),
+    ], ids=["L4-tree", "deterministic-drift"])
+    def test_repeated_values_or_one_row_are_formatted_here(self, tmp_path, monkeypatch, spec):
+        """The L4 tree's 65,536 rows repeat 33 values; deterministic_drift
+        has one row, whose values are distinct."""
+        src = generate(spec)
+        self.cpus(monkeypatch, 2)
+        started = self.spy_pool(monkeypatch)
+        self.written(tmp_path, "repeats.jsonl", spec, src)
+        assert started == []
+
+    @pytest.mark.parametrize("case", ["pool-fails", "daemonic", "no-affinity"])
+    def test_falls_back_to_this_process(self, tmp_path, monkeypatch, case):
+        monkeypatch.setattr(sio, "BLOCK_CELLS", 33 * 7)
+        spec = GeneratorSpec(kind="rl_fractional", level=4, mode="ensemble", paths=256, hurst=0.75)
+        src = generate(spec)
+        reference = self.one_cpu_bytes(tmp_path, monkeypatch, spec, src)
+        self.cpus(monkeypatch, 2)
+        started = self.spy_pool(monkeypatch, fail=case == "pool-fails")
+        if case == "daemonic":
+            monkeypatch.setattr(multiprocessing, "current_process",
+                                lambda: type("Daemonic", (), {"daemon": True})())
+        elif case == "no-affinity":
+            monkeypatch.delattr(os, "sched_getaffinity")
+        assert self.written(tmp_path, "fallback.jsonl", spec, src) == reference
+        assert len(started) == (case == "pool-fails")
+
+    def test_a_failing_block_stops_every_worker(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(sio, "BLOCK_CELLS", 33 * 7)
+        spec = GeneratorSpec(kind="rl_fractional", level=4, mode="ensemble", paths=256, hurst=0.75)
+        src = generate(spec)
+        block_text = sio._block_text
+
+        def fail_late(state, lo, hi):
+            if lo >= 140:
+                raise ValueError(f"no text for rows {lo}-{hi - 1}")
+            return block_text(state, lo, hi)
+
+        monkeypatch.setattr(sio, "_block_text", fail_late)
+        self.cpus(monkeypatch, 2)
+        started = self.spy_pool(monkeypatch)
+        with pytest.raises(ValueError, match="no text for rows 140-146"):
+            write_ensemble(str(tmp_path / "failed.jsonl"), spec, src.probs, src.xi, src.values)
+        assert len(started) == 1
+        assert multiprocessing.active_children() == []
 
 
 class TestFirstMismatch:
@@ -753,6 +940,24 @@ class TestCliFlows:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"parameter error: cannot write {bad}")
+
+    @pytest.mark.parametrize("command", ["generate", "decompose"])
+    def test_unwritable_output_fails_before_the_work(self, tmp_path, capsys, monkeypatch,
+                                                     command):
+        src = walk_file(tmp_path, level=2)
+
+        def refuse(*args):
+            raise AssertionError(f"{command} ran")
+
+        monkeypatch.setattr(cli, "generate", refuse)
+        monkeypatch.setattr(cli, "doob_decompose", refuse)
+        bad = str(tmp_path / "missing" / "x.jsonl")
+        argv = {
+            "generate": ["generate", "--kind", "rademacher_bm", "--level", "2", "--out", bad],
+            "decompose": ["decompose", src, "--out", bad],
+        }[command]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(f"parameter error: cannot write {bad}")
 
     @pytest.mark.parametrize("existing", [False, True], ids=["new-report", "old-report"])
     def test_unwritable_csv_fails_before_detect_and_writes_no_report(self, tmp_path, capsys,
