@@ -72,15 +72,17 @@ def cmd_generate(args) -> int:
 
 
 def cmd_decompose(args) -> int:
+    # an explicit output file fails before the read; a default name needs
+    # the file's level, and is checked before the decomposition runs
+    if args.out and not os.path.isdir(args.out):
+        check_output(args.out)
     data = read_ensemble(args.input)
     src = data.to_source()
     S, space = src.process, src.space
     level = args.level if args.level is not None else data.spec.level
-    # the default name needs the file's level; the path is checked before
-    # the decomposition runs
     out = _resolve_out(args.out, f"decomposition-L{level}.json")
     check_output(out)
-    D = (src.decomposer() or doob_decompose)(S, level)
+    D = doob_decompose(S, level, src.drift_increments(level))
     doc = {
         "format": "semimart-decomposition-1",
         "source_sha256": data.sha256,

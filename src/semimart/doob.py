@@ -64,7 +64,8 @@ def restrict_to_level(S: AdaptedProcess, n: int) -> AdaptedProcess:
 
 @dataclass(frozen=True)
 class DoobDecomposition:
-    """S = M + A on a level-n grid with QV/TV diagnostics.
+    """S = M + A on a level-n grid with QV/TV diagnostics; `doob_decompose`
+    builds it and checks M + A = S there.
 
     ``analytic`` marks decompositions whose A came from a generator's
     closed-form compensator rather than partition averaging; for those
@@ -74,7 +75,6 @@ class DoobDecomposition:
     """
 
     level: int
-    source: AdaptedProcess
     M: AdaptedProcess
     A: AdaptedProcess
     qv: np.ndarray
@@ -83,19 +83,13 @@ class DoobDecomposition:
     analytic: bool = False
 
     def __post_init__(self):
-        S, M, A = self.source, self.M, self.A
-        if not (np.array_equal(M.time_index, S.time_index) and np.array_equal(A.time_index, S.time_index)):
-            raise ParameterError("decomposition parts must share the source's sample times")
-        err = np.abs(M.values + A.values - S.values).max()
-        if err > IDENT_TOL:
-            raise InvariantViolation(f"M + A differs from S by {err}")
-        if np.abs(A.values[:, 0]).max() > IDENT_TOL:
+        if np.abs(self.A.values[:, 0]).max() > IDENT_TOL:
             raise InvariantViolation("predictable part must start at 0")
         if not self.analytic:
-            resid = martingale_residual(M)
+            resid = martingale_residual(self.M)
             if resid > IDENT_TOL:
                 raise InvariantViolation(f"martingale residual {resid} exceeds {IDENT_TOL}")
-            if not _predictable(A):
+            if not _predictable(self.A):
                 raise InvariantViolation("A-increments are not predictable")
 
 
@@ -117,35 +111,40 @@ def _predictable(A: AdaptedProcess) -> bool:
     return cell_mismatch(A.space.labels[A.time_index[:-1]], A.values[:, 1:].T, ATOL) is None
 
 
-def _from_increments(n: int, Sn: AdaptedProcess, dA: np.ndarray, analytic: bool) -> DoobDecomposition:
-    space = Sn.space
-    A_vals = np.concatenate([np.zeros((space.n_atoms, 1)), np.cumsum(dA, axis=1)], axis=1)
-    A = AdaptedProcess(space, A_vals, Sn.time_index)
-    M = AdaptedProcess(space, Sn.values - A_vals, Sn.time_index)
-    dS = Sn.increments()
-    qv = np.einsum("ij,ij->i", dS, dS)
-    tv = np.abs(dA).sum(axis=1)
-    m_l2 = float(space.expectation(M.values[:, -1] ** 2))
-    return DoobDecomposition(n, Sn, M, A, qv, tv, m_l2, analytic=analytic)
+def doob_decompose(S: AdaptedProcess, n: int, dA: np.ndarray | None = None) -> DoobDecomposition:
+    """Unique level-n split into martingale part and predictable drift.
 
-
-def doob_decompose(S: AdaptedProcess, n: int) -> DoobDecomposition:
-    """Unique level-n split into martingale part and predictable drift."""
-    Sn = restrict_to_level(S, n)
-    return _from_increments(n, Sn, conditional_increments(Sn), analytic=False)
-
-
-def decompose_with_increments(S: AdaptedProcess, n: int, dA: np.ndarray) -> DoobDecomposition:
-    """Build an analytic level-n decomposition from supplied A-increments.
-
-    Used by generators whose compensator is known in closed form; the
-    standard invariants that depend on partition averaging are recorded,
-    not enforced (see DoobDecomposition).
+    The A-increments are the cell averages of the S-increments, or the
+    supplied ``dA`` of a generator whose compensator is known in closed
+    form; the record is analytic exactly when dA is given.
     """
     Sn = restrict_to_level(S, n)
-    if dA.shape != (S.space.n_atoms, Sn.n_times - 1):
+    space = Sn.space
+    analytic = dA is not None
+    if not analytic:
+        dA = conditional_increments(Sn)
+    elif dA.shape != (space.n_atoms, Sn.n_times - 1):
         raise ParameterError("A-increments must have one column per level-n step")
-    return _from_increments(n, Sn, dA, analytic=True)
+    A_vals = np.concatenate([np.zeros((space.n_atoms, 1)), np.cumsum(dA, axis=1)], axis=1)
+    M_vals = Sn.values - A_vals
+    # M + A = S_n up to rounding, checked in one temporary
+    err = M_vals + A_vals
+    err -= Sn.values
+    err = np.abs(err, out=err).max()
+    if err > IDENT_TOL:
+        raise InvariantViolation(f"M + A differs from S by {err}")
+    # the fresh parts are handed over read-only, so AdaptedProcess keeps them uncopied
+    A_vals.setflags(write=False)
+    M_vals.setflags(write=False)
+    dS = Sn.increments()
+    # the sigma ladder reads qv; a test pins it, bit for bit, to the last
+    # running sum that sigma_stop builds
+    qv = np.einsum("ij,ij->i", dS, dS)
+    tv = np.abs(dA).sum(axis=1)
+    m_l2 = float(space.expectation(M_vals[:, -1] ** 2))
+    M = AdaptedProcess(space, M_vals, Sn.time_index)
+    A = AdaptedProcess(space, A_vals, Sn.time_index)
+    return DoobDecomposition(n, M, A, qv, tv, m_l2, analytic=analytic)
 
 
 def qv_strategy(S: AdaptedProcess, n: int) -> SimpleIntegrand:
@@ -214,18 +213,6 @@ def _ladder_search(name: str, space: FilteredSpace, totals, offset: float, eps: 
             return c, log
     log.append(f"{name} ladder exhausted")
     return None, log
-
-
-def find_c1(S: AdaptedProcess, levels, eps: float, ladder_max: float = LADDER_MAX):
-    """Smallest ladder budget c with P[sigma_n(c) < inf] < eps/2 at all levels.
-
-    Returns (c1 or None, log lines); None means the ladder was exhausted,
-    which feeds the free-lunch branch of the pipeline.
-    """
-    if not 0 < eps < 1:
-        raise ParameterError(f"eps must lie in (0, 1), got {eps}")
-    totals = [np.cumsum(restrict_to_level(S, n).increments() ** 2, axis=1)[:, -1] for n in levels]
-    return _ladder_search("sigma", S.space, totals, 4.0, eps, ladder_max)
 
 
 def sign_strategy(D: DoobDecomposition, stop: StoppingTime) -> SimpleIntegrand:
@@ -347,7 +334,7 @@ def discrete_stage(
     levels,
     eps: float,
     ladder_max: float = LADDER_MAX,
-    decomposer=None,
+    drift=None,
 ) -> StageResult:
     """Run the per-level budget searches and emit certificates or witnesses.
 
@@ -361,6 +348,9 @@ def discrete_stage(
     or on the drift side sign(A^sigma_n(c1)) cut where its martingale
     integral reaches sqrt(8 c1 / eps), which the maximal inequality makes
     rare and which bounds the drawdown.
+
+    ``drift`` maps a level to the A-increments `doob_decompose` takes, or
+    to None for cell averages; leaving it out averages at every level.
     """
     if not 0 < eps < 1:
         raise ParameterError(f"eps must lie in (0, 1), got {eps}")
@@ -376,9 +366,8 @@ def discrete_stage(
     if not levels or levels[0] < 1 or levels[-1] > finest:
         raise ParameterError(f"levels must lie in 1..{finest}, got {list(levels)}")
 
-    decomposer = decomposer or doob_decompose
     log = []
-    decs = {n: decomposer(S, n) for n in levels}
+    decs = {n: doob_decompose(S, n, drift(n) if drift else None) for n in levels}
     qv_means = tuple(float(S.space.expectation(decs[n].qv)) for n in levels)
     tv_means = tuple(float(S.space.expectation(decs[n].tv)) for n in levels)
     log.append("qv means per level: " + ", ".join(f"{n}:{q:.6g}" for n, q in zip(levels, qv_means)))
@@ -393,7 +382,8 @@ def discrete_stage(
             "no budget can hold at every level (growth guard)"
         )
     else:
-        c1, c1_log = find_c1(S, levels, eps, ladder_max)
+        c1, c1_log = _ladder_search("sigma", S.space, [decs[n].qv for n in levels], 4.0, eps,
+                                    ladder_max)
         log.extend(c1_log)
         if c1 is None:
             failure = "qv-ladder"

@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .doob import DoobDecomposition, decompose_with_increments
+from .doob import doob_decompose
 from .errors import InvariantViolation, ParameterError, ResourceLimitError
 from .space import AdaptedProcess, DyadicGrid, FilteredSpace, tree_innovations
 
@@ -263,21 +263,20 @@ class Source:
         S.require_adapted()
         return S
 
-    def decomposer(self):
-        """Level decomposer backed by the closed-form oracle for sampled
-        ensembles; None on exact trees, whose cells give exact averages."""
+    def drift_increments(self, n: int) -> np.ndarray | None:
+        """The closed-form oracle's level-n A-increments on a sampled
+        ensemble; None on an exact tree, whose cells give exact averages."""
         if self.spec.mode != "ensemble":
             return None
-
-        def decompose(S: AdaptedProcess, n: int) -> DoobDecomposition:
-            return decompose_with_increments(S, n, oracle_increments(self.spec, self.xi, n))
-
-        return decompose
+        return oracle_increments(self.spec, self.xi, n)
 
 
 # the name the ensemble-only class had; perfbench/op.py and
 # perfbench/smoke_check.py check sources against it
 EnsembleProcess = Source
+# the oracle decomposer's old name; perfbench/spans.py wraps it, and the
+# package reaches the one constructor as doob.doob_decompose
+decompose_with_increments = doob_decompose
 
 
 def generate(spec: GeneratorSpec) -> Source:

@@ -630,14 +630,14 @@ def detect(source, config: DetectConfig | None = None):
     finest = space.grid.level
     levels = config.levels or tuple(range(1, finest + 1))
 
-    stage = discrete_stage(Y, levels, config.eps, config.ladder_max, decomposer=source.decomposer())
+    stage = discrete_stage(Y, levels, config.eps, config.ladder_max, drift=source.drift_increments)
     log.extend(stage.log)
     table = _stage_table(stage)
 
     if not stage.passed:
         return _free_lunch(S, Y, stage, log, table)
 
-    if source.spec.mode == "ensemble":
+    if not stage.certificates:  # every level analytic: a sampled ensemble
         return Inconclusive(
             "all levels certified on the sampled filtration; certificates are "
             "only issued on the exact tree, rerun in exact mode for one",

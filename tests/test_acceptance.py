@@ -237,10 +237,9 @@ class TestAcceptance:
             )
         )
         assert ens.space.n_atoms >= 10**4
-        decomposer = ens.decomposer()
         tv_mc, qv_mc = [], []
         for n in (4, 5, 6, 7, 8):
-            D = decomposer(ens.process, n)
+            D = doob_decompose(ens.process, n, ens.drift_increments(n))
             tv_mc.append(ens.space.expectation(D.tv))
             qv_mc.append(ens.space.expectation(D.qv))
         assert all(b > a for a, b in zip(tv_mc, tv_mc[1:]))

@@ -14,6 +14,8 @@ import numpy as np
 import pytest
 
 import semimart
+import semimart.doob
+import semimart.generators
 from semimart.generators import GeneratorSpec, generate
 from semimart.integrands import SimpleIntegrand
 from semimart.io import read_ensemble, write_ensemble
@@ -84,3 +86,27 @@ def test_grid_mesh_build_runs_the_constructor_once(monkeypatch):
     space = generate(GeneratorSpec(kind="rademacher_bm", level=2)).space
     SimpleIntegrand.from_grid_mesh(space, [0, 2, 4], np.ones((space.n_atoms, 2)))
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "fields, levels",
+    [(dict(kind="rademacher_bm", level=2), (1, 2)),
+     (dict(kind="rl_fractional", level=4, mode="ensemble", paths=64, seed=3), (2, 3, 4))],
+    ids=["tree", "ensemble"],
+)
+def test_detect_decomposes_once_per_level_under_the_wrapped_names(monkeypatch, fields, levels):
+    """spans.py counts `doob.decompose` calls through both names it wraps;
+    the package must decompose through `semimart.doob.doob_decompose`
+    alone, once per level, for the count to be the number of levels."""
+    calls = []
+    for module, attr in ((semimart.doob, "doob_decompose"),
+                         (semimart.generators, "decompose_with_increments")):
+        original = getattr(module, attr)
+
+        def counted(S, n, *args, original=original, attr=attr):
+            calls.append((attr, n))
+            return original(S, n, *args)
+
+        monkeypatch.setattr(module, attr, counted)
+    detect(generate(GeneratorSpec(**fields)), DetectConfig(levels=levels))
+    assert calls == [("doob_decompose", n) for n in levels]

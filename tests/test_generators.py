@@ -232,7 +232,7 @@ class TestEnsembles:
     def test_decomposer_uses_the_oracle(self):
         spec = GeneratorSpec(kind="drifted", level=3, mode="ensemble", paths=64, seed=5)
         E = generate(spec)
-        D = E.decomposer()(E.process, 2)
+        D = doob_decompose(E.process, 2, E.drift_increments(2))
         assert D.analytic
         assert np.max(np.abs(D.A.increments() - oracle_increments(spec, E.xi, 2))) <= TOL
         Sn = restrict_to_level(E.process, 2)
@@ -241,7 +241,7 @@ class TestEnsembles:
     def test_compensator_oracle_runs_at_native_level(self):
         spec = GeneratorSpec(kind="rl_fractional", level=3, mode="ensemble", paths=16, seed=3)
         E = generate(spec)
-        D = E.decomposer()(E.process, 3)
+        D = doob_decompose(E.process, 3, E.drift_increments(3))
         assert D.level == 3
         assert np.max(np.abs(D.A.increments() - oracle_increments(spec, E.xi, 3))) <= TOL
 
@@ -251,7 +251,8 @@ class TestEnsembles:
         R = Source(spec, E.probs, E.xi, E.values)
         assert np.array_equal(R.process.values, E.process.values)
         # the normalization divisor is a function of the spec alone
-        D_R, D_E = R.decomposer()(R.process, 2), E.decomposer()(E.process, 2)
+        D_R = doob_decompose(R.process, 2, R.drift_increments(2))
+        D_E = doob_decompose(E.process, 2, E.drift_increments(2))
         assert np.array_equal(D_R.A.values, D_E.A.values)
 
     def test_tree_space_from_stored_innovations(self):

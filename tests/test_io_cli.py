@@ -950,6 +950,8 @@ class TestCliFlows:
             raise AssertionError(f"{command} ran")
 
         monkeypatch.setattr(cli, "generate", refuse)
+        # an explicit output file is checked before the ensemble is read
+        monkeypatch.setattr(cli, "read_ensemble", refuse)
         monkeypatch.setattr(cli, "doob_decompose", refuse)
         bad = str(tmp_path / "missing" / "x.jsonl")
         argv = {

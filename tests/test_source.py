@@ -62,7 +62,8 @@ def test_generated_and_file_read_sources_agree(tmp_path, fields):
     if src.xi is not None:
         assert np.array_equal(back.xi, src.xi)
     assert np.array_equal(back.values, src.values)
-    assert (back.decomposer() is None) == (src.decomposer() is None) == (src.spec.mode == "exact_tree")
+    assert ((back.drift_increments(1) is None) == (src.drift_increments(1) is None)
+            == (src.spec.mode == "exact_tree"))
 
     assert np.array_equal(first_seen_ids(back.space.labels), first_seen_ids(src.space.labels))
     if src.spec.mode == "exact_tree" and src.xi is not None:
