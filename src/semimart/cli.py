@@ -159,7 +159,7 @@ def _config_from_body(body: dict) -> DetectConfig:
             ladder_max=float(cfg["ladder_max"]),
             window=int(cfg["window"]),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParameterError(f"report.body.config: {exc}") from exc
 
 

@@ -24,10 +24,11 @@ from .errors import InvariantViolation, ParameterError, ResourceLimitError
 from .space import AdaptedProcess, DyadicGrid, FilteredSpace, tree_innovations
 
 KINDS = ("rademacher_bm", "drifted", "rl_fractional", "jump", "deterministic_drift")
-MAX_ENSEMBLE_LEVEL = 10
+# the finest level in every mode; a tree of innovations also stops at space.MAX_TREE_LEVEL
+MAX_LEVEL = 10
 DEFAULT_PATHS = 16384
 # paths x steps of the largest ensemble (default paths at level 10, ~2.3 GB peak)
-MAX_ENSEMBLE_CELLS = DEFAULT_PATHS << MAX_ENSEMBLE_LEVEL
+MAX_ENSEMBLE_CELLS = DEFAULT_PATHS << MAX_LEVEL
 SUP_TOL = 1e-12
 
 
@@ -54,6 +55,8 @@ class GeneratorSpec:
             raise ParameterError(f"unknown kind {self.kind!r}; choose one of {KINDS}")
         if self.level < 1 or int(self.level) != self.level:
             raise ParameterError(f"level must be a positive integer, got {self.level}")
+        if self.level > MAX_LEVEL:
+            raise ResourceLimitError(f"levels up to {MAX_LEVEL} are supported, got {self.level}")
         for name in ("scale", "mu", "jump_size"):
             if not math.isfinite(getattr(self, name)):
                 raise ParameterError(f"{name} must be finite, got {getattr(self, name)}")
@@ -64,10 +67,6 @@ class GeneratorSpec:
         if self.mode == "ensemble":
             if self.kind == "deterministic_drift":
                 raise ParameterError("deterministic_drift has one path; use exact_tree mode")
-            if self.level > MAX_ENSEMBLE_LEVEL:
-                raise ResourceLimitError(
-                    f"ensemble mode supports levels up to {MAX_ENSEMBLE_LEVEL}, got {self.level}"
-                )
             p = self.paths
             if p < 2 or p & (p - 1):
                 raise ParameterError(

@@ -11,10 +11,11 @@ Rows are written and read in blocks of about BLOCK_CELLS cells.  The
 writer formats each distinct value of a block once when its values
 repeat; when they are mostly distinct, forked workers, one per CPU,
 format the blocks and the writer writes them in order, so the bytes do
-not depend on the CPU count.  The reader converts a block whose text has
-exactly the writer's layout with one `np.loadtxt` call; any other block
-is decoded row by row as JSON, and that path names the atom and the
-field of a fault.
+not depend on the CPU count.  The reader has two block paths.  A block
+whose text has exactly the writer's layout is converted with one
+`np.loadtxt` call; any other block goes through the checked row path,
+which decodes each row as JSON and names the atom and the field of a
+fault.  Both paths give the same arrays for every row the first takes.
 """
 
 import errno
@@ -22,6 +23,7 @@ import hashlib
 import io
 import itertools
 import json
+import math
 import os
 import re
 import time
@@ -312,12 +314,7 @@ def read_ensemble(path) -> EnsembleData:
         block = b"".join(itertools.islice(lines_in, hi - lo))
         parsed = _parse_block(block, hi - lo, xi_len, n_values, codes)
         if parsed is None:
-            lines = block.decode().splitlines()
-            parsed = _decode_block(lines, xi_len, n_values)
-            if parsed is None:
-                _reject_block(lines, lo, xi_len, n_values)
-            entries, x, v = parsed
-            parsed = [codes.setdefault(e, len(codes)) for e in map(tuple, entries.tolist())], x, v
+            parsed = _checked_rows(block.decode().splitlines(), lo, xi_len, n_values, codes)
         inverse[lo:hi], xi[lo:hi], values[lo:hi] = parsed
     distinct = list(codes)
     counts = np.bincount(inverse, minlength=len(distinct)).tolist()
@@ -345,7 +342,7 @@ def _parse_block(block: bytes, b: int, xi_len: int, n_values: int, codes: dict):
     `float` and `np.loadtxt` parse alike (through PyOS_string_to_double).
     Each distinct [numerator, k] text must pass strict `json.loads`, and
     every innovation must be the literal token 1 or -1.  Together these
-    accept only rows that the JSON path accepts, with the same arrays."""
+    accept only rows that `_checked_rows` accepts, with the same arrays."""
     rows = _ROW.findall(block)
     if len(rows) != b:
         return None
@@ -387,36 +384,12 @@ def _parse_block(block: bytes, b: int, xi_len: int, n_values: int, codes: dict):
     return [texts[t] for t in p_texts], x.reshape(b, xi_len), v
 
 
-def _decode_block(lines, xi_len: int, n_values: int):
-    """(p entries, xi, values) arrays of a block of atom rows, or None when
-    any row fails a check; the rows' own checks then name the fault."""
-    try:
-        rows = [json.loads(line) for line in lines]
-        entries = np.array([r["p"] for r in rows])
-        x = np.array([r["xi"] for r in rows])
-        v = np.array([r["v"] for r in rows], dtype=float)
-    except (KeyError, TypeError, ValueError, OverflowError):
-        # not JSON, not an object, a missing key, ragged or mixed lists
-        return None
-    b = len(rows)
-    if (
-        entries.shape != (b, 2)
-        or entries.dtype.kind not in "bi"
-        or np.any(entries[:, 0] < 1)
-        or np.any(entries[:, 1] < 0)
-        or x.shape != (b, xi_len)
-        or not np.all((x == 1) | (x == -1))
-        or v.shape != (b, n_values)
-        # JSON null converts to nan here, so it lands in the row checks
-        or not np.all(np.isfinite(v))
-    ):
-        return None
-    return entries, x, v
-
-
-def _reject_block(lines, lo: int, xi_len: int, n_values: int):
-    """Every check on the rows of atoms lo, lo+1, ..., in order: raises the
-    ParameterError naming the first faulty atom and field."""
+def _checked_rows(lines, lo: int, xi_len: int, n_values: int, codes: dict):
+    """(p positions in `codes`, xi, values) of the atom rows lo, lo+1, ...,
+    one JSON text per line in any layout.  Every check runs row by row, in
+    order, and raises the ParameterError naming the first faulty atom and
+    field."""
+    ps, xs, vs = [], [], []
     for a, line in enumerate(lines, lo):
         where = f"atom {a}"
         try:
@@ -428,7 +401,11 @@ def _reject_block(lines, lo: int, xi_len: int, n_values: int):
         for key in ("p", "xi", "v"):
             if key not in row:
                 raise ParameterError(f"{where}.{key}: missing")
-        dyadic_decode(row["p"], f"{where}.p")
+        p = row["p"]
+        try:
+            dyadic_decode(p, f"{where}.p")
+        except OverflowError:
+            pass  # an entry too large for a float: refused below with the block
         x = row["xi"]
         if not isinstance(x, list) or len(x) != xi_len or any(v not in (-1, 1) for v in x):
             raise ParameterError(f"{where}.xi: need {xi_len} entries from {{-1, +1}}")
@@ -436,14 +413,19 @@ def _reject_block(lines, lo: int, xi_len: int, n_values: int):
         if not isinstance(v, list) or len(v) != n_values:
             raise ParameterError(f"{where}.v: need {n_values} values")
         try:
-            values = [float(s) for s in v]
-        except (TypeError, ValueError) as exc:
+            v = list(map(float, v))
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ParameterError(f"{where}.v: {exc}") from exc
-        if not np.all(np.isfinite(values)):
+        if not all(map(math.isfinite, v)):
             raise ParameterError(f"{where}.v: values must be finite")
-    # every row passed on its own: only [numerator, k] entries past 64
-    # bits get here, which the block conversion does not take
-    raise ParameterError(f"atoms {lo}-{a}.p: entries must fit in 64-bit integers")
+        ps.append(tuple(p))
+        xs.append(x)
+        vs.append(v)
+    # every row passed on its own; the block conversion takes 64-bit
+    # [numerator, k] entries only, and so does this path
+    if max(map(max, ps)) >= 1 << 63:
+        raise ParameterError(f"atoms {lo}-{a}.p: entries must fit in 64-bit integers")
+    return [codes.setdefault(p, len(codes)) for p in ps], xs, vs
 
 
 def _repeats(arr: np.ndarray) -> bool:

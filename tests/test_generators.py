@@ -42,9 +42,15 @@ class TestSpecValidation:
         with pytest.raises(ParameterError):
             GeneratorSpec(kind="deterministic_drift", level=3, mode="ensemble")
 
-    def test_ensemble_level_cap(self):
-        with pytest.raises(ResourceLimitError):
-            GeneratorSpec(kind="rademacher_bm", level=11, mode="ensemble", paths=16)
+    # the cap holds in every mode: only specs are built, never the sources
+    @pytest.mark.parametrize("spec", [
+        dict(kind="rademacher_bm", mode="ensemble", paths=16),
+        dict(kind="rademacher_bm", mode="exact_tree"),
+        dict(kind="deterministic_drift", mode="exact_tree"),
+    ], ids=["ensemble", "exact-tree", "deterministic-drift"])
+    def test_ensemble_level_cap(self, spec):
+        with pytest.raises(ResourceLimitError, match="^levels up to 10 are supported, got 11$"):
+            GeneratorSpec(level=11, **spec)
 
     @pytest.mark.parametrize("level, paths", [(10, 1 << 15), (1, 1 << 24), (4, 1 << 30)])
     def test_ensemble_cells_cap(self, level, paths):

@@ -336,6 +336,8 @@ MALFORMED_ROWS = [
      r"\.v: could not convert string to float: '0x10'"),
     ("v-nested", lambda row: {**row, "v": row["v"][:1] + [["1"]] + row["v"][2:]},
      r"\.v: float\(\) argument must be a string or a real number, not 'list'"),
+    ("v-huge-int", lambda row: {**row, "v": row["v"][:1] + [10**400] + row["v"][2:]},
+     r"\.v: int too large to convert to float"),
 ]
 
 
@@ -422,13 +424,15 @@ class TestMalformedRowsInBlocks:
             self.read_with(tmp_path, monkeypatch, edit, atom)
 
     def test_entries_past_64_bits_rejected(self, tmp_path, monkeypatch):
-        # the same probability with numerator and denominator times 2^64:
-        # every row check passes, but the block conversion takes 64-bit entries only
-        def edit(row):
-            return {**row, "p": [row["p"][0] << 64, row["p"][1] + 64]}
+        # the same probability with numerator and denominator times 2^64,
+        # and times 2^1400, which puts the numerator past every float:
+        # every row check passes, but both block paths take 64-bit entries only
+        for shift in (64, 1400):
+            def edit(row):
+                return {**row, "p": [row["p"][0] << shift, row["p"][1] + shift]}
 
-        with pytest.raises(ParameterError, match=r"^atoms 12-15\.p: entries must fit in 64-bit integers"):
-            self.read_with(tmp_path, monkeypatch, edit, 14)
+            with pytest.raises(ParameterError, match=r"^atoms 12-15\.p: entries must fit in 64-bit integers"):
+                self.read_with(tmp_path, monkeypatch, edit, 14)
 
     @pytest.mark.parametrize("atom", [0, 14])
     @pytest.mark.parametrize("one", [1.0, True], ids=["float", "bool"])
@@ -440,6 +444,50 @@ class TestMalformedRowsInBlocks:
         reference = read_ensemble(walk_file(tmp_path, name="plain.jsonl", level=2))
         assert np.array_equal(data.xi, reference.xi)
         assert np.array_equal(data.values, reference.values)
+
+
+# the bytes a mutation writes: JSON punctuation, digits and the letters
+# of its literals, a line break, a NUL and a byte that is never UTF-8
+FUZZ_BYTES = b'{}[]":,.-+ 0123456789eEtrufalsn\n\x00\xff'
+
+
+@pytest.mark.parametrize("spec", [
+    GeneratorSpec(kind="rademacher_bm", level=2, seed=1),
+    GeneratorSpec(kind="rl_fractional", level=3, mode="ensemble", paths=16, seed=1),
+    GeneratorSpec(kind="deterministic_drift", level=3, mu=0.5),
+], ids=["L2-tree", "L3-ensemble", "deterministic-drift"])
+def test_mutated_files_read_or_raise_parameter_error(tmp_path, spec):
+    """A seeded byte-mutation fuzz: 1,500 copies of a small file, each with
+    one to three bytes replaced, inserted or deleted, must each read into
+    arrays or raise ParameterError, never any other exception."""
+    path = tmp_path / "mutated.jsonl"
+    write_spec(str(path), spec)
+    raw = path.read_bytes()
+    rng = np.random.default_rng(17)
+    outcomes = {"read": 0, "refused": 0}
+    for i in range(1500):
+        data = bytearray(raw)
+        edits = []
+        for _ in range(int(rng.integers(1, 4))):
+            op = ("replace", "insert", "delete")[int(rng.integers(3))]
+            at = int(rng.integers(len(data)))
+            byte = FUZZ_BYTES[int(rng.integers(len(FUZZ_BYTES)))]
+            if op == "replace":
+                data[at] = byte
+            elif op == "insert":
+                data.insert(at, byte)
+            else:
+                del data[at]
+            edits.append((op, at, bytes([byte])))
+        path.write_bytes(data)
+        try:
+            read_ensemble(str(path))
+            outcomes["read"] += 1
+        except ParameterError:
+            outcomes["refused"] += 1
+        except Exception as exc:  # any other exception is a fault of the reader
+            pytest.fail(f"mutation {i} {edits} raised {exc!r}")
+    assert min(outcomes.values()) > 0, outcomes
 
 
 # bytes that are not UTF-8 where an ASCII byte stood: a lone
@@ -578,17 +626,45 @@ class TestCodecReference:
     ], ids=["L4-tree", "L8-ensemble"])
     def test_generated_files_take_the_block_conversion(self, tmp_path, monkeypatch, spec):
         """Every block of a generated file is in the writer's layout, so
-        none of them may fall back to the row-by-row JSON decoder."""
+        none of them may fall back to the checked row path."""
         path = str(tmp_path / "generated.jsonl")
         probs, xi, values = write_spec(path, spec)
 
         def refuse(*args):
-            raise AssertionError("a block of a generated file went to the JSON decoder")
+            raise AssertionError("a block of a generated file went to the checked row path")
 
-        monkeypatch.setattr(sio, "_decode_block", refuse)
+        monkeypatch.setattr(sio, "_checked_rows", refuse)
         data = read_ensemble(path)
         assert data.values.tobytes() == values.tobytes()
         assert np.array_equal(data.xi, xi) and np.array_equal(data.probs, probs)
+
+    @pytest.mark.parametrize("spec, row_cells", [
+        (GeneratorSpec(kind="rademacher_bm", level=3, seed=1), 17),
+        (GeneratorSpec(kind="rl_fractional", level=4, mode="ensemble", paths=64, seed=1), 33),
+    ], ids=["L3-tree", "L4-ensemble"])
+    def test_respaced_files_read_bit_for_bit(self, tmp_path, monkeypatch, spec, row_cells):
+        """Every row rewritten with json.dumps' default separators leaves
+        the writer's layout, so every block, of several, goes through the
+        checked row path and must give the compact file's arrays."""
+        monkeypatch.setattr(sio, "BLOCK_CELLS", 10 * row_cells)
+        path = tmp_path / "compact.jsonl"
+        write_spec(str(path), spec)
+        reference = read_ensemble(str(path))
+        header, *rows = path.read_text().splitlines()
+        respaced = tmp_path / "respaced.jsonl"
+        respaced.write_text("\n".join([header] + [json.dumps(json.loads(row)) for row in rows]) + "\n")
+        starts = []
+        checked = sio._checked_rows
+
+        def spy(lines, lo, *args):
+            starts.append(lo)
+            return checked(lines, lo, *args)
+
+        monkeypatch.setattr(sio, "_checked_rows", spy)
+        data = read_ensemble(str(respaced))
+        blocks = sio._blocks(len(rows), row_cells)
+        assert len(blocks) > 5 and starts == [lo for lo, _ in blocks]
+        assert same_arrays(data, reference)
 
     def test_other_line_breaks_read_as_newlines(self, tmp_path):
         """Rows cut as str.splitlines cuts them: CRLF ends, and no end
@@ -1012,21 +1088,49 @@ class TestCliFlows:
         assert main(["verify", report]) == 2
         assert "report.source_name: must be a string" in capsys.readouterr().err
 
-    def test_verify_rejects_a_body_config_ladder_that_is_not_finite(self, tmp_path, capsys):
+    # (field, its JSON text, the message); a number past every float
+    # reads as an infinity, which no int holds
+    @pytest.mark.parametrize("field, text, message", [
+        ("ladder_max", '"nan"', "ladder_max must be finite"),
+        ("window", "1e400", "cannot convert float infinity to integer"),
+        ("window", "-1e400", "cannot convert float infinity to integer"),
+        ("levels", "[1e400]", "cannot convert float infinity to integer"),
+    ], ids=["nan", "window-inf", "window-minus-inf", "levels-inf"])
+    def test_verify_rejects_a_body_config_ladder_that_is_not_finite(self, tmp_path, capsys,
+                                                                    field, text, message):
         src = walk_file(tmp_path, level=2, seed=1)
         report = str(tmp_path / "report.json")
         assert main(["detect", src, "--out", report]) == 0
         with open(report) as fh:
             doc = json.load(fh)
-        doc["body"]["config"]["ladder_max"] = "nan"
+        doc["body"]["config"][field] = "@edited@"
         with open(report, "w") as fh:
-            json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
+            fh.write(canonical(doc).replace('"@edited@"', text))
         capsys.readouterr()
 
         rc = main(["verify", report])
         err = capsys.readouterr().err
         assert rc == 2
-        assert "report.body.config: ladder_max must be finite" in err
+        assert f"report.body.config: {message}" in err
+
+    # level 62 is refused from the header or the flags alone: nothing of
+    # that size is ever allocated
+    @pytest.mark.parametrize("command", ["detect", "generate"])
+    def test_a_level_past_the_cap_exits_2(self, tmp_path, capsys, command):
+        out = str(tmp_path / "out.json")
+        if command == "detect":
+            src = walk_file(tmp_path, level=2)
+            text = Path(src).read_text()
+            Path(src).write_text(text.replace('"level":2,', '"level":62,', 1))
+            argv, where = ["detect", src, "--out", out], "header: "
+        else:
+            argv = ["generate", "--kind", "deterministic_drift", "--level", "62", "--out", out]
+            where = ""
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(
+            f"parameter error: {where}levels up to 10 are supported, got 62"
+        )
+        assert not os.path.exists(out)
 
     @staticmethod
     def non_adapted_walk(tmp_path, col) -> str:
