@@ -65,7 +65,8 @@ def restrict_to_level(S: AdaptedProcess, n: int) -> AdaptedProcess:
 @dataclass(frozen=True)
 class DoobDecomposition:
     """S = M + A on a level-n grid with QV/TV diagnostics; `doob_decompose`
-    builds it and checks M + A = S there.
+    builds it and checks M + A = S there, and `_rebuilt` builds it again
+    around the same A without rerunning the checks.
 
     ``analytic`` marks decompositions whose A came from a generator's
     closed-form compensator rather than partition averaging; for those
@@ -91,6 +92,20 @@ class DoobDecomposition:
                 raise InvariantViolation(f"martingale residual {resid} exceeds {IDENT_TOL}")
             if not _predictable(self.A):
                 raise InvariantViolation("A-increments are not predictable")
+
+
+def _rebuilt(S: AdaptedProcess, n: int, A: AdaptedProcess, qv, tv, m_l2: float,
+             analytic: bool) -> DoobDecomposition:
+    """The level-n record that `doob_decompose(S, n, ...)` returned, rebuilt
+    around its A: M = S_n - A is the expression that built the checked M,
+    so it has the same bits, and the checks that held then are not rerun."""
+    M = restrict_to_level(S, n).values - A.values
+    M.setflags(write=False)
+    D = object.__new__(DoobDecomposition)
+    for name, value in (("level", n), ("M", AdaptedProcess(S.space, M, A.time_index)), ("A", A),
+                        ("qv", qv), ("tv", tv), ("m_l2", m_l2), ("analytic", analytic)):
+        object.__setattr__(D, name, value)
+    return D
 
 
 def conditional_increments(X: AdaptedProcess) -> np.ndarray:
@@ -125,7 +140,10 @@ def doob_decompose(S: AdaptedProcess, n: int, dA: np.ndarray | None = None) -> D
         dA = conditional_increments(Sn)
     elif dA.shape != (space.n_atoms, Sn.n_times - 1):
         raise ParameterError("A-increments must have one column per level-n step")
-    A_vals = np.concatenate([np.zeros((space.n_atoms, 1)), np.cumsum(dA, axis=1)], axis=1)
+    # A is the running sum of dA from 0, accumulated in place
+    A_vals = np.empty((space.n_atoms, Sn.n_times))
+    A_vals[:, 0] = 0.0
+    np.cumsum(dA, axis=1, out=A_vals[:, 1:])
     M_vals = Sn.values - A_vals
     # M + A = S_n up to rounding, checked in one temporary
     err = M_vals + A_vals
@@ -141,6 +159,7 @@ def doob_decompose(S: AdaptedProcess, n: int, dA: np.ndarray | None = None) -> D
     # running sum that sigma_stop builds
     qv = np.einsum("ij,ij->i", dS, dS)
     tv = np.abs(dA).sum(axis=1)
+    del dS, dA  # freed before the record's checks, which peak on a tree
     m_l2 = float(space.expectation(M_vals[:, -1] ** 2))
     M = AdaptedProcess(space, M_vals, Sn.time_index)
     A = AdaptedProcess(space, A_vals, Sn.time_index)
@@ -367,9 +386,15 @@ def discrete_stage(
         raise ParameterError(f"levels must lie in 1..{finest}, got {list(levels)}")
 
     log = []
-    decs = {n: doob_decompose(S, n, drift(n) if drift else None) for n in levels}
-    qv_means = tuple(float(S.space.expectation(decs[n].qv)) for n in levels)
-    tv_means = tuple(float(S.space.expectation(decs[n].tv)) for n in levels)
+    # pass 1 decomposes each level once and keeps its A and per-atom
+    # totals, which are all the guards and the ladders read; M is dropped
+    kept = []
+    for n in levels:
+        D = doob_decompose(S, n, drift(n) if drift else None)
+        kept.append((D.A, D.qv, D.tv, D.m_l2, D.analytic))
+        del D
+    qv_means = tuple(float(S.space.expectation(qv)) for _, qv, *_ in kept)
+    tv_means = tuple(float(S.space.expectation(tv)) for _, _, tv, *_ in kept)
     log.append("qv means per level: " + ", ".join(f"{n}:{q:.6g}" for n, q in zip(levels, qv_means)))
     log.append("tv means per level: " + ", ".join(f"{n}:{t:.6g}" for n, t in zip(levels, tv_means)))
 
@@ -382,7 +407,7 @@ def discrete_stage(
             "no budget can hold at every level (growth guard)"
         )
     else:
-        c1, c1_log = _ladder_search("sigma", S.space, [decs[n].qv for n in levels], 4.0, eps,
+        c1, c1_log = _ladder_search("sigma", S.space, [qv for _, qv, *_ in kept], 4.0, eps,
                                     ladder_max)
         log.extend(c1_log)
         if c1 is None:
@@ -397,47 +422,53 @@ def discrete_stage(
                 "no budget can hold at every level (growth guard)"
             )
         else:
-            totals = [np.cumsum(np.abs(decs[n].A.increments()), axis=1)[:, -1] for n in levels]
+            totals = [np.cumsum(np.abs(A.increments()), axis=1)[:, -1] for A, *_ in kept]
             c2, c2_log = _ladder_search("tau", S.space, totals, 2.0, eps, ladder_max)
             log.extend(c2_log)
             if c2 is None:
                 failure = "tv-ladder"
 
+    # pass 2 rebuilds one level at a time for its certificate or its
+    # witness, and the stage lets go of the level before the next
     certs = []
     witnesses = []
     p_stops = []
     if not failure:
         C = max(c1, c2)
-        for n in levels:
-            D = decs[n]
+        for i, n in enumerate(levels):
+            D = _rebuilt(S, n, *kept[i])
+            kept[i] = None
             rho = sigma_stop(S, n, c1).min_with(tau_stop(D, c2))
             p_stops.append(rho.prob_finite())
-            if D.analytic:
-                continue  # sampled paths meet the bounds only up to noise
-            M_st = stop_process(D.M, rho)
-            A_st = stop_process(D.A, rho)
-            certs.append(
-                StageCertificate(
-                    level=n,
-                    eps=eps,
-                    C=C,
-                    rho=rho,
-                    tv_stopped=float(np.abs(A_st.increments()).sum(axis=1).max()),
-                    m_l2_stopped=float(S.space.expectation(M_st.values[:, -1] ** 2)),
-                    p_stop=p_stops[-1],
-                    m_terminal=D.M.values[:, -1],
+            if not D.analytic:  # sampled paths meet the bounds only up to noise
+                M_st = stop_process(D.M, rho)
+                A_st = stop_process(D.A, rho)
+                certs.append(
+                    StageCertificate(
+                        level=n,
+                        eps=eps,
+                        C=C,
+                        rho=rho,
+                        tv_stopped=float(np.abs(A_st.increments()).sum(axis=1).max()),
+                        m_l2_stopped=float(S.space.expectation(M_st.values[:, -1] ** 2)),
+                        p_stop=p_stops[-1],
+                        m_terminal=D.M.values[:, -1],
+                    )
                 )
-            )
+                del M_st, A_st
+            del D
         log.append(f"all levels certified with c1={c1:g}, c2={c2:g}, C={C:g}")
     else:
         qv_side = failure.startswith("qv")
-        for n in levels:
+        for i, n in enumerate(levels):
             if qv_side:
                 witness = qv_strategy(S, n)
             else:
-                D = decs[n]
+                D = _rebuilt(S, n, *kept[i])
                 witness = sign_strategy(D, sigma_stop(S, n, c1))
                 witness = witness.truncate(doob_maximal_stop(D, witness, math.sqrt(8.0 * c1 / eps)))
+                del D
+            kept[i] = None
             witnesses.append(witness)
         log.append(f"stage failed ({failure}); emitted witness strategies per level")
 

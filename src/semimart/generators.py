@@ -222,12 +222,13 @@ def _empirical_labels(xi: np.ndarray) -> np.ndarray:
     """Refining partitions grouping paths by innovation prefixes; a cell's
     id is its prefix's rank among the distinct prefixes in sorted order."""
     paths, L = xi.shape
-    labels = np.zeros((L + 1, paths), dtype=np.int64)
+    labels = np.zeros((L + 1, paths), dtype=np.int32)
     for j in range(1, L + 1):
         pairs = labels[j - 1] * 2 + (xi[:, j - 1] > 0)
         # dense ranks by counting, as np.unique would give them without a sort
         rank = np.cumsum(np.bincount(pairs) > 0) - 1
         labels[j] = rank[pairs]
+    labels.setflags(write=False)  # fresh, so the space keeps it uncopied
     return labels
 
 
@@ -251,7 +252,7 @@ class Source:
     def space(self) -> FilteredSpace:
         grid = DyadicGrid(self.spec.level)
         if self.xi is None:
-            labels = np.zeros((grid.n_times, self.probs.size), dtype=np.int64)
+            labels = np.zeros((grid.n_times, self.probs.size), dtype=np.int32)
         else:
             labels = _empirical_labels(self.xi)
         return FilteredSpace(grid, self.probs, labels, innovations=self.xi)

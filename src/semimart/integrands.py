@@ -206,16 +206,21 @@ def integral_process(H: SimpleIntegrand, S: AdaptedProcess) -> AdaptedProcess:
     # the last" interval, so every j from 0 to N + 1 reads a position
     padded = np.pad(H.weights, ((0, 0), (1, 1)))
     hold = np.take_along_axis(padded, below[:, S.time_index[1:]], axis=1)
-    out = np.concatenate(
-        [np.zeros((S.space.n_atoms, 1)), np.cumsum(hold * np.diff(S.values, axis=1), axis=1)], axis=1
-    )
+    del padded
+    hold *= np.diff(S.values, axis=1)
+    # the running sum from 0, accumulated in place and handed over uncopied
+    out = np.empty((S.space.n_atoms, S.n_times))
+    out[:, 0] = 0.0
+    np.cumsum(hold, axis=1, out=out[:, 1:])
+    out.setflags(write=False)
     return AdaptedProcess(S.space, out, S.time_index)
 
 
 def terminal_and_drawdown(H: SimpleIntegrand, S: AdaptedProcess) -> tuple[np.ndarray, float]:
     """((H.S)_1 per atom, worst drawdown) from one running integral."""
     proc = integral_process(H, S)
-    return proc.at(1.0).copy(), float(np.maximum(-proc.values, 0.0).max())
+    # max(0.0, x) keeps +0.0 when x is -0.0, as np.maximum(-v, 0.0).max() does
+    return proc.at(1.0).copy(), max(0.0, -float(proc.values.min()))
 
 
 def integrate(H: SimpleIntegrand, S: AdaptedProcess, t: float = 1.0) -> np.ndarray:

@@ -319,10 +319,11 @@ def read_ensemble(path) -> EnsembleData:
     distinct = list(codes)
     counts = np.bincount(inverse, minlength=len(distinct)).tolist()
     probs = np.array([dyadic_decode(list(e), "p") for e in distinct])[inverse]
-    max_k = max((k for _, k in distinct), default=0)
-    num_sum = sum(c * num << (max_k - k) for (num, k), c in zip(distinct, counts))
-    if num_sum != 1 << max_k:
+    if not _sums_to_one(distinct, counts):
         raise ParameterError("p (sum): probabilities do not sum to 1 exactly")
+    # read-only, so the source's process shares these arrays instead of copying
+    values.setflags(write=False)
+    xi.setflags(write=False)
     return EnsembleData(
         spec=spec,
         probs=probs,
@@ -330,6 +331,26 @@ def read_ensemble(path) -> EnsembleData:
         values=values,
         sha256=sha,
     )
+
+
+def _sums_to_one(entries, counts) -> bool:
+    """Whether count copies of each [numerator, k] entry, numerator / 2**k,
+    sum to 1 exactly.  The sum runs from the largest k down and carries in
+    units of 2**-k, so no integer outgrows the row count times 2**63,
+    whatever k a row claims: a common denominator 2**k would take k bits."""
+    by_k = {}
+    for (num, k), c in zip(entries, counts):
+        by_k[k] = by_k.get(k, 0) + c * num
+    acc, at = 0, None
+    for k in sorted(by_k, reverse=True):
+        if at is not None:
+            # the terms still to come are whole units of 2**-k, and so is 1
+            if (acc & -acc).bit_length() - 1 < at - k:
+                return False
+            acc >>= at - k
+        acc += by_k[k]
+        at = k
+    return at is not None and acc & (acc - 1) == 0 and acc.bit_length() - 1 == at
 
 
 def _parse_block(block: bytes, b: int, xi_len: int, n_values: int, codes: dict):

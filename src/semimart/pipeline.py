@@ -15,7 +15,7 @@ both recorded and undone in the reported decomposition.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -175,14 +175,21 @@ class Inconclusive:
     kind = "inconclusive"
 
 
+_ZERO = np.zeros(1)
+_ZERO.setflags(write=False)
+
+
 def big_jump_split(S: AdaptedProcess) -> tuple[AdaptedProcess, AdaptedProcess]:
     """Split S = X + J with J collecting all increments of size >= 1.
 
     The boundary case |increment| = 1 counts as a jump, so X's
-    increments are strictly below 1 in absolute value.
+    increments are strictly below 1 in absolute value.  Without a big
+    jump, X is S itself and J one read-only zero, broadcast.
     """
     dS = S.increments()
     big = np.abs(dS) >= 1.0
+    if not big.any():
+        return S, AdaptedProcess(S.space, np.broadcast_to(_ZERO, S.values.shape), S.time_index)
     dJ = np.where(big, dS, 0.0)
     zeros = np.zeros((S.values.shape[0], 1))
     J = AdaptedProcess(S.space, np.concatenate([zeros, np.cumsum(dJ, axis=1)], axis=1),
@@ -531,24 +538,22 @@ def _free_lunch(
     S: AdaptedProcess,
     Y: AdaptedProcess,
     stage: StageResult,
+    bases: list,
     log: list,
     table: tuple,
 ):
-    """Scale the witnesses, finished by ``discrete_stage``, into a strategy
-    sequence with vanishing size and drawdown; Inconclusive when the
-    logged rule fails.  ``table`` is the stage's report rows."""
+    """Scale the witnesses ``bases``, finished by ``discrete_stage``, into a
+    strategy sequence with vanishing size and drawdown; Inconclusive when
+    the logged rule fails.  ``table`` is the stage's report rows.  Each
+    base is dropped from ``bases`` once its scaled element is built, so a
+    caller that holds them nowhere else frees their weights there."""
     qv_side = stage.failure.startswith("qv")
     log.append(f"free-lunch branch ({stage.failure}); witnesses from the {'quadratic' if qv_side else 'drift'} side")
 
     # each strategy is integrated once, against Y here and against S below;
     # terminals, harvests, drawdowns and win odds are all read off those
-    bases = stage.witnesses
-    harvests = []
-    vr_raw = []
-    for H in bases:
-        terminal, drawdown = terminal_and_drawdown(H, Y)
-        harvests.append(float(Y.space.expectation(terminal)))
-        vr_raw.append(drawdown)
+    terminals, vr_raw = zip(*(terminal_and_drawdown(H, Y) for H in bases))
+    harvests = [float(Y.space.expectation(t)) for t in terminals]
     log.append("expected harvest per level: " + ", ".join(f"{m:.6g}" for m in harvests))
 
     li_raw = [li_metric(H) for H in bases]
@@ -563,8 +568,10 @@ def _free_lunch(
     else:
         scales_li = [eps_end * 2.0 ** (n - 1 - i) for i in range(n)]
         log.append("harvest not strictly increasing; geometric scaling")
-    factors = [t / l for t, l in zip(scales_li, li_raw)]
-    elements = [H.scale(f) for H, f in zip(bases, factors)]
+    elements = []
+    for i, (t, l) in enumerate(zip(scales_li, li_raw)):
+        elements.append(bases[i].scale(t / l))
+        bases[i] = None
 
     gains, drawdowns = zip(*(terminal_and_drawdown(H, S) for H in elements))
     daggers = [_alpha_dagger(g, S.space.probs) for g in gains]
@@ -635,7 +642,10 @@ def detect(source, config: DetectConfig | None = None):
     table = _stage_table(stage)
 
     if not stage.passed:
-        return _free_lunch(S, Y, stage, log, table)
+        # the branch takes the witnesses over, so each is freed once it is scaled
+        witnesses = list(stage.witnesses)
+        stage = replace(stage, witnesses=())
+        return _free_lunch(S, Y, stage, witnesses, log, table)
 
     if not stage.certificates:  # every level analytic: a sampled ensemble
         return Inconclusive(

@@ -21,6 +21,7 @@ from .errors import (
 
 ATOL = 1e-12
 MAX_TREE_LEVEL = 4
+_INT32 = np.iinfo(np.int32)
 
 
 @dataclass(frozen=True)
@@ -97,7 +98,8 @@ class FilteredSpace:
     """Atoms, probabilities, and a refining partition per grid time.
 
     ``labels[j, a]`` is the cell id of atom ``a`` in the partition at
-    grid time index ``j``; ids are dense integers starting at 0.
+    grid time index ``j``; ids are dense integers starting at 0, stored
+    as int32 (an id is below the atom count).
     ``innovations`` optionally stores the +/-1 driving sequences (one row
     per atom) for tree- or ensemble-generated spaces; it is carried for
     serialization and plays no role in the probability structure.
@@ -110,7 +112,13 @@ class FilteredSpace:
 
     def __post_init__(self):
         probs = _frozen(np.asarray(self.probs, dtype=float))
-        labels = _frozen(np.asarray(self.labels, dtype=np.int64))
+        labels = np.asarray(self.labels)
+        if labels.dtype != np.int32:
+            if labels.size and (labels.min() < _INT32.min or labels.max() > _INT32.max):
+                raise ParameterError("labels must be int32 cell ids")
+            labels = labels.astype(np.int32)
+            labels.setflags(write=False)  # fresh, so kept uncopied
+        labels = _frozen(labels)
         object.__setattr__(self, "probs", probs)
         object.__setattr__(self, "labels", labels)
         if self.innovations is not None:
@@ -139,7 +147,7 @@ class FilteredSpace:
 
     def cell_average(self, x: np.ndarray, j: int) -> np.ndarray:
         """Probability-weighted average of x over each cell at time index j."""
-        lab = self.labels[j]
+        lab = self.labels[j].astype(np.intp)  # widened once for the three index uses
         mass = np.bincount(lab, weights=self.probs)
         if np.any(mass <= 0):
             raise InvariantViolation("partition cell with zero probability")

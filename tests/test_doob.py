@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import semimart.doob as doob
 from semimart.doob import (
     DoobDecomposition,
     discrete_stage,
@@ -527,11 +528,47 @@ def test_drift_witness_is_the_capped_sign_strategy(name):
         assert stage.witnesses[-1]._eff.shape[0] == S.space.n_atoms
 
 
+def stage_case(name):
+    """(S, drift, levels, eps) of a stage that certifies, or fails on either side."""
+    if name == "certificate":
+        tree = generate(GeneratorSpec(kind="rademacher_bm", level=3))
+        return tree.process, None, (1, 2, 3), 0.1
+    if name == "qv-side":
+        tree = generate(GeneratorSpec(kind="rl_fractional", level=3, hurst=0.25))
+        return tree.process, None, (1, 2, 3), 0.1
+    return drift_side_case(name)
+
+
+@pytest.mark.parametrize("name", ["certificate", "qv-side", "tree", "ensemble", "rare-jump"])
+def test_stage_decomposes_each_level_once(monkeypatch, name):
+    """Pass 2 rebuilds a level's M from its kept A instead of decomposing
+    the level again; the rebuilt M has the bits of the checked one."""
+    S, drift, levels, eps = stage_case(name)
+    made = []
+    decompose = doob.doob_decompose
+
+    def counted(*args, **kwargs):
+        made.append(decompose(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(doob, "doob_decompose", counted)
+    stage = discrete_stage(S, levels, eps, drift=drift)
+    assert [D.level for D in made] == list(levels)
+    assert stage.passed == (name == "certificate")
+    assert stage.failure.startswith("qv") == (name == "qv-side")
+    for D in made:
+        again = doob._rebuilt(S, D.level, D.A, D.qv, D.tv, D.m_l2, D.analytic)
+        assert np.array_equal(again.M.values.view(np.uint64), D.M.values.view(np.uint64))
+        assert again.M.values.strides == D.M.values.strides
+        assert again.A is D.A and again.analytic == D.analytic and again.m_l2 == D.m_l2
+
+
 # Traced peak of `discrete_stage` on an L8, 512-path rl_fractional ensemble
-# (levels 5-8), counted in (atoms x times) float64 arrays: 9.9 measured with
-# numpy 2.4, and 11.8 while each decomposition kept its restricted source
-# and AdaptedProcess copied M and A.
-ENSEMBLE_STAGE_TRACED_PEAK_ARRAYS = 10.5
+# (levels 5-8), counted in (atoms x times) float64 arrays: 6.9 measured with
+# numpy 2.4 since the stage holds one level's M at a time; 9.9 while it kept
+# every level's M and A, and 11.8 while each decomposition also kept its
+# restricted source and AdaptedProcess copied M and A.
+ENSEMBLE_STAGE_TRACED_PEAK_ARRAYS = 7.5
 
 
 def test_ensemble_discrete_stage_traced_peak_stays_bounded():

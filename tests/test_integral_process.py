@@ -13,7 +13,12 @@ import pytest
 from semimart.doob import restrict_to_level
 from semimart.errors import ParameterError, PreconditionError, StructuralError
 from semimart.generators import GeneratorSpec, generate
-from semimart.integrands import SimpleIntegrand, StrategySequence, integral_process
+from semimart.integrands import (
+    SimpleIntegrand,
+    StrategySequence,
+    integral_process,
+    terminal_and_drawdown,
+)
 from semimart.pipeline import DetectConfig, detect
 from semimart.space import AdaptedProcess, StoppingTime, first_hitting_time
 from helpers import binary_tree_space, evaluate
@@ -80,6 +85,49 @@ def test_integral_process_matches_brute_force(seed):
     proc = integral_process(H, S)
     assert np.array_equal(proc.time_index, S.time_index)
     assert np.array_equal(proc.values, brute_integral(H, S))
+
+
+def old_integral_values(H, S):
+    """integral_process's values as its kernel built them before it
+    accumulated in place: a product and a cumsum of the padded gather,
+    concatenated after a zero column."""
+    eff = H._eff
+    rows, span = eff.shape[0], S.space.grid.n_times + 1
+    bins = eff + 1 + (np.arange(rows, dtype=np.int64) * span)[:, None]
+    below = np.cumsum(np.bincount(bins.ravel(), minlength=rows * span).reshape(rows, span), axis=1)
+    padded = np.pad(H.weights, ((0, 0), (1, 1)))
+    hold = np.take_along_axis(padded, below[:, S.time_index[1:]], axis=1)
+    return np.concatenate(
+        [np.zeros((S.space.n_atoms, 1)), np.cumsum(hold * np.diff(S.values, axis=1), axis=1)], axis=1
+    )
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_integral_process_keeps_the_bits_of_its_old_kernel(seed):
+    """With values and weights that round in every sum, the in-place
+    kernel gives the old expression's bits, and the drawdown is the old
+    np.maximum(-v, 0.0).max(), sign of zero included."""
+    H, S = random_case(np.random.default_rng(seed))
+    S = AdaptedProcess(S.space, S.values / 3.0 + 0.1, S.time_index)
+    H = H.scale(0.7)
+    proc = integral_process(H, S)
+    assert proc.values.base is None and not proc.values.flags.writeable
+    assert np.array_equal(proc.values.view(np.uint64), old_integral_values(H, S).view(np.uint64))
+    terminal, drawdown = terminal_and_drawdown(H, S)
+    assert np.array_equal(terminal.view(np.uint64), proc.values[:, -1].view(np.uint64))
+    old = np.array(float(np.maximum(-proc.values, 0.0).max()))
+    assert np.array(drawdown).view(np.uint64) == old.view(np.uint64)
+
+
+@pytest.mark.parametrize("position", [1.0, 0.0, -0.0])
+def test_a_never_losing_strategy_has_drawdown_plus_zero(position):
+    """On a rising line no position loses; the drawdown is +0.0, as
+    np.maximum(-v, 0.0).max() gives, never -0.0."""
+    S = generate(GeneratorSpec(kind="deterministic_drift", level=3)).process
+    H = SimpleIntegrand.constant(S.space, position)
+    _, drawdown = terminal_and_drawdown(H, S)
+    assert drawdown == 0.0 and not np.signbit(drawdown)
+    assert not np.signbit(np.maximum(-integral_process(H, S).values, 0.0).max())
 
 
 def random_grid_case(rng):

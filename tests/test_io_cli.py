@@ -1,11 +1,14 @@
 """Tests for the file formats and the command-line entry points."""
 
+import collections
 import hashlib
 import json
 from fractions import Fraction
 import multiprocessing
 import os
+import random
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -186,6 +189,18 @@ class TestEnsembleRoundTrip:
         with open(path, "rb") as fh:
             assert data.sha256 == hashlib.sha256(fh.read()).hexdigest()
 
+    def test_arrays_are_handed_over_read_only(self, tmp_path):
+        """The source's process and space share the arrays the reader
+        built instead of copying them."""
+        path = str(tmp_path / "ens.jsonl")
+        write_spec(path, GeneratorSpec(kind="rl_fractional", level=3, hurst=0.75,
+                                       mode="ensemble", paths=16, seed=3))
+        data = read_ensemble(path)
+        assert not data.values.flags.writeable and not data.xi.flags.writeable
+        src = data.to_source()
+        assert np.shares_memory(data.values, src.process.values)
+        assert np.shares_memory(data.xi, src.space.innovations)
+
     def test_source_rebuilds_the_space(self, tmp_path):
         path = walk_file(tmp_path, level=2)
         data = read_ensemble(path)
@@ -311,6 +326,50 @@ class TestEnsembleErrors:
         self.rewrite(path, lines)
         with pytest.raises(ParameterError, match=r"p \(sum\)"):
             read_ensemble(path)
+
+
+    @pytest.mark.parametrize("k", [10**8, 10**10, 2**63 - 1])
+    def test_an_unreachable_exponent_is_refused_without_allocating(self, tmp_path, capsys, k):
+        """A row whose p is [1, k] with a huge k cannot sum to 1 with the
+        others; the check says so without building a k-bit integer."""
+        path, lines = self.lines(tmp_path)
+        row = json.loads(lines[1])
+        row["p"] = [1, k]
+        lines[1] = json.dumps(row)
+        self.rewrite(path, lines)
+        tracemalloc.start()
+        try:
+            code = main(["detect", path, "--out", str(tmp_path / "out.json")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert capsys.readouterr().err.startswith("parameter error: p (sum): ")
+        assert peak < 1 << 20
+
+    def test_sum_check_agrees_with_exact_fractions(self):
+        """Random dyadic partitions of 1, some entries unreduced and half of
+        them with one exponent moved, against an exact Fraction sum."""
+        rng = random.Random(4)
+        verdicts = []
+        for _ in range(2000):
+            K = rng.randrange(0, 70)
+            cuts = sorted({rng.randrange(1, 1 << K) for _ in range(rng.randrange(0, 5) if K else 0)})
+            pieces = [b - a for a, b in zip([0] + cuts, cuts + [1 << K])]
+            entries = []
+            for a in pieces:
+                zeros = (a & -a).bit_length() - 1
+                j = rng.randrange(0, zeros + 3)  # reduced, exact, or unreduced past K
+                entries.append((a >> zeros << j, K - zeros + j))
+            if rng.random() < 0.5:
+                i = rng.randrange(len(entries))
+                entries[i] = (entries[i][0], entries[i][1] + rng.choice([-1, 1]))
+            entries = [(num, k) for num, k in entries if k >= 0]
+            counter = collections.Counter(entries)
+            exact = sum(Fraction(c * num, 1 << k) for (num, k), c in counter.items()) == 1
+            verdicts.append(exact)
+            assert sio._sums_to_one(list(counter), list(counter.values())) == exact
+        assert 0.3 < np.mean(verdicts) < 0.7
 
 
 # (name, edit of one atom's row, message after "atom <a>"); each edit is

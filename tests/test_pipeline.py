@@ -70,6 +70,15 @@ class TestBigJumpSplit:
         assert np.max(np.abs(J.values)) == 0.0
         assert np.array_equal(X.values, S.values)
 
+    def test_without_a_big_jump_the_small_part_is_the_process_itself(self):
+        S = generate(GeneratorSpec(kind="rl_fractional", level=3, hurst=0.75)).process
+        X, J = big_jump_split(S)
+        assert X is S
+        # J is one read-only +0.0, broadcast over the process's shape
+        assert J.values.shape == S.values.shape and J.values.strides == (0, 0)
+        assert not J.values.any() and not np.signbit(J.values).any()
+        assert np.array_equal(J.time_index, S.time_index)
+
     def test_single_large_move_extracted(self):
         space, S = one_atom_path([0.0, 0.2, 3.2])
         X, J = big_jump_split(S)
@@ -554,6 +563,54 @@ def test_certificate_path_traced_peak_stays_bounded():
     assert verdict.kind == "certificate"
     arrays = peak / (space.n_atoms * space.grid.n_times * 8)
     assert arrays < L4_TRACED_PEAK_ARRAYS
+
+
+# Traced peak of an ensemble `detect` on the input of test_doob's stage
+# bound (L8, 512 paths, levels 5-8), in (atoms x times) float64 arrays:
+# 7.9 measured with numpy 2.4, set inside the stage's finest decomposition;
+# 11.9 while the stage kept every level's M and A, the split held J and
+# S - J without a big jump, and the free-lunch branch kept its bases.
+ENSEMBLE_DETECT_TRACED_PEAK_ARRAYS = 8.5
+
+
+def test_ensemble_detect_traced_peak_stays_bounded():
+    source = generate(GeneratorSpec(kind="rl_fractional", level=8, hurst=0.75, mode="ensemble",
+                                    paths=512, seed=1))
+    S = source.process  # the input is built before tracing starts
+    tracemalloc.start()
+    try:
+        verdict = detect(source, DetectConfig(levels=(5, 6, 7, 8)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verdict.kind == "free_lunch"
+    assert peak / S.values.nbytes < ENSEMBLE_DETECT_TRACED_PEAK_ARRAYS
+
+
+def test_free_lunch_frees_each_base_once_it_is_scaled(monkeypatch):
+    """No witness the discrete stage finished outlives the scaling of
+    its element: the branch holds each strategy's weights once."""
+    stage_fn = pipeline.discrete_stage
+    bases = []
+
+    def recorded_stage(*args, **kwargs):
+        stage = stage_fn(*args, **kwargs)
+        bases.extend(weakref.ref(H) for H in stage.witnesses)
+        return stage
+
+    alive_after = []
+    strategy_sequence = pipeline.StrategySequence
+
+    def counted_sequence(*args, **kwargs):
+        gc.collect()
+        alive_after.append(sum(ref() is not None for ref in bases))
+        return strategy_sequence(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "discrete_stage", recorded_stage)
+    monkeypatch.setattr(pipeline, "StrategySequence", counted_sequence)
+    verdict = detect(generate(GeneratorSpec(kind="rl_fractional", level=3, hurst=0.75)))
+    assert verdict.kind == "free_lunch"
+    assert len(bases) == 3 and alive_after == [0]
 
 
 def test_certificate_owns_a_read_only_terminal_value():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from semimart.doob import restrict_to_level
+from semimart.generators import GeneratorSpec, _empirical_labels, generate
 
 from semimart.errors import (
     InvariantViolation,
@@ -244,6 +245,26 @@ class TestFrozenInputs:
         grid.setflags(write=False)
         tau = StoppingTime(space, np.broadcast_to(grid[1:2], (space.n_atoms,)))
         assert tau.index.strides == (0,) and np.shares_memory(tau.index, grid)
+
+    def test_labels_are_int32(self):
+        """Labels are stored as int32; a caller's int64 partition is converted
+        and a caller's writeable int32 partition is still copied, while the
+        frozen labels an ensemble source builds are shared."""
+        tree = binary_tree_space(2)  # built from int64 labels
+        assert tree.labels.dtype == np.int32 and not tree.labels.flags.writeable
+        labels = tree.labels.copy()
+        space = FilteredSpace(tree.grid, tree.probs, labels)
+        labels[:] = 0
+        assert space.labels.dtype == np.int32 and np.array_equal(space.labels, tree.labels)
+        src = generate(GeneratorSpec(kind="rl_fractional", level=3, hurst=0.75, mode="ensemble",
+                                     paths=32, seed=2))
+        fresh = _empirical_labels(src.xi)
+        assert FilteredSpace(DyadicGrid(3), src.probs, fresh).labels is fresh
+
+    def test_labels_past_int32_are_refused_not_wrapped(self):
+        tree = binary_tree_space(1)
+        with pytest.raises(ParameterError, match="int32"):
+            FilteredSpace(tree.grid, tree.probs, tree.labels.astype(np.int64) + 2 ** 32)
 
 
 class TestStopProcess:
