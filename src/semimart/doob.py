@@ -31,6 +31,9 @@ from .space import (
 IDENT_TOL = 1e-12
 BOUND_TOL = 1e-10
 
+# atoms x times cells per block of the M + A = S identity check
+IDENT_BLOCK_CELLS = 1 << 16
+
 LADDER_BASE = 8.0
 LADDER_MAX = float(2 ** 20)
 
@@ -126,6 +129,13 @@ def _predictable(A: AdaptedProcess) -> bool:
     return cell_mismatch(A.space.labels[A.time_index[:-1]], A.values[:, 1:].T, ATOL) is None
 
 
+def _identity_error(M: np.ndarray, A: np.ndarray, S: np.ndarray) -> float:
+    """max |M + A - S|, in one temporary."""
+    err = M + A
+    err -= S
+    return np.abs(err, out=err).max()
+
+
 def doob_decompose(S: AdaptedProcess, n: int, dA: np.ndarray | None = None) -> DoobDecomposition:
     """Unique level-n split into martingale part and predictable drift.
 
@@ -145,21 +155,25 @@ def doob_decompose(S: AdaptedProcess, n: int, dA: np.ndarray | None = None) -> D
     A_vals[:, 0] = 0.0
     np.cumsum(dA, axis=1, out=A_vals[:, 1:])
     M_vals = Sn.values - A_vals
-    # M + A = S_n up to rounding, checked in one temporary
-    err = M_vals + A_vals
-    err -= Sn.values
-    err = np.abs(err, out=err).max()
+    # M + A = S_n up to rounding, checked in blocks of atoms so that the
+    # temporary stays small; a max is exact, so blocks change no bit
+    step = max(1, IDENT_BLOCK_CELLS // Sn.n_times)
+    err = np.max([_identity_error(M_vals[lo:lo + step], A_vals[lo:lo + step], Sn.values[lo:lo + step])
+                  for lo in range(0, space.n_atoms, step)])
     if err > IDENT_TOL:
         raise InvariantViolation(f"M + A differs from S by {err}")
     # the fresh parts are handed over read-only, so AdaptedProcess keeps them uncopied
     A_vals.setflags(write=False)
     M_vals.setflags(write=False)
+    # |dA| and dS are never alive together, and both are freed before the
+    # record's checks, which peak on a tree
+    tv = np.abs(dA).sum(axis=1)
+    del dA
     dS = Sn.increments()
     # the sigma ladder reads qv; a test pins it, bit for bit, to the last
     # running sum that sigma_stop builds
     qv = np.einsum("ij,ij->i", dS, dS)
-    tv = np.abs(dA).sum(axis=1)
-    del dS, dA  # freed before the record's checks, which peak on a tree
+    del dS
     m_l2 = float(space.expectation(M_vals[:, -1] ** 2))
     M = AdaptedProcess(space, M_vals, Sn.time_index)
     A = AdaptedProcess(space, A_vals, Sn.time_index)

@@ -9,9 +9,10 @@ which is what `verify` exploits.
 
 Rows are written and read in blocks of about BLOCK_CELLS cells.  The
 writer formats each distinct value of a block once when its values
-repeat; when they are mostly distinct, forked workers, one per CPU,
-format the blocks and the writer writes them in order, so the bytes do
-not depend on the CPU count.  The reader has two block paths.  A block
+repeat, and gathers the block's text from a table of those texts; when
+they are mostly distinct, forked workers, one per CPU, format the blocks
+and the writer writes them in order, so the bytes do not depend on the
+CPU count.  The reader has two block paths.  A block
 whose text has exactly the writer's layout is converted with one
 `np.loadtxt` call; any other block goes through the checked row path,
 which decodes each row as JSON and names the atom and the field of a
@@ -152,7 +153,7 @@ def write_ensemble(path, spec: GeneratorSpec, probs, xi, values) -> None:
     probs = np.asarray(probs, dtype=float)
     values = np.asarray(values, dtype=float)
     n = probs.size
-    xi = np.empty((n, 0), dtype=np.int8) if xi is None else np.asarray(xi)
+    xi = np.empty((n, 0), dtype=np.int8) if xi is None else np.asarray(xi, dtype=np.int8)
     header = {
         "format": ENSEMBLE_FORMAT,
         "kind": spec.kind,
@@ -168,24 +169,39 @@ def write_ensemble(path, spec: GeneratorSpec, probs, xi, values) -> None:
     }
     distinct, inverse = np.unique(probs, return_inverse=True)
     codes = ["%d,%d" % tuple(dyadic_encode(p)) for p in distinct]
+    # each row's text up to its first value, for blocks gathered whole
+    heads = _table([b'{"p":[%s],"v":[' % c.encode() for c in codes])
     spans = _blocks(n, values.shape[1] + xi.shape[1])
     with open_output(path) as fh:
         fh.write(_canonical(header) + "\n")
         fh.writelines(_span_results(
-            _block_text, (codes, inverse, values, xi), spans, fork=not _repeats(values)
+            _block_text, (codes, heads, inverse, values, xi), spans, fork=not _repeats(values)
         ))
 
 
 def _block_text(state, lo: int, hi: int) -> str:
-    """The file text of atom rows lo..hi-1."""
-    codes, inverse, values, xi = state
-    # the key order and separators of `_canonical`
+    """The file text of atom rows lo..hi-1, in the key order and with the
+    separators of `_canonical`.  A block whose values repeat is gathered
+    whole from tables of cell texts; otherwise its values take the
+    per-row template, and only its innovations are gathered."""
+    codes, heads, inverse, values, xi = state
+    v, n = values[lo:hi], hi - lo
+    innovations = _gathered(_INNOVATIONS, xi[lo:hi].view(np.uint8))
+    if _repeats(v):
+        return _joined([
+            np.take(heads, inverse[lo:hi], axis=0),
+            *_value_cells(v, b'"%.17g"'),
+            _constant(b'],"xi":[', n),
+            *innovations,
+            _constant(b"]}\n", n),
+        ]).decode()
+    row = _cells('"%.17g"', v.shape[1])
     return "".join([
-        '{"p":[%s],"v":[%s],"xi":[%s]}\n' % row
-        for row in zip(
-            [codes[c] for c in inverse[lo:hi].tolist()],
-            _payload_lines(values[lo:hi], '"%.17g"'),
-            _payload_lines(xi[lo:hi], "%d"),
+        '{"p":[%s],"v":[%s],"xi":[%s]}\n' % (codes[c], row % tuple(r), x)
+        for c, r, x in zip(
+            inverse[lo:hi].tolist(),
+            v.tolist(),
+            _joined([*innovations, _constant(b"\n", n)]).decode().split("\n"),
         )
     ])
 
@@ -463,32 +479,86 @@ def _repeats(arr: np.ndarray) -> bool:
     return (np.count_nonzero(sample[1:] != sample[:-1]) + 1) * 2 < sample.size
 
 
-def _payload_lines(arr: np.ndarray, cell: str = "%.17g") -> list:
-    """One text line per row: its cells, each `cell % value`, joined by
-    commas.  When values repeat (`_repeats`), each distinct bit pattern is
-    formatted once and mapped back; keying on bits keeps -0.0 and 0.0
-    apart.  Mostly distinct arrays, where that costs more than it saves,
-    take the per-row template.  Report payloads take the default cell,
-    which formats as `fmt17` does; `write_ensemble` passes its quoted
-    value cell and its innovation cell."""
-    if not _repeats(arr):
-        row = _cells(cell, arr.shape[1])
-        return [row % tuple(r) for r in arr.tolist()]
+def _table(texts) -> np.ndarray:
+    """The byte strings `texts` as the rows of a uint8 table, each padded
+    with NULs to the longest; no text written here holds a NUL."""
+    width = max(map(len, texts))
+    return np.frombuffer(b"".join([t.ljust(width, b"\0") for t in texts]), np.uint8).reshape(-1, width)
+
+
+def _cell_tables(texts) -> tuple:
+    """Two tables of the cell `texts`: each text followed by its comma,
+    for every column of a row but the last, and each text alone."""
+    return _table([t + b"," for t in texts]), _table(texts)
+
+
+def _gathered(tables, idx: np.ndarray) -> list:
+    """Parts for `_joined`: the padded texts of the cells idx (rows x
+    columns) from `tables` (`_cell_tables`), a row's cells joined by commas."""
+    if idx.shape[1] == 0:
+        return []
+    sep, last = tables
+    n = idx.shape[0]
+    return [np.take(sep, idx[:, :-1], axis=0).reshape(n, -1), np.take(last, idx[:, -1], axis=0)]
+
+
+def _constant(text: bytes, n: int) -> np.ndarray:
+    """A part for `_joined`: the same text in each of n rows."""
+    return np.broadcast_to(np.frombuffer(text, np.uint8), (n, len(text)))
+
+
+def _joined(parts) -> bytes:
+    """The text of rows made of `parts`, left to right: uint8 arrays with
+    one row per text row, padded with NULs, which are dropped."""
+    return np.concatenate(parts, axis=1).tobytes().translate(None, b"\0")
+
+
+def _value_cells(arr: np.ndarray, cell: bytes) -> list:
+    """`_gathered` parts of the float cells of arr, each `cell % value`.
+    Each distinct bit pattern is formatted once, so -0.0 and 0.0 stay
+    apart; bytes and str `%` run the same float-to-string conversion."""
+    distinct, inverse = np.unique(arr.view(np.uint64), return_inverse=True)
+    texts = [cell % x for x in distinct.view(np.float64).tolist()]
+    return _gathered(_cell_tables(texts), inverse.reshape(arr.shape))
+
+
+# the text of each int8 innovation, by its bit pattern as a uint8
+_INNOVATIONS = _cell_tables([b"%d" % x for x in np.arange(256, dtype=np.uint8).view(np.int8).tolist()])
+
+
+def _payload_blocks(arr: np.ndarray):
+    """The text of a float array in blocks (`_blocks`): a line per row,
+    its cells formatted as `fmt17` does and joined by commas, each line
+    ended by "\n".  Cells that repeat (`_repeats`) are gathered; mostly
+    distinct ones, where that costs more than it saves, take the per-row
+    template."""
     n, width = arr.shape
-    bits = arr.view(f"u{arr.itemsize}")
-    distinct, inverse = np.unique(bits, return_inverse=True)
-    text = np.array([cell % v for v in distinct.view(arr.dtype).tolist()], dtype=object)
-    return [",".join(r) for r in text[inverse.reshape(n, width)].tolist()]
+    repeats = _repeats(arr)
+    row = _cells("%.17g", width) + "\n"
+    for lo, hi in _blocks(n, width):
+        if repeats:
+            yield _joined([*_value_cells(arr[lo:hi], b"%.17g"), _constant(b"\n", hi - lo)])
+        else:
+            yield "".join([row % tuple(r) for r in arr[lo:hi].tolist()]).encode()
 
 
 def array_payload(arr: np.ndarray) -> dict:
-    """Inline small arrays; summarize large ones behind a content hash."""
+    """Inline small arrays; summarize large ones behind a content hash:
+    the sha256 of the payload text, its lines joined by "\n", which is
+    fed block by block."""
     arr = np.asarray(arr, dtype=float)
-    lines = _payload_lines(arr)
-    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-    out = {"shape": list(arr.shape), "sha256": digest}
+    digest = hashlib.sha256()
+    rows = []
+    end = b""  # the line break before the next block
+    for text in _payload_blocks(arr):
+        digest.update(end)
+        digest.update(memoryview(text)[:-1])
+        end = b"\n"
+        if arr.shape[0] <= INLINE_ATOM_LIMIT:
+            rows += [line.split(",") for line in text[:-1].decode().split("\n")]
+    out = {"shape": list(arr.shape), "sha256": digest.hexdigest()}
     if arr.shape[0] <= INLINE_ATOM_LIMIT:
-        out["data"] = [line.split(",") for line in lines]
+        out["data"] = rows
     else:
         out["min"] = fmt17(arr.min())
         out["max"] = fmt17(arr.max())

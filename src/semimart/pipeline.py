@@ -294,6 +294,7 @@ def _script(space, dN: np.ndarray, w: np.ndarray) -> AdaptedProcess:
     dN *= w
     values = np.zeros((space.n_atoms, dN.shape[1] + 1))
     np.cumsum(dN, axis=1, out=values[:, 1:])
+    values.setflags(write=False)  # fresh, so the process keeps it uncopied
     return AdaptedProcess(space, values)
 
 
@@ -495,7 +496,9 @@ def assemble_decomposition(
     space = stage.stopped_source.space
     cw, limits = _assembly_limits(stage, tol, window)
     M = AdaptedProcess(space, space.conditional_path(limits[0]))
-    A = AdaptedProcess(space, np.column_stack(limits[1:]))
+    A_vals = np.column_stack(limits[1:])
+    A_vals.setflags(write=False)  # fresh, so the process keeps it uncopied
+    A = AdaptedProcess(space, A_vals)
     del limits  # freed before the certificate's checks, which set the peak nearby
 
     resid_sum = float(np.abs(M.values + A.values - stage.stopped_source.values).max())

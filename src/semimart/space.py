@@ -7,7 +7,7 @@ average, so every identity in the package can be checked to float
 precision instead of sampled.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -73,6 +73,15 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return out
 
 
+def _handed_over(a: np.ndarray) -> np.ndarray:
+    """a, a result just computed that nothing else holds, made read-only
+    together with the buffer it views, so that `_frozen` shares it."""
+    a.setflags(write=False)
+    if a.base is not None:
+        a.base.setflags(write=False)
+    return a
+
+
 def cell_mismatch(labels: np.ndarray, x: np.ndarray, atol: float = 0.0) -> tuple[int, int] | None:
     """First (row, atom) where row r of x is not constant on the cells of labels[r], else None.
 
@@ -109,6 +118,8 @@ class FilteredSpace:
     probs: np.ndarray
     labels: np.ndarray
     innovations: np.ndarray | None = None
+    # time index -> cell masses, of the partitions `cell_average` keeps
+    _masses: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         probs = _frozen(np.asarray(self.probs, dtype=float))
@@ -146,17 +157,28 @@ class FilteredSpace:
         return self.grid.times
 
     def cell_average(self, x: np.ndarray, j: int) -> np.ndarray:
-        """Probability-weighted average of x over each cell at time index j."""
+        """Probability-weighted average of x over each cell at time index j.
+
+        The cell masses of a time are computed and checked once and kept
+        when the partition has at most half as many cells as atoms.  A
+        finer one is nearly one mass per atom, and on a sampled ensemble
+        most times have one, so keeping them all would hold about one
+        (atoms x times) array for the space's life."""
         lab = self.labels[j].astype(np.intp)  # widened once for the three index uses
-        mass = np.bincount(lab, weights=self.probs)
-        if np.any(mass <= 0):
-            raise InvariantViolation("partition cell with zero probability")
+        mass = self._masses.get(int(j))
+        if mass is None:
+            mass = np.bincount(lab, weights=self.probs)
+            if np.any(mass <= 0):
+                raise InvariantViolation("partition cell with zero probability")
+            if 2 * mass.size <= self.n_atoms:
+                self._masses[int(j)] = mass
         avg = np.bincount(lab, weights=self.probs * x) / mass
         return avg[lab]
 
     def conditional_path(self, x: np.ndarray) -> np.ndarray:
-        """E[x | F_t] at every grid time, one column per time."""
-        return np.column_stack([self.cell_average(x, j) for j in range(self.grid.n_times)])
+        """E[x | F_t] at every grid time, one column per time; read-only,
+        so a process built on it keeps it uncopied."""
+        return _handed_over(np.column_stack([self.cell_average(x, j) for j in range(self.grid.n_times)]))
 
     def expectation(self, x: np.ndarray) -> float:
         return float(self.probs @ x)
@@ -291,7 +313,8 @@ class AdaptedProcess:
         pos = np.searchsorted(self.time_index, grid_indices)
         if np.any(pos >= self.time_index.size) or np.any(self.time_index[pos] != grid_indices):
             raise ParameterError("process is not sampled at all requested times")
-        return AdaptedProcess(self.space, self.values[:, pos], grid_indices)
+        # the gather is F-ordered, a layout the reductions over it inherit
+        return AdaptedProcess(self.space, _handed_over(self.values[:, pos]), grid_indices)
 
     def nonadapted_at(self, atol: float = ATOL) -> tuple[int, int] | None:
         """(column, atom) of the first value not constant on its cell, or None."""
@@ -320,19 +343,19 @@ class AdaptedProcess:
 
     def __add__(self, other):
         self._same_shape(other)
-        return AdaptedProcess(self.space, self.values + other.values, self.time_index)
+        return AdaptedProcess(self.space, _handed_over(self.values + other.values), self.time_index)
 
     def __sub__(self, other):
         self._same_shape(other)
-        return AdaptedProcess(self.space, self.values - other.values, self.time_index)
+        return AdaptedProcess(self.space, _handed_over(self.values - other.values), self.time_index)
 
     def scale(self, factor: float) -> "AdaptedProcess":
-        return AdaptedProcess(self.space, self.values * factor, self.time_index)
+        return AdaptedProcess(self.space, _handed_over(self.values * factor), self.time_index)
 
     def shift(self, offset: np.ndarray) -> "AdaptedProcess":
         """Add a per-atom constant (an F_0-measurable shift)."""
         off = np.asarray(offset, dtype=float).reshape(-1, 1)
-        return AdaptedProcess(self.space, self.values + off, self.time_index)
+        return AdaptedProcess(self.space, _handed_over(self.values + off), self.time_index)
 
 
 def check_stopping_time(tau: StoppingTime) -> bool:
@@ -366,7 +389,8 @@ def stop_process(S: AdaptedProcess, tau: StoppingTime) -> AdaptedProcess:
     if cap.min() == S.n_times - 1:
         return S
     frozen = S.values[np.arange(S.space.n_atoms), cap][:, None]
-    return AdaptedProcess(S.space, np.where(np.arange(S.n_times) > cap[:, None], frozen, S.values), S.time_index)
+    values = np.where(np.arange(S.n_times) > cap[:, None], frozen, S.values)
+    return AdaptedProcess(S.space, _handed_over(values), S.time_index)
 
 
 def first_hitting_time(process: AdaptedProcess, hit: np.ndarray, start_col: int = 0) -> StoppingTime:

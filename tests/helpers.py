@@ -1,7 +1,8 @@
 """Test-only helpers that the package itself never calls: the binary tree,
 the lemma-level checks (summation by parts, martingale orthogonality,
-conditional expectation at a time) and the slow diagnostics path that
-the pipeline's one-integral-per-strategy path is compared against."""
+conditional expectation at a time), the slow diagnostics path that
+the pipeline's one-integral-per-strategy path is compared against, and
+the line formatter that the writer's table gather is compared against."""
 
 from dataclasses import dataclass
 
@@ -17,8 +18,39 @@ from semimart.integrands import (
     vr_metric,
     win_probabilities,
 )
+from semimart.io import _cells, _repeats
 from semimart.pipeline import PAD_COPIES, extend_martingale
 from semimart.space import AdaptedProcess, DyadicGrid, FilteredSpace, stop_process, tree_innovations
+
+
+def payload_lines(arr: np.ndarray, cell: str = "%.17g") -> list:
+    """One text line per row: its cells, each `cell % value`, joined by
+    commas; the expression the ensemble writer and the report digests
+    used before they gathered cells from tables.  When values repeat,
+    each distinct bit pattern is formatted once and mapped back through
+    Python objects; otherwise each row takes the per-row template."""
+    if not _repeats(arr):
+        row = _cells(cell, arr.shape[1])
+        return [row % tuple(r) for r in arr.tolist()]
+    n, width = arr.shape
+    bits = arr.view(f"u{arr.itemsize}")
+    distinct, inverse = np.unique(bits, return_inverse=True)
+    text = np.array([cell % v for v in distinct.view(arr.dtype).tolist()], dtype=object)
+    return [",".join(r) for r in text[inverse.reshape(n, width)].tolist()]
+
+
+def ensemble_rows_text(codes, inverse, values, xi) -> str:
+    """The atom rows of an ensemble file as the writer built them from
+    `payload_lines`: codes[inverse[a]] is atom a's "numerator,k" text."""
+    xi = np.empty((values.shape[0], 0), dtype=np.int8) if xi is None else xi
+    return "".join([
+        '{"p":[%s],"v":[%s],"xi":[%s]}\n' % row
+        for row in zip(
+            [codes[c] for c in inverse.tolist()],
+            payload_lines(values, '"%.17g"'),
+            payload_lines(xi, "%d"),
+        )
+    ])
 
 
 def binary_tree_space(level: int) -> FilteredSpace:

@@ -33,6 +33,7 @@ from semimart.io import (
     write_report,
 )
 from semimart.pipeline import DetectConfig, detect
+from helpers import ensemble_rows_text, payload_lines
 
 TOL = 1e-12
 
@@ -753,6 +754,115 @@ class TestCodecReference:
             out = index_payload(part)
             assert out["sha256"] == hashlib.sha256(",".join(str(int(v)) for v in part).encode()).hexdigest()
             assert out.get("data") == ([int(v) for v in part] if part.size <= 1024 else None)
+
+
+# float inputs of the table gather by name: rng -> a 2-D array whose cells
+# repeat, so that each block is gathered from a table of its texts
+GATHER_INPUTS = {
+    "signed-zeros": lambda rng: rng.choice(np.array([-0.0, 0.0]), (300, 17)),
+    "extremes": lambda rng: rng.choice(np.array(
+        [5e-324, -5e-324, 2.2250738585072009e-308, -2.2250738585072014e-308, 1e308, -1e308,
+         1.7976931348623157e308, -0.0, 0.0]), (300, 17)),
+    "one-column": lambda rng: few_floats(rng, (700, 1)),
+    "one-row": lambda rng: few_floats(rng, (1, 60)),
+    "one-value": lambda rng: np.full((300, 17), rng.standard_normal()),
+    "strided": lambda rng: few_floats(rng, (300, 34))[:, 1::2],
+    "fortran": lambda rng: np.asfortranarray(few_floats(rng, (300, 17))),
+}
+
+
+def same_lines(got, want) -> bool:
+    """got == want (both str or both bytes), failing on the first
+    differing line rather than on a diff of the whole text, which takes
+    minutes on a large one."""
+    sep = b"\n" if isinstance(got, bytes) else "\n"
+    got, want = got.split(sep), want.split(sep)
+    for i, (a, b) in enumerate(zip(got, want)):
+        assert a == b, f"line {i}"
+    assert len(got) == len(want)
+    return True
+
+
+class TestTableGather:
+    """The table-gather kernel against the per-row expression it replaced
+    (`helpers.payload_lines`), byte for byte."""
+
+    @pytest.mark.parametrize("block_cells", [sio.BLOCK_CELLS, 17 * 5 + 3, 1])
+    @pytest.mark.parametrize("name", list(GATHER_INPUTS))
+    @pytest.mark.parametrize("seed", range(2))
+    def test_payload_text_matches_reference(self, monkeypatch, seed, name, block_cells):
+        monkeypatch.setattr(sio, "BLOCK_CELLS", block_cells)
+        arr = GATHER_INPUTS[name](np.random.default_rng(seed))
+        assert sio._repeats(arr)
+        want = "".join(line + "\n" for line in payload_lines(arr)).encode()
+        assert same_lines(b"".join(sio._payload_blocks(arr)), want)
+        got, ref = array_payload(arr), reference_payload(arr)
+        assert first_mismatch(got, ref) is None and canonical(got) == canonical(ref)
+
+    @pytest.mark.parametrize("name", list(GATHER_INPUTS))
+    def test_block_text_matches_reference(self, monkeypatch, name):
+        """Values that repeat, gathered with every int8 innovation in many
+        blocks; the innovations are no +/-1 row, so only the writer reads them."""
+        monkeypatch.setattr(sio, "BLOCK_CELLS", 3 * 17 + 1)
+        rng = np.random.default_rng(5)
+        values = GATHER_INPUTS[name](rng)
+        n = values.shape[0]
+        xi = np.resize(np.arange(-128, 128, dtype=np.int8), n * 16).reshape(n, 16)
+        rng.shuffle(xi.ravel())
+        self.assert_rows(rng, values, xi)
+        self.assert_rows(rng, values, None)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_template_rows_take_the_innovation_table(self, monkeypatch, seed):
+        """Mostly distinct values keep the per-row template beside the
+        gathered innovations, including a single column of them."""
+        monkeypatch.setattr(sio, "BLOCK_CELLS", 40)
+        rng = np.random.default_rng(seed)
+        values = random_floats(rng, (200, 5))
+        assert not sio._repeats(values)
+        for width in (1, 4, 0):
+            self.assert_rows(rng, values, rng.integers(-128, 128, (200, width), dtype=np.int8))
+
+    @staticmethod
+    def assert_rows(rng, values, xi):
+        n = values.shape[0]
+        codes = ["1,%d" % k for k in range(1, 4)]
+        inverse = rng.integers(0, 3, n)
+        heads = sio._table([b'{"p":[%s],"v":[' % c.encode() for c in codes])
+        if xi is None:
+            xi = np.empty((n, 0), dtype=np.int8)
+        state = (codes, heads, inverse, values, xi)
+        spans = sio._blocks(n, values.shape[1] + xi.shape[1])
+        got = "".join(sio._block_text(state, lo, hi) for lo, hi in spans)
+        assert same_lines(got, ensemble_rows_text(codes, inverse, values, xi))
+
+    @pytest.mark.parametrize("spec, block_cells", [
+        (GeneratorSpec(kind="rademacher_bm", level=4, mode="exact_tree", seed=1), 33 * 40),
+        (GeneratorSpec(kind="rl_fractional", level=4, mode="exact_tree", hurst=0.75, seed=1), 33 * 40),
+        (GeneratorSpec(kind="jump", level=4, mode="ensemble", paths=512, seed=3), 33 * 7),
+        (GeneratorSpec(kind="drifted", level=6, mode="ensemble", paths=128, seed=2), 129 * 3),
+    ], ids=["L4-tree", "L4-rl-tree", "jump-ensemble", "drifted-ensemble"])
+    def test_written_files_match_reference_in_many_blocks(self, tmp_path, monkeypatch, spec, block_cells):
+        monkeypatch.setattr(sio, "BLOCK_CELLS", block_cells)
+        src = generate(spec)
+        path = tmp_path / "many.jsonl"
+        write_ensemble(str(path), spec, src.probs, src.xi, src.values)
+        assert len(sio._blocks(src.probs.size, src.values.shape[1] + src.xi.shape[1])) > 5
+        distinct, inverse = np.unique(src.probs, return_inverse=True)
+        codes = ["%d,%d" % tuple(dyadic_encode(p)) for p in distinct]
+        body = path.read_bytes().split(b"\n", 1)[1]
+        assert same_lines(body, ensemble_rows_text(codes, inverse, src.values, src.xi).encode())
+
+    # the summary mean of random bit patterns overflows to nan
+    @pytest.mark.filterwarnings("ignore:overflow|invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("n_rows", [1024, 1025])
+    @pytest.mark.parametrize("block_cells", [17, 17 * 30 + 1])
+    def test_array_payload_digest_is_fed_block_by_block(self, monkeypatch, n_rows, block_cells):
+        monkeypatch.setattr(sio, "BLOCK_CELLS", block_cells)
+        rng = np.random.default_rng(n_rows)
+        for arr in (few_floats(rng, (n_rows, 17)), random_floats(rng, (n_rows, 17))):
+            digest = hashlib.sha256("\n".join(payload_lines(arr)).encode()).hexdigest()
+            assert array_payload(arr)["sha256"] == digest
 
 
 class TestPooledWriter:

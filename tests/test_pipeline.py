@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import semimart.pipeline as pipeline
+import semimart.space as space_module
 from semimart.doob import DoobDecomposition, StageCertificate, discrete_stage, doob_decompose
 from semimart.errors import InvariantViolation, ParameterError, PreconditionError
 from semimart.generators import GeneratorSpec, generate
@@ -585,6 +586,33 @@ def test_ensemble_detect_traced_peak_stays_bounded():
         tracemalloc.stop()
     assert verdict.kind == "free_lunch"
     assert peak / S.values.nbytes < ENSEMBLE_DETECT_TRACED_PEAK_ARRAYS
+
+
+@pytest.mark.parametrize(
+    "spec, levels, kind",
+    [(dict(kind="rademacher_bm", level=3), None, "certificate"),
+     (dict(kind="rl_fractional", level=6, hurst=0.75, mode="ensemble", paths=256, seed=11),
+      (3, 4, 5, 6), "free_lunch")],
+    ids=["L3-tree", "ensemble"],
+)
+def test_detect_copies_no_process_sized_array(monkeypatch, spec, levels, kind):
+    """Every array of one row per atom that detect builds is fresh and
+    handed over read-only, so no constructor copies it again."""
+    source = generate(GeneratorSpec(**spec))
+    n_atoms = source.process.space.n_atoms  # the input is built first
+    copied = []
+    frozen = space_module._frozen
+
+    def spy(a):
+        out = frozen(a)
+        if out is not a and a.ndim == 2 and a.shape[0] == n_atoms:
+            copied.append(a.shape)
+        return out
+
+    monkeypatch.setattr(space_module, "_frozen", spy)
+    verdict = detect(source, DetectConfig(levels=levels))
+    assert verdict.kind == kind
+    assert copied == []
 
 
 def test_free_lunch_frees_each_base_once_it_is_scaled(monkeypatch):

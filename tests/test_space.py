@@ -168,6 +168,37 @@ class TestConditionalExpectation:
             )
 
 
+class TestCellMasses:
+    """`cell_average` computes each time's cell masses once."""
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_kept_masses_give_the_bits_of_the_uncached_expression(self, seed):
+        rng = np.random.default_rng(seed)
+        space = random_space(rng)  # non-uniform dyadic probabilities
+        for _ in range(2):  # the first pass fills the cache, the second reads it
+            for j in range(space.grid.n_times):
+                x = rng.standard_normal(space.n_atoms) * 10.0 ** rng.integers(-8, 9)
+                lab = space.labels[j].astype(np.intp)
+                want = (np.bincount(lab, weights=space.probs * x) / np.bincount(lab, weights=space.probs))[lab]
+                assert space.cell_average(x, j).view(np.uint64).tolist() == want.view(np.uint64).tolist()
+
+    def test_masses_are_kept_for_partitions_of_at_most_half_the_atoms(self):
+        space = binary_tree_space(2)  # 16 atoms; 2 ** j cells at time j
+        x = np.arange(16.0)
+        for j in range(space.grid.n_times):
+            space.cell_average(x, j)
+        assert sorted(space._masses) == [0, 1, 2, 3]
+        assert [m.size for _, m in sorted(space._masses.items())] == [1, 2, 4, 8]
+
+    def test_a_cell_without_mass_is_refused_on_every_call(self):
+        # the labels at time 1 skip the id 1, a cell that holds no atom
+        labels = np.array([[0, 0, 0, 0], [0, 0, 2, 2], [0, 1, 2, 3]])
+        space = FilteredSpace(DyadicGrid(1), np.full(4, 0.25), labels)
+        for _ in range(2):
+            with pytest.raises(InvariantViolation, match="zero probability"):
+                space.cell_average(np.ones(4), 1)
+
+
 class TestStoppingTimes:
     """Stopping-time checks and constructions."""
 
@@ -410,6 +441,16 @@ class TestAdaptedProcess:
         coarse = S.restrict(np.array([0, 2, 4]))
         assert coarse.values.shape == (space.n_atoms, 3)
         assert np.array_equal(coarse.values, S.values[:, [0, 2, 4]])
+
+    def test_restrictions_keep_the_layout_of_their_gather(self):
+        """A restriction is its gather, F-ordered and uncopied: a copy
+        would own its data."""
+        space, S = canonical_walk(3)
+        for n in range(4):
+            coarse = restrict_to_level(S, n)
+            assert coarse.values.flags.f_contiguous and not coarse.values.flags.writeable
+            assert coarse.values.base is not None and not coarse.values.base.flags.writeable
+            assert np.array_equal(coarse.values, S.values[:, ::1 << (3 - n)])
 
     def test_linear_combinations(self):
         space, S = canonical_walk(1)
