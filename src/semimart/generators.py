@@ -208,13 +208,16 @@ def _certify_bounded(spec: GeneratorSpec, values: np.ndarray):
 
 
 def _sample_innovations(spec: GeneratorSpec) -> np.ndarray:
-    """One +/-1 row per path, each from its own spawned seed stream; spawns
-    are numbered consecutively, so row r reads the r-th child's stream."""
-    root = np.random.SeedSequence(spec.seed)
+    """One +/-1 row per path, each from its own spawned seed stream: row r
+    reads the r-th child's PCG64.  Its bits are those that
+    `Generator.integers(0, 2)` would draw from that stream: the top bit of
+    each 32-bit half of the raw 64-bit outputs, the low half first."""
     xi = np.empty((spec.paths, spec.n_steps), dtype=np.int8)
-    for row in range(spec.paths):
-        bits = np.random.default_rng(root.spawn(1)[0]).integers(0, 2, size=spec.n_steps)
-        xi[row] = 1 - 2 * bits
+    for row, child in enumerate(np.random.SeedSequence(spec.seed).spawn(spec.paths)):
+        raw = np.random.PCG64(child).random_raw(spec.n_steps // 2).astype("<u8", copy=False)
+        xi[row] = raw.view("<u4") >> 31
+    xi *= -2  # bits 0 and 1 to innovations +1 and -1, in place
+    xi += 1
     return xi
 
 

@@ -17,6 +17,11 @@ whose text has exactly the writer's layout is converted with one
 `np.loadtxt` call; any other block goes through the checked row path,
 which decodes each row as JSON and names the atom and the field of a
 fault.  Both paths give the same arrays for every row the first takes.
+When the first block's values are mostly distinct, forked children, one
+per further CPU, parse contiguous shares of the later blocks into a
+shared mapping, and the reader merges the shares in file order, so the
+arrays and the first fault's message do not depend on the CPU count
+either.
 """
 
 import errno
@@ -26,7 +31,9 @@ import itertools
 import json
 import math
 import os
+import pickle
 import re
+import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -118,7 +125,7 @@ def dyadic_decode(entry, where: str) -> float:
     if (
         not isinstance(entry, list)
         or len(entry) != 2
-        or not all(isinstance(v, int) for v in entry)
+        or not all(type(v) is int for v in entry)
         or entry[0] < 1
         or entry[1] < 0
     ):
@@ -206,28 +213,39 @@ def _block_text(state, lo: int, hi: int) -> str:
     ])
 
 
+def _cpus(tasks: int) -> int:
+    """How many processes may share `tasks` tasks: one per CPU this process
+    may run on, and at most one per task.  One without
+    `os.sched_getaffinity` or in a daemonic process, which may have no
+    children (only multiprocessing makes one, so it is loaded there).  A
+    caller whose fork fails does the work in this process."""
+    if tasks < 2 or not hasattr(os, "sched_getaffinity"):
+        return 1
+    multiprocessing = sys.modules.get("multiprocessing")
+    if multiprocessing is not None and multiprocessing.current_process().daemon:
+        return 1
+    return min(len(os.sched_getaffinity(0)), tasks)
+
+
 def _span_results(fn, state, spans, fork: bool):
     """Yield fn(state, lo, hi) for each span (lo, hi), in order.
 
-    With `fork`, a pool of forked workers, one per CPU this process may
-    run on, computes them: the workers inherit `state` through the fork,
-    so only the spans and the results are pickled, and none of them
-    outlives the iteration.  The spans are computed here instead with a
-    single CPU or span, without `os.sched_getaffinity`, in a daemonic
-    process (which may have no children), or when the pool cannot start."""
-    cpus = len(os.sched_getaffinity(0)) if fork and hasattr(os, "sched_getaffinity") else 1
-    workers = min(cpus, len(spans))
+    With `fork`, a pool of forked workers (`_cpus`) computes them: the
+    workers inherit `state` through the fork, so only the spans and the
+    results are pickled, and none of them outlives the iteration.  The
+    spans are computed here instead with a single CPU or span, or when
+    the pool cannot start."""
+    workers = _cpus(len(spans)) if fork else 1
     pool = None
     if workers > 1:
         import multiprocessing
 
-        if not multiprocessing.current_process().daemon:
-            try:
-                pool = multiprocessing.get_context("fork").Pool(
-                    workers, _adopted.append, ((fn, state),)
-                )
-            except OSError:
-                pass
+        try:
+            pool = multiprocessing.get_context("fork").Pool(
+                workers, _adopted.append, ((fn, state),)
+            )
+        except OSError:
+            pass
     if pool is None:
         for lo, hi in spans:
             yield fn(state, lo, hi)
@@ -253,7 +271,8 @@ def _header_field(header: dict, key: str, kinds, where: str = "header"):
     if key not in header:
         raise ParameterError(f"{where}.{key}: missing")
     value = header[key]
-    if not isinstance(value, kinds):
+    # JSON true and false are never a header field, though Python counts them as ints
+    if not isinstance(value, kinds) or isinstance(value, bool):
         raise ParameterError(f"{where}.{key}: wrong type {type(value).__name__}")
     return value
 
@@ -320,18 +339,11 @@ def read_ensemble(path) -> EnsembleData:
     n_values = spec.n_steps + 1
     xi_len = 0 if kind == "deterministic_drift" else spec.n_steps
     codes = {}  # [numerator, k] pair -> its position in the dict
-    inverse = np.empty(n, dtype=np.intp)
-    xi = np.empty((n, xi_len), dtype=np.int8)
-    values = np.empty((n, n_values))
-    lines_in = io.BytesIO(raw)  # shares raw's buffer
-    lines_in.readline()
-    for lo, hi in _blocks(n, n_values + xi_len):
-        # rows lo..hi-1, each ended by "\n" unless it ends the file
-        block = b"".join(itertools.islice(lines_in, hi - lo))
-        parsed = _parse_block(block, hi - lo, xi_len, n_values, codes)
-        if parsed is None:
-            parsed = _checked_rows(block.decode().splitlines(), lo, xi_len, n_values, codes)
-        inverse[lo:hi], xi[lo:hi], values[lo:hi] = parsed
+    out = (np.empty(n, dtype=np.intp), np.empty((n, xi_len), dtype=np.int8), np.empty((n, n_values)))
+    spans = _blocks(n, n_values + xi_len)
+    if spans:
+        _parse_blocks(raw, head_end + 1, spans, codes, out)
+    inverse, xi, values = out
     distinct = list(codes)
     counts = np.bincount(inverse, minlength=len(distinct)).tolist()
     probs = np.array([dyadic_decode(list(e), "p") for e in distinct])[inverse]
@@ -347,6 +359,140 @@ def read_ensemble(path) -> EnsembleData:
         values=values,
         sha256=sha,
     )
+
+
+def _parse_rows(raw: bytes, at: int, spans, codes: dict, out, base: int = 0) -> int:
+    """Parse the atom rows of `spans`, consecutive blocks whose first row
+    starts at byte `at` of `raw`, into `out`: the p positions in `codes`,
+    xi and values, arrays whose row 0 is atom `base`.  Returns the byte
+    where the next row starts."""
+    xi_len, n_values = out[1].shape[1], out[2].shape[1]
+    lines_in = io.BytesIO(raw)  # shares raw's buffer
+    lines_in.seek(at)
+    for lo, hi in spans:
+        # rows lo..hi-1, each ended by "\n" unless it ends the file
+        block = b"".join(itertools.islice(lines_in, hi - lo))
+        parsed = _parse_block(block, hi - lo, xi_len, n_values, codes)
+        if parsed is None:
+            parsed = _checked_rows(block.decode().splitlines(), lo, xi_len, n_values, codes)
+        for arr, part in zip(out, parsed):
+            arr[lo - base:hi - base] = part
+    return lines_in.tell()
+
+
+def _parse_blocks(raw: bytes, at: int, spans, codes: dict, out) -> None:
+    """Parse the atom rows of `spans`, the row blocks from atom 0 on, which
+    start at byte `at` of `raw`, into `out` (as `_parse_rows`).
+
+    The first block is parsed here.  When its values are mostly distinct
+    (`_repeats`), the blocks are cut into contiguous shares, one per CPU
+    (`_cpus`).  This process parses the first share; a forked child
+    parses each other one into a shared anonymous mapping and sends back
+    through a pipe the [numerator, k] entries it knows and each row's
+    position among them.  The shares are merged in file order, so `codes`
+    and the arrays are those of a one-process read.  A share whose child
+    cannot be forked, fails or sends nothing is parsed here in its turn,
+    so the first fault in file order raises here, as in one process.
+    Every child is reaped before this returns or raises."""
+    at = _parse_rows(raw, at, spans[:1], codes, out)
+    workers = 1 if _repeats(out[2][:spans[0][1]]) else _cpus(len(spans))
+    if workers == 1:
+        _parse_rows(raw, at, spans[1:], codes, out)
+        return
+    # imported only where a read splits: at module level they measurably
+    # slowed `semimart verify`'s argument parsing on every file
+    import mmap
+    import signal
+
+    cuts = [k * len(spans) // workers for k in range(workers + 1)]
+    shares = [spans[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
+    first = shares[1][0][0]
+    mapped = mmap.mmap(-1, (out[0].size - first) * (out[1][0].nbytes + out[2][0].nbytes))
+    pending = []  # (share, its first byte, pid or None, read end of its pipe)
+    try:
+        start, row = at, spans[1][0]
+        for share in shares[1:]:
+            for _ in range(share[0][0] - row):
+                start = raw.index(b"\n", start) + 1
+            row = share[0][0]
+            pending.append((share, start, *_fork_share(
+                raw, start, share, codes, _mapped_rows(mapped, out, first), first)))
+        _parse_rows(raw, at, shares[0][1:], codes, out)
+        while pending:
+            share, start, pid, fd = pending.pop(0)
+            result = _child_result(pid, fd)
+            if result is None:
+                _parse_rows(raw, start, share, codes, out)
+                continue
+            entries, positions = result
+            lo, hi = share[0][0], share[-1][1]
+            known = np.array([codes.setdefault(e, len(codes)) for e in entries], dtype=np.intp)
+            out[0][lo:hi] = known[positions]
+            # one statement, so that no array over the mapping outlives it
+            out[1][lo:hi], out[2][lo:hi] = [a[lo - first:hi - first] for a in _mapped_rows(mapped, out, first)]
+    finally:
+        for share, start, pid, fd in pending:
+            if pid is not None:
+                os.kill(pid, signal.SIGKILL)
+                os.close(fd)
+                os.waitpid(pid, 0)
+        mapped.close()
+
+
+def _mapped_rows(mapped, out, first: int) -> list:
+    """Arrays over `mapped` for the xi and values of the atoms from `first`
+    on, shaped as out[1:]: the values first, then the innovations."""
+    rows = out[0].size - first
+    split = rows * out[2][0].nbytes
+    cells = np.frombuffer(mapped, np.uint8)
+    return [cells[split:].view(out[1].dtype).reshape(rows, out[1].shape[1]),
+            cells[:split].view(out[2].dtype).reshape(rows, out[2].shape[1])]
+
+
+def _fork_share(raw: bytes, start: int, share, codes: dict, rows, first: int):
+    """(pid, read end of its pipe) of a forked child that parses `share`,
+    whose first row starts at byte `start`, into `rows` (`_mapped_rows`
+    from atom `first` on), pickles its `codes` entries and each row's
+    position among them into the pipe, and exits; (None, None) when the
+    fork fails."""
+    try:
+        r, w = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:
+            os.close(r)
+            os.close(w)
+            raise
+    except OSError:
+        return None, None
+    if pid:
+        os.close(w)
+        return pid, r
+    status = 1
+    try:
+        lo, hi = share[0][0], share[-1][1]
+        positions = np.empty(hi - lo, dtype=np.intp)
+        _parse_rows(raw, start, share, codes, [positions, *[a[lo - first:] for a in rows]], base=lo)
+        data = pickle.dumps((list(codes), positions))
+        with os.fdopen(w, "wb") as fh:
+            fh.write(len(data).to_bytes(8, "little") + data)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _child_result(pid, fd):
+    """What the child `pid` sent through the pipe `fd`, once it is reaped;
+    None when it was never forked or exited without sending it whole.  The
+    message's length comes first, so that it is read into one buffer of
+    that size however the pipe delivers it, and the heap this process
+    keeps does not depend on the timing of the child."""
+    if pid is None:
+        return None
+    with os.fdopen(fd, "rb") as fh:
+        data = fh.read(int.from_bytes(fh.read(8), "little"))
+    _, status = os.waitpid(pid, 0)
+    return pickle.loads(data) if status == 0 else None
 
 
 def _sums_to_one(entries, counts) -> bool:
@@ -444,11 +590,14 @@ def _checked_rows(lines, lo: int, xi_len: int, n_values: int, codes: dict):
         except OverflowError:
             pass  # an entry too large for a float: refused below with the block
         x = row["xi"]
-        if not isinstance(x, list) or len(x) != xi_len or any(v not in (-1, 1) for v in x):
+        # True == 1 in Python, but JSON true is no innovation
+        if not isinstance(x, list) or len(x) != xi_len or bool in map(type, x) or any(v not in (-1, 1) for v in x):
             raise ParameterError(f"{where}.xi: need {xi_len} entries from {{-1, +1}}")
         v = row["v"]
         if not isinstance(v, list) or len(v) != n_values:
             raise ParameterError(f"{where}.v: need {n_values} values")
+        if bool in map(type, v):
+            raise ParameterError(f"{where}.v: true and false are not values")
         try:
             v = list(map(float, v))
         except (TypeError, ValueError, OverflowError) as exc:

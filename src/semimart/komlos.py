@@ -269,16 +269,17 @@ def extract_convex_multi(
 
     Summing the Gram matrices is the inner product of the stacked vectors
     (f_s^(1), ..., f_s^(r)); convergence in the stacked norm forces
-    convergence of every component under the same weights.
+    convergence of every component under the same weights.  A sequence
+    may be given as a function of no arguments that builds it; it is
+    called once for its Gram matrix and once for its limit, so that no
+    two built sequences need be held at once.
     """
-    mats = []
-    arrays = []
-    for seq in seqs:
-        vecs = np.asarray(seq, dtype=float)
-        if vecs.ndim == 1:
-            vecs = vecs[:, None]
-        arrays.append(vecs)
-        mats.append(gram_matrix(vecs, prob))
+
+    def rows(seq):
+        vecs = np.asarray(seq() if callable(seq) else seq, dtype=float)
+        return vecs[:, None] if vecs.ndim == 1 else vecs
+
+    mats = [gram_matrix(rows(seq), prob) for seq in seqs]
     if not mats:
         raise ParameterError("need at least one sequence")
     shape = mats[0].shape
@@ -289,5 +290,5 @@ def extract_convex_multi(
     for g in mats:
         total += g
     cw = extract_convex_gram(total, tol=tol, window=window)
-    limits = [cw.combination(cw.n_steps - 1, vecs) for vecs in arrays]
+    limits = [cw.combination(cw.n_steps - 1, rows(seq)) for seq in seqs]
     return cw, limits

@@ -477,12 +477,12 @@ def continuous_stage(
 
 def _assembly_limits(stage: ContinuousStage, tol: float, window: int):
     """The assembly's extraction and its limits: the stopped mixed
-    terminals first, then one drift column per time.  The stacked
-    sequences die with the call, before M and A are built."""
+    terminals first, then one drift column per time.  Each sequence is
+    stacked when the extraction reads it, and dies with the read."""
     space = stage.stopped_source.space
-    seqs = [np.stack([m.values[:, -1] for m in stage.stopped_m])]
-    for j in range(space.grid.n_times):
-        seqs.append(np.stack([a.values[:, j] for a in stage.stopped_a]))
+    seqs = [lambda: np.stack([m.values[:, -1] for m in stage.stopped_m])]
+    seqs += [lambda j=j: np.stack([a.values[:, j] for a in stage.stopped_a])
+             for j in range(space.grid.n_times)]
     return extract_convex_multi(seqs, tol=tol, prob=space.probs, window=window)
 
 

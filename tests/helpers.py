@@ -1,8 +1,9 @@
 """Test-only helpers that the package itself never calls: the binary tree,
 the lemma-level checks (summation by parts, martingale orthogonality,
 conditional expectation at a time), the slow diagnostics path that
-the pipeline's one-integral-per-strategy path is compared against, and
-the line formatter that the writer's table gather is compared against."""
+the pipeline's one-integral-per-strategy path is compared against, the
+line formatter that the writer's table gather is compared against, and
+the per-row sampler that the ensemble innovations are compared against."""
 
 from dataclasses import dataclass
 
@@ -51,6 +52,18 @@ def ensemble_rows_text(codes, inverse, values, xi) -> str:
             payload_lines(xi, "%d"),
         )
     ])
+
+
+def sampled_innovations(seed: int, paths: int, n_steps: int) -> np.ndarray:
+    """The +/-1 innovation rows of an ensemble as they were first sampled:
+    one Generator per path on the path's spawned seed stream, each drawing
+    its row's bits with `integers(0, 2)`."""
+    root = np.random.SeedSequence(seed)
+    xi = np.empty((paths, n_steps), dtype=np.int8)
+    for row in range(paths):
+        bits = np.random.default_rng(root.spawn(1)[0]).integers(0, 2, size=n_steps)
+        xi[row] = 1 - 2 * bits
+    return xi
 
 
 def binary_tree_space(level: int) -> FilteredSpace:

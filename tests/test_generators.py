@@ -15,6 +15,7 @@ from semimart.generators import (
     rl_kernel,
     rl_normalizer,
 )
+from helpers import sampled_innovations
 
 TOL = 1e-12
 
@@ -234,6 +235,22 @@ class TestEnsembles:
             GeneratorSpec(kind="drifted", level=3, mode="ensemble", paths=16, seed=22)
         )
         assert not np.array_equal(E1.xi, E3.xi)
+
+    @pytest.mark.parametrize("kind, level, paths, seed", [
+        ("rl_fractional", 1, 2, 0),
+        ("rademacher_bm", 2, 64, 7),
+        ("drifted", 5, 128, 21),
+        ("jump", 6, 32, 3),
+        ("rl_fractional", 8, 256, 1),
+        ("rl_fractional", 10, 4, 2**40 + 5),
+    ])
+    def test_innovations_match_the_per_path_generators(self, kind, level, paths, seed):
+        """The raw-stream sampler draws the bits that one Generator per path
+        draws with integers(0, 2), byte for byte."""
+        spec = GeneratorSpec(kind=kind, level=level, mode="ensemble", paths=paths, seed=seed)
+        xi = generate(spec).xi
+        assert xi.dtype == np.int8
+        assert xi.tobytes() == sampled_innovations(seed, paths, 1 << level).tobytes()
 
     def test_decomposer_uses_the_oracle(self):
         spec = GeneratorSpec(kind="drifted", level=3, mode="ensemble", paths=64, seed=5)

@@ -8,6 +8,7 @@ import multiprocessing
 import os
 import random
 import re
+import signal
 import tracemalloc
 from pathlib import Path
 
@@ -319,6 +320,23 @@ class TestEnsembleErrors:
         with pytest.raises(ParameterError, match="finite"):
             read_ensemble(path)
 
+    @pytest.mark.parametrize("key", ["level", "seed", "paths", "atoms"])
+    def test_header_true_is_not_a_number(self, tmp_path, capsys, key):
+        """JSON true is no header number, although Python counts it as the
+        int 1: a one-atom level-1 file whose field reads 1 is refused
+        with true in its place, and detect exits 2."""
+        path = str(tmp_path / "drift.jsonl")
+        write_spec(path, GeneratorSpec(kind="deterministic_drift", level=1, mu=0.5))
+        lines = Path(path).read_text().splitlines()
+        header = json.loads(lines[0])
+        header[key] = True
+        lines[0] = json.dumps(header)
+        self.rewrite(path, lines)
+        out = tmp_path / "out.json"
+        assert main(["detect", path, "--out", str(out)]) == 2
+        assert f"header.{key}: wrong type bool" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_probabilities_must_sum_to_one(self, tmp_path):
         path, lines = self.lines(tmp_path)
         row = json.loads(lines[1])
@@ -383,10 +401,12 @@ MALFORMED_ROWS = [
     ("p-negative-k", lambda row: {**row, "p": [1, -2]}, r"\.p: probability must be"),
     ("p-float", lambda row: {**row, "p": [float(row["p"][0]), row["p"][1]]}, r"\.p: probability must be"),
     ("p-nested", lambda row: {**row, "p": [row["p"], 1]}, r"\.p: probability must be"),
+    ("p-true", lambda row: {**row, "p": [True, row["p"][1]]}, r"\.p: probability must be"),
     ("xi-zero", lambda row: {**row, "xi": [0] + row["xi"][1:]}, r"\.xi: need 4 entries"),
     ("xi-short", lambda row: {**row, "xi": row["xi"][:-1]}, r"\.xi: need 4 entries"),
     ("xi-string", lambda row: {**row, "xi": ["1"] + row["xi"][1:]}, r"\.xi: need 4 entries"),
     ("xi-nested", lambda row: {**row, "xi": [[v] for v in row["xi"]]}, r"\.xi: need 4 entries"),
+    ("xi-true", lambda row: {**row, "xi": [True] + row["xi"][1:]}, r"\.xi: need 4 entries"),
     ("v-short", lambda row: {**row, "v": row["v"][:-1]}, r"\.v: need 5 values"),
     ("v-inf", lambda row: {**row, "v": row["v"][:1] + ["inf"] + row["v"][2:]}, r"\.v: values must be finite"),
     ("v-overflow", lambda row: {**row, "v": row["v"][:1] + ["1e400"] + row["v"][2:]}, r"\.v: values must be finite"),
@@ -398,6 +418,8 @@ MALFORMED_ROWS = [
      r"\.v: float\(\) argument must be a string or a real number, not 'list'"),
     ("v-huge-int", lambda row: {**row, "v": row["v"][:1] + [10**400] + row["v"][2:]},
      r"\.v: int too large to convert to float"),
+    ("v-true", lambda row: {**row, "v": row["v"][:1] + [True] + row["v"][2:]},
+     r"\.v: true and false are not values"),
 ]
 
 
@@ -495,7 +517,7 @@ class TestMalformedRowsInBlocks:
                 self.read_with(tmp_path, monkeypatch, edit, 14)
 
     @pytest.mark.parametrize("atom", [0, 14])
-    @pytest.mark.parametrize("one", [1.0, True], ids=["float", "bool"])
+    @pytest.mark.parametrize("one", [1.0], ids=["float"])
     def test_innovations_equal_to_one_accepted(self, tmp_path, monkeypatch, one, atom):
         def edit(row):
             return {**row, "xi": [one if v == 1 else v for v in row["xi"]]}
@@ -707,6 +729,8 @@ class TestCodecReference:
         the writer's layout, so every block, of several, goes through the
         checked row path and must give the compact file's arrays."""
         monkeypatch.setattr(sio, "BLOCK_CELLS", 10 * row_cells)
+        # the spy sees the checked rows of this process only
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         path = tmp_path / "compact.jsonl"
         write_spec(str(path), spec)
         reference = read_ensemble(str(path))
@@ -979,6 +1003,198 @@ class TestPooledWriter:
             write_ensemble(str(tmp_path / "failed.jsonl"), spec, src.probs, src.xi, src.values)
         assert len(started) == 1
         assert multiprocessing.active_children() == []
+
+
+class TestSplitReader:
+    """read_ensemble parses the later blocks of a file whose values are
+    mostly distinct in forked children, one per CPU.  Whatever the CPU
+    count, a file must read to the same arrays, sha256 and error text,
+    and no child may outlive the read.  An L4 row holds 17 values and
+    16 innovations, so blocks of 7 rows cut a 256-path ensemble into 37
+    blocks: at 2 CPUs this process parses blocks 0-17 (atoms 0-125), at 3
+    CPUs blocks 0-11 (atoms 0-83), and children parse the rest."""
+
+    SPEC = GeneratorSpec(kind="rl_fractional", level=4, mode="ensemble", paths=256, hurst=0.75)
+
+    @staticmethod
+    def spy_fork(monkeypatch, child=None):
+        """The forks read_ensemble makes, in a list.  `child` replaces what
+        a forked child does; "fails" makes the fork raise OSError."""
+        forks = []
+        fork = os.fork
+
+        def spy():
+            forks.append(1)
+            if child == "fails":
+                raise OSError(11, "Resource temporarily unavailable")
+            pid = fork()
+            if pid == 0 and child is not None:
+                child()
+            return pid
+
+        monkeypatch.setattr(os, "fork", spy)
+        return forks
+
+    @staticmethod
+    def outcome(data):
+        """What a read gives: its arrays and sha256, or its error text."""
+        if isinstance(data, str):
+            return data
+        xi = b"" if data.xi is None else data.xi.tobytes()
+        return data.probs.tobytes(), xi, data.values.tobytes(), data.sha256
+
+    def read(self, monkeypatch, path, cpus, child=None):
+        """(outcome, number of forks) of reading path with `cpus` CPUs."""
+        with monkeypatch.context() as m:
+            m.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+            forks = self.spy_fork(m, child)
+            try:
+                result = self.outcome(read_ensemble(str(path)))
+            except ParameterError as exc:
+                result = str(exc)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        return result, len(forks)
+
+    def write(self, tmp_path, spec=SPEC, name="split.jsonl"):
+        path = tmp_path / name
+        write_spec(str(path), spec)
+        return path
+
+    def assert_same_at_any_cpus(self, monkeypatch, path, split=True):
+        reference, forks = self.read(monkeypatch, path, 1)
+        assert forks == 0
+        for cpus in (2, 3):
+            assert self.read(monkeypatch, path, cpus) == (reference, cpus - 1 if split else 0)
+        return reference
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(sio, "BLOCK_CELLS", 33 * 7)
+
+    def test_distinct_values_read_the_same(self, tmp_path, monkeypatch):
+        path = self.write(tmp_path)
+        reference = self.assert_same_at_any_cpus(monkeypatch, path)
+        src = generate(self.SPEC)
+        assert reference[2] == src.values.tobytes() and reference[1] == src.xi.tobytes()
+
+    def test_a_repeating_tree_is_read_here(self, tmp_path, monkeypatch):
+        spec = GeneratorSpec(kind="rademacher_bm", level=4, mode="exact_tree", seed=1)
+        monkeypatch.setattr(sio, "BLOCK_CELLS", 33 * 500)
+        path = self.write(tmp_path, spec)
+        assert len(sio._blocks(65536, 33)) == 132
+        self.assert_same_at_any_cpus(monkeypatch, path, split=False)
+
+    def test_a_last_row_without_a_line_break(self, tmp_path, monkeypatch):
+        path = self.write(tmp_path)
+        path.write_bytes(path.read_bytes()[:-1])
+        self.assert_same_at_any_cpus(monkeypatch, path)
+
+    def test_a_re_encoded_file(self, tmp_path, monkeypatch):
+        """Arabic zeros as the start values of atom 0 and of atom 250, in a
+        child's share, make the file UTF-8 beyond ASCII; it still reads as
+        the plain file does."""
+        path = self.write(tmp_path)
+        header, *rows = path.read_text().splitlines()
+        for a in (0, 250):
+            rows[a] = rows[a].replace('"v":["0"', '"v":["\u0660"')
+        path.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+        reference = self.assert_same_at_any_cpus(monkeypatch, path)
+        plain = self.outcome(read_ensemble(str(self.write(tmp_path, name="plain.jsonl"))))
+        assert reference[:3] == plain[:3]
+
+    def test_respaced_rows_take_the_checked_path_in_the_children(self, tmp_path, monkeypatch):
+        path = self.write(tmp_path)
+        header, *rows = path.read_text().splitlines()
+        path.write_text("\n".join([header] + [json.dumps(json.loads(row)) for row in rows]) + "\n")
+        reference = self.assert_same_at_any_cpus(monkeypatch, path)
+        plain = self.outcome(read_ensemble(str(self.write(tmp_path, name="plain.jsonl"))))
+        assert reference[:3] == plain[:3]
+
+    # atoms: 3 in the first block, read before any fork; 60 in this
+    # process's share; 100 in this process's share at 2 CPUs and in the
+    # first child's at 3; 200 in the last child's share
+    @pytest.mark.parametrize("atoms", [(3,), (60,), (200,), (60, 200), (100, 200), (3, 100, 200)],
+                             ids=lambda atoms: "-".join(map(str, atoms)))
+    @pytest.mark.parametrize("fault", ["not-json", "v-inf", "p-past-64-bits"])
+    def test_the_first_fault_in_file_order_is_raised(self, tmp_path, monkeypatch, atoms, fault):
+        path = self.write(tmp_path)
+        header, *rows = path.read_text().splitlines()
+        for a in atoms:
+            row = json.loads(rows[a])
+            if fault == "not-json":
+                rows[a] = "{not json"
+                continue
+            if fault == "v-inf":
+                row["v"][3] = "inf"
+            else:
+                row["p"] = [row["p"][0] << 64, row["p"][1] + 64]
+            rows[a] = json.dumps(row, separators=(",", ":"))
+        path.write_text("\n".join([header, *rows]) + "\n")
+        message, _ = self.read(monkeypatch, path, 1)
+        first = atoms[0]
+        lo = first - first % 7
+        assert message.startswith(f"atoms {lo}-{lo + 6}.p" if fault == "p-past-64-bits" else f"atom {first}")
+        for cpus in (2, 3):
+            assert self.read(monkeypatch, path, cpus) == (message, 0 if first < 7 else cpus - 1)
+
+    @pytest.mark.parametrize("case", ["no-affinity", "daemonic", "fork-fails", "child-killed"])
+    def test_falls_back_to_this_process(self, tmp_path, monkeypatch, case):
+        path = self.write(tmp_path)
+        reference, _ = self.read(monkeypatch, path, 1)
+        if case == "no-affinity":
+            monkeypatch.delattr(os, "sched_getaffinity")
+            forks = self.spy_fork(monkeypatch)
+            assert self.outcome(read_ensemble(str(path))) == reference and forks == []
+            return
+        if case == "daemonic":
+            monkeypatch.setattr(multiprocessing, "current_process",
+                                lambda: type("Daemonic", (), {"daemon": True})())
+        child = {"fork-fails": "fails", "child-killed": lambda: os.kill(os.getpid(), signal.SIGKILL)}.get(case)
+        assert self.read(monkeypatch, path, 3, child) == (reference, 0 if case == "daemonic" else 2)
+
+    def test_mutated_files_read_as_in_one_process(self, tmp_path, monkeypatch):
+        """A seeded byte-mutation fuzz of a multi-block, distinct-valued
+        file: each of 300 copies, with one to three bytes replaced,
+        inserted or deleted, reads at 2 CPUs as it reads at 1."""
+        spec = GeneratorSpec(kind="rl_fractional", level=3, mode="ensemble", paths=64, hurst=0.75)
+        monkeypatch.setattr(sio, "BLOCK_CELLS", 17 * 5)
+        path = self.write(tmp_path, spec)
+        raw = path.read_bytes()
+        rng = np.random.default_rng(23)
+        kinds = collections.Counter()
+        for i in range(300):
+            data = bytearray(raw)
+            for _ in range(int(rng.integers(1, 4))):
+                op = int(rng.integers(3))
+                at = int(rng.integers(len(data)))
+                byte = FUZZ_BYTES[int(rng.integers(len(FUZZ_BYTES)))]
+                if op == 0:
+                    data[at] = byte
+                elif op == 1:
+                    data.insert(at, byte)
+                else:
+                    del data[at]
+            path.write_bytes(data)
+            one, _ = self.read(monkeypatch, path, 1)
+            two, forks = self.read(monkeypatch, path, 2)
+            assert two == one, f"mutation {i}"
+            kinds[isinstance(one, str), forks] += 1
+        # reads and refusals split across children, and faults in the first block
+        assert min(kinds[False, 1], kinds[True, 1], kinds[True, 0]) > 0, kinds
+
+    def test_a_report_written_at_one_cpu_verifies_at_two(self, tmp_path, monkeypatch, capsys):
+        spec = GeneratorSpec(kind="rl_fractional", level=4, mode="ensemble", paths=64, hurst=0.75)
+        path = str(self.write(tmp_path, spec))
+        report = str(tmp_path / "report.json")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert main(["detect", path, "--out", report]) in (0, 1)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        forks = self.spy_fork(monkeypatch)
+        assert main(["verify", report, "--source", path]) == 0
+        assert len(forks) == 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 class TestFirstMismatch:

@@ -1,5 +1,7 @@
 """Tests for certified convex-combination extraction from vector sequences."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -189,6 +191,30 @@ class TestExtractConvexMulti:
     def test_mismatched_lengths_rejected(self):
         with pytest.raises(ParameterError):
             extract_convex_multi([np.ones((10, 2)), np.ones((9, 2))], tol=TOL)
+
+    def test_built_sequences_match_arrays_one_at_a_time(self):
+        """A sequence given as a function is built once for its Gram and once
+        for its limit, never beside another built one, and gives the
+        weights and limits of the arrays bit for bit."""
+        rng = np.random.default_rng(3)
+        seqs = [rng.standard_normal((12, 40)) * 0.5 ** np.arange(12)[:, None] for _ in range(4)]
+        prob = np.full(40, 1 / 40)
+        live, calls = [], []
+
+        def built_by(i):
+            def build():
+                calls.append(i)
+                assert all(ref() is None for ref in live), "two built sequences alive at once"
+                arr = seqs[i].copy()
+                live.append(weakref.ref(arr))
+                return arr
+            return build
+
+        cw_a, limits_a = extract_convex_multi(seqs, tol=1e-3, prob=prob)
+        cw_b, limits_b = extract_convex_multi([built_by(i) for i in range(4)], tol=1e-3, prob=prob)
+        assert calls == [0, 1, 2, 3] * 2
+        assert [b.weights.tobytes() for b in cw_a.blocks] == [b.weights.tobytes() for b in cw_b.blocks]
+        assert [x.tobytes() for x in limits_a] == [x.tobytes() for x in limits_b]
 
 
 class TestConvexWeights:
