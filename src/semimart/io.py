@@ -9,19 +9,19 @@ which is what `verify` exploits.
 
 Rows are written and read in blocks of about BLOCK_CELLS cells.  The
 writer formats each distinct value of a block once when its values
-repeat, and gathers the block's text from a table of those texts; when
-they are mostly distinct, forked workers, one per CPU, format the blocks
-and the writer writes them in order, so the bytes do not depend on the
-CPU count.  The reader has two block paths.  A block
-whose text has exactly the writer's layout is converted with one
-`np.loadtxt` call; any other block goes through the checked row path,
-which decodes each row as JSON and names the atom and the field of a
-fault.  Both paths give the same arrays for every row the first takes.
-When the first block's values are mostly distinct, forked children, one
-per further CPU, parse contiguous shares of the later blocks into a
-shared mapping, and the reader merges the shares in file order, so the
-arrays and the first fault's message do not depend on the CPU count
-either.
+repeat, and gathers the block's text from a table of those texts.  The
+reader has two block paths.  A block whose text has exactly the writer's
+layout is converted with one `np.loadtxt` call; any other block goes
+through the checked row path, which decodes each row as JSON and names
+the atom and the field of a fault.  Both paths give the same arrays for
+every row the first takes.
+
+Both share the blocks out through one helper, `_forked`: this process
+takes the first contiguous share of them, and when the values are mostly
+distinct a forked child takes each further one, one per CPU, and sends
+back one message.  The shares are taken in file order, so the file's
+bytes, the arrays read and the first fault's message do not depend on
+the CPU count.
 """
 
 import errno
@@ -33,7 +33,6 @@ import math
 import os
 import pickle
 import re
-import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -49,6 +48,8 @@ INLINE_ATOM_LIMIT = 1024
 # rows are encoded and decoded in blocks of about this many cells, which
 # bounds the Python objects alive at once whatever the row width
 BLOCK_CELLS = 1 << 16
+# the most bytes of a forked child's message held here at a time
+PIECE = 1 << 20
 # cells sampled to decide whether a payload array repeats its values
 PAYLOAD_SAMPLE = 4096
 # the characters of a number; every other character of a row in the
@@ -82,10 +83,10 @@ def _canonical(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def open_output(path):
+def open_output(path, mode: str = "w"):
     """``path`` opened for writing; an unwritable path is bad input."""
     try:
-        return open(path, "w")
+        return open(path, mode)
     except OSError as exc:
         raise ParameterError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
@@ -130,7 +131,8 @@ def dyadic_decode(entry, where: str) -> float:
         or entry[1] < 0
     ):
         raise ParameterError(f"{where}: probability must be [numerator, log2 denominator]")
-    return entry[0] * 2.0 ** (-entry[1])
+    # a scaled power of two is exact wherever float64 holds the result
+    return math.ldexp(entry[0], -entry[1])
 
 
 @dataclass(frozen=True)
@@ -152,11 +154,11 @@ def write_ensemble(path, spec: GeneratorSpec, probs, xi, values) -> None:
     """Write an ensemble file: the header line, then one row per atom.
 
     Rows are formatted in blocks (`_blocks`).  When a sample of `values`
-    shows mostly distinct cells, forked worker processes, one per CPU
-    this process may run on, format the blocks and this process writes
-    them in order; values that repeat, a single block or a single CPU
-    keep the formatting here.  Either way every block is the same text,
-    so the file's bytes do not depend on the CPU count."""
+    shows mostly distinct cells, they are shared out to forked children,
+    one per CPU (`_forked`), and this process writes their text in
+    order; values that repeat, a single block or a single CPU keep the
+    formatting here.  Either way every block is the same text, so the
+    file's bytes do not depend on the CPU count."""
     probs = np.asarray(probs, dtype=float)
     values = np.asarray(values, dtype=float)
     n = probs.size
@@ -179,14 +181,15 @@ def write_ensemble(path, spec: GeneratorSpec, probs, xi, values) -> None:
     # each row's text up to its first value, for blocks gathered whole
     heads = _table([b'{"p":[%s],"v":[' % c.encode() for c in codes])
     spans = _blocks(n, values.shape[1] + xi.shape[1])
-    with open_output(path) as fh:
-        fh.write(_canonical(header) + "\n")
-        fh.writelines(_span_results(
-            _block_text, (codes, heads, inverse, values, xi), spans, fork=not _repeats(values)
-        ))
+    state = (codes, heads, inverse, values, xi)
+    workers = 1 if _repeats(values) else _cpus(len(spans))
+    with open_output(path, "wb") as fh:
+        fh.write((_canonical(header) + "\n").encode())
+        for _, pieces in _forked(lambda share: (_block_text(state, lo, hi) for lo, hi in share), spans, workers):
+            fh.writelines(pieces)
 
 
-def _block_text(state, lo: int, hi: int) -> str:
+def _block_text(state, lo: int, hi: int) -> bytes:
     """The file text of atom rows lo..hi-1, in the key order and with the
     separators of `_canonical`.  A block whose values repeat is gathered
     whole from tables of cell texts; otherwise its values take the
@@ -201,7 +204,7 @@ def _block_text(state, lo: int, hi: int) -> str:
             _constant(b'],"xi":[', n),
             *innovations,
             _constant(b"]}\n", n),
-        ]).decode()
+        ])
     row = _cells('"%.17g"', v.shape[1])
     return "".join([
         '{"p":[%s],"v":[%s],"xi":[%s]}\n' % (codes[c], row % tuple(r), x)
@@ -210,61 +213,86 @@ def _block_text(state, lo: int, hi: int) -> str:
             v.tolist(),
             _joined([*innovations, _constant(b"\n", n)]).decode().split("\n"),
         )
-    ])
+    ]).encode()
 
 
 def _cpus(tasks: int) -> int:
     """How many processes may share `tasks` tasks: one per CPU this process
-    may run on, and at most one per task.  One without
-    `os.sched_getaffinity` or in a daemonic process, which may have no
-    children (only multiprocessing makes one, so it is loaded there).  A
-    caller whose fork fails does the work in this process."""
+    may run on, and at most one per task; one without
+    `os.sched_getaffinity`."""
     if tasks < 2 or not hasattr(os, "sched_getaffinity"):
-        return 1
-    multiprocessing = sys.modules.get("multiprocessing")
-    if multiprocessing is not None and multiprocessing.current_process().daemon:
         return 1
     return min(len(os.sched_getaffinity(0)), tasks)
 
 
-def _span_results(fn, state, spans, fork: bool):
-    """Yield fn(state, lo, hi) for each span (lo, hi), in order.
+def _forked(fn, spans, parts: int):
+    """Yield (share, pieces) for each of up to `parts` contiguous shares of
+    the row blocks `spans`, in order: the pieces are the bytes that the
+    generator fn(share) yields.
 
-    With `fork`, a pool of forked workers (`_cpus`) computes them: the
-    workers inherit `state` through the fork, so only the spans and the
-    results are pickled, and none of them outlives the iteration.  The
-    spans are computed here instead with a single CPU or span, or when
-    the pool cannot start."""
-    workers = _cpus(len(spans)) if fork else 1
-    pool = None
-    if workers > 1:
-        import multiprocessing
+    This process computes the first share, when the pieces are taken.  A
+    child forked for each further share computes it and sends its bytes
+    through a pipe as one message, their length first; the message is
+    yielded in pieces of at most PIECE bytes, so this process never holds
+    a child's whole share.  A share whose child could not be forked or
+    exited before sending the length is computed here in its turn, so
+    the first fault in share order raises here.  A child that sends the
+    length but not all the bytes raises ChildProcessError.  Every child
+    is reaped before this returns or raises."""
+    # not imported at module level, where it measurably slowed `semimart
+    # verify`'s argument parsing
+    import signal
 
-        try:
-            pool = multiprocessing.get_context("fork").Pool(
-                workers, _adopted.append, ((fn, state),)
-            )
-        except OSError:
-            pass
-    if pool is None:
-        for lo, hi in spans:
-            yield fn(state, lo, hi)
-        return
+    def message(fh, size: int, share):
+        while size:
+            piece = fh.read(min(size, PIECE))
+            if not piece:
+                raise ChildProcessError(
+                    f"rows {share[0][0]}-{share[-1][1] - 1}: the child's message ended {size} bytes short")
+            size -= len(piece)
+            yield piece
+
+    cuts = [k * len(spans) // parts for k in range(parts + 1)]
+    shares = [spans[lo:hi] for lo, hi in zip(cuts, cuts[1:]) if lo < hi]
+    children = []  # (pid, read end of its pipe) of each share after the first, or None
     try:
-        yield from pool.imap(_adopted_span, spans)
+        for share in shares[1:]:
+            children.append(_fork(fn, share))
+        for share, child in zip(shares, [None, *children]):
+            size = child[1].read(8) if child else b""
+            yield share, message(child[1], int.from_bytes(size, "little"), share) if len(size) == 8 else fn(share)
     finally:
-        pool.terminate()
-        pool.join()
+        for pid, fh in filter(None, children):
+            os.kill(pid, signal.SIGKILL)
+            fh.close()
+            os.waitpid(pid, 0)
 
 
-# the (fn, state) of a forked worker of `_span_results`, which the pool's
-# initializer appends; empty in every other process
-_adopted = []
-
-
-def _adopted_span(span):
-    fn, state = _adopted[0]
-    return fn(state, *span)
+def _fork(fn, share):
+    """(pid, read end of its pipe) of a child forked to send the bytes of
+    fn(share) through the pipe, their length first, and exit; None when
+    no child could be forked."""
+    try:
+        r, w = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:
+            os.close(r)
+            os.close(w)
+            raise
+    except OSError:
+        return None
+    if pid:
+        os.close(w)
+        return pid, os.fdopen(r, "rb")
+    try:
+        parts = list(fn(share))
+        with os.fdopen(w, "wb") as fh:
+            fh.write(sum(map(len, parts)).to_bytes(8, "little"))
+            fh.writelines(parts)
+    finally:
+        # the message, whole or not, is all that this process reports
+        os._exit(0)
 
 
 def _header_field(header: dict, key: str, kinds, where: str = "header"):
@@ -349,6 +377,9 @@ def read_ensemble(path) -> EnsembleData:
     probs = np.array([dyadic_decode(list(e), "p") for e in distinct])[inverse]
     if not _sums_to_one(distinct, counts):
         raise ParameterError("p (sum): probabilities do not sum to 1 exactly")
+    if not probs.all():
+        a = int(np.argmin(probs))
+        raise ParameterError(f"atom {a}.p: {list(distinct[inverse[a]])} is below the least positive float64")
     # read-only, so the source's process shares these arrays instead of copying
     values.setflags(write=False)
     xi.setflags(write=False)
@@ -361,138 +392,72 @@ def read_ensemble(path) -> EnsembleData:
     )
 
 
-def _parse_rows(raw: bytes, at: int, spans, codes: dict, out, base: int = 0) -> int:
-    """Parse the atom rows of `spans`, consecutive blocks whose first row
-    starts at byte `at` of `raw`, into `out`: the p positions in `codes`,
-    xi and values, arrays whose row 0 is atom `base`.  Returns the byte
-    where the next row starts."""
-    xi_len, n_values = out[1].shape[1], out[2].shape[1]
-    lines_in = io.BytesIO(raw)  # shares raw's buffer
-    lines_in.seek(at)
-    for lo, hi in spans:
-        # rows lo..hi-1, each ended by "\n" unless it ends the file
-        block = b"".join(itertools.islice(lines_in, hi - lo))
-        parsed = _parse_block(block, hi - lo, xi_len, n_values, codes)
-        if parsed is None:
-            parsed = _checked_rows(block.decode().splitlines(), lo, xi_len, n_values, codes)
-        for arr, part in zip(out, parsed):
-            arr[lo - base:hi - base] = part
-    return lines_in.tell()
-
-
 def _parse_blocks(raw: bytes, at: int, spans, codes: dict, out) -> None:
-    """Parse the atom rows of `spans`, the row blocks from atom 0 on, which
-    start at byte `at` of `raw`, into `out` (as `_parse_rows`).
+    """Parse the atom rows of `spans`, the row blocks from atom 0 on, whose
+    first row starts at byte `at` of `raw`, into `out`: the p positions in
+    `codes`, xi and values.
 
     The first block is parsed here.  When its values are mostly distinct
-    (`_repeats`), the blocks are cut into contiguous shares, one per CPU
-    (`_cpus`).  This process parses the first share; a forked child
-    parses each other one into a shared anonymous mapping and sends back
-    through a pipe the [numerator, k] entries it knows and each row's
-    position among them.  The shares are merged in file order, so `codes`
-    and the arrays are those of a one-process read.  A share whose child
-    cannot be forked, fails or sends nothing is parsed here in its turn,
-    so the first fault in file order raises here, as in one process.
-    Every child is reaped before this returns or raises."""
-    at = _parse_rows(raw, at, spans[:1], codes, out)
-    workers = 1 if _repeats(out[2][:spans[0][1]]) else _cpus(len(spans))
-    if workers == 1:
-        _parse_rows(raw, at, spans[1:], codes, out)
-        return
-    # imported only where a read splits: at module level they measurably
-    # slowed `semimart verify`'s argument parsing on every file
+    (`_repeats`), the later blocks are shared out to forked children, one
+    per CPU (`_forked`); otherwise they make one share, parsed here.  Each
+    share is parsed with `codes` as the process that parses it knows it,
+    and its message is the [numerator, k] entries known then and each
+    row's position among them.  This process parses straight into `out`;
+    a child parses into a shared anonymous mapping, from which its rows
+    are copied here.  The messages are merged in file order, so `codes`
+    and the arrays are those of a one-process read."""
+    # not imported at module level, for the same reason as in `_forked`
     import mmap
-    import signal
 
-    cuts = [k * len(spans) // workers for k in range(workers + 1)]
-    shares = [spans[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
-    first = shares[1][0][0]
-    mapped = mmap.mmap(-1, (out[0].size - first) * (out[1][0].nbytes + out[2][0].nbytes))
-    pending = []  # (share, its first byte, pid or None, read end of its pipe)
-    try:
-        start, row = at, spans[1][0]
-        for share in shares[1:]:
-            for _ in range(share[0][0] - row):
-                start = raw.index(b"\n", start) + 1
-            row = share[0][0]
-            pending.append((share, start, *_fork_share(
-                raw, start, share, codes, _mapped_rows(mapped, out, first), first)))
-        _parse_rows(raw, at, shares[0][1:], codes, out)
-        while pending:
-            share, start, pid, fd = pending.pop(0)
-            result = _child_result(pid, fd)
-            if result is None:
-                _parse_rows(raw, start, share, codes, out)
-                continue
-            entries, positions = result
-            lo, hi = share[0][0], share[-1][1]
-            known = np.array([codes.setdefault(e, len(codes)) for e in entries], dtype=np.intp)
-            out[0][lo:hi] = known[positions]
+    xi_len, n_values = out[1].shape[1], out[2].shape[1]
+    parent = os.getpid()
+    # a row per atom, of which only the rows that children parse are touched
+    mapped = mmap.mmap(-1, out[0].size * (out[1][0].nbytes + out[2][0].nbytes))
+
+    def parse(share):
+        lo, hi = share[0][0], share[-1][1]
+        start = at
+        for _ in range(lo):
+            start = raw.index(b"\n", start) + 1
+        lines_in = io.BytesIO(raw)  # shares raw's buffer
+        lines_in.seek(start)
+        positions = np.empty(hi - lo, dtype=np.intp)
+        child = os.getpid() != parent
+        rows = _mapped_rows(mapped, out) if child else out[1:]
+        for a, b in share:
+            # rows a..b-1, each ended by "\n" unless it ends the file
+            block = b"".join(itertools.islice(lines_in, b - a))
+            parsed = _parse_block(block, b - a, xi_len, n_values, codes) or _checked_rows(
+                block.decode().splitlines(), a, xi_len, n_values, codes)
+            for arr, part in zip([positions[a - lo:], *[r[a:] for r in rows]], parsed):
+                arr[:b - a] = part
+        yield pickle.dumps((list(codes), positions, child))
+
+    def merge(share, pieces):
+        entries, positions, child = pickle.loads(b"".join(pieces))
+        lo, hi = share[0][0], share[-1][1]
+        known = np.array([codes.setdefault(e, len(codes)) for e in entries], dtype=np.intp)
+        out[0][lo:hi] = known[positions]
+        if child:
             # one statement, so that no array over the mapping outlives it
-            out[1][lo:hi], out[2][lo:hi] = [a[lo - first:hi - first] for a in _mapped_rows(mapped, out, first)]
+            out[1][lo:hi], out[2][lo:hi] = [a[lo:hi] for a in _mapped_rows(mapped, out)]
+
+    try:
+        merge(spans[:1], parse(spans[:1]))
+        workers = 1 if _repeats(out[2][:spans[0][1]]) else _cpus(len(spans) - 1)
+        for share, pieces in _forked(parse, spans[1:], workers):
+            merge(share, pieces)
     finally:
-        for share, start, pid, fd in pending:
-            if pid is not None:
-                os.kill(pid, signal.SIGKILL)
-                os.close(fd)
-                os.waitpid(pid, 0)
         mapped.close()
 
 
-def _mapped_rows(mapped, out, first: int) -> list:
-    """Arrays over `mapped` for the xi and values of the atoms from `first`
-    on, shaped as out[1:]: the values first, then the innovations."""
-    rows = out[0].size - first
-    split = rows * out[2][0].nbytes
+def _mapped_rows(mapped, out) -> list:
+    """Arrays over `mapped` shaped as the xi and values of `out`: the
+    values first, then the innovations."""
+    split = out[2].nbytes
     cells = np.frombuffer(mapped, np.uint8)
-    return [cells[split:].view(out[1].dtype).reshape(rows, out[1].shape[1]),
-            cells[:split].view(out[2].dtype).reshape(rows, out[2].shape[1])]
-
-
-def _fork_share(raw: bytes, start: int, share, codes: dict, rows, first: int):
-    """(pid, read end of its pipe) of a forked child that parses `share`,
-    whose first row starts at byte `start`, into `rows` (`_mapped_rows`
-    from atom `first` on), pickles its `codes` entries and each row's
-    position among them into the pipe, and exits; (None, None) when the
-    fork fails."""
-    try:
-        r, w = os.pipe()
-        try:
-            pid = os.fork()
-        except OSError:
-            os.close(r)
-            os.close(w)
-            raise
-    except OSError:
-        return None, None
-    if pid:
-        os.close(w)
-        return pid, r
-    status = 1
-    try:
-        lo, hi = share[0][0], share[-1][1]
-        positions = np.empty(hi - lo, dtype=np.intp)
-        _parse_rows(raw, start, share, codes, [positions, *[a[lo - first:] for a in rows]], base=lo)
-        data = pickle.dumps((list(codes), positions))
-        with os.fdopen(w, "wb") as fh:
-            fh.write(len(data).to_bytes(8, "little") + data)
-        status = 0
-    finally:
-        os._exit(status)
-
-
-def _child_result(pid, fd):
-    """What the child `pid` sent through the pipe `fd`, once it is reaped;
-    None when it was never forked or exited without sending it whole.  The
-    message's length comes first, so that it is read into one buffer of
-    that size however the pipe delivers it, and the heap this process
-    keeps does not depend on the timing of the child."""
-    if pid is None:
-        return None
-    with os.fdopen(fd, "rb") as fh:
-        data = fh.read(int.from_bytes(fh.read(8), "little"))
-    _, status = os.waitpid(pid, 0)
-    return pickle.loads(data) if status == 0 else None
+    return [cells[split:].view(out[1].dtype).reshape(out[1].shape),
+            cells[:split].view(out[2].dtype).reshape(out[2].shape)]
 
 
 def _sums_to_one(entries, counts) -> bool:

@@ -16,8 +16,9 @@ package outside its own definition, or be listed in ``__all__``.
 Every method or property of a class in the package, dunders aside, must
 be read as an attribute somewhere in the package or its tests.
 
-Importing the package and its CLI does not import ``multiprocessing``:
-only the ensemble writer's worker pool needs it, and it imports it there.
+Neither importing the package and its CLI nor writing and reading an
+ensemble in forked children imports ``multiprocessing``: the package
+shares work out with ``os.fork`` alone.
 """
 
 import ast
@@ -258,3 +259,27 @@ def test_importing_the_package_and_cli_leaves_out_multiprocessing():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                          env=dict(os.environ, PYTHONPATH=str(PACKAGE.parent)), timeout=120)
     assert out.stdout.strip() == "[]"
+
+
+def test_forked_ensemble_io_leaves_out_multiprocessing(tmp_path):
+    """At 2 CPUs a distinct-valued ensemble of several blocks is written
+    and read with one forked child each, and no multiprocessing module
+    is loaded."""
+    code = (
+        "import os, sys\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
+        "forks, fork = [], os.fork\n"
+        "os.fork = lambda: forks.append(1) or fork()\n"
+        "import semimart.io as sio\n"
+        "from semimart.generators import GeneratorSpec, generate\n"
+        "sio.BLOCK_CELLS = 33 * 7\n"
+        "spec = GeneratorSpec(kind='rl_fractional', level=4, mode='ensemble', paths=256, hurst=0.75)\n"
+        "src = generate(spec)\n"
+        "path = sys.argv[1]\n"
+        "sio.write_ensemble(path, spec, src.probs, src.xi, src.values)\n"
+        "assert sio.read_ensemble(path).values.tobytes() == src.values.tobytes()\n"
+        "print(len(forks), sorted(m for m in sys.modules if m.startswith('multiprocessing')))"
+    )
+    out = subprocess.run([sys.executable, "-c", code, str(tmp_path / "ensemble.jsonl")], capture_output=True,
+                         text=True, check=True, env=dict(os.environ, PYTHONPATH=str(PACKAGE.parent)), timeout=120)
+    assert out.stdout.strip() == "2 []"

@@ -2,6 +2,7 @@
 
 import collections
 import hashlib
+import io
 import json
 from fractions import Fraction
 import multiprocessing
@@ -149,6 +150,12 @@ class TestDyadicCodec:
     def test_every_float_is_dyadic(self):
         entry = dyadic_encode(1.0 / 3.0)
         assert dyadic_decode(entry, "p") == 1.0 / 3.0
+
+    def test_a_large_numerator_over_a_large_power_of_two_decodes(self):
+        """2**62 / 2**1100 is 2**-1038, which float64 holds, though
+        2**-1100 alone is below its least positive value."""
+        assert dyadic_decode([2**62, 1100], "p") > 0
+        assert dyadic_decode([2**62, 1100], "p") == 2.0**-1038
 
     @pytest.mark.parametrize(
         "entry", [[1], [1.0, 2], [0, 2], [1, -1], "1/2", [1, 2, 3]]
@@ -365,6 +372,21 @@ class TestEnsembleErrors:
         assert code == 2
         assert capsys.readouterr().err.startswith("parameter error: p (sum): ")
         assert peak < 1 << 20
+
+    def test_a_probability_below_float64_exits_2(self, tmp_path, capsys):
+        """Entries [1, 1], [1, 2], ..., [1, 2047], [1, 2047] sum to 1
+        exactly, but from [1, 1075] on float64 cannot hold them: detect
+        names the first such atom and exits 2."""
+        path = str(tmp_path / "tiny.jsonl")
+        write_spec(path, GeneratorSpec(kind="rl_fractional", level=1, mode="ensemble", paths=2048, hurst=0.75))
+        header, *rows = Path(path).read_text().splitlines()
+        for a, text in enumerate(rows):
+            row = json.loads(text)
+            row["p"] = [1, min(a + 1, 2047)]
+            rows[a] = json.dumps(row, separators=(",", ":"))
+        self.rewrite(path, [header, *rows])
+        assert main(["detect", path, "--out", str(tmp_path / "out.json")]) == 2
+        assert capsys.readouterr().err.startswith("parameter error: atom 1074.p: [1, 1075] ")
 
     def test_sum_check_agrees_with_exact_fractions(self):
         """Random dyadic partitions of 1, some entries unreduced and half of
@@ -857,7 +879,7 @@ class TestTableGather:
             xi = np.empty((n, 0), dtype=np.int8)
         state = (codes, heads, inverse, values, xi)
         spans = sio._blocks(n, values.shape[1] + xi.shape[1])
-        got = "".join(sio._block_text(state, lo, hi) for lo, hi in spans)
+        got = b"".join(sio._block_text(state, lo, hi) for lo, hi in spans).decode()
         assert same_lines(got, ensemble_rows_text(codes, inverse, values, xi))
 
     @pytest.mark.parametrize("spec, block_cells", [
@@ -889,38 +911,48 @@ class TestTableGather:
             assert array_payload(arr)["sha256"] == digest
 
 
+class CutOff(io.FileIO):
+    """A forked child's pipe, when a test makes it `os.fdopen` in the child:
+    the child is killed once it has sent its message's length."""
+
+    def writelines(self, parts):
+        os.kill(os.getpid(), signal.SIGKILL)
+
+
 class TestPooledWriter:
-    """write_ensemble formats mostly distinct values in forked workers.  The
-    file must not depend on how many there are, and none may outlive the
-    call."""
+    """write_ensemble formats mostly distinct values in forked children:
+    this process formats the first share of the blocks and a child each
+    further one.  The file must not depend on how many there are, and
+    none may outlive the call.  An L4 row holds 17 values and 16
+    innovations, so blocks of 7 rows cut a 256-path ensemble into 37
+    blocks: at 2 CPUs a child formats blocks 18-36 (atoms 126-255), at 3
+    CPUs one child blocks 12-23 (atoms 84-167) and another the rest."""
+
+    SPEC = GeneratorSpec(kind="rl_fractional", level=4, mode="ensemble", paths=256, hurst=0.75)
 
     @staticmethod
     def cpus(monkeypatch, n):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
 
     @staticmethod
-    def spy_pool(monkeypatch, fail=False):
-        """The number of pools write_ensemble starts, in a list; with
-        `fail`, starting one raises OSError instead."""
-        started = []
-        context = type(multiprocessing.get_context("fork"))
-        pool = context.Pool
-
-        def spy(self, *args, **kwargs):
-            started.append(args)
-            if fail:
-                raise OSError(11, "Resource temporarily unavailable")
-            return pool(self, *args, **kwargs)
-
-        monkeypatch.setattr(context, "Pool", spy)
-        return started
+    def spy_pool(monkeypatch, child=None):
+        """The forks write_ensemble makes, in a list (as
+        `TestSplitReader.spy_fork`, which `child` is passed to)."""
+        return TestSplitReader.spy_fork(monkeypatch, child)
 
     @staticmethod
-    def written(tmp_path, name, spec, src) -> bytes:
+    def written(tmp_path, name, spec, src):
+        """The file's bytes, or the repr of the ValueError the write raised;
+        either way no child is left."""
         path = tmp_path / name
-        write_ensemble(str(path), spec, src.probs, src.xi, src.values)
-        assert multiprocessing.active_children() == []
-        return path.read_bytes()
+        try:
+            write_ensemble(str(path), spec, src.probs, src.xi, src.values)
+            return path.read_bytes()
+        except ValueError as exc:
+            return repr(exc)
+        finally:
+            with pytest.raises(ChildProcessError):
+                os.waitpid(-1, os.WNOHANG)
 
     def one_cpu_bytes(self, tmp_path, monkeypatch, spec, src) -> bytes:
         with monkeypatch.context() as m:
@@ -930,7 +962,7 @@ class TestPooledWriter:
         assert started == []
         return data
 
-    # name -> (spec fields, BLOCK_CELLS, blocks, whether a pool formats
+    # name -> (spec fields, BLOCK_CELLS, blocks, whether children format
     # them); an L4 row holds 17 values and 16 innovations.  The values of
     # a jump ensemble repeat, so they are formatted here.
     ENSEMBLES = {
@@ -953,8 +985,8 @@ class TestPooledWriter:
         self.cpus(monkeypatch, cpus)
         started = self.spy_pool(monkeypatch)
         assert self.written(tmp_path, "pooled.jsonl", spec, src) == reference
-        # one worker per CPU, and never more workers than blocks
-        assert [args[0] for args in started] == ([min(cpus, blocks)] if pooled else [])
+        # this process and a child per further CPU, never more than blocks
+        assert len(started) == (min(cpus, blocks) - 1 if pooled else 0)
 
     @pytest.mark.parametrize("spec", [
         GeneratorSpec(kind="rademacher_bm", level=4, mode="exact_tree", seed=1),
@@ -969,25 +1001,67 @@ class TestPooledWriter:
         self.written(tmp_path, "repeats.jsonl", spec, src)
         assert started == []
 
-    @pytest.mark.parametrize("case", ["pool-fails", "daemonic", "no-affinity"])
+    @pytest.mark.parametrize("case", ["daemonic", "no-affinity"])
     def test_falls_back_to_this_process(self, tmp_path, monkeypatch, case):
+        """Without os.sched_getaffinity the blocks are formatted here; a
+        daemonic multiprocessing process forks as any other does."""
         monkeypatch.setattr(sio, "BLOCK_CELLS", 33 * 7)
-        spec = GeneratorSpec(kind="rl_fractional", level=4, mode="ensemble", paths=256, hurst=0.75)
+        spec = self.SPEC
         src = generate(spec)
         reference = self.one_cpu_bytes(tmp_path, monkeypatch, spec, src)
         self.cpus(monkeypatch, 2)
-        started = self.spy_pool(monkeypatch, fail=case == "pool-fails")
+        started = self.spy_pool(monkeypatch)
         if case == "daemonic":
             monkeypatch.setattr(multiprocessing, "current_process",
                                 lambda: type("Daemonic", (), {"daemon": True})())
         elif case == "no-affinity":
             monkeypatch.delattr(os, "sched_getaffinity")
         assert self.written(tmp_path, "fallback.jsonl", spec, src) == reference
-        assert len(started) == (case == "pool-fails")
+        assert len(started) == (case == "daemonic")
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    @pytest.mark.parametrize("case", ["fork-fails", "child-killed", "block-raises"])
+    def test_a_share_without_its_child_is_formatted_here(self, tmp_path, monkeypatch, case, cpus):
+        """A share whose child cannot be forked, is killed before it sends
+        or raises is formatted here in its turn: the same bytes as at one
+        CPU, or the same exception, from a block in the last share."""
+        monkeypatch.setattr(sio, "BLOCK_CELLS", 33 * 7)
+        spec = self.SPEC
+        src = generate(spec)
+        if case == "block-raises":
+            block_text = sio._block_text
+
+            def fail_late(state, lo, hi):
+                if lo >= 210:
+                    raise ValueError(f"no text for rows {lo}-{hi - 1}")
+                return block_text(state, lo, hi)
+
+            monkeypatch.setattr(sio, "_block_text", fail_late)
+        reference = self.one_cpu_bytes(tmp_path, monkeypatch, spec, src)
+        assert (reference == "ValueError('no text for rows 210-216')") == (case == "block-raises")
+        self.cpus(monkeypatch, cpus)
+        child = {"child-killed": lambda: os.kill(os.getpid(), signal.SIGKILL)}.get(case)
+        started = self.spy_pool(monkeypatch, "fails" if case == "fork-fails" else child)
+        assert self.written(tmp_path, "fallback.jsonl", spec, src) == reference
+        assert len(started) == cpus - 1
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_a_child_cut_off_mid_message_raises(self, tmp_path, monkeypatch, cpus):
+        """A child killed after it sent its message's length, before its
+        bytes, neither hangs the write nor leaves a short file without an
+        error: ChildProcessError names the child's share."""
+        monkeypatch.setattr(sio, "BLOCK_CELLS", 33 * 7)
+        src = generate(self.SPEC)
+        self.cpus(monkeypatch, cpus)
+        started = self.spy_pool(monkeypatch, lambda: setattr(os, "fdopen", CutOff))
+        rows = "126-255" if cpus == 2 else "84-167"
+        with pytest.raises(ChildProcessError, match=f"rows {rows}: the child's message ended"):
+            self.written(tmp_path, "cut.jsonl", self.SPEC, src)
+        assert len(started) == cpus - 1
 
     def test_a_failing_block_stops_every_worker(self, tmp_path, monkeypatch):
         monkeypatch.setattr(sio, "BLOCK_CELLS", 33 * 7)
-        spec = GeneratorSpec(kind="rl_fractional", level=4, mode="ensemble", paths=256, hurst=0.75)
+        spec = self.SPEC
         src = generate(spec)
         block_text = sio._block_text
 
@@ -1002,7 +1076,8 @@ class TestPooledWriter:
         with pytest.raises(ValueError, match="no text for rows 140-146"):
             write_ensemble(str(tmp_path / "failed.jsonl"), spec, src.probs, src.xi, src.values)
         assert len(started) == 1
-        assert multiprocessing.active_children() == []
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 class TestSplitReader:
@@ -1011,8 +1086,9 @@ class TestSplitReader:
     count, a file must read to the same arrays, sha256 and error text,
     and no child may outlive the read.  An L4 row holds 17 values and
     16 innovations, so blocks of 7 rows cut a 256-path ensemble into 37
-    blocks: at 2 CPUs this process parses blocks 0-17 (atoms 0-125), at 3
-    CPUs blocks 0-11 (atoms 0-83), and children parse the rest."""
+    blocks.  This process parses block 0, then shares out the other 36:
+    at 2 CPUs it parses blocks 0-18 (atoms 0-132), at 3 CPUs blocks 0-12
+    (atoms 0-90), and children parse the rest."""
 
     SPEC = GeneratorSpec(kind="rl_fractional", level=4, mode="ensemble", paths=256, hurst=0.75)
 
@@ -1151,7 +1227,19 @@ class TestSplitReader:
             monkeypatch.setattr(multiprocessing, "current_process",
                                 lambda: type("Daemonic", (), {"daemon": True})())
         child = {"fork-fails": "fails", "child-killed": lambda: os.kill(os.getpid(), signal.SIGKILL)}.get(case)
-        assert self.read(monkeypatch, path, 3, child) == (reference, 0 if case == "daemonic" else 2)
+        assert self.read(monkeypatch, path, 3, child) == (reference, 2)
+
+    def test_a_child_cut_off_mid_message_raises(self, tmp_path, monkeypatch):
+        """A child killed after it sent its message's length, before its
+        bytes, raises ChildProcessError naming its share; none is left."""
+        path = self.write(tmp_path)
+        with monkeypatch.context() as m:
+            m.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+            self.spy_fork(m, lambda: setattr(os, "fdopen", CutOff))
+            with pytest.raises(ChildProcessError, match="rows 133-255: the child's message ended"):
+                read_ensemble(str(path))
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     def test_mutated_files_read_as_in_one_process(self, tmp_path, monkeypatch):
         """A seeded byte-mutation fuzz of a multi-block, distinct-valued
