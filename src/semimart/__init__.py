@@ -18,7 +18,7 @@ from .errors import (
     StructuralError,
 )
 from .generators import EnsembleProcess, GeneratorSpec, Source, generate
-from .integrands import integral_process, vr_metric
+from .integrands import integral_process, integrate, vr_metric
 from .io import read_ensemble, read_report, report_body, write_ensemble, write_report
 from .pipeline import DetectConfig, FreeLunchEvidence, Inconclusive, SemimartingaleCertificate, detect
 
@@ -42,6 +42,7 @@ __all__ = [
     "detect",
     "generate",
     "integral_process",
+    "integrate",
     "read_ensemble",
     "read_report",
     "report_body",

@@ -1,4 +1,4 @@
-"""Command-line entry points: generate, decompose, detect, verify, probe.
+"""Command-line entry points: generate, decompose, detect, verify.
 
 Exit codes: 0 success (or verified), 1 invariant failure or failed
 verification, 2 parameter error, malformed file or unwritable output
@@ -10,8 +10,6 @@ import argparse
 import os
 import sys
 
-import numpy as np
-
 from .doob import doob_decompose
 from .errors import (
     ConvergenceError,
@@ -22,13 +20,11 @@ from .errors import (
     StructuralError,
 )
 from .generators import KINDS, GeneratorSpec, generate
-from .integrands import SimpleIntegrand, StrategySequence, continuity_probe
 from .io import (
     array_payload,
     check_output,
     fmt17,
     first_mismatch,
-    open_output,
     read_ensemble,
     read_report,
     report_body,
@@ -78,17 +74,16 @@ def cmd_decompose(args) -> int:
         check_output(args.out)
     data = read_ensemble(args.input)
     src = data.to_source()
-    S, space = src.process, src.space
     level = args.level if args.level is not None else data.spec.level
     out = _resolve_out(args.out, f"decomposition-L{level}.json")
     check_output(out)
-    D = doob_decompose(S, level, src.drift_increments(level))
+    D = doob_decompose(src.process, level, src.drift_increments(level))
     doc = {
         "format": "semimart-decomposition-1",
         "source_sha256": data.sha256,
         "level": D.level,
-        "qv_mean": fmt17(space.expectation(D.qv)),
-        "tv_mean": fmt17(space.expectation(D.tv)),
+        "qv_mean": fmt17(src.space.expectation(D.qv)),
+        "tv_mean": fmt17(src.space.expectation(D.tv)),
         "m_l2": fmt17(D.m_l2),
         "M": array_payload(D.M.values),
         "A": array_payload(D.A.values),
@@ -116,51 +111,38 @@ def _config_from_args(args) -> DetectConfig:
 
 def cmd_detect(args) -> int:
     out = _resolve_out(args.out, "report.json")
-    # an unwritable output fails before the detection runs and before any file is written
-    for path in filter(None, (out, args.csv)):
-        check_output(path)
+    # an unwritable output fails before the detection runs
+    check_output(out)
     data = read_ensemble(args.input)
     config = _config_from_args(args)
     verdict = detect(data.to_source(), config)
     body = report_body(data, config, verdict)
     write_report(out, body, source_name=os.path.basename(args.input))
     print(f"verdict: {verdict.kind}; wrote {out}")
-    if args.csv:
-        _write_series_csv(args.csv, verdict, data)
     return EXIT_OK if verdict.kind in ("certificate", "free_lunch") else EXIT_INCONCLUSIVE
-
-
-def _write_series_csv(path, verdict, data) -> None:
-    """Plot-ready per-time series for certificate verdicts."""
-    if verdict.kind != "certificate":
-        print(f"no series to write for a {verdict.kind} verdict", file=sys.stderr)
-        return
-    space = verdict.M.space
-    times = space.times
-    rows = ["t,mean_abs_A,mean_M_sq"]
-    for j, t in enumerate(times):
-        rows.append(
-            f"{fmt17(t)},{fmt17(space.expectation(np.abs(verdict.A.values[:, j])))},"
-            f"{fmt17(space.expectation(verdict.M.values[:, j] ** 2))}"
-        )
-    with open_output(path) as fh:
-        fh.write("\n".join(rows) + "\n")
-    print(f"wrote {path}")
 
 
 def _config_from_body(body: dict) -> DetectConfig:
     try:
         cfg = body["config"]
-        levels = cfg["levels"]
+        levels = _typed("levels", cfg["levels"], list)
         return DetectConfig(
-            eps=float(cfg["eps"]),
-            tol=float(cfg["tol"]),
-            levels=None if levels is None else tuple(int(n) for n in levels),
-            ladder_max=float(cfg["ladder_max"]),
-            window=int(cfg["window"]),
+            eps=float(_typed("eps", cfg["eps"], str)),
+            tol=float(_typed("tol", cfg["tol"], str)),
+            levels=None if levels is None else tuple(_typed("levels", n, int) for n in levels),
+            ladder_max=float(_typed("ladder_max", cfg["ladder_max"], str)),
+            window=_typed("window", cfg["window"], int),
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParameterError(f"report.body.config: {exc}") from exc
+
+
+def _typed(key: str, x, kind: type):
+    if kind is int:
+        int(x)  # first, so that an infinity keeps int()'s message
+    if not (type(x) is kind or (kind is list and x is None)):
+        raise TypeError(f"{key}: expected {kind.__name__}, got {x!r}")
+    return x
 
 
 def cmd_verify(args) -> int:
@@ -169,6 +151,8 @@ def cmd_verify(args) -> int:
     source_path = args.source or os.path.join(
         os.path.dirname(os.path.abspath(args.report)), doc["source_name"]
     )
+    # a malformed config is refused before the source is read
+    config = _config_from_body(body)
     data = read_ensemble(source_path)
     try:
         stored_sha = body["source"]["sha256"]
@@ -177,7 +161,6 @@ def cmd_verify(args) -> int:
     if stored_sha != data.sha256:
         print("verification failed: mismatch at body.source.sha256")
         return EXIT_INVARIANT
-    config = _config_from_body(body)
     verdict = detect(data.to_source(), config)
     recomputed = report_body(data, config, verdict)
     hit = first_mismatch(body, recomputed)
@@ -185,29 +168,6 @@ def cmd_verify(args) -> int:
         print(f"verification failed: mismatch at {hit}")
         return EXIT_INVARIANT
     print(f"verified: {args.report} reproduces from {source_path}")
-    return EXIT_OK
-
-
-def cmd_probe(args) -> int:
-    data = read_ensemble(args.input)
-    S = data.to_source().process
-    space = S.space
-    elements = tuple(
-        SimpleIntegrand.constant(space, 1.0 / k) for k in range(1, args.steps + 1)
-    )
-    seq = StrategySequence(elements)
-    stats = continuity_probe(S, seq, args.delta)
-    print(f"continuity probe, delta = {args.delta:g}:")
-    for k, stat in enumerate(stats, start=1):
-        print(f"  k={k:3d}  |H|={1.0 / k:.6g}  P[|(H.S)_1| > delta] = {stat:.6g}")
-    if args.out:
-        doc = {
-            "format": "semimart-probe-1",
-            "delta": fmt17(args.delta),
-            "stats": [fmt17(v) for v in stats],
-        }
-        write_json(args.out, doc)
-        print(f"wrote {args.out}")
     return EXIT_OK
 
 
@@ -245,26 +205,17 @@ def build_parser() -> argparse.ArgumentParser:
     det.add_argument("--ladder-max", type=float, default=DetectConfig.ladder_max)
     det.add_argument("--window", type=int, default=DetectConfig.window)
     det.add_argument("--out")
-    det.add_argument("--csv", help="also write plot-ready series to this CSV path")
     det.set_defaults(func=cmd_detect)
 
     ver = sub.add_parser("verify", help="recompute a report and compare field by field")
     ver.add_argument("report")
     ver.add_argument("--source", help="ensemble file (default: source_name next to the report)")
     ver.set_defaults(func=cmd_verify)
-
-    prb = sub.add_parser("probe", help="continuity probe with shrinking constant strategies")
-    prb.add_argument("input")
-    prb.add_argument("--delta", type=float, default=0.05)
-    prb.add_argument("--steps", type=int, default=20)
-    prb.add_argument("--out")
-    prb.set_defaults(func=cmd_probe)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ParameterError, PreconditionError, StructuralError, ResourceLimitError) as exc:

@@ -7,7 +7,6 @@ adapted process is the finite sum of position times increment, so every
 metric below is an exact finite computation.
 """
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -178,9 +177,6 @@ class StrategySequence:
         if not self.elements:
             raise ParameterError("strategy sequence must be non-empty")
 
-    def __len__(self):
-        return len(self.elements)
-
 
 def integral_process(H: SimpleIntegrand, S: AdaptedProcess) -> AdaptedProcess:
     """The running integral t -> (H.S)_t evaluated at S's sample times."""
@@ -225,14 +221,12 @@ def terminal_and_drawdown(H: SimpleIntegrand, S: AdaptedProcess) -> tuple[np.nda
 
 def integrate(H: SimpleIntegrand, S: AdaptedProcess, t: float = 1.0) -> np.ndarray:
     """(H.S)_t per atom: sum_j f_j (S_{tau_j ^ t} - S_{tau_{j-1} ^ t})."""
-    proc = integral_process(H, S)
-    return proc.at(t).copy()
+    return integral_process(H, S).at(t).copy()
 
 
 def vr_metric(H: SimpleIntegrand, S: AdaptedProcess) -> float:
     """Worst realized drawdown: sup_t over atoms of the negative part of (H.S)_t."""
-    proc = integral_process(H, S)
-    return float(np.maximum(-proc.values, 0.0).max())
+    return float(np.maximum(-integral_process(H, S).values, 0.0).max())
 
 
 def li_metric(H: SimpleIntegrand) -> float:
@@ -246,26 +240,3 @@ def win_probabilities(terminals, probs: np.ndarray, alpha: float) -> np.ndarray:
         raise ParameterError(f"threshold alpha must be > 0, got {alpha}")
     return np.array([float(probs[g >= alpha].sum()) for g in terminals])
 
-
-def continuity_probe(S: AdaptedProcess, seq: StrategySequence, delta: float) -> np.ndarray:
-    """Exact tail probabilities P[|(H^n . S)_1| > delta] per element.
-
-    A good integrator shows the statistic falling to 0 once the position
-    norms vanish; a warning is raised when the norms do not vanish, since
-    the probe is then uninformative.
-    """
-    if not delta > 0:
-        raise ParameterError(f"delta must be > 0, got {delta}")
-    norms = [li_metric(H) for H in seq.elements]
-    if norms and norms[-1] > 1e-9 and norms[-1] > 0.5 * norms[0]:
-        warnings.warn(
-            "position norms do not vanish along the sequence; the continuity "
-            "probe only constrains vanishing-norm strategies",
-            stacklevel=2,
-        )
-    out = np.empty(len(seq))
-    probs = S.space.probs
-    for i, H in enumerate(seq.elements):
-        terminal = integrate(H, S, 1.0)
-        out[i] = float(probs[np.abs(terminal) > delta].sum())
-    return out

@@ -2,9 +2,11 @@
 the lemma-level checks (summation by parts, martingale orthogonality,
 conditional expectation at a time), the slow diagnostics path that
 the pipeline's one-integral-per-strategy path is compared against, the
-line formatter that the writer's table gather is compared against, and
-the per-row sampler that the ensemble innovations are compared against."""
+continuity probe along vanishing-position strategies, the line formatter
+that the writer's table gather is compared against, and the per-row
+sampler that the ensemble innovations are compared against."""
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -200,6 +202,30 @@ def evaluate(seq: StrategySequence, S: AdaptedProcess, alpha: float) -> Strategy
     vr = tuple(vr_metric(H, S) for H in seq.elements)
     fl = tuple(fl_statistic(seq, S, alpha))
     return StrategySequence(seq.elements, li=li, vr=vr, fl=fl, fl_threshold=alpha)
+
+
+def continuity_probe(S: AdaptedProcess, seq: StrategySequence, delta: float) -> np.ndarray:
+    """Exact tail probabilities P[|(H^n . S)_1| > delta] per element.
+
+    A good integrator shows the statistic falling to 0 once the position
+    norms vanish; a warning is raised when the norms do not vanish, since
+    the probe is then uninformative.
+    """
+    if not delta > 0:
+        raise ParameterError(f"delta must be > 0, got {delta}")
+    norms = [li_metric(H) for H in seq.elements]
+    if norms and norms[-1] > 1e-9 and norms[-1] > 0.5 * norms[0]:
+        warnings.warn(
+            "position norms do not vanish along the sequence; the continuity "
+            "probe only constrains vanishing-norm strategies",
+            stacklevel=2,
+        )
+    out = np.empty(len(seq.elements))
+    probs = S.space.probs
+    for i, H in enumerate(seq.elements):
+        terminal = integrate(H, S, 1.0)
+        out[i] = float(probs[np.abs(terminal) > delta].sum())
+    return out
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,6 @@ from semimart.generators import GeneratorSpec, bound_factor_for, generate, rl_no
 from semimart.integrands import (
     SimpleIntegrand,
     StrategySequence,
-    continuity_probe,
     integrate,
     vr_metric,
 )
@@ -48,6 +47,7 @@ from helpers import (
     GridFunction,
     StepFunction,
     conditional_expectation,
+    continuity_probe,
     martingale_l2,
     quadratic_variation,
     sum_by_parts_bound,

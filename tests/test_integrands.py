@@ -7,7 +7,6 @@ from semimart.errors import InvariantViolation, ParameterError
 from semimart.integrands import (
     SimpleIntegrand,
     StrategySequence,
-    continuity_probe,
     integral_process,
     integrate,
     li_metric,
@@ -26,6 +25,7 @@ from helpers import (
     StepFunction,
     binary_tree_space,
     combine,
+    continuity_probe,
     evaluate,
     fl_statistic,
     step_integral,

@@ -9,6 +9,7 @@ import multiprocessing
 import os
 import random
 import re
+import shlex
 import signal
 import tracemalloc
 from pathlib import Path
@@ -1477,18 +1478,32 @@ class TestCliFlows:
         assert f"{field} must be" in capsys.readouterr().err
         assert not os.path.exists(report)
 
-    @pytest.mark.parametrize("target", ["generate-out", "detect-out", "detect-csv"])
+    @pytest.mark.parametrize("target", ["generate-out", "detect-out"])
     def test_unwritable_output_path_exits_2(self, tmp_path, capsys, target):
         src = walk_file(tmp_path, level=2)
         bad = str(tmp_path / "missing" / "out")
         argv = {
             "generate-out": ["generate", "--kind", "rademacher_bm", "--level", "1", "--out", bad],
             "detect-out": ["detect", src, "--out", bad],
-            "detect-csv": ["detect", src, "--out", str(tmp_path / "r.json"), "--csv", bad],
         }[target]
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"parameter error: cannot write {bad}")
+
+    @pytest.mark.parametrize("command", ["probe", "detect-csv"])
+    def test_removed_cli_surface_is_refused_by_argparse(self, tmp_path, capsys, command):
+        """`semimart probe` and `detect --csv` are gone: argparse refuses
+        them with exit 2 before any output is created."""
+        src = walk_file(tmp_path, level=2)
+        x, r, c = (str(tmp_path / name) for name in ("probe.json", "report.json", "series.csv"))
+        argv = {
+            "probe": ["probe", src, "--out", x],
+            "detect-csv": ["detect", src, "--out", r, "--csv", c],
+        }[command]
+        with pytest.raises(SystemExit) as refused:
+            main(argv)
+        assert refused.value.code == 2
+        assert not any(os.path.exists(path) for path in (x, r, c))
 
     @pytest.mark.parametrize("command", ["generate", "decompose"])
     def test_unwritable_output_fails_before_the_work(self, tmp_path, capsys, monkeypatch,
@@ -1509,26 +1524,6 @@ class TestCliFlows:
         }[command]
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith(f"parameter error: cannot write {bad}")
-
-    @pytest.mark.parametrize("existing", [False, True], ids=["new-report", "old-report"])
-    def test_unwritable_csv_fails_before_detect_and_writes_no_report(self, tmp_path, capsys,
-                                                                    monkeypatch, existing):
-        src = walk_file(tmp_path, level=2)
-        report = tmp_path / "report.json"
-        if existing:
-            report.write_text("old\n")
-        bad = str(tmp_path / "missing" / "series.csv")
-        calls = []
-
-        def counted(*args):
-            calls.append(args)
-            return detect(*args)
-
-        monkeypatch.setattr(cli, "detect", counted)
-        assert main(["detect", src, "--out", str(report), "--csv", bad]) == 2
-        assert capsys.readouterr().err.startswith(f"parameter error: cannot write {bad}")
-        assert calls == []
-        assert report.read_text() == "old\n" if existing else not report.exists()
 
     @pytest.mark.parametrize("case", ["directory", "missing-dir", "file-as-dir"])
     def test_check_output_rejects_what_open_output_cannot_open(self, tmp_path, case):
@@ -1586,6 +1581,42 @@ class TestCliFlows:
         assert rc == 2
         assert f"report.body.config: {message}" in err
 
+    # (field, its JSON text, the message); a field of another JSON type
+    # than report_body writes is refused before the source is read
+    @pytest.mark.parametrize("field, text, message", [
+        ("levels", "[true,2]", "levels: expected int, got True"),
+        ("levels", '"12"', "levels: expected list, got '12'"),
+        ("window", "16.7", "window: expected int, got 16.7"),
+        ("window", '"16"', "window: expected int, got '16'"),
+        ("window", "true", "window: expected int, got True"),
+        ("eps", "0.1", "eps: expected str, got 0.1"),
+        ("tol", "1e-08", "tol: expected str, got 1e-08"),
+        ("ladder_max", "64", "ladder_max: expected str, got 64"),
+    ], ids=["levels-bool", "levels-string", "window-float", "window-string", "window-bool",
+            "eps-number", "tol-number", "ladder-number"])
+    def test_verify_rejects_a_body_config_field_of_the_wrong_type(self, tmp_path, capsys,
+                                                                  monkeypatch, field, text,
+                                                                  message):
+        src = walk_file(tmp_path, level=2, seed=1)
+        report = str(tmp_path / "report.json")
+        assert main(["detect", src, "--out", report]) == 0
+        with open(report) as fh:
+            doc = json.load(fh)
+        doc["body"]["config"][field] = "@edited@"
+        with open(report, "w") as fh:
+            fh.write(canonical(doc).replace('"@edited@"', text))
+        capsys.readouterr()
+
+        def refuse(*args):
+            raise AssertionError("verify read the source or ran detect")
+
+        monkeypatch.setattr(cli, "read_ensemble", refuse)
+        monkeypatch.setattr(cli, "detect", refuse)
+        rc = main(["verify", report])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert f"report.body.config: {message}" in err
+
     # level 62 is refused from the header or the flags alone: nothing of
     # that size is ever allocated
     @pytest.mark.parametrize("command", ["detect", "generate"])
@@ -1633,9 +1664,9 @@ class TestCliFlows:
         assert "not adapted" in err
 
     @pytest.mark.parametrize("col", [1, 0])
-    @pytest.mark.parametrize("command", ["decompose", "probe"])
+    @pytest.mark.parametrize("command", ["decompose"])
     def test_rejects_non_adapted_source(self, tmp_path, capsys, command, col):
-        """decompose and probe reject the file at the same boundary as detect."""
+        """decompose rejects the file at the same boundary as detect."""
         src = self.non_adapted_walk(tmp_path, col)
         out = str(tmp_path / f"{command}.json")
         capsys.readouterr()
@@ -1675,21 +1706,6 @@ class TestCliFlows:
         body = read_report(report)["body"]
         assert "exact" in body["payload"]["reason"]
 
-    def test_detect_csv_series(self, tmp_path):
-        src = str(tmp_path / "walk.jsonl")
-        report = str(tmp_path / "report.json")
-        csv = str(tmp_path / "series.csv")
-        main(["generate", "--kind", "rademacher_bm", "--level", "2", "--out", src])
-        rc = main(["detect", src, "--out", report, "--csv", csv])
-        assert rc == 0
-        with open(csv) as fh:
-            rows = fh.read().splitlines()
-        assert rows[0] == "t,mean_abs_A,mean_M_sq"
-        assert len(rows) == 1 + 5
-        first = rows[1].split(",")
-        assert float(first[0]) == 0.0
-        assert float(first[1]) == pytest.approx(0.0, abs=TOL)
-
     def test_decompose_writes_document(self, tmp_path, capsys):
         src = str(tmp_path / "walk.jsonl")
         out = str(tmp_path / "dec.json")
@@ -1706,23 +1722,6 @@ class TestCliFlows:
         assert float(doc["tv_mean"]) == pytest.approx(0.0, abs=TOL)
         A = np.array(doc["A"]["data"], dtype=float)
         assert np.max(np.abs(A)) == pytest.approx(0.0, abs=TOL)
-
-    def test_probe_output(self, tmp_path, capsys):
-        src = str(tmp_path / "walk.jsonl")
-        out = str(tmp_path / "probe.json")
-        main(["generate", "--kind", "rademacher_bm", "--level", "1", "--out", src])
-        rc = main(["probe", src, "--delta", "0.05", "--steps", "30", "--out", out])
-        lines = capsys.readouterr().out
-        assert rc == 0
-        assert "continuity probe" in lines
-        assert "k=  1" in lines
-        with open(out) as fh:
-            doc = json.load(fh)
-        assert doc["format"] == "semimart-probe-1"
-        stats = [float(v) for v in doc["stats"]]
-        assert len(stats) == 30
-        assert all(a >= b for a, b in zip(stats, stats[1:]))
-        assert stats[-1] == 0.0
 
     def test_default_out_respects_env(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("SEMIMART_OUT", str(tmp_path))
@@ -1750,3 +1749,39 @@ class TestCliFlows:
         assert rc == 0
         capsys.readouterr()
         assert (tmp_path / "rademacher_bm-L1-s2.jsonl").exists()
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_commands() -> list:
+    """Every `semimart ...` command in README's fenced code blocks, with
+    continued lines joined and trailing comments dropped."""
+    commands, fenced, line = [], False, ""
+    for raw in README.read_text().splitlines():
+        if raw.startswith("```"):
+            fenced, line = not fenced, ""
+            continue
+        if not fenced:
+            continue
+        line += raw.strip()
+        if line.endswith("\\"):
+            line = line[:-1] + " "
+            continue
+        words = shlex.split(line, comments=True)
+        if words[:1] == ["semimart"]:
+            commands.append(words)
+        line = ""
+    return commands
+
+
+def test_readme_commands_parse():
+    """README advertises only flags and subcommands that the CLI takes, and
+    shows every subcommand the CLI has."""
+    parser = cli.build_parser()
+    commands = readme_commands()
+    for words in commands:
+        parser.parse_args(words[1:])
+    sub = next(a for a in parser._actions if a.dest == "command")
+    assert list(sub.choices) == ["generate", "decompose", "detect", "verify"]
+    assert {words[1] for words in commands} == set(sub.choices)
