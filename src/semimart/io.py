@@ -295,13 +295,13 @@ def _fork(fn, share):
         os._exit(0)
 
 
-def _header_field(header: dict, key: str, kinds, where: str = "header"):
+def _header_field(header: dict, key: str, kinds):
     if key not in header:
-        raise ParameterError(f"{where}.{key}: missing")
+        raise ParameterError(f"header.{key}: missing")
     value = header[key]
     # JSON true and false are never a header field, though Python counts them as ints
     if not isinstance(value, kinds) or isinstance(value, bool):
-        raise ParameterError(f"{where}.{key}: wrong type {type(value).__name__}")
+        raise ParameterError(f"header.{key}: wrong type {type(value).__name__}")
     return value
 
 

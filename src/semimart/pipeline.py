@@ -25,6 +25,7 @@ from .doob import (
     LADDER_BASE,
     LADDER_MAX,
     StageResult,
+    _identity_error,
     discrete_stage,
     martingale_residual,
 )
@@ -49,6 +50,7 @@ from .space import (
     StoppingTime,
     check_stopping_time,
     first_hitting_time,
+    require_stopping_time,
     stop_process,
 )
 
@@ -200,6 +202,19 @@ def big_jump_split(S: AdaptedProcess) -> tuple[AdaptedProcess, AdaptedProcess]:
     return X, J
 
 
+def _require_extendable(S: AdaptedProcess, rhos=()) -> None:
+    """Refuse what `extend_martingale` refuses as input: S off the unit
+    band, or a level's rho that is no stopping time on S's space."""
+    if np.abs(S.values[:, 0]).max() > BOUND_TOL:
+        raise PreconditionError("extension requires S_0 = 0; shift the process first")
+    if S.sup_norm() > 1.0 + BOUND_TOL:
+        raise PreconditionError(
+            f"extension requires ||S||_inf <= 1 (got {S.sup_norm()}); normalize first"
+        )
+    for rho in rhos:
+        require_stopping_time(rho, S.space)
+
+
 def extend_martingale(
     level: int,
     m_terminal: np.ndarray,
@@ -219,12 +234,7 @@ def extend_martingale(
     C + 2 uniformly.
     """
     space = S.space
-    if np.abs(S.values[:, 0]).max() > BOUND_TOL:
-        raise PreconditionError("extension requires S_0 = 0; shift the process first")
-    if S.sup_norm() > 1.0 + BOUND_TOL:
-        raise PreconditionError(
-            f"extension requires ||S||_inf <= 1 (got {S.sup_norm()}); normalize first"
-        )
+    _require_extendable(S)
     M_ext = AdaptedProcess(space, space.conditional_path(m_terminal))
     A_ext = S - M_ext
     step = 1 << (space.grid.level - level)
@@ -242,8 +252,9 @@ def extend_martingale(
 @dataclass(frozen=True)
 class StageStep:
     """One extraction step of the continuous stage: the level of its
-    first block member, the mixed indicator's exit time, the step
-    integrand's bounds, and the mixed processes."""
+    first block member, the mixed indicator's exit time and terminal
+    value, and the step integrand's bounds.  The step's scripts are not
+    kept; see `ContinuousStage`."""
 
     level: int
     alpha_k: StoppingTime
@@ -251,23 +262,22 @@ class StageStep:
     rbar_terminal: np.ndarray
     sbar_sup: float
     sbar_tv: float
-    m_script: AdaptedProcess
-    a_script: AdaptedProcess
 
 
 @dataclass(frozen=True)
 class ContinuousStage:
     """All per-step objects plus the selected subsequence and its mixed
     exit time alpha; built only from a fully passing discrete stage.
-    It keeps no certified level: each level's stopped increments are
-    freed inside `continuous_stage` once the last step that mixes them
-    is built.
 
-    ``stopped_source`` is S^alpha, and ``stopped_m`` / ``stopped_a`` hold
-    each selected step's script-M and script-A stopped at alpha, in the
-    order of ``selected``; the assembly reads them, and the space of
-    ``stopped_source``, instead of stopping again.  Where alpha stops no
-    atom, they are the source and the steps' own scripts, shared."""
+    ``stopped_source`` is S^alpha.  For each selected step, in the order
+    of ``selected``, ``stopped_m`` holds the terminal value of its
+    script-M stopped at alpha (one per atom) and ``stopped_a`` its
+    script-A stopped at alpha: all the assembly reads of the scripts.
+    Where alpha stops no atom, ``stopped_source`` is the source and each
+    stopped A the step's own script, shared.  The stage keeps no other
+    script and no certified level: `continuous_stage` builds each level's
+    stopped increments once and frees them after the last step that
+    weights the level."""
 
     eps: float
     C: float
@@ -299,35 +309,51 @@ def _script(space, dN: np.ndarray, w: np.ndarray) -> AdaptedProcess:
 
 
 def _mixed(inc: list, part: int, mu: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """sum_j mu_j * inc[idx_j][part], accumulated in block order.  R is 0/1
-    and mu >= 0, so mu * (R dM) equals (mu R) dM up to the sign of a
-    zero, which the +0 accumulator absorbs."""
-    out = np.zeros_like(inc[idx[0]][part])
-    for j, i in enumerate(idx):
-        out += mu[j] * inc[i][part]
+    """sum_j mu_j * inc[idx_j][part] over the nonzero weights, accumulated
+    in block order.  R is 0/1 and mu >= 0, so mu * (R dM) equals (mu R) dM
+    up to the sign of a zero, which the +0 accumulator absorbs.  The
+    accumulator never holds -0 and every increment is finite, so a zero
+    weight's term, a signed zero, would leave it as it is: the levels it
+    names need not exist."""
+    live = np.flatnonzero(mu)
+    out = np.zeros_like(inc[idx[live[0]]][part])
+    for j in live:
+        out += mu[j] * inc[idx[j]][part]
     return out
 
 
-def _mix_step(s: int, mu: np.ndarray, idx: np.ndarray, certs, R: np.ndarray, inc: list,
-              source: AdaptedProcess, eps: float) -> StageStep:
-    """Extraction step s: mix the levels idx (one per block position)
-    with weights mu and check every bound of the step; the mixed
-    indicator and the integrand weights die with the call."""
-    space = source.space
+def _rbar(mu: np.ndarray, idx: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """The mixed running indicator of a block, over its whole block."""
+    return np.einsum("k,kat->at", mu, R[idx])
+
+
+def _exit_time(s: int, mu: np.ndarray, idx: np.ndarray, R: np.ndarray, space,
+               eps: float) -> tuple[StoppingTime, float, np.ndarray]:
+    """Pass 1 of step s: the mixed indicator's exit time alpha_k, checked,
+    P[alpha_k < inf] and the indicator's terminal value Rbar_1."""
     n_times = space.grid.n_times
-    rbar = np.einsum("k,kat->at", mu, R[idx])
-    mask = rbar >= 0.5
-    count = mask.sum(axis=1)
-    alpha_idx = np.where(count == n_times, space.grid.n_times, count - 1)
-    alpha_k = StoppingTime(space, alpha_idx)
+    rbar = _rbar(mu, idx, R)
+    count = (rbar >= 0.5).sum(axis=1)
+    alpha_k = StoppingTime(space, np.where(count == n_times, n_times, count - 1))
     if not check_stopping_time(alpha_k):
         raise InvariantViolation(f"mixed exit time at step {s} is not a stopping time")
     p_k = alpha_k.prob_finite()
     if p_k > 2.0 * eps + BOUND_TOL:
         raise InvariantViolation(f"P[alpha_{s} < inf] = {p_k} above 2 eps")
+    return alpha_k, p_k, rbar[:, -1].copy()  # a view would keep all of rbar alive
+
+
+def _mix_step(s: int, mu: np.ndarray, idx: np.ndarray, R: np.ndarray, inc: list,
+              source: AdaptedProcess, alpha_k: StoppingTime):
+    """Pass 2 of step s: mix the levels idx (one per block position) with
+    weights mu into script-M and script-A, and check every bound of the
+    step.  Returns the integrand's sup and variation and the two scripts;
+    the mixed indicator and the integrand weights die with the call."""
+    space = source.space
+    rbar = _rbar(mu, idx, R)  # pass 1's indicator, bit for bit
+    mask = rbar >= 0.5
     # predictable step weights of the normalized integrand
     w = np.where(mask[:, 1:], 1.0 / np.where(mask[:, 1:], rbar[:, 1:], 1.0), 0.0)
-    rbar_terminal = rbar[:, -1].copy()  # a view would keep all of rbar alive
     del rbar, mask
     sbar_sup = float(w.max())
     if sbar_sup > 2.0 + BOUND_TOL:
@@ -338,23 +364,33 @@ def _mix_step(s: int, mu: np.ndarray, idx: np.ndarray, certs, R: np.ndarray, inc
     m_script = _script(space, _mixed(inc, 0, mu, idx), w)
     a_script = _script(space, _mixed(inc, 1, mu, idx), w)
     del w
-    # the two mixes must reassemble the source stopped at the exit time;
-    # (M + A) - S^alpha_k, then abs, in one temporary
-    resid = np.add(m_script.values, a_script.values)
-    resid -= stop_process(source, alpha_k).values
-    resid = float(np.abs(resid, out=resid).max())
+    # the two mixes must reassemble the source stopped at the exit time
+    resid = float(_identity_error(m_script.values, a_script.values, stop_process(source, alpha_k).values))
     if resid > IDENT_TOL:
         raise InvariantViolation(f"mix identity off by {resid} at step {s}")
-    return StageStep(
-        level=certs[idx[0]].level,
-        alpha_k=alpha_k,
-        p_alpha_k=p_k,
-        rbar_terminal=rbar_terminal,
-        sbar_sup=sbar_sup,
-        sbar_tv=sbar_tv,
-        m_script=m_script,
-        a_script=a_script,
-    )
+    return sbar_sup, sbar_tv, m_script, a_script
+
+
+def _stopped_mix(s: int, level: int, m_script: AdaptedProcess, a_script: AdaptedProcess,
+                 alpha: StoppingTime, stopped_source: AdaptedProcess, C: float):
+    """The bounds of selected step s, stopped at alpha; returns what the
+    assembly reads: the stopped M's terminal value and the stopped A."""
+    space = stopped_source.space
+    m_st = stop_process(m_script, alpha)
+    a_st = stop_process(a_script, alpha)
+    resid = float(_identity_error(m_st.values, a_st.values, stopped_source.values))
+    if resid > IDENT_TOL:
+        raise InvariantViolation(f"stopped mix identity off by {resid} at step {s}")
+    m_sq = space.expectation(m_st.values[:, -1] ** 2)
+    if m_sq > 4.0 * C + BOUND_TOL:
+        raise InvariantViolation(f"E[script-M_1^2] = {m_sq} above 4C at step {s}")
+    dA = a_st.restrict(np.arange(0, space.grid.n_times, 1 << (space.grid.level - level))).increments()
+    tv = float(np.abs(dA, out=dA).sum(axis=1).max())
+    if tv > _tv_cap(C) + BOUND_TOL:
+        raise InvariantViolation(
+            f"level-{level} variation {tv} above 6(C+2)+2C = {_tv_cap(C)} at step {s}"
+        )
+    return m_st.values[:, -1].copy(), a_st
 
 
 def continuous_stage(
@@ -367,13 +403,18 @@ def continuous_stage(
     final assembly needs, verifying every bound along the way.
 
     Each certified level contributes one indicator 1[0, rho_n] and one
-    pair of stopped finest-grid increments, built once.  The sequence fed
-    to the extraction repeats the finest level PAD_COPIES more times, as
-    an index ``pos`` into the levels rather than as copies.  The
-    extraction takes forward convex combinations (step s mixes positions
-    s, s+1, ... only), so a level's increments are freed right after the
-    last step whose block mixes it, and each step's own temporaries die
-    with its helper `_mix_step`."""
+    pair of stopped finest-grid increments.  The sequence fed to the
+    extraction repeats the finest level PAD_COPIES more times, as an
+    index ``pos`` into the levels rather than as copies.  Two passes run
+    over the extraction's blocks.  Pass 1 fixes each step's exit time
+    and Rbar_1, and so the selected subsequence and alpha, before any
+    script exists.  Pass 2 builds each step's scripts and checks them,
+    checks a selected step's scripts stopped at alpha, and keeps only
+    what the assembly reads of those.  The extraction takes forward
+    convex combinations (step s mixes positions s, s+1, ... only), so a
+    level's increments are built at the first step that weights it and
+    freed after the last; a level no step weights is built once, for
+    the checks of its extension, and dropped."""
     certs = tuple(certs)
     if not certs:
         raise ParameterError("need at least one certificate")
@@ -401,64 +442,64 @@ def continuous_stage(
 
     cw, rbar_limit = extract_convex(R[pos, :, -1].astype(float), tol=tol, prob=space.probs, window=window)
     log.extend(cw.log)
+    # the extensions' refusals of bad input come before any step's checks
+    _require_extendable(source, [c.rho for c in certs])
+    blocks = [(blk.weights, pos[blk.indices]) for blk in cw.blocks]
 
-    # the last step whose block holds one of each level's positions; a
-    # level no block holds is freed after the first step
-    last_step = np.zeros(n, dtype=np.int64)
-    for s, blk in enumerate(cw.blocks):
-        last_step[pos[blk.indices]] = s
-    inc = [_stopped_increments(c, source, C, R[i]) for i, c in enumerate(certs)]
-
-    steps = []
-    for s, blk in enumerate(cw.blocks):
-        steps.append(_mix_step(s, blk.weights, pos[blk.indices], certs, R, inc, source, eps))
-        for i in np.flatnonzero(last_step == s):
-            inc[i] = None
-    del R, inc
+    alpha_ks, p_ks, rbar_1s = zip(*(_exit_time(s, mu, idx, R, space, eps)
+                                    for s, (mu, idx) in enumerate(blocks)))
 
     # subsequence selection: exact probabilities against the limit
     selected = []
     k = 1
     for s in cw.converged_steps:
-        diff = np.abs(steps[s].rbar_terminal - rbar_limit)
+        diff = np.abs(rbar_1s[s] - rbar_limit)
         p_dev = float(space.probs[diff >= 1.0 / 15.0].sum())
         if p_dev <= eps * 2.0 ** (-k):
             selected.append(s)
             log.append(f"selected step {s} as k={k}: P[|Rbar_1 - limit| >= 1/15] = {p_dev:g}")
             k += 1
-    if len(selected) < 3:
+    # too short a selection raises only once pass 2 has checked every step
+    alpha = None
+    if len(selected) >= 3:
+        alpha = alpha_ks[selected[0]]
+        for s in selected[1:]:
+            alpha = alpha.min_with(alpha_ks[s])
+        p_alpha = alpha.prob_finite()
+        if p_alpha > 4.0 * eps + BOUND_TOL:
+            raise InvariantViolation(f"P[alpha < inf] = {p_alpha} above 4 eps")
+        log.append(f"alpha fixed from {len(selected)} selected steps; P[alpha<inf] = {p_alpha:g}")
+        stopped_source = stop_process(source, alpha)
+
+    # a level's increments live from the first step that weights it to the
+    # last; one that no step weights is built once, for its extension's checks
+    weighted = [[s for s, (mu, idx) in enumerate(blocks) if mu[idx == i].any()] for i in range(n)]
+    for i in range(n):
+        if not weighted[i]:
+            _stopped_increments(certs[i], source, C, R[i])
+    inc = [None] * n
+    steps, stopped_m, stopped_a = [], [], []
+    for s, (mu, idx) in enumerate(blocks):
+        for i in range(n):
+            if weighted[i] and weighted[i][0] == s:
+                inc[i] = _stopped_increments(certs[i], source, C, R[i])
+        sbar_sup, sbar_tv, m_script, a_script = _mix_step(s, mu, idx, R, inc, source, alpha_ks[s])
+        level = certs[idx[0]].level
+        steps.append(StageStep(level, alpha_ks[s], p_ks[s], rbar_1s[s], sbar_sup, sbar_tv))
+        if alpha is not None and s in selected:
+            m_terminal, a_st = _stopped_mix(s, level, m_script, a_script, alpha, stopped_source, C)
+            stopped_m.append(m_terminal)
+            stopped_a.append(a_st)
+        del m_script, a_script
+        for i in range(n):
+            if weighted[i] and weighted[i][-1] == s:
+                inc[i] = None
+    del R, inc
+    if alpha is None:
         raise ConvergenceError(
             f"only {len(selected)} steps met the subsequence criterion; need 3"
         )
-
-    alpha = steps[selected[0]].alpha_k
-    for s in selected[1:]:
-        alpha = alpha.min_with(steps[s].alpha_k)
-    p_alpha = alpha.prob_finite()
-    if p_alpha > 4.0 * eps + BOUND_TOL:
-        raise InvariantViolation(f"P[alpha < inf] = {p_alpha} above 4 eps")
-    log.append(f"alpha fixed from {len(selected)} selected steps; P[alpha<inf] = {p_alpha:g}")
-
-    # stopped-mix bounds on the selected steps
-    tv_cap = _tv_cap(C)
-    stopped_source = stop_process(source, alpha)
-    stopped_m = tuple(stop_process(steps[s].m_script, alpha) for s in selected)
-    stopped_a = tuple(stop_process(steps[s].a_script, alpha) for s in selected)
-    for s, m_st, a_st in zip(selected, stopped_m, stopped_a):
-        st = steps[s]
-        resid = float(np.abs(m_st.values + a_st.values - stopped_source.values).max())
-        if resid > IDENT_TOL:
-            raise InvariantViolation(f"stopped mix identity off by {resid} at step {s}")
-        m_sq = space.expectation(m_st.values[:, -1] ** 2)
-        if m_sq > 4.0 * C + BOUND_TOL:
-            raise InvariantViolation(f"E[script-M_1^2] = {m_sq} above 4C at step {s}")
-        coarse = a_st.restrict(np.arange(0, n_times, 1 << (space.grid.level - st.level)))
-        tv = float(np.abs(coarse.increments()).sum(axis=1).max())
-        if tv > tv_cap + BOUND_TOL:
-            raise InvariantViolation(
-                f"level-{st.level} variation {tv} above 6(C+2)+2C = {tv_cap} at step {s}"
-            )
-    log.append(f"selected-step bounds verified: E[M^2] <= {4 * C:g}, TV <= {tv_cap:g}")
+    log.append(f"selected-step bounds verified: E[M^2] <= {4 * C:g}, TV <= {_tv_cap(C):g}")
 
     return ContinuousStage(
         eps=eps,
@@ -469,18 +510,20 @@ def continuous_stage(
         alpha=alpha,
         p_alpha=p_alpha,
         stopped_source=stopped_source,
-        stopped_m=stopped_m,
-        stopped_a=stopped_a,
+        stopped_m=tuple(stopped_m),
+        stopped_a=tuple(stopped_a),
         log=tuple(log),
     )
 
 
 def _assembly_limits(stage: ContinuousStage, tol: float, window: int):
     """The assembly's extraction and its limits: the stopped mixed
-    terminals first, then one drift column per time.  Each sequence is
-    stacked when the extraction reads it, and dies with the read."""
+    terminals first, then one drift column per time.  The stage hands
+    over the terminals as vectors and each selected step's stopped A;
+    each sequence is stacked when the extraction reads it, and dies with
+    the read."""
     space = stage.stopped_source.space
-    seqs = [lambda: np.stack([m.values[:, -1] for m in stage.stopped_m])]
+    seqs = [lambda: np.stack(stage.stopped_m)]
     seqs += [lambda j=j: np.stack([a.values[:, j] for a in stage.stopped_a])
              for j in range(space.grid.n_times)]
     return extract_convex_multi(seqs, tol=tol, prob=space.probs, window=window)

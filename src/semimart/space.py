@@ -82,16 +82,32 @@ def _handed_over(a: np.ndarray) -> np.ndarray:
     return a
 
 
+MISMATCH_BLOCK = 1 << 16  # cells per block that `cell_mismatch` checks at once
+
+
 def cell_mismatch(labels: np.ndarray, x: np.ndarray, atol: float = 0.0) -> tuple[int, int] | None:
     """First (row, atom) where row r of x is not constant on the cells of labels[r], else None.
 
     Rows pair up (a 1-d pair is one row); each cell's first atom is its
     representative, and atol = 0 asks for equality (boolean or integer x).
+    Rows are checked in blocks of about MISMATCH_BLOCK cells, in row
+    order, up to the first bad block, so the temporaries are one block's.
     """
+    labels, x = np.atleast_2d(labels), np.atleast_2d(x)
+    rows = max(1, MISMATCH_BLOCK // labels.shape[1])
+    for r in range(0, labels.shape[0], rows):
+        bad = _block_mismatch(labels[r:r + rows], x[r:r + rows], atol)
+        if bad is not None:
+            return r + bad[0], bad[1]
+    return None
+
+
+def _block_mismatch(labels: np.ndarray, x: np.ndarray, atol: float) -> tuple[int, int] | None:
+    """`cell_mismatch` on one block of rows, all at once."""
     # walk atoms in reverse: where writes to rep repeat an id the last one
     # wins, and that is the first atom of the cell
-    labels = np.atleast_2d(labels)[:, ::-1]
-    x = np.ascontiguousarray(np.atleast_2d(x)[:, ::-1])
+    labels = labels[:, ::-1]
+    x = np.ascontiguousarray(x[:, ::-1])
     stride = int(labels.max()) + 1
     # one dense id per (row, cell) lets all rows share one representative lookup
     glob = labels + (np.arange(labels.shape[0]) * stride)[:, None]
@@ -368,6 +384,15 @@ def check_stopping_time(tau: StoppingTime) -> bool:
     return cell_mismatch(space.labels, events) is None
 
 
+def require_stopping_time(tau: StoppingTime, space: FilteredSpace) -> None:
+    """Refuse tau as `stop_process` does: a time on another space, or one
+    that is not a stopping time."""
+    if tau.space is not space:
+        raise StructuralError("stopping time and process live on different spaces")
+    if not check_stopping_time(tau):
+        raise PreconditionError("stop_process requires a genuine stopping time")
+
+
 def stop_process(S: AdaptedProcess, tau: StoppingTime) -> AdaptedProcess:
     """Freeze S at tau: values become S_{t ∧ tau} per atom.
 
@@ -375,10 +400,7 @@ def stop_process(S: AdaptedProcess, tau: StoppingTime) -> AdaptedProcess:
     or equals that time), the result is S itself, shared uncopied;
     processes are read-only, and tau is validated either way.
     """
-    if tau.space is not S.space:
-        raise StructuralError("stopping time and process live on different spaces")
-    if not check_stopping_time(tau):
-        raise PreconditionError("stop_process requires a genuine stopping time")
+    require_stopping_time(tau, S.space)
     # position of tau inside S's own column set; tau must be sampled by S
     finite = tau.index < tau.inf_index
     pos = np.searchsorted(S.time_index, np.minimum(tau.index, S.time_index[-1]))

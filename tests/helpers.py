@@ -3,14 +3,16 @@ the lemma-level checks (summation by parts, martingale orthogonality,
 conditional expectation at a time), the slow diagnostics path that
 the pipeline's one-integral-per-strategy path is compared against, the
 continuity probe along vanishing-position strategies, the line formatter
-that the writer's table gather is compared against, and the per-row
-sampler that the ensemble innovations are compared against."""
+that the writer's table gather is compared against, the per-row
+sampler that the ensemble innovations are compared against, and a spy
+that records the continuous stage's scripts."""
 
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
+import semimart.pipeline as pipeline
 from semimart.doob import BOUND_TOL, restrict_to_level
 from semimart.errors import InvariantViolation, ParameterError, PreconditionError, StructuralError
 from semimart.integrands import (
@@ -165,6 +167,22 @@ def per_position_mixes(source: AdaptedProcess, certs, cw) -> list:
             np.concatenate([zeros, np.cumsum(w * dN_a, axis=1)], axis=1),
         ))
     return out
+
+
+def recorded_scripts(monkeypatch) -> list:
+    """A spy on the continuous stage's per-step builder: the list it
+    returns gets each step's (script-M, script-A), in the order the
+    stage builds them.  The stage itself keeps neither."""
+    scripts = []
+    mix_step = pipeline._mix_step
+
+    def recorded(*args, **kwargs):
+        out = mix_step(*args, **kwargs)
+        scripts.append(out[2:])
+        return out
+
+    monkeypatch.setattr(pipeline, "_mix_step", recorded)
+    return scripts
 
 
 def quadratic_variation(S: AdaptedProcess, n: int) -> np.ndarray:

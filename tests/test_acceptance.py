@@ -50,6 +50,7 @@ from helpers import (
     continuity_probe,
     martingale_l2,
     quadratic_variation,
+    recorded_scripts,
     sum_by_parts_bound,
 )
 
@@ -126,7 +127,8 @@ class TestAcceptance:
                     assert abs(space.expectation(dS[:, j] ** 2) - split) <= TOL
         assert time.monotonic() - started < 5.0
 
-    def test_certified_bounds_recomputed(self):
+    def test_certified_bounds_recomputed(self, monkeypatch):
+        scripts = recorded_scripts(monkeypatch)
         for kind, scale in (("rademacher_bm", 1.0), ("drifted", 0.125)):
             src = generate(GeneratorSpec(kind=kind, level=3, scale=scale, seed=5))
             space, S = src.space, src.process
@@ -144,12 +146,14 @@ class TestAcceptance:
                 assert space.expectation(M_stop.values[:, -1] ** 2) <= cert.C + TOL
                 p_stop = float(space.probs[cert.rho.index < n_times].sum())
                 assert p_stop < eps
+            scripts.clear()
             cs = continuous_stage(S, stage.certificates)
             C = stage.certificates[0].C
-            for step in cs.steps:
-                m_energy = space.expectation(step.m_script.values[:, -1] ** 2)
+            assert len(scripts) == len(cs.steps)
+            for m_script, a_script in scripts:
+                m_energy = space.expectation(m_script.values[:, -1] ** 2)
                 assert m_energy <= 4.0 * C + TOL
-                a_tv = np.abs(step.a_script.increments()).sum(axis=1)
+                a_tv = np.abs(a_script.increments()).sum(axis=1)
                 assert a_tv.max() <= 6.0 * (C + 2.0) + 2.0 * C + TOL
             p_alpha = float(space.probs[cs.alpha.index < n_times].sum())
             assert abs(p_alpha - cs.p_alpha) <= TOL

@@ -7,10 +7,13 @@ numbers, so "constant within the tolerance" and "one distinct value"
 are the same question.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import semimart.pipeline as pipeline
+import semimart.space as space_module
 from semimart.doob import (
     StageCertificate,
     _ladder_search,
@@ -31,12 +34,13 @@ from semimart.space import (
     DyadicGrid,
     FilteredSpace,
     StoppingTime,
+    cell_mismatch,
     check_stopping_time,
     first_hitting_time,
     stop_process,
 )
 
-from helpers import per_position_mixes
+from helpers import per_position_mixes, recorded_scripts
 
 SEEDS = range(25)
 
@@ -94,6 +98,18 @@ def test_refinement_check(seed):
             FilteredSpace(space.grid, space.probs, labels)
 
 
+def first_mismatch(labels, x):
+    """The first (row, atom), rows then atoms, where x differs from its
+    value at the first atom of the atom's cell in labels[row]; one row at
+    a time, with the cells' first atoms from np.unique."""
+    for r, (lab, row) in enumerate(zip(labels, x)):
+        _, first, inverse = np.unique(lab, return_index=True, return_inverse=True)
+        bad = np.flatnonzero(row != row[first[inverse]])
+        if bad.size:
+            return r, int(bad[0])
+    return None
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 def test_is_adapted_and_first_mismatch(seed):
     rng = np.random.default_rng(seed)
@@ -109,8 +125,39 @@ def test_is_adapted_and_first_mismatch(seed):
                 break
         if expected:
             break
+    assert first_mismatch(space.labels, values.T) == expected
     assert S.nonadapted_at() == expected
     assert S.is_adapted() == all(constant_on(lab, values[:, c]) for c, lab in enumerate(space.labels))
+
+
+@pytest.mark.parametrize(
+    "faults, expected",
+    [((), None), (((0, 12345),), (0, 12345)), (((16, 54321),), (16, 54321)),
+     (((16, 4321), (3, 60000)), (3, 60000))],
+    ids=["none", "first-row", "last-row", "two-rows"],
+)
+@pytest.mark.parametrize("atol", [0.0, ATOL], ids=["exact", "atol"])
+def test_cell_mismatch_checks_a_large_array_in_blocks(faults, expected, atol):
+    """17 x 65,536, the L4 tree's (times, atoms): the first (row, atom) is
+    the reference's, and the traced peak stays under two blocks' worth,
+    a block's being the peak of the call on one block of rows."""
+    rng = np.random.default_rng(1)
+    labels = rng.integers(0, 64, (17, 1 << 16)).astype(np.int32)
+    x = cell_values(rng, labels).T.copy()
+    for row, atom in faults:  # past every cell's first atom, so each is a mismatch
+        x[row, atom] += 1.0
+    assert first_mismatch(labels, x) == expected
+    rows = max(1, space_module.MISMATCH_BLOCK // labels.shape[1])
+    peaks = []
+    for n_rows in (rows, labels.shape[0]):
+        tracemalloc.start()
+        try:
+            found = cell_mismatch(labels[:n_rows], x[:n_rows], atol)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert found == expected
+    assert peaks[1] < 2 * peaks[0]
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -252,7 +299,7 @@ def random_rho(rng, Sn, eps):
 
 def random_extraction(rng, n_levels):
     """A stand-in for the extraction over the padded positions: a random
-    convex block at every step, where the blocks from step n_levels - 1
+    convex block at every step, about a third of its weights zero, where the blocks from step n_levels - 1
     on touch only the finest level's copies, so those steps share the
     limit and the subsequence selection passes."""
     K = n_levels + PAD_COPIES
@@ -262,7 +309,12 @@ def random_extraction(rng, n_levels):
         for s in range(K - 1):
             start = s if s >= n_levels - 1 else int(rng.integers(s, K - 1))
             width = int(rng.integers(1, K - start + 1))
-            blocks.append(WeightBlock(start, rng.dirichlet(np.ones(width))))
+            mu = rng.dirichlet(np.ones(width))
+            # zero weights, which the stage skips and the reference adds
+            zero = rng.random(width) < 0.3
+            if not zero.all():
+                mu[zero] = 0.0
+            blocks.append(WeightBlock(start, mu / mu.sum()))
         cw = ConvexWeights(tuple(blocks), (0.0,) * (K - 1), n_levels - 1, tol, ())
         return cw, cw.combination(K - 2, vectors)
 
@@ -300,9 +352,10 @@ def test_level_mixes_match_the_per_position_reference(seed, monkeypatch):
         return made[-1]
 
     monkeypatch.setattr(pipeline, "extract_convex", recorded)
+    scripts = recorded_scripts(monkeypatch)
     cstage = continuous_stage(S, certs)
     expected = per_position_mixes(S, certs, made[0][0])
-    assert len(cstage.steps) == len(expected)
-    for step, (m_ref, a_ref) in zip(cstage.steps, expected):
-        assert np.array_equal(step.m_script.values.view(np.uint64), m_ref.view(np.uint64))
-        assert np.array_equal(step.a_script.values.view(np.uint64), a_ref.view(np.uint64))
+    assert len(cstage.steps) == len(scripts) == len(expected)
+    for (m_script, a_script), (m_ref, a_ref) in zip(scripts, expected):
+        assert np.array_equal(m_script.values.view(np.uint64), m_ref.view(np.uint64))
+        assert np.array_equal(a_script.values.view(np.uint64), a_ref.view(np.uint64))

@@ -12,7 +12,8 @@ import pytest
 import semimart.pipeline as pipeline
 import semimart.space as space_module
 from semimart.doob import DoobDecomposition, StageCertificate, discrete_stage, doob_decompose
-from semimart.errors import InvariantViolation, ParameterError, PreconditionError
+from semimart.komlos import ConvexWeights, WeightBlock
+from semimart.errors import ConvergenceError, InvariantViolation, ParameterError, PreconditionError
 from semimart.generators import GeneratorSpec, generate
 from semimart.integrands import (
     SimpleIntegrand,
@@ -39,7 +40,7 @@ from semimart.space import (
     StoppingTime,
     stop_process,
 )
-from helpers import binary_tree_space, residual_against
+from helpers import binary_tree_space, recorded_scripts, residual_against
 
 TOL = 1e-12
 CERT_TOL = 1e-10
@@ -177,17 +178,19 @@ class TestExtendMartingale:
 class TestContinuousStage:
     """Mixing stopped level decompositions."""
 
-    def test_never_stopped_walk_mixes_to_itself(self):
+    def test_never_stopped_walk_mixes_to_itself(self, monkeypatch):
         space, S = canonical_walk(2)
         stage = discrete_stage(S, (1, 2), 0.1)
+        scripts = recorded_scripts(monkeypatch)
         cstage = continuous_stage(S, stage.certificates)
         assert cstage.p_alpha == 0.0
         assert np.all(np.isinf(cstage.alpha.times))
         assert cstage.rbar_limit == pytest.approx(np.ones(space.n_atoms), abs=TOL)
+        assert len(scripts) == len(cstage.steps)
         for s in cstage.selected:
-            step = cstage.steps[s]
-            assert np.max(np.abs(step.m_script.values - S.values)) <= 1e-10
-            assert np.max(np.abs(step.a_script.values)) <= 1e-10
+            m_script, a_script = scripts[s]
+            assert np.max(np.abs(m_script.values - S.values)) <= 1e-10
+            assert np.max(np.abs(a_script.values)) <= 1e-10
 
     def test_disjoint_stop_blocks_obey_the_exit_bounds(self):
         # seven certificates stopping on disjoint 1/16 blocks at t = 1/2
@@ -266,19 +269,22 @@ class TestAssembleDecomposition:
         assert calls == []
         assert residual_against(cert, S) <= CERT_TOL
 
-    def test_a_never_stopping_alpha_shares_the_source_and_the_scripts(self):
+    def test_a_never_stopping_alpha_shares_the_source_and_the_scripts(self, monkeypatch):
         """p_stop = 0 at every level, so alpha stops no atom: the stopped
-        source and mixes are the source and the selected steps' own scripts."""
+        source is the source, each stopped A the selected step's own
+        script-A, and each stopped M terminal its script-M's last column."""
         S = generate(GeneratorSpec(kind="rademacher_bm", level=3)).process
         stage = discrete_stage(S, (1, 2, 3), 0.1)
         assert [c.p_stop for c in stage.certificates] == [0.0, 0.0, 0.0]
+        scripts = recorded_scripts(monkeypatch)
         cstage = continuous_stage(S, stage.certificates)
         assert cstage.p_alpha == 0.0
         assert cstage.stopped_source is S
         assert len(cstage.stopped_m) == len(cstage.stopped_a) == len(cstage.selected) >= 3
         for s, m_st, a_st in zip(cstage.selected, cstage.stopped_m, cstage.stopped_a):
-            assert m_st is cstage.steps[s].m_script
-            assert a_st is cstage.steps[s].a_script
+            m_script, a_script = scripts[s]
+            assert np.array_equal(m_st.view(np.uint64), m_script.values[:, -1].view(np.uint64))
+            assert a_st is a_script
 
     def test_pure_drift_assembles_to_drift_only(self):
         space, S = one_atom_path(np.linspace(0.0, 0.5, 9))
@@ -498,19 +504,19 @@ def test_no_decomposition_reaches_the_continuous_stage(monkeypatch):
     assert made and alive_at_entry == [0]
 
 
-def test_each_level_is_freed_after_its_last_mixing_step(monkeypatch):
-    """Step s mixes positions s, s+1, ... only, so a level's stopped
-    increments are garbage at every step after the last block that holds
-    one of its positions."""
-    increments = []  # per level, weakrefs to its (dM, dA) pair
+def record_level_lifetimes(monkeypatch) -> tuple[list, list, list]:
+    """Spies on the continuous stage: the builds of each level's stopped
+    increments (level, weakrefs to the pair), the extraction's blocks,
+    and, at the entry of each pass-2 step, the levels whose increments
+    are alive then."""
+    builds, blocks, alive = [], [], []
     stopped_increments = pipeline._stopped_increments
 
-    def recorded_increments(*args):
-        pair = stopped_increments(*args)
-        increments.append([weakref.ref(a) for a in pair])
+    def recorded_increments(cert, *args):
+        pair = stopped_increments(cert, *args)
+        builds.append((cert.level, [weakref.ref(a) for a in pair]))
         return pair
 
-    blocks = []
     extract = pipeline.extract_convex
 
     def recorded_extract(*args, **kwargs):
@@ -518,37 +524,127 @@ def test_each_level_is_freed_after_its_last_mixing_step(monkeypatch):
         blocks.extend(cw.blocks)
         return cw, limit
 
-    # the continuous stage checks each step's mixed exit time once
-    alive_after_last_step = []
-    check = pipeline.check_stopping_time
+    mix_step = pipeline._mix_step
 
-    def checked(tau):
-        step = len(alive_after_last_step)
-        n = len(increments)
-        last = [max(k for k, blk in enumerate(blocks) if i in np.minimum(blk.indices, n - 1))
-                for i in range(n)]
+    def checked(*args, **kwargs):
         gc.collect()
-        alive_after_last_step.append(
-            {i: sum(ref() is not None for ref in increments[i]) for i in range(n) if last[i] < step}
-        )
-        return check(tau)
+        alive.append({level for level, refs in builds if any(ref() is not None for ref in refs)})
+        return mix_step(*args, **kwargs)
 
     monkeypatch.setattr(pipeline, "_stopped_increments", recorded_increments)
     monkeypatch.setattr(pipeline, "extract_convex", recorded_extract)
-    monkeypatch.setattr(pipeline, "check_stopping_time", checked)
+    monkeypatch.setattr(pipeline, "_mix_step", checked)
+    return builds, blocks, alive
+
+
+def check_level_lifetimes(levels, builds, blocks, alive):
+    """Each level is built once and alive exactly from the first step that
+    gives it a nonzero weight to the last; a level no step weights is
+    dead at every step."""
+    pos = np.minimum(np.arange(len(levels) + pipeline.PAD_COPIES), len(levels) - 1)
+    assert sorted(level for level, _ in builds) == sorted(levels)
+    assert len(alive) == len(blocks)
+    for i, level in enumerate(levels):
+        weighted = [s for s, blk in enumerate(blocks) if blk.weights[pos[blk.indices] == i].any()]
+        lifetime = range(weighted[0], weighted[-1] + 1) if weighted else range(0)
+        assert [s for s, levels_alive in enumerate(alive) if level in levels_alive] == list(lifetime)
+    gc.collect()
+    assert all(ref() is None for _, refs in builds for ref in refs)
+
+
+def test_each_level_is_freed_after_its_last_mixing_step(monkeypatch):
+    """Step s mixes positions s, s+1, ... only, so a level's stopped
+    increments are needed from the first step that weights one of its
+    positions to the last; they are built once and alive exactly then."""
+    builds, blocks, alive = record_level_lifetimes(monkeypatch)
     verdict = detect(generate(GeneratorSpec(kind="rademacher_bm", level=3)))
     assert verdict.kind == "certificate"
-    assert len(alive_after_last_step) == len(blocks)
-    # the levels before the finest have their last step before the last step
-    assert set(alive_after_last_step[-1]) == set(range(len(increments) - 1))
-    assert all(count == 0 for step in alive_after_last_step for count in step.values())
+    check_level_lifetimes((1, 2, 3), builds, blocks, alive)
+    # the levels before the finest are dead at the last step
+    assert alive[-1] == {3}
+
+
+def test_a_level_no_step_weights_is_built_once_and_dropped(monkeypatch):
+    """Weights chosen so that level 1 gets none, level 2 only steps 0
+    and 1, and level 3 steps 0, 2, 3 and 4, so it stays alive through
+    step 1, which does not weight it."""
+    S = generate(GeneratorSpec(kind="rademacher_bm", level=3)).process
+    stage = discrete_stage(S, (1, 2, 3), 0.1)
+    weights = [(0, [0.0, 0.5, 0.5]), (1, [1.0, 0.0]), (2, [1.0]), (3, [1.0]), (4, [1.0, 0.0])]
+    cw = ConvexWeights(tuple(WeightBlock(s, w) for s, w in weights), (0.0,) * 5, 0, 1e-8, ())
+
+    def extract(vectors, **_):
+        return cw, cw.combination(cw.n_steps - 1, vectors)
+
+    monkeypatch.setattr(pipeline, "extract_convex", extract)
+    builds, blocks, alive = record_level_lifetimes(monkeypatch)
+    cstage = continuous_stage(S, stage.certificates)
+    assert len(cstage.steps) == 5 and len(cstage.selected) >= 3
+    check_level_lifetimes((1, 2, 3), builds, blocks, alive)
+    assert alive == [{2, 3}, {2, 3}, {3}, {3}, {3}]
+
+
+def test_a_step_violation_comes_before_a_short_selection(monkeypatch):
+    """Pass 1 fixes the selection, but a selection of fewer than 3 steps
+    raises only after pass 2 has checked every step."""
+    S = generate(GeneratorSpec(kind="rademacher_bm", level=3)).process
+    stage = discrete_stage(S, (1, 2, 3), 0.1)
+    extract = pipeline.extract_convex
+
+    def short_tail(*args, **kwargs):
+        cw, limit = extract(*args, **kwargs)
+        return replace(cw, converged_from=cw.n_steps - 2), limit
+
+    monkeypatch.setattr(pipeline, "extract_convex", short_tail)
+    with pytest.raises(ConvergenceError, match="only 2 steps"):
+        continuous_stage(S, stage.certificates)
+    monkeypatch.setattr(pipeline, "IDENT_TOL", -1.0)
+    with pytest.raises(InvariantViolation, match="mix identity off by .* at step 0"):
+        continuous_stage(S, stage.certificates)
+
+
+def test_a_level_rho_that_is_no_stopping_time_is_refused_before_the_steps():
+    """The extension refuses such a rho; the refusal comes before pass 1,
+    whose exit times it would make fail as stopping times."""
+    S = generate(GeneratorSpec(kind="rademacher_bm", level=3)).process
+    certs = list(discrete_stage(S, (1, 2, 3), 0.1).certificates)
+    index = np.full(S.space.n_atoms, S.space.grid.n_times)
+    index[0] = 1  # atom 0 stops alone inside its time-1/8 cell
+    certs[1] = replace(certs[1], rho=StoppingTime(S.space, index))
+    with pytest.raises(PreconditionError, match="genuine stopping time"):
+        continuous_stage(S, certs)
+
+
+def test_mixed_skips_zero_weights_bit_for_bit():
+    """Zero weights first, in the middle and last of a block, over
+    increments that hold +0.0, -0.0, both signs and products that
+    underflow to a signed zero: the mix equals the accumulation of every
+    term bit for bit, without the levels that only zero weights name."""
+    rng = np.random.default_rng(23)
+    values = np.array([0.0, -0.0, 1.5, -1.5, 2.25, -3.0, 5e-324, -5e-324])
+    inc = [(rng.choice(values, (32, 8)), rng.choice(values, (32, 8))) for _ in range(4)]
+    mu = np.array([0.0, 0.25, 0.0, 0.5, 0.0, 0.25, 0.0])
+    idx = np.array([0, 1, 2, 1, 3, 3, 3])
+    built = [None, inc[1], None, inc[3]]  # levels 0 and 2 get only zero weights
+    for part in (0, 1):
+        full = np.zeros((32, 8))
+        for j, i in enumerate(idx):
+            full += mu[j] * inc[i][part]
+        assert np.array_equal(pipeline._mixed(built, part, mu, idx).view(np.uint64),
+                              full.view(np.uint64))
 
 
 # Traced peak of an L4 tree `detect`, counted in (atoms x times) float64
-# arrays: 22.4 measured with numpy 2.4 (35.6 when every certified level
-# stayed alive through the continuous stage), plus a margin for other
-# numpy versions' temporaries.
-L4_TRACED_PEAK_ARRAYS = 26.0
+# arrays: 14.2 measured with numpy 2.4, set in the continuous stage's last
+# step, plus a margin of 3.6 for other numpy versions' temporaries.  It
+# was 22.4 while the stage kept every step's scripts and every level
+# until late, and 35.6 when every certified level stayed alive through
+# the continuous stage.
+L4_TRACED_PEAK_ARRAYS = 17.8
+# Traced peak of the same run inside `assemble_decomposition`: 12.3
+# measured with numpy 2.4, 20.6 while the stage handed over every step's
+# scripts.  The stopped A's it reads, one array per selected step, are 6.
+L4_ASSEMBLY_TRACED_PEAK_ARRAYS = 13.0
 
 
 def test_certificate_path_traced_peak_stays_bounded():
@@ -564,6 +660,31 @@ def test_certificate_path_traced_peak_stays_bounded():
     assert verdict.kind == "certificate"
     arrays = peak / (space.n_atoms * space.grid.n_times * 8)
     assert arrays < L4_TRACED_PEAK_ARRAYS
+
+
+def test_assembly_traced_peak_stays_bounded(monkeypatch):
+    source = generate(GeneratorSpec(kind="rademacher_bm", level=4))
+    space = source.space
+    source.process  # the input is built before tracing starts
+    peaks = []
+    assemble = pipeline.assemble_decomposition
+
+    def traced(*args, **kwargs):
+        tracemalloc.reset_peak()
+        try:
+            return assemble(*args, **kwargs)
+        finally:
+            peaks.append(tracemalloc.get_traced_memory()[1])
+
+    monkeypatch.setattr(pipeline, "assemble_decomposition", traced)
+    tracemalloc.start()
+    try:
+        verdict = detect(source)
+    finally:
+        tracemalloc.stop()
+    assert verdict.kind == "certificate"
+    arrays = peaks[0] / (space.n_atoms * space.grid.n_times * 8)
+    assert arrays <= L4_ASSEMBLY_TRACED_PEAK_ARRAYS
 
 
 # Traced peak of an ensemble `detect` on the input of test_doob's stage
