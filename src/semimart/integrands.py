@@ -116,11 +116,6 @@ class SimpleIntegrand:
         )
         return cls(space, mesh, weights)
 
-    @classmethod
-    def constant(cls, space: FilteredSpace, value: float) -> "SimpleIntegrand":
-        w = np.full((space.n_atoms, 1), float(value))
-        return cls.from_grid_mesh(space, [0, space.grid.n_steps], w)
-
     def truncate(self, tau: StoppingTime) -> "SimpleIntegrand":
         """The strategy H 1_[0, tau]: stop trading once tau occurs.
 

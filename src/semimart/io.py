@@ -19,9 +19,11 @@ every row the first takes.
 Both share the blocks out through one helper, `_forked`: this process
 takes the first contiguous share of them, and when the values are mostly
 distinct a forked child takes each further one, one per CPU, and sends
-back one message.  The shares are taken in file order, so the file's
-bytes, the arrays read and the first fault's message do not depend on
-the CPU count.
+back one message through a pipe: the writer's child its share's file
+text, the reader's child the bytes of the rows it parsed and their p
+entries.  The shares are taken in file order, so the file's bytes, the
+arrays read and the first fault's message do not depend on the CPU
+count.
 """
 
 import errno
@@ -400,19 +402,17 @@ def _parse_blocks(raw: bytes, at: int, spans, codes: dict, out) -> None:
     The first block is parsed here.  When its values are mostly distinct
     (`_repeats`), the later blocks are shared out to forked children, one
     per CPU (`_forked`); otherwise they make one share, parsed here.  Each
-    share is parsed with `codes` as the process that parses it knows it,
-    and its message is the [numerator, k] entries known then and each
-    row's position among them.  This process parses straight into `out`;
-    a child parses into a shared anonymous mapping, from which its rows
-    are copied here.  The messages are merged in file order, so `codes`
-    and the arrays are those of a one-process read."""
-    # not imported at module level, for the same reason as in `_forked`
-    import mmap
-
+    share is parsed into `out` with `codes` as the process that parses it
+    knows it.  Its message is the bytes of its values rows, then of its
+    xi rows, then the pickled [numerator, k] entries known then and each
+    row's position among them.  The messages are merged in file order, a
+    child's rows copied into `out` as they arrive, so `codes` and the
+    arrays are those of a one-process read."""
     xi_len, n_values = out[1].shape[1], out[2].shape[1]
-    parent = os.getpid()
-    # a row per atom, of which only the rows that children parse are touched
-    mapped = mmap.mmap(-1, out[0].size * (out[1][0].nbytes + out[2][0].nbytes))
+
+    def rows(lo, hi):
+        """The bytes of values rows lo..hi-1, then of xi rows lo..hi-1, as views."""
+        return [a[lo:hi].reshape(-1).view(np.uint8) for a in (out[2], out[1])]
 
     def parse(share):
         lo, hi = share[0][0], share[-1][1]
@@ -422,42 +422,37 @@ def _parse_blocks(raw: bytes, at: int, spans, codes: dict, out) -> None:
         lines_in = io.BytesIO(raw)  # shares raw's buffer
         lines_in.seek(start)
         positions = np.empty(hi - lo, dtype=np.intp)
-        child = os.getpid() != parent
-        rows = _mapped_rows(mapped, out) if child else out[1:]
         for a, b in share:
             # rows a..b-1, each ended by "\n" unless it ends the file
             block = b"".join(itertools.islice(lines_in, b - a))
             parsed = _parse_block(block, b - a, xi_len, n_values, codes) or _checked_rows(
                 block.decode().splitlines(), a, xi_len, n_values, codes)
-            for arr, part in zip([positions[a - lo:], *[r[a:] for r in rows]], parsed):
+            for arr, part in zip([positions[a - lo:], out[1][a:], out[2][a:]], parsed):
                 arr[:b - a] = part
-        yield pickle.dumps((list(codes), positions, child))
+        yield from map(memoryview, rows(lo, hi))
+        yield pickle.dumps((list(codes), positions))
 
     def merge(share, pieces):
-        entries, positions, child = pickle.loads(b"".join(pieces))
         lo, hi = share[0][0], share[-1][1]
+        rest = b""
+        # a share parsed here is copied onto itself
+        for dest in rows(lo, hi):
+            done = 0
+            while done < dest.size:
+                rest = rest or memoryview(next(pieces))
+                k = min(len(rest), dest.size - done)
+                dest[done:done + k] = rest[:k]
+                done += k
+                # an empty slice would still hold its whole piece
+                rest = rest[k:] if k < len(rest) else b""
+        entries, positions = pickle.loads(b"".join([rest, *pieces]))
         known = np.array([codes.setdefault(e, len(codes)) for e in entries], dtype=np.intp)
         out[0][lo:hi] = known[positions]
-        if child:
-            # one statement, so that no array over the mapping outlives it
-            out[1][lo:hi], out[2][lo:hi] = [a[lo:hi] for a in _mapped_rows(mapped, out)]
 
-    try:
-        merge(spans[:1], parse(spans[:1]))
-        workers = 1 if _repeats(out[2][:spans[0][1]]) else _cpus(len(spans) - 1)
-        for share, pieces in _forked(parse, spans[1:], workers):
-            merge(share, pieces)
-    finally:
-        mapped.close()
-
-
-def _mapped_rows(mapped, out) -> list:
-    """Arrays over `mapped` shaped as the xi and values of `out`: the
-    values first, then the innovations."""
-    split = out[2].nbytes
-    cells = np.frombuffer(mapped, np.uint8)
-    return [cells[split:].view(out[1].dtype).reshape(out[1].shape),
-            cells[:split].view(out[2].dtype).reshape(out[2].shape)]
+    merge(spans[:1], parse(spans[:1]))
+    workers = 1 if _repeats(out[2][:spans[0][1]]) else _cpus(len(spans) - 1)
+    for share, pieces in _forked(parse, spans[1:], workers):
+        merge(share, pieces)
 
 
 def _sums_to_one(entries, counts) -> bool:

@@ -384,7 +384,8 @@ def _stopped_mix(s: int, level: int, m_script: AdaptedProcess, a_script: Adapted
     m_sq = space.expectation(m_st.values[:, -1] ** 2)
     if m_sq > 4.0 * C + BOUND_TOL:
         raise InvariantViolation(f"E[script-M_1^2] = {m_sq} above 4C at step {s}")
-    dA = a_st.restrict(np.arange(0, space.grid.n_times, 1 << (space.grid.level - level))).increments()
+    # a strided view of the level-grid times, not a gathered copy
+    dA = np.diff(a_st.values[:, ::1 << (space.grid.level - level)], axis=1)
     tv = float(np.abs(dA, out=dA).sum(axis=1).max())
     if tv > _tv_cap(C) + BOUND_TOL:
         raise InvariantViolation(

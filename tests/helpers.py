@@ -2,10 +2,11 @@
 the lemma-level checks (summation by parts, martingale orthogonality,
 conditional expectation at a time), the slow diagnostics path that
 the pipeline's one-integral-per-strategy path is compared against, the
-continuity probe along vanishing-position strategies, the line formatter
-that the writer's table gather is compared against, the per-row
-sampler that the ensemble innovations are compared against, and a spy
-that records the continuous stage's scripts."""
+constant strategy, the continuity probe along vanishing-position
+strategies, the line formatter that the writer's table gather is
+compared against, the per-row sampler that the ensemble innovations are
+compared against, and a spy that records the continuous stage's
+scripts."""
 
 import warnings
 from dataclasses import dataclass
@@ -117,6 +118,12 @@ def build_binary_tree(level: int, innovation_map):
                 cache[prefix] = float(innovation_map(prefix))
             values[a, j] = cache[prefix]
     return space, AdaptedProcess(space, values)
+
+
+def constant_integrand(space: FilteredSpace, value: float) -> SimpleIntegrand:
+    """The strategy that holds `value` over all of [0, 1]."""
+    w = np.full((space.n_atoms, 1), float(value))
+    return SimpleIntegrand.from_grid_mesh(space, [0, space.grid.n_steps], w)
 
 
 def combine(H: SimpleIntegrand, a: float, other: SimpleIntegrand, b: float) -> SimpleIntegrand:

@@ -47,6 +47,7 @@ from helpers import (
     GridFunction,
     StepFunction,
     conditional_expectation,
+    constant_integrand,
     continuity_probe,
     martingale_l2,
     quadratic_variation,
@@ -328,7 +329,7 @@ class TestAcceptance:
             src = generate(GeneratorSpec(kind=kind, level=2, seed=9))
             space, S = src.space, src.process
             seq = StrategySequence(
-                tuple(SimpleIntegrand.constant(space, 1.0 / k) for k in range(1, 61))
+                tuple(constant_integrand(space, 1.0 / k) for k in range(1, 61))
             )
             stats = continuity_probe(S, seq, delta)
             assert all(a >= b for a, b in zip(stats, stats[1:]))

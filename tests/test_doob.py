@@ -29,7 +29,7 @@ from semimart.space import (
     FilteredSpace,
     StoppingTime,
 )
-from helpers import binary_tree_space, martingale_l2, quadratic_variation
+from helpers import binary_tree_space, constant_integrand, martingale_l2, quadratic_variation
 from test_integral_process import assert_same_integrand
 
 TOL = 1e-12
@@ -410,26 +410,20 @@ class TestDoobMaximalStop:
     def test_zero_strategy_never_stops(self):
         space, S = canonical_walk(1)
         D = doob_decompose(S, 1)
-        from semimart.integrands import SimpleIntegrand
-
-        h = SimpleIntegrand.constant(space, 0.0)
+        h = constant_integrand(space, 0.0)
         assert doob_maximal_stop(D, h, 0.4).prob_finite() == 0.0
 
     def test_unit_strategy_stops_at_first_move(self):
         space, S = canonical_walk(1)
         D = doob_decompose(S, 1)
-        from semimart.integrands import SimpleIntegrand
-
-        h = SimpleIntegrand.constant(space, 1.0)
+        h = constant_integrand(space, 1.0)
         tau = doob_maximal_stop(D, h, 0.4)
         assert np.all(tau.times == 0.5)
 
     def test_large_budget_never_hit(self):
         space, S = canonical_walk(1)
         D = doob_decompose(S, 1)
-        from semimart.integrands import SimpleIntegrand
-
-        h = SimpleIntegrand.constant(space, 1.0)
+        h = constant_integrand(space, 1.0)
         assert doob_maximal_stop(D, h, 2.0).prob_finite() == 0.0
 
 

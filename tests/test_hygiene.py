@@ -263,8 +263,8 @@ def test_importing_the_package_and_cli_leaves_out_multiprocessing():
 
 def test_forked_ensemble_io_leaves_out_multiprocessing(tmp_path):
     """At 2 CPUs a distinct-valued ensemble of several blocks is written
-    and read with one forked child each, and no multiprocessing module
-    is loaded."""
+    and read with one forked child each, and no multiprocessing or mmap
+    module is loaded."""
     code = (
         "import os, sys\n"
         "os.sched_getaffinity = lambda pid: {0, 1}\n"
@@ -278,7 +278,7 @@ def test_forked_ensemble_io_leaves_out_multiprocessing(tmp_path):
         "path = sys.argv[1]\n"
         "sio.write_ensemble(path, spec, src.probs, src.xi, src.values)\n"
         "assert sio.read_ensemble(path).values.tobytes() == src.values.tobytes()\n"
-        "print(len(forks), sorted(m for m in sys.modules if m.startswith('multiprocessing')))"
+        "print(len(forks), sorted(m for m in sys.modules if m.startswith(('multiprocessing', 'mmap'))))"
     )
     out = subprocess.run([sys.executable, "-c", code, str(tmp_path / "ensemble.jsonl")], capture_output=True,
                          text=True, check=True, env=dict(os.environ, PYTHONPATH=str(PACKAGE.parent)), timeout=120)

@@ -21,7 +21,7 @@ from semimart.integrands import (
 )
 from semimart.pipeline import DetectConfig, detect
 from semimart.space import AdaptedProcess, StoppingTime, first_hitting_time
-from helpers import binary_tree_space, evaluate
+from helpers import binary_tree_space, constant_integrand, evaluate
 from test_measurability import SEEDS, cell_values, random_space
 
 
@@ -124,7 +124,7 @@ def test_a_never_losing_strategy_has_drawdown_plus_zero(position):
     """On a rising line no position loses; the drawdown is +0.0, as
     np.maximum(-v, 0.0).max() gives, never -0.0."""
     S = generate(GeneratorSpec(kind="deterministic_drift", level=3)).process
-    H = SimpleIntegrand.constant(S.space, position)
+    H = constant_integrand(S.space, position)
     _, drawdown = terminal_and_drawdown(H, S)
     assert drawdown == 0.0 and not np.signbit(drawdown)
     assert not np.signbit(np.maximum(-integral_process(H, S).values, 0.0).max())
@@ -262,7 +262,7 @@ def test_truncate_rejects_non_stopping_time():
     space = binary_tree_space(1)
     tau = StoppingTime(space, np.where(space.innovations[:, 1] > 0, 1, space.grid.n_times))
     with pytest.raises(PreconditionError, match="not a stopping time"):
-        SimpleIntegrand.constant(space, 1.0).truncate(tau)
+        constant_integrand(space, 1.0).truncate(tau)
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")

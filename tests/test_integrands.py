@@ -25,6 +25,7 @@ from helpers import (
     StepFunction,
     binary_tree_space,
     combine,
+    constant_integrand,
     continuity_probe,
     evaluate,
     fl_statistic,
@@ -56,7 +57,7 @@ class TestIntegrate:
 
     def test_unit_position_gives_net_move(self):
         space, S = canonical_walk(1)
-        H = SimpleIntegrand.constant(space, 1.0)
+        H = constant_integrand(space, 1.0)
         got = integrate(H, S)
         assert got == pytest.approx(S.at(1.0) - S.at(0.0), abs=TOL)
 
@@ -72,7 +73,7 @@ class TestIntegrate:
 
     def test_zero_position_pays_nothing(self):
         space, S = canonical_walk(2)
-        H = SimpleIntegrand.constant(space, 0.0)
+        H = constant_integrand(space, 0.0)
         assert np.max(np.abs(integrate(H, S))) == 0.0
 
     def test_running_integral_is_adapted(self):
@@ -133,18 +134,18 @@ class TestRiskAndSizeMetrics:
 
     def test_unit_position_drawdown_on_walk(self):
         space, S = canonical_walk(1)
-        H = SimpleIntegrand.constant(space, 1.0)
+        H = constant_integrand(space, 1.0)
         assert vr_metric(H, S) == pytest.approx(1.0, abs=TOL)
 
     def test_drawdown_zero_when_integral_never_negative(self):
         space, S = one_atom_line(2)
-        H = SimpleIntegrand.constant(space, 1.0)
+        H = constant_integrand(space, 1.0)
         assert vr_metric(H, S) == 0.0
 
     def test_position_size_of_constant(self):
         space, _ = canonical_walk(1)
-        assert li_metric(SimpleIntegrand.constant(space, 1.0)) == pytest.approx(1.0)
-        assert li_metric(SimpleIntegrand.constant(space, 0.0)) == 0.0
+        assert li_metric(constant_integrand(space, 1.0)) == pytest.approx(1.0)
+        assert li_metric(constant_integrand(space, 0.0)) == 0.0
 
     def test_position_size_takes_largest_weight(self):
         space, _ = canonical_walk(1)
@@ -158,29 +159,29 @@ class TestWinProbability:
 
     def test_zero_strategies_never_win(self):
         space, S = canonical_walk(1)
-        seq = StrategySequence([SimpleIntegrand.constant(space, 0.0)] * 3)
+        seq = StrategySequence([constant_integrand(space, 0.0)] * 3)
         assert fl_statistic(seq, S, 0.3) == pytest.approx([0.0, 0.0, 0.0])
 
     def test_unit_position_on_walk(self):
         space, S = canonical_walk(1)
-        seq = StrategySequence([SimpleIntegrand.constant(space, 1.0)])
+        seq = StrategySequence([constant_integrand(space, 1.0)])
         assert fl_statistic(seq, S, 0.25) == pytest.approx([0.25])
 
     def test_deterministic_line_always_wins(self):
         space, S = one_atom_line(2)
-        seq = StrategySequence([SimpleIntegrand.constant(space, 1.0)])
+        seq = StrategySequence([constant_integrand(space, 1.0)])
         assert fl_statistic(seq, S, 0.5) == pytest.approx([1.0])
 
     def test_threshold_must_be_positive(self):
         space, S = canonical_walk(1)
-        seq = StrategySequence([SimpleIntegrand.constant(space, 1.0)])
+        seq = StrategySequence([constant_integrand(space, 1.0)])
         with pytest.raises(ParameterError):
             fl_statistic(seq, S, 0.0)
 
     def test_evaluate_fills_all_diagnostics(self):
         space, S = canonical_walk(1)
         seq = evaluate(StrategySequence(
-            [SimpleIntegrand.constant(space, 1.0 / k) for k in (1, 2)]
+            [constant_integrand(space, 1.0 / k) for k in (1, 2)]
         ), S, 0.25)
         assert seq.li == pytest.approx([1.0, 0.5])
         assert seq.vr == pytest.approx([1.0, 0.5])
@@ -203,13 +204,13 @@ class TestContinuityProbe:
 
     def test_warns_when_positions_do_not_vanish(self):
         space, S = canonical_walk(1)
-        seq = StrategySequence([SimpleIntegrand.constant(space, 1.0)] * 4)
+        seq = StrategySequence([constant_integrand(space, 1.0)] * 4)
         with pytest.warns(UserWarning):
             continuity_probe(S, seq, 0.2)
 
     def test_delta_must_be_positive(self):
         space, S = canonical_walk(1)
-        seq = StrategySequence([SimpleIntegrand.constant(space, 0.5)])
+        seq = StrategySequence([constant_integrand(space, 0.5)])
         with pytest.raises(ParameterError):
             continuity_probe(S, seq, -0.1)
 

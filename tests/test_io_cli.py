@@ -1149,7 +1149,11 @@ class TestSplitReader:
     def small_blocks(self, monkeypatch):
         monkeypatch.setattr(sio, "BLOCK_CELLS", 33 * 7)
 
-    def test_distinct_values_read_the_same(self, tmp_path, monkeypatch):
+    # a child's message holds its values rows, its xi rows, then its p
+    # entries; small pieces straddle the boundaries between them
+    @pytest.mark.parametrize("piece", [1, 7, sio.PIECE])
+    def test_distinct_values_read_the_same(self, tmp_path, monkeypatch, piece):
+        monkeypatch.setattr(sio, "PIECE", piece)
         path = self.write(tmp_path)
         reference = self.assert_same_at_any_cpus(monkeypatch, path)
         src = generate(self.SPEC)

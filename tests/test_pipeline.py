@@ -40,7 +40,7 @@ from semimart.space import (
     StoppingTime,
     stop_process,
 )
-from helpers import binary_tree_space, recorded_scripts, residual_against
+from helpers import binary_tree_space, constant_integrand, recorded_scripts, residual_against
 
 TOL = 1e-12
 CERT_TOL = 1e-10
@@ -806,7 +806,7 @@ def test_stage_table_is_built_once_per_detect(monkeypatch, spec, kind):
 )
 def test_evidence_names_the_rule_it_breaks(li, vr, fl, message):
     space, _ = canonical_walk(1)
-    H = SimpleIntegrand.constant(space, 1.0)
+    H = constant_integrand(space, 1.0)
     seq = StrategySequence((H, H), li=li, vr=vr, fl=fl)
     with pytest.raises(InvariantViolation, match="^" + re.escape(message) + "$"):
         FreeLunchEvidence(seq, alpha_star=0.25, levels=(1,))
