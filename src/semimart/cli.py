@@ -25,6 +25,7 @@ from .io import (
     check_output,
     fmt17,
     first_mismatch,
+    json_field,
     read_ensemble,
     read_report,
     report_body,
@@ -123,26 +124,17 @@ def cmd_detect(args) -> int:
 
 
 def _config_from_body(body: dict) -> DetectConfig:
+    where = "report.body.config"
+    cfg = json_field(body, "report.body", "config", dict)
+    levels = json_field(cfg, where, "levels", list)
+    eps, tol, ladder_max = (json_field(cfg, where, key, str) for key in ("eps", "tol", "ladder_max"))
+    window = json_field(cfg, where, "window", int)
     try:
-        cfg = body["config"]
-        levels = _typed("levels", cfg["levels"], list)
-        return DetectConfig(
-            eps=float(_typed("eps", cfg["eps"], str)),
-            tol=float(_typed("tol", cfg["tol"], str)),
-            levels=None if levels is None else tuple(_typed("levels", n, int) for n in levels),
-            ladder_max=float(_typed("ladder_max", cfg["ladder_max"], str)),
-            window=_typed("window", cfg["window"], int),
-        )
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ParameterError(f"report.body.config: {exc}") from exc
-
-
-def _typed(key: str, x, kind: type):
-    if kind is int:
-        int(x)  # first, so that an infinity keeps int()'s message
-    if not (type(x) is kind or (kind is list and x is None)):
-        raise TypeError(f"{key}: expected {kind.__name__}, got {x!r}")
-    return x
+        return DetectConfig(eps=float(eps), tol=float(tol),
+                            levels=None if levels is None else tuple(levels),
+                            ladder_max=float(ladder_max), window=window)
+    except ValueError as exc:
+        raise ParameterError(f"{where}: {exc}") from exc
 
 
 def cmd_verify(args) -> int:
@@ -151,13 +143,11 @@ def cmd_verify(args) -> int:
     source_path = args.source or os.path.join(
         os.path.dirname(os.path.abspath(args.report)), doc["source_name"]
     )
-    # a malformed config is refused before the source is read
+    # a malformed config or source digest is refused before the source is read
     config = _config_from_body(body)
+    source = json_field(body, "report.body", "source", dict)
+    stored_sha = json_field(source, "report.body.source", "sha256", str)
     data = read_ensemble(source_path)
-    try:
-        stored_sha = body["source"]["sha256"]
-    except (KeyError, TypeError) as exc:
-        raise ParameterError(f"report.body.source: {exc}") from exc
     if stored_sha != data.sha256:
         print("verification failed: mismatch at body.source.sha256")
         return EXIT_INVARIANT

@@ -24,6 +24,7 @@ from .space import (
     StoppingTime,
     cell_mismatch,
     first_hitting_time,
+    running_sum,
     stop_process,
 )
 
@@ -150,10 +151,7 @@ def doob_decompose(S: AdaptedProcess, n: int, dA: np.ndarray | None = None) -> D
         dA = conditional_increments(Sn)
     elif dA.shape != (space.n_atoms, Sn.n_times - 1):
         raise ParameterError("A-increments must have one column per level-n step")
-    # A is the running sum of dA from 0, accumulated in place
-    A_vals = np.empty((space.n_atoms, Sn.n_times))
-    A_vals[:, 0] = 0.0
-    np.cumsum(dA, axis=1, out=A_vals[:, 1:])
+    A_vals = running_sum(dA)
     M_vals = Sn.values - A_vals
     # M + A = S_n up to rounding, checked in blocks of atoms so that the
     # temporary stays small; a max is exact, so blocks change no bit
@@ -162,8 +160,7 @@ def doob_decompose(S: AdaptedProcess, n: int, dA: np.ndarray | None = None) -> D
                   for lo in range(0, space.n_atoms, step)])
     if err > IDENT_TOL:
         raise InvariantViolation(f"M + A differs from S by {err}")
-    # the fresh parts are handed over read-only, so AdaptedProcess keeps them uncopied
-    A_vals.setflags(write=False)
+    # the fresh M is handed over read-only, as A is, so AdaptedProcess keeps it uncopied
     M_vals.setflags(write=False)
     # |dA| and dS are never alive together, and both are freed before the
     # record's checks, which peak on a tree
@@ -180,6 +177,15 @@ def doob_decompose(S: AdaptedProcess, n: int, dA: np.ndarray | None = None) -> D
     return DoobDecomposition(n, M, A, qv, tv, m_l2, analytic=analytic)
 
 
+def require_unit_band(S: AdaptedProcess, caller: str, start: bool = True) -> None:
+    """Refuse S off the unit band that `caller` assumes: ||S||_inf > 1, or,
+    unless ``start`` is False, S_0 != 0."""
+    if start and np.abs(S.values[:, 0]).max() > BOUND_TOL:
+        raise PreconditionError(f"{caller} requires S_0 = 0; shift the process first")
+    if S.sup_norm() > 1.0 + BOUND_TOL:
+        raise PreconditionError(f"{caller} requires ||S||_inf <= 1 (got {S.sup_norm()}); normalize first")
+
+
 def qv_strategy(S: AdaptedProcess, n: int) -> SimpleIntegrand:
     """The strategy holding -S_{(j-1)/2^n} on each level-n step.
 
@@ -187,14 +193,19 @@ def qv_strategy(S: AdaptedProcess, n: int) -> SimpleIntegrand:
     deterministic correction (S_0^2 - S_1^2)/2, and the running integral
     never drops below -1/2; both need ||S||_inf <= 1.
     """
-    if S.sup_norm() > 1.0 + BOUND_TOL:
-        raise PreconditionError(
-            f"qv_strategy requires ||S||_inf <= 1 (got {S.sup_norm()}); scale the process first"
-        )
+    require_unit_band(S, "qv_strategy", start=False)
     Sn = restrict_to_level(S, n)
     idx = _level_indices(S.space, n)
     weights = -Sn.values[:, :-1]
     return SimpleIntegrand.from_grid_mesh(S.space, idx, weights)
+
+
+def _budget_stop(X: AdaptedProcess, terms: np.ndarray, c: float, offset: float) -> StoppingTime:
+    """First sampled time of X after 0 at which the running sum of the
+    per-step terms reaches c - offset."""
+    if not c > 0:
+        raise ParameterError(f"budget c must be > 0, got {c}")
+    return first_hitting_time(X, running_sum(terms) >= c - offset, start_col=1)
 
 
 def sigma_stop(S: AdaptedProcess, n: int, c: float) -> StoppingTime:
@@ -203,14 +214,8 @@ def sigma_stop(S: AdaptedProcess, n: int, c: float) -> StoppingTime:
     The offset leaves room for one more squared increment (at most 4 when
     ||S||_inf <= 1), so the sum stopped at sigma stays below c.
     """
-    if not c > 0:
-        raise ParameterError(f"budget c must be > 0, got {c}")
     Sn = restrict_to_level(S, n)
-    running = np.cumsum(Sn.increments() ** 2, axis=1)
-    hit = np.concatenate(
-        [np.zeros((running.shape[0], 1), dtype=bool), running >= c - 4.0], axis=1
-    )
-    return first_hitting_time(Sn, hit, start_col=1)
+    return _budget_stop(Sn, Sn.increments() ** 2, c, 4.0)
 
 
 def tau_stop(D: DoobDecomposition, c: float) -> StoppingTime:
@@ -219,14 +224,7 @@ def tau_stop(D: DoobDecomposition, c: float) -> StoppingTime:
     One further A-increment is at most 2 in absolute value, so the
     stopped drift variation stays below c.
     """
-    if not c > 0:
-        raise ParameterError(f"budget c must be > 0, got {c}")
-    A = D.A
-    running = np.cumsum(np.abs(A.increments()), axis=1)
-    hit = np.concatenate(
-        [np.zeros((running.shape[0], 1), dtype=bool), running >= c - 2.0], axis=1
-    )
-    return first_hitting_time(A, hit, start_col=1)
+    return _budget_stop(D.A, np.abs(D.A.increments()), c, 2.0)
 
 
 def _ladder_search(name: str, space: FilteredSpace, totals, offset: float, eps: float,
@@ -387,13 +385,7 @@ def discrete_stage(
     """
     if not 0 < eps < 1:
         raise ParameterError(f"eps must lie in (0, 1), got {eps}")
-    if np.abs(S.values[:, 0]).max() > BOUND_TOL:
-        raise PreconditionError("discrete stage needs S_0 = 0; shift the process first")
-    if S.sup_norm() > 1.0 + BOUND_TOL:
-        raise PreconditionError(
-            f"discrete stage needs ||S||_inf <= 1 (got {S.sup_norm()}); "
-            "stop or scale the process first"
-        )
+    require_unit_band(S, "discrete_stage")
     levels = tuple(sorted(set(int(n) for n in levels)))
     finest = S.space.grid.level
     if not levels or levels[0] < 1 or levels[-1] > finest:

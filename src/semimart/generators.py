@@ -21,7 +21,7 @@ import numpy as np
 
 from .doob import doob_decompose
 from .errors import InvariantViolation, ParameterError, ResourceLimitError
-from .space import AdaptedProcess, DyadicGrid, FilteredSpace, tree_innovations
+from .space import AdaptedProcess, DyadicGrid, FilteredSpace, running_sum, tree_innovations
 
 KINDS = ("rademacher_bm", "drifted", "rl_fractional", "jump", "deterministic_drift")
 # the finest level in every mode; a tree of innovations also stops at space.MAX_TREE_LEVEL
@@ -161,11 +161,6 @@ def _emitted_increments(spec: GeneratorSpec, xi: np.ndarray) -> np.ndarray:
     raise ParameterError(f"kind {spec.kind!r} is not innovation-driven")
 
 
-def _values_from_increments(dS: np.ndarray) -> np.ndarray:
-    rows = dS.shape[0]
-    return np.concatenate([np.zeros((rows, 1)), np.cumsum(dS, axis=1)], axis=1)
-
-
 def oracle_increments(spec: GeneratorSpec, xi: np.ndarray, n: int) -> np.ndarray:
     """Exact predictable-part increments at dyadic level n (emitted scaling).
 
@@ -290,7 +285,7 @@ def generate(spec: GeneratorSpec) -> Source:
         values = (spec.scale / bound_factor_for(spec)) * DyadicGrid(spec.level).times[None, :]
     else:
         xi = tree_innovations(spec.level) if spec.mode == "exact_tree" else _sample_innovations(spec)
-        values = _values_from_increments(_emitted_increments(spec, xi))
+        values = running_sum(_emitted_increments(spec, xi))
     _certify_bounded(spec, values)
     n = values.shape[0]
     return Source(spec, np.full(n, 1.0 / n), xi, values)

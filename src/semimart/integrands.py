@@ -12,7 +12,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvariantViolation, ParameterError, PreconditionError, StructuralError
-from .space import ATOL, AdaptedProcess, FilteredSpace, StoppingTime, cell_mismatch, check_stopping_time
+from .space import (
+    ATOL,
+    AdaptedProcess,
+    FilteredSpace,
+    StoppingTime,
+    cell_mismatch,
+    check_stopping_time,
+    running_sum,
+)
 
 
 def _measurable_at(space: FilteredSpace, time_idx: np.ndarray, x: np.ndarray, atol: float = ATOL) -> bool:
@@ -165,7 +173,6 @@ class StrategySequence:
     li: tuple = ()
     vr: tuple = ()
     fl: tuple = ()
-    fl_threshold: float | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "elements", tuple(self.elements))
@@ -199,12 +206,7 @@ def integral_process(H: SimpleIntegrand, S: AdaptedProcess) -> AdaptedProcess:
     hold = np.take_along_axis(padded, below[:, S.time_index[1:]], axis=1)
     del padded
     hold *= np.diff(S.values, axis=1)
-    # the running sum from 0, accumulated in place and handed over uncopied
-    out = np.empty((S.space.n_atoms, S.n_times))
-    out[:, 0] = 0.0
-    np.cumsum(hold, axis=1, out=out[:, 1:])
-    out.setflags(write=False)
-    return AdaptedProcess(S.space, out, S.time_index)
+    return AdaptedProcess(S.space, running_sum(hold), S.time_index)
 
 
 def terminal_and_drawdown(H: SimpleIntegrand, S: AdaptedProcess) -> tuple[np.ndarray, float]:

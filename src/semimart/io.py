@@ -35,6 +35,7 @@ import math
 import os
 import pickle
 import re
+import reprlib
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -297,13 +298,23 @@ def _fork(fn, share):
         os._exit(0)
 
 
-def _header_field(header: dict, key: str, kinds):
-    if key not in header:
-        raise ParameterError(f"header.{key}: missing")
-    value = header[key]
-    # JSON true and false are never a header field, though Python counts them as ints
-    if not isinstance(value, kinds) or isinstance(value, bool):
-        raise ParameterError(f"header.{key}: wrong type {type(value).__name__}")
+def json_field(doc: dict, where: str, key: str, kind: type):
+    """doc[key] when it has JSON type `kind` (a list: null or a list of
+    ints), else a ParameterError naming where.key and a short repr of the
+    value.  JSON true and false are no number, though Python counts them
+    as ints; a float for an int meets int() first, keeping inf's message."""
+    if key not in doc:
+        raise ParameterError(f"{where}.{key}: missing")
+    value = doc[key]
+    items = value if kind is list and type(value) is list else []
+    for x, k in [(value, kind)] + [(n, int) for n in items]:
+        if k is int and type(x) is float:
+            try:
+                int(x)
+            except (OverflowError, ValueError) as exc:
+                raise ParameterError(f"{where}.{key}: {exc}") from exc
+        if not (type(x) is k or (k is list and x is None)):
+            raise ParameterError(f"{where}.{key}: expected {k.__name__}, got {reprlib.repr(x)}")
     return value
 
 
@@ -342,26 +353,21 @@ def read_ensemble(path) -> EnsembleData:
         raise ParameterError(f"header: not valid JSON ({exc})") from exc
     if not isinstance(header, dict):
         raise ParameterError("header: must be a JSON object")
-    if _header_field(header, "format", str) != ENSEMBLE_FORMAT:
+    if json_field(header, "header", "format", str) != ENSEMBLE_FORMAT:
         raise ParameterError(f"header.format: expected {ENSEMBLE_FORMAT!r}")
-    kind = _header_field(header, "kind", str)
+    kind = json_field(header, "header", "kind", str)
     if kind not in KINDS:
         raise ParameterError(f"header.kind: unknown kind {kind!r}")
+    # each field's own message first; then what GeneratorSpec refuses
+    f = {key: json_field(header, "header", key, t) for key, t in (
+        ("level", int), ("scale", str), ("seed", int), ("mode", str), ("paths", int),
+        ("hurst", str), ("mu", str), ("jump_size", str))}
     try:
-        spec = GeneratorSpec(
-            kind=kind,
-            level=_header_field(header, "level", int),
-            scale=float(_header_field(header, "scale", str)),
-            seed=_header_field(header, "seed", int),
-            mode=_header_field(header, "mode", str),
-            paths=_header_field(header, "paths", int),
-            hurst=float(_header_field(header, "hurst", str)),
-            mu=float(_header_field(header, "mu", str)),
-            jump_size=float(_header_field(header, "jump_size", str)),
-        )
+        spec = GeneratorSpec(kind=kind, level=f["level"], seed=f["seed"], mode=f["mode"], paths=f["paths"],
+                             **{key: float(f[key]) for key in ("scale", "hurst", "mu", "jump_size")})
     except (ParameterError, ValueError) as exc:
         raise ParameterError(f"header: {exc}") from exc
-    n = _header_field(header, "atoms", int)
+    n = json_field(header, "header", "atoms", int)
     rows = raw.count(b"\n", head_end, size)
     if rows != n:
         raise ParameterError(f"header.atoms: declares {n} atoms, file has {rows} rows")
@@ -764,13 +770,8 @@ def read_report(path) -> dict:
         raise ParameterError("report: must be a JSON object")
     if doc.get("format") != REPORT_FORMAT:
         raise ParameterError(f"report.format: expected {REPORT_FORMAT!r}")
-    for key in ("source_name", "body"):
-        if key not in doc:
-            raise ParameterError(f"report.{key}: missing")
-    if not isinstance(doc["source_name"], str):
-        raise ParameterError("report.source_name: must be a string")
-    if not isinstance(doc["body"], dict):
-        raise ParameterError("report.body: must be a JSON object")
+    json_field(doc, "report", "source_name", str)
+    json_field(doc, "report", "body", dict)
     return doc
 
 

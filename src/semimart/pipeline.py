@@ -28,6 +28,7 @@ from .doob import (
     _identity_error,
     discrete_stage,
     martingale_residual,
+    require_unit_band,
 )
 from .errors import (
     ConvergenceError,
@@ -51,6 +52,7 @@ from .space import (
     check_stopping_time,
     first_hitting_time,
     require_stopping_time,
+    running_sum,
     stop_process,
 )
 
@@ -192,10 +194,7 @@ def big_jump_split(S: AdaptedProcess) -> tuple[AdaptedProcess, AdaptedProcess]:
     big = np.abs(dS) >= 1.0
     if not big.any():
         return S, AdaptedProcess(S.space, np.broadcast_to(_ZERO, S.values.shape), S.time_index)
-    dJ = np.where(big, dS, 0.0)
-    zeros = np.zeros((S.values.shape[0], 1))
-    J = AdaptedProcess(S.space, np.concatenate([zeros, np.cumsum(dJ, axis=1)], axis=1),
-                       S.time_index)
+    J = AdaptedProcess(S.space, running_sum(np.where(big, dS, 0.0)), S.time_index)
     X = S - J
     if np.abs(X.increments()).max() >= 1.0:
         raise InvariantViolation("split left an increment of size >= 1 in the continuous part")
@@ -205,12 +204,7 @@ def big_jump_split(S: AdaptedProcess) -> tuple[AdaptedProcess, AdaptedProcess]:
 def _require_extendable(S: AdaptedProcess, rhos=()) -> None:
     """Refuse what `extend_martingale` refuses as input: S off the unit
     band, or a level's rho that is no stopping time on S's space."""
-    if np.abs(S.values[:, 0]).max() > BOUND_TOL:
-        raise PreconditionError("extension requires S_0 = 0; shift the process first")
-    if S.sup_norm() > 1.0 + BOUND_TOL:
-        raise PreconditionError(
-            f"extension requires ||S||_inf <= 1 (got {S.sup_norm()}); normalize first"
-        )
+    require_unit_band(S, "extend_martingale")
     for rho in rhos:
         require_stopping_time(rho, S.space)
 
@@ -250,42 +244,23 @@ def extend_martingale(
 
 
 @dataclass(frozen=True)
-class StageStep:
-    """One extraction step of the continuous stage: the level of its
-    first block member, the mixed indicator's exit time and terminal
-    value, and the step integrand's bounds.  The step's scripts are not
-    kept; see `ContinuousStage`."""
-
-    level: int
-    alpha_k: StoppingTime
-    p_alpha_k: float
-    rbar_terminal: np.ndarray
-    sbar_sup: float
-    sbar_tv: float
-
-
-@dataclass(frozen=True)
 class ContinuousStage:
-    """All per-step objects plus the selected subsequence and its mixed
-    exit time alpha; built only from a fully passing discrete stage.
+    """What the assembly reads of the continuous stage: the mixed exit
+    time alpha of the selected steps, built only from a fully passing
+    discrete stage, and the stage's log.
 
-    ``stopped_source`` is S^alpha.  For each selected step, in the order
-    of ``selected``, ``stopped_m`` holds the terminal value of its
-    script-M stopped at alpha (one per atom) and ``stopped_a`` its
-    script-A stopped at alpha: all the assembly reads of the scripts.
-    Where alpha stops no atom, ``stopped_source`` is the source and each
-    stopped A the step's own script, shared.  The stage keeps no other
-    script and no certified level: `continuous_stage` builds each level's
-    stopped increments once and frees them after the last step that
-    weights the level."""
+    ``stopped_source`` is S^alpha.  For each selected step, in step
+    order, ``stopped_m`` holds the terminal value of its script-M stopped
+    at alpha (one per atom) and ``stopped_a`` its script-A stopped at
+    alpha.  Where alpha stops no atom, ``stopped_source`` is the source
+    and each stopped A the step's own script, shared.  The stage keeps no
+    other script and no certified level: `continuous_stage` builds each
+    level's stopped increments once and frees them after the last step
+    that weights the level."""
 
     eps: float
     C: float
-    steps: tuple
-    rbar_limit: np.ndarray
-    selected: tuple
     alpha: StoppingTime
-    p_alpha: float
     stopped_source: AdaptedProcess
     stopped_m: tuple
     stopped_a: tuple
@@ -300,12 +275,9 @@ def _stopped_increments(cert, source: AdaptedProcess, C: float, running: np.ndar
 
 
 def _script(space, dN: np.ndarray, w: np.ndarray) -> AdaptedProcess:
-    """The running sum of w * dN from 0, built in place; dN is consumed."""
+    """The running sum of w * dN from 0; dN is consumed."""
     dN *= w
-    values = np.zeros((space.n_atoms, dN.shape[1] + 1))
-    np.cumsum(dN, axis=1, out=values[:, 1:])
-    values.setflags(write=False)  # fresh, so the process keeps it uncopied
-    return AdaptedProcess(space, values)
+    return AdaptedProcess(space, running_sum(dN))
 
 
 def _mixed(inc: list, part: int, mu: np.ndarray, idx: np.ndarray) -> np.ndarray:
@@ -328,9 +300,9 @@ def _rbar(mu: np.ndarray, idx: np.ndarray, R: np.ndarray) -> np.ndarray:
 
 
 def _exit_time(s: int, mu: np.ndarray, idx: np.ndarray, R: np.ndarray, space,
-               eps: float) -> tuple[StoppingTime, float, np.ndarray]:
-    """Pass 1 of step s: the mixed indicator's exit time alpha_k, checked,
-    P[alpha_k < inf] and the indicator's terminal value Rbar_1."""
+               eps: float) -> tuple[StoppingTime, np.ndarray]:
+    """Pass 1 of step s: the mixed indicator's exit time alpha_k, checked
+    with P[alpha_k < inf], and the indicator's terminal value Rbar_1."""
     n_times = space.grid.n_times
     rbar = _rbar(mu, idx, R)
     count = (rbar >= 0.5).sum(axis=1)
@@ -340,15 +312,15 @@ def _exit_time(s: int, mu: np.ndarray, idx: np.ndarray, R: np.ndarray, space,
     p_k = alpha_k.prob_finite()
     if p_k > 2.0 * eps + BOUND_TOL:
         raise InvariantViolation(f"P[alpha_{s} < inf] = {p_k} above 2 eps")
-    return alpha_k, p_k, rbar[:, -1].copy()  # a view would keep all of rbar alive
+    return alpha_k, rbar[:, -1].copy()  # a view would keep all of rbar alive
 
 
 def _mix_step(s: int, mu: np.ndarray, idx: np.ndarray, R: np.ndarray, inc: list,
               source: AdaptedProcess, alpha_k: StoppingTime):
     """Pass 2 of step s: mix the levels idx (one per block position) with
     weights mu into script-M and script-A, and check every bound of the
-    step.  Returns the integrand's sup and variation and the two scripts;
-    the mixed indicator and the integrand weights die with the call."""
+    step.  Returns the two scripts; the mixed indicator and the integrand
+    weights die with the call."""
     space = source.space
     rbar = _rbar(mu, idx, R)  # pass 1's indicator, bit for bit
     mask = rbar >= 0.5
@@ -368,7 +340,7 @@ def _mix_step(s: int, mu: np.ndarray, idx: np.ndarray, R: np.ndarray, inc: list,
     resid = float(_identity_error(m_script.values, a_script.values, stop_process(source, alpha_k).values))
     if resid > IDENT_TOL:
         raise InvariantViolation(f"mix identity off by {resid} at step {s}")
-    return sbar_sup, sbar_tv, m_script, a_script
+    return m_script, a_script
 
 
 def _stopped_mix(s: int, level: int, m_script: AdaptedProcess, a_script: AdaptedProcess,
@@ -447,8 +419,8 @@ def continuous_stage(
     _require_extendable(source, [c.rho for c in certs])
     blocks = [(blk.weights, pos[blk.indices]) for blk in cw.blocks]
 
-    alpha_ks, p_ks, rbar_1s = zip(*(_exit_time(s, mu, idx, R, space, eps)
-                                    for s, (mu, idx) in enumerate(blocks)))
+    alpha_ks, rbar_1s = zip(*(_exit_time(s, mu, idx, R, space, eps)
+                              for s, (mu, idx) in enumerate(blocks)))
 
     # subsequence selection: exact probabilities against the limit
     selected = []
@@ -479,16 +451,15 @@ def continuous_stage(
         if not weighted[i]:
             _stopped_increments(certs[i], source, C, R[i])
     inc = [None] * n
-    steps, stopped_m, stopped_a = [], [], []
+    stopped_m, stopped_a = [], []
     for s, (mu, idx) in enumerate(blocks):
         for i in range(n):
             if weighted[i] and weighted[i][0] == s:
                 inc[i] = _stopped_increments(certs[i], source, C, R[i])
-        sbar_sup, sbar_tv, m_script, a_script = _mix_step(s, mu, idx, R, inc, source, alpha_ks[s])
-        level = certs[idx[0]].level
-        steps.append(StageStep(level, alpha_ks[s], p_ks[s], rbar_1s[s], sbar_sup, sbar_tv))
+        m_script, a_script = _mix_step(s, mu, idx, R, inc, source, alpha_ks[s])
         if alpha is not None and s in selected:
-            m_terminal, a_st = _stopped_mix(s, level, m_script, a_script, alpha, stopped_source, C)
+            m_terminal, a_st = _stopped_mix(s, certs[idx[0]].level, m_script, a_script, alpha,
+                                            stopped_source, C)
             stopped_m.append(m_terminal)
             stopped_a.append(a_st)
         del m_script, a_script
@@ -497,19 +468,13 @@ def continuous_stage(
                 inc[i] = None
     del R, inc
     if alpha is None:
-        raise ConvergenceError(
-            f"only {len(selected)} steps met the subsequence criterion; need 3"
-        )
+        raise ConvergenceError(f"only {len(selected)} steps met the subsequence criterion; need 3")
     log.append(f"selected-step bounds verified: E[M^2] <= {4 * C:g}, TV <= {_tv_cap(C):g}")
 
     return ContinuousStage(
         eps=eps,
         C=C,
-        steps=tuple(steps),
-        rbar_limit=rbar_limit,
-        selected=tuple(selected),
         alpha=alpha,
-        p_alpha=p_alpha,
         stopped_source=stopped_source,
         stopped_m=tuple(stopped_m),
         stopped_a=tuple(stopped_a),
@@ -545,7 +510,7 @@ def assemble_decomposition(
     A = AdaptedProcess(space, A_vals)
     del limits  # freed before the certificate's checks, which set the peak nearby
 
-    resid_sum = float(np.abs(M.values + A.values - stage.stopped_source.values).max())
+    resid_sum = float(_identity_error(M.values, A.values, stage.stopped_source.values))
     return SemimartingaleCertificate(
         M=M,
         A=A,
@@ -636,7 +601,6 @@ def _free_lunch(
         li=tuple(li_metric(H) for H in elements),
         vr=drawdowns,
         fl=tuple(win_probabilities(gains, S.space.probs, alpha_star)),
-        fl_threshold=alpha_star,
     )
     log.append(
         f"alpha* = {alpha_star:.6g}; li = {[f'{x:.3g}' for x in seq.li]}, "
@@ -723,7 +687,7 @@ def detect(source, config: DetectConfig | None = None):
     M = inner.M.scale(s_norm).shift(x0)
     A = inner.A.scale(s_norm) + J_stopped
     stopped = stop_process(S, alpha_total)
-    resid_sum = float(np.abs(M.values + A.values - stopped.values).max())
+    resid_sum = float(_identity_error(M.values, A.values, stopped.values))
     tv_j = float(np.abs(J_stopped.increments()).sum(axis=1).max())
     tv_bound = s_norm * inner.constants["tv_bound"] + tv_j
     log.append(

@@ -82,6 +82,16 @@ def _handed_over(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def running_sum(d: np.ndarray) -> np.ndarray:
+    """The running sum of d's columns from 0, one column wider than d;
+    built in place and handed over read-only, so that `_frozen` shares it."""
+    out = np.empty((d.shape[0], d.shape[1] + 1))
+    out[:, 0] = 0.0
+    np.cumsum(d, axis=1, out=out[:, 1:])
+    out.setflags(write=False)
+    return out
+
+
 MISMATCH_BLOCK = 1 << 16  # cells per block that `cell_mismatch` checks at once
 
 

@@ -5,11 +5,11 @@ the pipeline's one-integral-per-strategy path is compared against, the
 constant strategy, the continuity probe along vanishing-position
 strategies, the line formatter that the writer's table gather is
 compared against, the per-row sampler that the ensemble innovations are
-compared against, and a spy that records the continuous stage's
-scripts."""
+compared against, and spies that record what the continuous stage
+builds but does not keep."""
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -176,20 +176,46 @@ def per_position_mixes(source: AdaptedProcess, certs, cw) -> list:
     return out
 
 
-def recorded_scripts(monkeypatch) -> list:
-    """A spy on the continuous stage's per-step builder: the list it
-    returns gets each step's (script-M, script-A), in the order the
-    stage builds them.  The stage itself keeps neither."""
-    scripts = []
-    mix_step = pipeline._mix_step
+@dataclass
+class StageRecord:
+    """What spies saw the continuous stage build and not keep: per step,
+    in order, its exit time alpha_k and Rbar_1 (pass 1), and its
+    integrand weights and (script-M, script-A) (pass 2); the steps whose
+    stopped mixes it checked, which are the selected ones; and the
+    extraction's limit of Rbar_1."""
 
-    def recorded(*args, **kwargs):
-        out = mix_step(*args, **kwargs)
-        scripts.append(out[2:])
-        return out
+    exits: list = field(default_factory=list)
+    weights: list = field(default_factory=list)
+    scripts: list = field(default_factory=list)
+    selected: list = field(default_factory=list)
+    rbar_limit: np.ndarray | None = None
 
-    monkeypatch.setattr(pipeline, "_mix_step", recorded)
-    return scripts
+
+def recorded_stage(monkeypatch) -> StageRecord:
+    """Spies on the continuous stage's helpers, recording into one record."""
+    rec = StageRecord()
+
+    def spy(name, record):
+        original = getattr(pipeline, name)
+
+        def recorded(*args, **kwargs):
+            out = original(*args, **kwargs)
+            record(args, out)
+            return out
+
+        monkeypatch.setattr(pipeline, name, recorded)
+
+    def weights(args, out):
+        # both scripts of a step are built with the step's one weight array
+        if not rec.weights or rec.weights[-1] is not args[2]:
+            rec.weights.append(args[2])
+
+    spy("_exit_time", lambda args, out: rec.exits.append(out))
+    spy("_script", weights)
+    spy("_mix_step", lambda args, out: rec.scripts.append(out))
+    spy("_stopped_mix", lambda args, out: rec.selected.append(args[0]))
+    spy("extract_convex", lambda args, out: setattr(rec, "rbar_limit", out[1]))
+    return rec
 
 
 def quadratic_variation(S: AdaptedProcess, n: int) -> np.ndarray:
@@ -226,7 +252,7 @@ def evaluate(seq: StrategySequence, S: AdaptedProcess, alpha: float) -> Strategy
     li = tuple(li_metric(H) for H in seq.elements)
     vr = tuple(vr_metric(H, S) for H in seq.elements)
     fl = tuple(fl_statistic(seq, S, alpha))
-    return StrategySequence(seq.elements, li=li, vr=vr, fl=fl, fl_threshold=alpha)
+    return StrategySequence(seq.elements, li=li, vr=vr, fl=fl)
 
 
 def continuity_probe(S: AdaptedProcess, seq: StrategySequence, delta: float) -> np.ndarray:

@@ -51,7 +51,7 @@ from helpers import (
     continuity_probe,
     martingale_l2,
     quadratic_variation,
-    recorded_scripts,
+    recorded_stage,
     sum_by_parts_bound,
 )
 
@@ -129,7 +129,7 @@ class TestAcceptance:
         assert time.monotonic() - started < 5.0
 
     def test_certified_bounds_recomputed(self, monkeypatch):
-        scripts = recorded_scripts(monkeypatch)
+        rec = recorded_stage(monkeypatch)
         for kind, scale in (("rademacher_bm", 1.0), ("drifted", 0.125)):
             src = generate(GeneratorSpec(kind=kind, level=3, scale=scale, seed=5))
             space, S = src.space, src.process
@@ -147,17 +147,18 @@ class TestAcceptance:
                 assert space.expectation(M_stop.values[:, -1] ** 2) <= cert.C + TOL
                 p_stop = float(space.probs[cert.rho.index < n_times].sum())
                 assert p_stop < eps
-            scripts.clear()
+            rec.exits.clear()
+            rec.scripts.clear()
             cs = continuous_stage(S, stage.certificates)
             C = stage.certificates[0].C
-            assert len(scripts) == len(cs.steps)
-            for m_script, a_script in scripts:
+            assert len(rec.scripts) == len(rec.exits)
+            for m_script, a_script in rec.scripts:
                 m_energy = space.expectation(m_script.values[:, -1] ** 2)
                 assert m_energy <= 4.0 * C + TOL
                 a_tv = np.abs(a_script.increments()).sum(axis=1)
                 assert a_tv.max() <= 6.0 * (C + 2.0) + 2.0 * C + TOL
             p_alpha = float(space.probs[cs.alpha.index < n_times].sum())
-            assert abs(p_alpha - cs.p_alpha) <= TOL
+            assert abs(p_alpha - cs.alpha.prob_finite()) <= TOL
             assert p_alpha <= 4.0 * eps + TOL
 
     def test_variation_bound_randomized(self):

@@ -3,11 +3,14 @@
 perfbench/spans.py wraps semimart's module attributes by name, and
 perfbench/op.py reads every source through the `EnsembleProcess` name;
 a rename inside the package would break the benchmark without failing
-any other test.  spans.py is loaded by path, so nothing under perfbench/
-is imported as a package or changed.
+any other test, and a call that goes around a wrapped binding would
+only thin out the traced run's layer cover.  spans.py is loaded by
+path, so nothing under perfbench/ is imported as a package or changed.
 """
 
+import collections
 import importlib.util
+import json
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +19,7 @@ import pytest
 import semimart
 import semimart.doob
 import semimart.generators
+from semimart.cli import main
 from semimart.generators import GeneratorSpec, generate
 from semimart.integrands import SimpleIntegrand
 from semimart.io import read_ensemble, write_ensemble
@@ -110,3 +114,42 @@ def test_detect_decomposes_once_per_level_under_the_wrapped_names(monkeypatch, f
         monkeypatch.setattr(module, attr, counted)
     detect(generate(GeneratorSpec(**fields)), DetectConfig(levels=levels))
     assert calls == [("doob_decompose", n) for n in levels]
+
+
+# kept in the package only for the benchmark's wraps; the package never calls them
+BENCH_ONLY = {
+    ("semimart.pipeline", "integrate"),
+    ("semimart.pipeline", "vr_metric"),
+    ("semimart.generators", "decompose_with_increments"),
+}
+
+
+def counted(fn, calls: collections.Counter, key):
+    def wrapper(*args, **kwargs):
+        calls[key] += 1
+        return fn(*args, **kwargs)
+
+    return wrapper
+
+
+def test_every_wrapped_binding_is_called(tmp_path, monkeypatch):
+    """A level-2 certificate detect, a drift-side free-lunch detect and a
+    verify call every binding that spans.py wraps, the bench-only names
+    aside: a helper that routes around one would drop its layer's time."""
+    wrapped = {(owner, attr) for owner, attr, _ in SPANS.LAYER_WRAPS + SPANS.VERIFY_WRAPS}
+    calls = collections.Counter()
+    for owner, attr in wrapped:
+        obj = SPANS._owner(owner)
+        monkeypatch.setattr(obj, attr, counted(getattr(obj, attr), calls, (owner, attr)))
+    reports = []
+    for fields, verdict in ((dict(kind="rademacher_bm", level=2), "certificate"),
+                            (dict(kind="rl_fractional", level=3, hurst=0.75, seed=1), "free_lunch")):
+        spec = GeneratorSpec(**fields)
+        src = generate(spec)
+        path = str(tmp_path / f"{spec.kind}.jsonl")
+        write_ensemble(path, spec, src.probs, src.xi, src.values)
+        reports.append(str(tmp_path / f"{spec.kind}.json"))
+        assert main(["detect", path, "--out", reports[-1]]) == 0
+        assert json.loads(Path(reports[-1]).read_text())["body"]["verdict"] == verdict
+    assert main(["verify", reports[0]]) == 0
+    assert wrapped - set(calls) <= BENCH_ONLY

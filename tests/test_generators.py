@@ -124,6 +124,19 @@ class TestExactTrees:
         )
         assert np.max(np.abs(S.values - expected)) <= TOL
 
+    @pytest.mark.parametrize("fields", [
+        dict(kind="rademacher_bm", level=2),
+        dict(kind="drifted", level=2),
+        dict(kind="jump", level=2),
+        dict(kind="rl_fractional", level=3, mode="ensemble", paths=16),
+    ], ids=lambda f: f"{f['kind']}-{f.get('mode', 'exact_tree')}")
+    def test_values_are_handed_over_read_only_and_shared(self, fields):
+        """An innovation kind's values are a fresh running sum, handed over
+        read-only, so the source's process keeps that array uncopied."""
+        src = generate(GeneratorSpec(**fields))
+        assert not src.values.flags.writeable
+        assert src.process.values is src.values
+
     def test_deterministic_drift_scaling(self):
         S = generate(GeneratorSpec(kind="deterministic_drift", level=1, scale=0.5)).process
         assert S.values == pytest.approx(np.array([[0.0, 0.25, 0.5]]), abs=TOL)

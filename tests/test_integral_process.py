@@ -290,4 +290,4 @@ def test_evidence_diagnostics_match_evaluate(fields, levels):
     S = source.process
     seq = verdict.strategies
     slow = evaluate(StrategySequence(seq.elements), S, verdict.alpha_star)
-    assert (seq.li, seq.vr, seq.fl, seq.fl_threshold) == (slow.li, slow.vr, slow.fl, slow.fl_threshold)
+    assert (seq.li, seq.vr, seq.fl) == (slow.li, slow.vr, slow.fl)

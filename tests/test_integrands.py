@@ -186,7 +186,6 @@ class TestWinProbability:
         assert seq.li == pytest.approx([1.0, 0.5])
         assert seq.vr == pytest.approx([1.0, 0.5])
         assert seq.fl == pytest.approx([0.25, 0.25])
-        assert seq.fl_threshold == 0.25
 
 
 class TestContinuityProbe:

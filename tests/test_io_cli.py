@@ -342,7 +342,7 @@ class TestEnsembleErrors:
         self.rewrite(path, lines)
         out = tmp_path / "out.json"
         assert main(["detect", path, "--out", str(out)]) == 2
-        assert f"header.{key}: wrong type bool" in capsys.readouterr().err
+        assert f"header.{key}: expected int, got True" in capsys.readouterr().err
         assert not out.exists()
 
     def test_probabilities_must_sum_to_one(self, tmp_path):
@@ -1558,15 +1558,15 @@ class TestCliFlows:
             json.dump(doc, fh)
         capsys.readouterr()
         assert main(["verify", report]) == 2
-        assert "report.source_name: must be a string" in capsys.readouterr().err
+        assert "report.source_name: expected str, got 5" in capsys.readouterr().err
 
     # (field, its JSON text, the message); a number past every float
     # reads as an infinity, which no int holds
     @pytest.mark.parametrize("field, text, message", [
-        ("ladder_max", '"nan"', "ladder_max must be finite"),
-        ("window", "1e400", "cannot convert float infinity to integer"),
-        ("window", "-1e400", "cannot convert float infinity to integer"),
-        ("levels", "[1e400]", "cannot convert float infinity to integer"),
+        ("ladder_max", '"nan"', "report.body.config: ladder_max must be finite"),
+        ("window", "1e400", "report.body.config.window: cannot convert float infinity to integer"),
+        ("window", "-1e400", "report.body.config.window: cannot convert float infinity to integer"),
+        ("levels", "[1e400]", "report.body.config.levels: cannot convert float infinity to integer"),
     ], ids=["nan", "window-inf", "window-minus-inf", "levels-inf"])
     def test_verify_rejects_a_body_config_ladder_that_is_not_finite(self, tmp_path, capsys,
                                                                     field, text, message):
@@ -1583,7 +1583,7 @@ class TestCliFlows:
         rc = main(["verify", report])
         err = capsys.readouterr().err
         assert rc == 2
-        assert f"report.body.config: {message}" in err
+        assert message in err
 
     # (field, its JSON text, the message); a field of another JSON type
     # than report_body writes is refused before the source is read
@@ -1619,7 +1619,33 @@ class TestCliFlows:
         rc = main(["verify", report])
         err = capsys.readouterr().err
         assert rc == 2
-        assert f"report.body.config: {message}" in err
+        assert f"report.body.config.{message}" in err
+
+    # (the edit of the report body, the message)
+    @pytest.mark.parametrize("edit, message", [
+        (lambda body: body["source"].update(sha256=5), "report.body.source.sha256: expected str, got 5"),
+        (lambda body: body["source"].update(sha256=["0"] * 64),
+         "report.body.source.sha256: expected str, got ['0', '0', '0', '0', '0', '0', ...]"),
+        (lambda body: body.update(config=[1, 2]), "report.body.config: expected dict, got [1, 2]"),
+        (lambda body: body["config"].pop("eps"), "report.body.config.eps: missing"),
+    ], ids=["sha256-number", "sha256-long-list", "config-list", "config-missing-key"])
+    def test_verify_refuses_a_malformed_body_field_before_reading_the_source(
+            self, tmp_path, capsys, monkeypatch, edit, message):
+        src = walk_file(tmp_path, level=2, seed=1)
+        report = str(tmp_path / "report.json")
+        assert main(["detect", src, "--out", report]) == 0
+        with open(report) as fh:
+            doc = json.load(fh)
+        edit(doc["body"])
+        with open(report, "w") as fh:
+            json.dump(doc, fh)
+        capsys.readouterr()
+        reads = []
+        read = cli.read_ensemble
+        monkeypatch.setattr(cli, "read_ensemble", lambda path: reads.append(path) or read(path))
+        assert main(["verify", report]) == 2
+        assert capsys.readouterr().err == f"parameter error: {message}\n"
+        assert reads == []
 
     # level 62 is refused from the header or the flags alone: nothing of
     # that size is ever allocated

@@ -40,7 +40,7 @@ from semimart.space import (
     stop_process,
 )
 
-from helpers import per_position_mixes, recorded_scripts
+from helpers import per_position_mixes, recorded_stage
 
 SEEDS = range(25)
 
@@ -352,10 +352,10 @@ def test_level_mixes_match_the_per_position_reference(seed, monkeypatch):
         return made[-1]
 
     monkeypatch.setattr(pipeline, "extract_convex", recorded)
-    scripts = recorded_scripts(monkeypatch)
-    cstage = continuous_stage(S, certs)
+    rec = recorded_stage(monkeypatch)
+    continuous_stage(S, certs)
     expected = per_position_mixes(S, certs, made[0][0])
-    assert len(cstage.steps) == len(scripts) == len(expected)
-    for (m_script, a_script), (m_ref, a_ref) in zip(scripts, expected):
+    assert len(rec.exits) == len(rec.scripts) == len(expected)
+    for (m_script, a_script), (m_ref, a_ref) in zip(rec.scripts, expected):
         assert np.array_equal(m_script.values.view(np.uint64), m_ref.view(np.uint64))
         assert np.array_equal(a_script.values.view(np.uint64), a_ref.view(np.uint64))

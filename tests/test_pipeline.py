@@ -11,7 +11,13 @@ import pytest
 
 import semimart.pipeline as pipeline
 import semimart.space as space_module
-from semimart.doob import DoobDecomposition, StageCertificate, discrete_stage, doob_decompose
+from semimart.doob import (
+    DoobDecomposition,
+    StageCertificate,
+    discrete_stage,
+    doob_decompose,
+    qv_strategy,
+)
 from semimart.komlos import ConvexWeights, WeightBlock
 from semimart.errors import ConvergenceError, InvariantViolation, ParameterError, PreconditionError
 from semimart.generators import GeneratorSpec, generate
@@ -40,7 +46,7 @@ from semimart.space import (
     StoppingTime,
     stop_process,
 )
-from helpers import binary_tree_space, constant_integrand, recorded_scripts, residual_against
+from helpers import binary_tree_space, constant_integrand, recorded_stage, residual_against
 
 TOL = 1e-12
 CERT_TOL = 1e-10
@@ -175,24 +181,48 @@ class TestExtendMartingale:
             extend_martingale(D.level, D.M.values[:, -1], S.scale(3.0))
 
 
+UNIT_BAND_CALLERS = {
+    "discrete_stage": lambda S: discrete_stage(S, (1, 2), 0.1),
+    "extend_martingale": lambda S: extend_martingale(1, np.zeros(S.space.n_atoms), S),
+    "qv_strategy": lambda S: qv_strategy(S, 2),
+}
+
+
+@pytest.mark.parametrize("caller", UNIT_BAND_CALLERS)
+def test_every_unit_band_caller_refuses_by_name(caller):
+    """One refusal serves every caller that assumes the unit band, and its
+    message names the caller.  qv_strategy asks only for ||S|| <= 1: its
+    gain identity holds for any S_0."""
+    space, S = canonical_walk(2)
+    call = UNIT_BAND_CALLERS[caller]
+    with pytest.raises(PreconditionError, match=re.escape(f"{caller} requires ||S||_inf <= 1 (got 3.0)")):
+        call(S.scale(3.0))
+    shifted = S.scale(0.5).shift(np.full(space.n_atoms, 0.25))
+    if caller == "qv_strategy":
+        call(shifted)
+    else:
+        with pytest.raises(PreconditionError, match=re.escape(f"{caller} requires S_0 = 0")):
+            call(shifted)
+
+
 class TestContinuousStage:
     """Mixing stopped level decompositions."""
 
     def test_never_stopped_walk_mixes_to_itself(self, monkeypatch):
         space, S = canonical_walk(2)
         stage = discrete_stage(S, (1, 2), 0.1)
-        scripts = recorded_scripts(monkeypatch)
+        rec = recorded_stage(monkeypatch)
         cstage = continuous_stage(S, stage.certificates)
-        assert cstage.p_alpha == 0.0
+        assert cstage.alpha.prob_finite() == 0.0
         assert np.all(np.isinf(cstage.alpha.times))
-        assert cstage.rbar_limit == pytest.approx(np.ones(space.n_atoms), abs=TOL)
-        assert len(scripts) == len(cstage.steps)
-        for s in cstage.selected:
-            m_script, a_script = scripts[s]
+        assert rec.rbar_limit == pytest.approx(np.ones(space.n_atoms), abs=TOL)
+        assert len(rec.scripts) == len(rec.exits)
+        for s in rec.selected:
+            m_script, a_script = rec.scripts[s]
             assert np.max(np.abs(m_script.values - S.values)) <= 1e-10
             assert np.max(np.abs(a_script.values)) <= 1e-10
 
-    def test_disjoint_stop_blocks_obey_the_exit_bounds(self):
+    def test_disjoint_stop_blocks_obey_the_exit_bounds(self, monkeypatch):
         # seven certificates stopping on disjoint 1/16 blocks at t = 1/2
         eps = 0.125
         space, S = canonical_walk(3)
@@ -218,14 +248,16 @@ class TestContinuousStage:
                 )
             )
         assert all(c.p_stop == pytest.approx(eps / 2) for c in certs)
+        rec = recorded_stage(monkeypatch)
         cstage = continuous_stage(S, certs)
-        for step in cstage.steps:
-            assert space.expectation(step.rbar_terminal) >= 1.0 - eps - CERT_TOL
-            assert step.p_alpha_k <= 2.0 * eps + CERT_TOL
-            assert step.sbar_sup <= 2.0 + CERT_TOL
-            assert step.sbar_tv <= 3.0 + CERT_TOL
-        assert len(cstage.selected) >= 3
-        assert cstage.p_alpha <= 4.0 * eps + CERT_TOL
+        assert len(rec.exits) == len(rec.weights) > 0
+        for (alpha_k, rbar_terminal), w in zip(rec.exits, rec.weights):
+            assert space.expectation(rbar_terminal) >= 1.0 - eps - CERT_TOL
+            assert alpha_k.prob_finite() <= 2.0 * eps + CERT_TOL
+            assert w.max() <= 2.0 + CERT_TOL
+            assert np.abs(np.diff(w, axis=1)).sum(axis=1).max() <= 3.0 + CERT_TOL
+        assert len(rec.selected) >= 3
+        assert cstage.alpha.prob_finite() <= 4.0 * eps + CERT_TOL
 
     def test_failed_certificates_rejected(self):
         # a failed stage hands over witnesses and no certificates
@@ -252,12 +284,13 @@ class TestAssembleDecomposition:
         source = generate(GeneratorSpec(kind="rademacher_bm", level=3))
         S = source.process
         stage = discrete_stage(S, (1, 2, 3), 0.1)
+        rec = recorded_stage(monkeypatch)
         cstage = continuous_stage(S, stage.certificates)
         assert np.array_equal(
             cstage.stopped_source.values.view(np.uint64),
             stop_process(S, cstage.alpha).values.view(np.uint64),
         )
-        assert len(cstage.stopped_m) == len(cstage.stopped_a) == len(cstage.selected)
+        assert len(cstage.stopped_m) == len(cstage.stopped_a) == len(rec.selected)
         calls = []
 
         def counted(*args):
@@ -276,13 +309,13 @@ class TestAssembleDecomposition:
         S = generate(GeneratorSpec(kind="rademacher_bm", level=3)).process
         stage = discrete_stage(S, (1, 2, 3), 0.1)
         assert [c.p_stop for c in stage.certificates] == [0.0, 0.0, 0.0]
-        scripts = recorded_scripts(monkeypatch)
+        rec = recorded_stage(monkeypatch)
         cstage = continuous_stage(S, stage.certificates)
-        assert cstage.p_alpha == 0.0
+        assert cstage.alpha.prob_finite() == 0.0
         assert cstage.stopped_source is S
-        assert len(cstage.stopped_m) == len(cstage.stopped_a) == len(cstage.selected) >= 3
-        for s, m_st, a_st in zip(cstage.selected, cstage.stopped_m, cstage.stopped_a):
-            m_script, a_script = scripts[s]
+        assert len(cstage.stopped_m) == len(cstage.stopped_a) == len(rec.selected) >= 3
+        for s, m_st, a_st in zip(rec.selected, cstage.stopped_m, cstage.stopped_a):
+            m_script, a_script = rec.scripts[s]
             assert np.array_equal(m_st.view(np.uint64), m_script.values[:, -1].view(np.uint64))
             assert a_st is a_script
 
@@ -578,8 +611,9 @@ def test_a_level_no_step_weights_is_built_once_and_dropped(monkeypatch):
 
     monkeypatch.setattr(pipeline, "extract_convex", extract)
     builds, blocks, alive = record_level_lifetimes(monkeypatch)
-    cstage = continuous_stage(S, stage.certificates)
-    assert len(cstage.steps) == 5 and len(cstage.selected) >= 3
+    rec = recorded_stage(monkeypatch)
+    continuous_stage(S, stage.certificates)
+    assert len(rec.exits) == 5 and len(rec.selected) >= 3
     check_level_lifetimes((1, 2, 3), builds, blocks, alive)
     assert alive == [{2, 3}, {2, 3}, {3}, {3}, {3}]
 

@@ -20,6 +20,7 @@ from semimart.space import (
     StoppingTime,
     check_stopping_time,
     first_hitting_time,
+    running_sum,
     stop_process,
 )
 from helpers import binary_tree_space, build_binary_tree, conditional_expectation
@@ -471,3 +472,16 @@ class TestAdaptedProcess:
         # only the up-up atom reaches 1, at the final time
         expect = np.array([2, space.grid.n_times, space.grid.n_times, space.grid.n_times])
         assert np.array_equal(tau.index, expect)
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("steps", [0, 1, 16])
+def test_running_sum_has_the_bits_of_a_concatenated_cumsum(order, steps):
+    """Every running sum from 0 in the package is this one, built in place:
+    its bits are those of the zero column joined to np.cumsum, whatever
+    the layout of d, and it is handed over read-only."""
+    d = np.asarray(np.random.default_rng(3).normal(size=(37, steps)), order=order)
+    out = running_sum(d)
+    ref = np.concatenate([np.zeros((37, 1)), np.cumsum(d, axis=1)], axis=1)
+    assert np.array_equal(out.view(np.uint64), ref.view(np.uint64))
+    assert not out.flags.writeable
