@@ -253,7 +253,7 @@ class Source:
             labels = np.zeros((grid.n_times, self.probs.size), dtype=np.int32)
         else:
             labels = _empirical_labels(self.xi)
-        return FilteredSpace(grid, self.probs, labels, innovations=self.xi)
+        return FilteredSpace(grid, self.probs, labels)
 
     @cached_property
     def process(self) -> AdaptedProcess:

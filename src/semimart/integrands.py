@@ -23,7 +23,7 @@ from .space import (
 )
 
 
-def _measurable_at(space: FilteredSpace, time_idx: np.ndarray, x: np.ndarray, atol: float = ATOL) -> bool:
+def _measurable_at(space: FilteredSpace, time_idx: np.ndarray, x: np.ndarray) -> bool:
     """x must be constant on partition cells at each atom's own time index.
 
     This is the finite-space reading of measurability with respect to the
@@ -32,10 +32,10 @@ def _measurable_at(space: FilteredSpace, time_idx: np.ndarray, x: np.ndarray, at
     """
     if time_idx.min() == time_idx.max():
         # a deterministic time is one cell check (every grid-mesh weight)
-        return cell_mismatch(space.labels[time_idx[0]], x, atol) is None
+        return cell_mismatch(space.labels[time_idx[0]], x, ATOL) is None
     for t in np.unique(time_idx):
         sel = time_idx == t
-        if cell_mismatch(space.labels[t][sel], x[sel], atol) is not None:
+        if cell_mismatch(space.labels[t][sel], x[sel], ATOL) is not None:
             return False
     return True
 
@@ -213,12 +213,12 @@ def terminal_and_drawdown(H: SimpleIntegrand, S: AdaptedProcess) -> tuple[np.nda
     """((H.S)_1 per atom, worst drawdown) from one running integral."""
     proc = integral_process(H, S)
     # max(0.0, x) keeps +0.0 when x is -0.0, as np.maximum(-v, 0.0).max() does
-    return proc.at(1.0).copy(), max(0.0, -float(proc.values.min()))
+    return proc.values[:, -1].copy(), max(0.0, -float(proc.values.min()))
 
 
-def integrate(H: SimpleIntegrand, S: AdaptedProcess, t: float = 1.0) -> np.ndarray:
-    """(H.S)_t per atom: sum_j f_j (S_{tau_j ^ t} - S_{tau_{j-1} ^ t})."""
-    return integral_process(H, S).at(t).copy()
+def integrate(H: SimpleIntegrand, S: AdaptedProcess) -> np.ndarray:
+    """(H.S)_1 per atom: sum_j f_j (S_{tau_j} - S_{tau_{j-1}})."""
+    return integral_process(H, S).values[:, -1].copy()
 
 
 def vr_metric(H: SimpleIntegrand, S: AdaptedProcess) -> float:

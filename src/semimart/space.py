@@ -46,14 +46,6 @@ class DyadicGrid:
     def times(self) -> np.ndarray:
         return np.arange(self.n_times) / self.n_steps
 
-    def index_of(self, t: float) -> int:
-        """Index of grid time t; dyadic floats at this level are exact."""
-        k = t * self.n_steps
-        j = int(round(k))
-        if j < 0 or j > self.n_steps or abs(k - j) > ATOL * self.n_steps:
-            raise ParameterError(f"{t!r} is not a level-{self.level} grid time")
-        return j
-
 
 def _frozen(a: np.ndarray) -> np.ndarray:
     """a itself when no one can write its data, else a read-only copy.
@@ -135,15 +127,11 @@ class FilteredSpace:
     ``labels[j, a]`` is the cell id of atom ``a`` in the partition at
     grid time index ``j``; ids are dense integers starting at 0, stored
     as int32 (an id is below the atom count).
-    ``innovations`` optionally stores the +/-1 driving sequences (one row
-    per atom) for tree- or ensemble-generated spaces; it is carried for
-    serialization and plays no role in the probability structure.
     """
 
     grid: DyadicGrid
     probs: np.ndarray
     labels: np.ndarray
-    innovations: np.ndarray | None = None
     # time index -> cell masses, of the partitions `cell_average` keeps
     _masses: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -158,8 +146,6 @@ class FilteredSpace:
         labels = _frozen(labels)
         object.__setattr__(self, "probs", probs)
         object.__setattr__(self, "labels", labels)
-        if self.innovations is not None:
-            object.__setattr__(self, "innovations", _frozen(np.asarray(self.innovations, dtype=np.int8)))
         if probs.ndim != 1 or probs.size == 0:
             raise ParameterError("probs must be a non-empty 1-d array")
         if np.any(probs <= 0):
@@ -177,10 +163,6 @@ class FilteredSpace:
     @property
     def n_atoms(self) -> int:
         return self.probs.size
-
-    @property
-    def times(self) -> np.ndarray:
-        return self.grid.times
 
     def cell_average(self, x: np.ndarray, j: int) -> np.ndarray:
         """Probability-weighted average of x over each cell at time index j.
@@ -210,9 +192,6 @@ class FilteredSpace:
         return float(self.probs @ x)
 
 
-INF_TIME = np.inf
-
-
 @dataclass(frozen=True)
 class StoppingTime:
     """A grid time (or infinity) per atom.
@@ -235,19 +214,6 @@ class StoppingTime:
     @property
     def inf_index(self) -> int:
         return self.space.grid.n_times
-
-    @classmethod
-    def constant(cls, space: FilteredSpace, t: float) -> "StoppingTime":
-        j = space.grid.n_times if t == INF_TIME else space.grid.index_of(t)
-        return cls(space, np.full(space.n_atoms, j, dtype=np.int64))
-
-    @property
-    def times(self) -> np.ndarray:
-        """Per-atom time values, np.inf where never stopped."""
-        out = np.full(self.space.n_atoms, INF_TIME)
-        finite = self.index < self.inf_index
-        out[finite] = self.space.times[self.index[finite]]
-        return out
 
     def prob_finite(self) -> float:
         return float(self.space.probs[self.index < self.inf_index].sum())
@@ -283,9 +249,9 @@ def tree_innovations(level: int) -> np.ndarray:
 class AdaptedProcess:
     """Grid-indexed values per atom, constant on partition cells.
 
-    ``times`` may be the full grid or any increasing subset of it (used
-    for processes sampled at a coarser dyadic level); ``time_index``
-    maps columns back to the space's grid.
+    ``time_index`` maps columns to grid indices: every index of the
+    grid, or any increasing subset of them (used for processes sampled
+    at a coarser dyadic level).
     """
 
     space: FilteredSpace
@@ -311,22 +277,8 @@ class AdaptedProcess:
             raise ParameterError("process values must be finite")
 
     @property
-    def times(self) -> np.ndarray:
-        return self.space.times[self.time_index]
-
-    @property
     def n_times(self) -> int:
         return self.time_index.size
-
-    def col_of(self, t: float) -> int:
-        j = self.space.grid.index_of(t)
-        pos = int(np.searchsorted(self.time_index, j))
-        if pos >= self.time_index.size or self.time_index[pos] != j:
-            raise ParameterError(f"process is not sampled at time {t!r}")
-        return pos
-
-    def at(self, t: float) -> np.ndarray:
-        return self.values[:, self.col_of(t)]
 
     def increments(self) -> np.ndarray:
         return np.diff(self.values, axis=1)
@@ -342,12 +294,12 @@ class AdaptedProcess:
         # the gather is F-ordered, a layout the reductions over it inherit
         return AdaptedProcess(self.space, _handed_over(self.values[:, pos]), grid_indices)
 
-    def nonadapted_at(self, atol: float = ATOL) -> tuple[int, int] | None:
+    def nonadapted_at(self) -> tuple[int, int] | None:
         """(column, atom) of the first value not constant on its cell, or None."""
-        return cell_mismatch(self.space.labels[self.time_index], self.values.T, atol)
+        return cell_mismatch(self.space.labels[self.time_index], self.values.T, ATOL)
 
-    def is_adapted(self, atol: float = ATOL) -> bool:
-        return self.nonadapted_at(atol) is None
+    def is_adapted(self) -> bool:
+        return self.nonadapted_at() is None
 
     def require_adapted(self) -> None:
         """Reject values that peek past their filtration, a non-constant S_0 included."""

@@ -87,17 +87,17 @@ def binary_tree_space(level: int) -> FilteredSpace:
     for j in range(1, grid.n_times):
         labels[j] = atoms >> (steps - j)
     probs = np.full(n_atoms, 1.0 / n_atoms)
-    return FilteredSpace(grid, probs, labels, innovations=innovations)
+    return FilteredSpace(grid, probs, labels)
 
 
-def conditional_expectation(space: FilteredSpace, x: np.ndarray, t: float) -> np.ndarray:
-    """E[x | F_t]: the cell-wise probability-weighted average at time t."""
+def conditional_expectation(space: FilteredSpace, x: np.ndarray, j: int) -> np.ndarray:
+    """E[x | F_j]: the cell-wise probability-weighted average at grid index j."""
     x = np.asarray(x, dtype=float)
     if x.shape != (space.n_atoms,):
         raise ParameterError("random variable needs one value per atom")
     if not np.all(np.isfinite(x)):
         raise PreconditionError("conditional expectation requires finite values")
-    return space.cell_average(x, space.grid.index_of(t))
+    return space.cell_average(x, j)
 
 
 def build_binary_tree(level: int, innovation_map):
@@ -110,8 +110,7 @@ def build_binary_tree(level: int, innovation_map):
     grid = space.grid
     values = np.empty((space.n_atoms, grid.n_times))
     cache: dict[tuple, float] = {}
-    for a in range(space.n_atoms):
-        row = space.innovations[a]
+    for a, row in enumerate(tree_innovations(level)):
         for j in range(grid.n_times):
             prefix = tuple(int(s) for s in row[:j])
             if prefix not in cache:
@@ -243,7 +242,7 @@ def martingale_l2(M: AdaptedProcess) -> float:
 
 def fl_statistic(seq: StrategySequence, S: AdaptedProcess, alpha: float) -> np.ndarray:
     """Exact P[(H^n . S)_1^+ >= alpha] per sequence element."""
-    return win_probabilities((integrate(H, S, 1.0) for H in seq.elements), S.space.probs, alpha)
+    return win_probabilities((integrate(H, S) for H in seq.elements), S.space.probs, alpha)
 
 
 def evaluate(seq: StrategySequence, S: AdaptedProcess, alpha: float) -> StrategySequence:
@@ -274,7 +273,7 @@ def continuity_probe(S: AdaptedProcess, seq: StrategySequence, delta: float) -> 
     out = np.empty(len(seq.elements))
     probs = S.space.probs
     for i, H in enumerate(seq.elements):
-        terminal = integrate(H, S, 1.0)
+        terminal = integrate(H, S)
         out[i] = float(probs[np.abs(terminal) > delta].sum())
     return out
 

@@ -94,14 +94,12 @@ class TestAcceptance:
                 assert np.abs(D.M.values + D.A.values - S.values).max() <= TOL
                 assert np.abs(D.A.values[:, 0]).max() <= TOL
                 # martingale residual and predictability, recomputed
-                times = space.times
                 dM = D.M.increments()
                 dA = D.A.increments()
                 for j in range(1, space.grid.n_times):
-                    prev = times[j - 1]
-                    cond = conditional_expectation(space, dM[:, j - 1], prev)
+                    cond = conditional_expectation(space, dM[:, j - 1], j - 1)
                     assert np.abs(cond).max() <= TOL
-                    proj = conditional_expectation(space, dA[:, j - 1], prev)
+                    proj = conditional_expectation(space, dA[:, j - 1], j - 1)
                     assert np.abs(proj - dA[:, j - 1]).max() <= TOL
                 # gain of the squared-increment strategy
                 Su = unit_scaled(S)
@@ -202,7 +200,7 @@ class TestAcceptance:
         assert np.abs(verdict.A.values).max() <= TOL
 
         space, S, verdict = verdicts["drifted"]
-        target = mu * space.times[None, :]
+        target = mu * space.grid.times[None, :]
         assert np.abs(verdict.A.values - target).max() <= RECOVER_TOL
 
         space, S, verdict = verdicts["deterministic_drift"]

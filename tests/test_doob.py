@@ -22,15 +22,17 @@ from semimart.doob import (
 )
 from semimart.errors import InvariantViolation, ParameterError, PreconditionError
 from semimart.generators import GeneratorSpec, generate
-from semimart.integrands import integrate
+from semimart.integrands import integral_process, integrate
 from semimart.space import (
     AdaptedProcess,
     DyadicGrid,
     FilteredSpace,
     StoppingTime,
+    tree_innovations,
 )
 from helpers import binary_tree_space, constant_integrand, martingale_l2, quadratic_variation
-from test_integral_process import assert_same_integrand
+from test_integral_process import assert_same_integrand, random_stop
+from test_measurability import SEEDS, cell_values, random_space
 
 TOL = 1e-12
 BOUND_TOL = 1e-10
@@ -38,7 +40,7 @@ BOUND_TOL = 1e-10
 
 def canonical_walk(level):
     space = binary_tree_space(level)
-    incr = space.innovations * (2.0 ** -level)
+    incr = tree_innovations(level) * (2.0 ** -level)
     values = np.concatenate(
         [np.zeros((space.n_atoms, 1)), np.cumsum(incr, axis=1)], axis=1
     )
@@ -48,7 +50,7 @@ def canonical_walk(level):
 def drifted_walk(level, slope=1.0):
     """Walk plus deterministic drift slope * t."""
     space, S = canonical_walk(level)
-    values = S.values + slope * space.times[None, :]
+    values = S.values + slope * space.grid.times[None, :]
     return space, AdaptedProcess(space, values)
 
 
@@ -63,7 +65,7 @@ def random_tree_process(level, seed, drift_scale=0.3):
     space = binary_tree_space(level)
     rng = np.random.default_rng(seed)
     steps = space.grid.n_steps
-    incr = space.innovations * rng.uniform(0.2, 1.0, size=(1, steps))
+    incr = tree_innovations(level) * rng.uniform(0.2, 1.0, size=(1, steps))
     incr = incr + drift_scale * rng.normal(size=(1, steps))
     values = np.concatenate(
         [np.zeros((space.n_atoms, 1)), np.cumsum(incr, axis=1)], axis=1
@@ -118,7 +120,7 @@ class TestDoobDecompose:
         space, Sd = drifted_walk(1)
         D = doob_decompose(Sd, 1)
         assert D.A.values[0] == pytest.approx([0.0, 0.5, 1.0], abs=TOL)
-        assert np.max(np.abs(D.A.values - space.times[None, :])) <= TOL
+        assert np.max(np.abs(D.A.values - space.grid.times[None, :])) <= TOL
 
     def test_constant_process_is_its_own_martingale(self):
         space, _ = canonical_walk(1)
@@ -246,11 +248,23 @@ class TestQvStrategy:
     def test_running_gain_never_below_minus_half(self):
         for seed in range(5):
             space, S = random_tree_process(3, seed + 50)
-            from semimart.integrands import integral_process
-
             H = qv_strategy(S, 3)
             proc = integral_process(H, S)
             assert proc.values.min() >= -0.5 - TOL
+
+    def test_gain_identity_and_floor_on_general_partitions(self):
+        """Random refining partitions with non-uniform dyadic probabilities
+        and S_0 not 0; S fills the unit band, so the floor -1/2 is tight."""
+        for seed in SEEDS:
+            rng = np.random.default_rng(seed)
+            space = random_space(rng)
+            S = AdaptedProcess(space, cell_values(rng, space.labels) / 3.0)
+            for n in range(space.grid.level + 1):
+                H = qv_strategy(S, n)
+                dS = restrict_to_level(S, n).increments()
+                target = 0.5 * (dS ** 2).sum(axis=1) + 0.5 * (S.values[:, 0] ** 2 - S.values[:, -1] ** 2)
+                assert np.max(np.abs(integrate(H, S) - target)) <= TOL
+                assert integral_process(H, S).values.min() >= -0.5 - TOL
 
     def test_unscaled_process_rejected(self):
         space, S = canonical_walk(1)
@@ -269,12 +283,12 @@ class TestBudgetStops:
     def test_sigma_tight_budget_stops_at_half(self):
         space, S = canonical_walk(1)
         sig = sigma_stop(S, 1, 4.25)
-        assert np.all(sig.times == 0.5)
+        assert np.all(sig.index == 1)
 
     def test_sigma_budget_at_or_below_offset_stops_immediately(self):
         space, S = canonical_walk(2)
         sig = sigma_stop(S, 2, 4.0)
-        assert np.all(sig.times == 0.25)
+        assert np.all(sig.index == 1)
 
     def test_tau_never_stops_without_drift(self):
         space, S = canonical_walk(1)
@@ -284,12 +298,12 @@ class TestBudgetStops:
     def test_tau_stops_when_drift_variation_hits_budget(self):
         space, Sd = drifted_walk(2)
         D = doob_decompose(Sd, 2)
-        assert np.all(tau_stop(D, 2.5).times == 0.5)
+        assert np.all(tau_stop(D, 2.5).index == 2)
 
     def test_tau_budget_at_or_below_offset_stops_immediately(self):
         space, Sd = drifted_walk(2)
         D = doob_decompose(Sd, 2)
-        assert np.all(tau_stop(D, 2.0).times == 0.25)
+        assert np.all(tau_stop(D, 2.0).index == 1)
 
     def test_budgets_must_be_positive(self):
         space, S = canonical_walk(1)
@@ -378,14 +392,14 @@ class TestSignStrategy:
     def test_pure_drift_gets_unit_weights(self):
         space, Sd = drifted_walk(1)
         D = doob_decompose(Sd, 1)
-        stop = StoppingTime.constant(space, np.inf)
+        stop = StoppingTime(space, np.full(space.n_atoms, space.grid.n_times))
         H = sign_strategy(D, stop)
         assert np.max(np.abs(H.weights - 1.0)) <= TOL
 
     def test_driftless_process_gets_zero_weights(self):
         space, S = canonical_walk(2)
         D = doob_decompose(S, 2)
-        H = sign_strategy(D, StoppingTime.constant(space, np.inf))
+        H = sign_strategy(D, StoppingTime(space, np.full(space.n_atoms, space.grid.n_times)))
         assert np.max(np.abs(H.weights)) == 0.0
 
     def test_gain_splits_into_variation_plus_martingale_term(self):
@@ -403,6 +417,20 @@ class TestSignStrategy:
                 rhs = tv_stopped + integrate(H, D.M)
                 assert np.max(np.abs(lhs - rhs)) <= TOL
 
+    def test_gain_against_A_is_the_stopped_variation_on_general_partitions(self):
+        """Random refining partitions with non-uniform dyadic probabilities;
+        TV(A^stop) sums |dA| over the steps that end no later than stop."""
+        for seed in SEEDS:
+            rng = np.random.default_rng(seed)
+            space = random_space(rng)
+            S = AdaptedProcess(space, cell_values(rng, space.labels))
+            for n in range(space.grid.level + 1):
+                D = doob_decompose(S, n)
+                stop = random_stop(rng, D.A)
+                held = D.A.time_index[1:][None, :] <= stop.index[:, None]
+                tv_stopped = (np.abs(D.A.increments()) * held).sum(axis=1)
+                assert np.max(np.abs(integrate(sign_strategy(D, stop), D.A) - tv_stopped)) <= TOL
+
 
 class TestDoobMaximalStop:
     """First passage of the strategy-against-martingale integral."""
@@ -418,7 +446,7 @@ class TestDoobMaximalStop:
         D = doob_decompose(S, 1)
         h = constant_integrand(space, 1.0)
         tau = doob_maximal_stop(D, h, 0.4)
-        assert np.all(tau.times == 0.5)
+        assert np.all(tau.index == 1)
 
     def test_large_budget_never_hit(self):
         space, S = canonical_walk(1)

@@ -181,9 +181,9 @@ class TestDriftOracles:
     def test_symmetric_walk_has_zero_compensator(self):
         spec = GeneratorSpec(kind="rademacher_bm", level=3)
         src = generate(spec)
-        space, S = src.space, src.process
+        S = src.process
         for n in (1, 2, 3):
-            assert np.max(np.abs(oracle_increments(spec, space.innovations, n))) == 0.0
+            assert np.max(np.abs(oracle_increments(spec, src.xi, n))) == 0.0
             D = doob_decompose(S, n)
             assert np.max(np.abs(D.A.values)) <= TOL
 
@@ -193,27 +193,25 @@ class TestDriftOracles:
         spec = GeneratorSpec(kind="drifted", level=level, mu=mu, scale=scale)
         assert bound_factor_for(spec) == pytest.approx(1.0)
         src = generate(spec)
-        space, S = src.space, src.process
         for n in (1, 2, 3):
-            inc = oracle_increments(spec, space.innovations, n)
+            inc = oracle_increments(spec, src.xi, n)
             assert inc == pytest.approx(np.full_like(inc, mu * 2.0 ** -n), abs=TOL)
 
     def test_oracle_matches_partition_averaging_on_all_kinds(self):
         for kind in ("rademacher_bm", "drifted", "rl_fractional", "jump"):
             spec = GeneratorSpec(kind=kind, level=3, seed=2)
             src = generate(spec)
-            space, S = src.space, src.process
+            S = src.process
             for n in (1, 2, 3):
                 D = doob_decompose(S, n)
                 dA = D.A.increments()
-                inc = oracle_increments(spec, space.innovations, n)
+                inc = oracle_increments(spec, src.xi, n)
                 assert np.max(np.abs(dA - inc)) <= TOL
 
     def test_oracle_level_range_checked(self):
         spec = GeneratorSpec(kind="drifted", level=2)
-        space = generate(spec).space
         with pytest.raises(ParameterError):
-            oracle_increments(spec, space.innovations, 3)
+            oracle_increments(spec, generate(spec).xi, 3)
 
     def test_rough_path_variation_profile(self):
         # drift variation grows and quadratic variation shrinks with depth

@@ -5,11 +5,18 @@ Each case generates a source, writes it, reads it back and runs
 the values pinned here, and the verdict must be the pinned one.  A
 change that alters any of these bytes on purpose says so and updates
 the hashes together with the reason.
+
+Every conclusive verdict is also rechecked from raw arrays by
+perfbench/checks.py, which shares no code with the package; it is
+loaded by path, so nothing under perfbench/ is imported as a package.
 """
 
 import hashlib
+import importlib.util
 import json
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from semimart.generators import GeneratorSpec, generate
@@ -128,12 +135,25 @@ CASES = {
 }
 
 
+CHECKS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "checks.py"
+
+
+def load_checks():
+    spec = importlib.util.spec_from_file_location("perfbench_checks", CHECKS_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+CHECKS = load_checks()
+
+
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def run_case(tmp_path, fields, levels, transform=None):
-    """(verdict kind, ensemble sha256, canonical body sha256) for one case."""
+def detected(tmp_path, fields, levels, transform=None):
+    """(file read back, config, source, verdict, file path) for one case."""
     spec = GeneratorSpec(seed=1, **fields)
     src = generate(spec)
     values = src.values if transform is None else transform(src.values)
@@ -141,12 +161,63 @@ def run_case(tmp_path, fields, levels, transform=None):
     write_ensemble(str(path), spec, src.probs, src.xi, values)
     data = read_ensemble(str(path))
     config = DetectConfig(levels=levels)
-    verdict = detect(data.to_source(), config)
+    source = data.to_source()
+    return data, config, source, detect(source, config), path
+
+
+def run_case(tmp_path, fields, levels, transform=None):
+    """(verdict kind, ensemble sha256, canonical body sha256) for one case."""
+    data, config, _, verdict, path = detected(tmp_path, fields, levels, transform)
     body = json.dumps(report_body(data, config, verdict), sort_keys=True, separators=(",", ":"))
     return verdict.kind, _sha(path.read_bytes()), _sha(body.encode())
+
+
+def recheck_errors(source, verdict) -> list:
+    """The rules of perfbench/checks.py that the verdict breaks, read
+    from the source's and the verdict's raw arrays as the benchmark reads them."""
+    space, S = source.space, source.process
+    if verdict.kind == "certificate":
+        return CHECKS.certificate_errors(
+            S.values, space.probs, space.labels, verdict.M.values, verdict.A.values,
+            verdict.alpha.index, verdict.constants["tv_bound"],
+        )
+    strategies = [
+        (np.column_stack([tau.index for tau in H.mesh]), H.weights)
+        for H in verdict.strategies.elements
+    ]
+    return CHECKS.free_lunch_errors(S.values, space.probs, strategies, verdict.alpha_star)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_case(tmp_path, name):
     fields, levels, kind, file_sha, body_sha, *transform = CASES[name]
     assert run_case(tmp_path, fields, levels, *transform) == (kind, file_sha, body_sha)
+
+
+@pytest.mark.parametrize("name", sorted(name for name, case in CASES.items() if case[2] != "inconclusive"))
+def test_golden_verdict_passes_the_independent_recheck(tmp_path, name):
+    fields, levels, kind, _, _, *transform = CASES[name]
+    _, _, source, verdict, _ = detected(tmp_path, fields, levels, *transform)
+    assert verdict.kind == kind
+    assert recheck_errors(source, verdict) == []
+
+
+def test_the_recheck_catches_a_corrupted_certificate():
+    """A moved M breaks M + A = S^alpha, a non-zero A_0 breaks A_0 = 0,
+    and a bound below TV(A) breaks the variation bound; the level-2
+    drifted certificate has TV(A) > 0, so the last is no sign slip."""
+    src = generate(GeneratorSpec(kind="drifted", level=2, seed=1))
+    v = detect(src, DetectConfig())
+    assert v.kind == "certificate"
+    args = (src.process.values, src.space.probs, src.space.labels, v.M.values, v.A.values, v.alpha.index,
+            v.constants["tv_bound"])
+    assert CHECKS.certificate_errors(*args) == []
+    M = v.M.values.copy()
+    M[0, -1] += 1e-6
+    assert any("M + A" in e for e in CHECKS.certificate_errors(*args[:3], M, *args[4:]))
+    A = v.A.values.copy()
+    A[:, 0] += 1e-6
+    assert any("A_0" in e for e in CHECKS.certificate_errors(*args[:4], A, *args[5:]))
+    tv = float(np.abs(np.diff(v.A.values, axis=1)).sum(axis=1).max())
+    assert tv > 0
+    assert any("TV(A)" in e for e in CHECKS.certificate_errors(*args[:6], 0.5 * tv))

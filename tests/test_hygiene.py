@@ -14,7 +14,8 @@ Every module-level function and class must be read somewhere in the
 package outside its own definition, or be listed in ``__all__``.
 
 Every method or property of a class in the package, dunders aside, must
-be read as an attribute somewhere in the package or its tests.
+be read as an attribute somewhere in the package or the benchmark in
+perfbench/; a reader in the tests alone does not keep a member alive.
 
 Neither importing the package and its CLI nor writing and reading an
 ensemble in forked children imports ``multiprocessing``: the package
@@ -167,6 +168,11 @@ def unread_members(paths, readers) -> list:
 def test_every_method_and_property_is_read():
     sources = sorted(PACKAGE.glob("*.py"))
     assert unread_members(sources, sources + sorted(TESTS.glob("*.py"))) == []
+
+
+def test_every_method_and_property_is_read_outside_the_tests():
+    sources = sorted(PACKAGE.glob("*.py"))
+    assert unread_members(sources, sources + sorted(PERFBENCH.glob("*.py"))) == []
 
 
 def test_an_unread_member_is_found(tmp_path):

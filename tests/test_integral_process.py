@@ -20,7 +20,7 @@ from semimart.integrands import (
     terminal_and_drawdown,
 )
 from semimart.pipeline import DetectConfig, detect
-from semimart.space import AdaptedProcess, StoppingTime, first_hitting_time
+from semimart.space import AdaptedProcess, StoppingTime, first_hitting_time, tree_innovations
 from helpers import binary_tree_space, constant_integrand, evaluate
 from test_measurability import SEEDS, cell_values, random_space
 
@@ -190,8 +190,8 @@ def test_grid_mesh_matches_its_materialized_mesh(seed):
     factor = float(rng.choice([-2.5, -1.0, -0.125, 0.0, 0.75, 3.0]))
     assert_same_integrand(H.scale(factor), ref.scale(factor), S)
     taus = (
-        StoppingTime.constant(space, float(space.grid.times[rng.choice(S.time_index)])),
-        StoppingTime.constant(space, np.inf),
+        StoppingTime(space, np.full(space.n_atoms, rng.choice(S.time_index))),
+        StoppingTime(space, np.full(space.n_atoms, space.grid.n_times)),
         random_stop(rng, S),
     )
     for tau in taus:
@@ -210,11 +210,11 @@ def test_eff_has_one_row_exactly_when_the_mesh_is_deterministic(seed):
     cases = [
         H,
         H.scale(-0.5),
-        H.truncate(StoppingTime.constant(space, 0.0)),
+        H.truncate(StoppingTime(space, np.zeros(space.n_atoms, dtype=np.int64))),
         H.truncate(random_stop(rng, S)),
         G,
-        G.truncate(StoppingTime.constant(G.space, np.inf)),
-        G.truncate(StoppingTime.constant(G.space, 0.0)),
+        G.truncate(StoppingTime(G.space, np.full(G.space.n_atoms, G.space.grid.n_times))),
+        G.truncate(StoppingTime(G.space, np.zeros(G.space.n_atoms, dtype=np.int64))),
     ]
     for K in cases:
         full = effective_mesh(K)
@@ -260,7 +260,7 @@ def test_truncate_matches_a_fresh_build(seed):
 def test_truncate_rejects_non_stopping_time():
     # tau = 1/2 exactly when the second innovation is +1: not observable yet
     space = binary_tree_space(1)
-    tau = StoppingTime(space, np.where(space.innovations[:, 1] > 0, 1, space.grid.n_times))
+    tau = StoppingTime(space, np.where(tree_innovations(1)[:, 1] > 0, 1, space.grid.n_times))
     with pytest.raises(PreconditionError, match="not a stopping time"):
         constant_integrand(space, 1.0).truncate(tau)
 

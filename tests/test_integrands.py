@@ -19,6 +19,7 @@ from semimart.space import (
     StoppingTime,
     first_hitting_time,
     stop_process,
+    tree_innovations,
 )
 from helpers import (
     GridFunction,
@@ -38,7 +39,7 @@ TOL = 1e-12
 
 def canonical_walk(level):
     space = binary_tree_space(level)
-    incr = space.innovations * (2.0 ** -level)
+    incr = tree_innovations(level) * (2.0 ** -level)
     values = np.concatenate(
         [np.zeros((space.n_atoms, 1)), np.cumsum(incr, axis=1)], axis=1
     )
@@ -59,13 +60,13 @@ class TestIntegrate:
         space, S = canonical_walk(1)
         H = constant_integrand(space, 1.0)
         got = integrate(H, S)
-        assert got == pytest.approx(S.at(1.0) - S.at(0.0), abs=TOL)
+        assert got == pytest.approx(S.values[:, -1] - S.values[:, 0], abs=TOL)
 
     def test_first_move_sign_held_on_second_half(self):
         # hold xi_1 on (1/2, 1]: pays +1/2 exactly when both moves agree
         space, S = canonical_walk(1)
         weights = np.stack(
-            [np.zeros(4), space.innovations[:, 0].astype(float)], axis=1
+            [np.zeros(4), tree_innovations(1)[:, 0].astype(float)], axis=1
         )
         H = SimpleIntegrand.from_grid_mesh(space, [0, 1, 2], weights)
         got = integrate(H, S)
@@ -79,7 +80,7 @@ class TestIntegrate:
     def test_running_integral_is_adapted(self):
         space, S = canonical_walk(2)
         weights = np.stack(
-            [np.ones(space.n_atoms), space.innovations[:, 1].astype(float)], axis=1
+            [np.ones(space.n_atoms), tree_innovations(2)[:, 1].astype(float)], axis=1
         )
         H = SimpleIntegrand.from_grid_mesh(space, [0, 2, 4], weights)
         assert integral_process(H, S).is_adapted()
@@ -108,7 +109,7 @@ class TestIntegrate:
         space, S = canonical_walk(2)
         tau = first_hitting_time(S, np.abs(S.values) >= 0.5)
         weights = np.stack(
-            [np.ones(space.n_atoms), space.innovations[:, 0].astype(float)], axis=1
+            [np.ones(space.n_atoms), tree_innovations(2)[:, 0].astype(float)], axis=1
         )
         H = SimpleIntegrand.from_grid_mesh(space, [0, 2, 4], weights)
         lhs = integrate(H, stop_process(S, tau))
@@ -118,7 +119,7 @@ class TestIntegrate:
     def test_weight_peeking_at_future_rejected(self):
         space, S = canonical_walk(1)
         weights = np.stack(
-            [space.innovations[:, 1].astype(float), np.zeros(4)], axis=1
+            [tree_innovations(1)[:, 1].astype(float), np.zeros(4)], axis=1
         )
         with pytest.raises(InvariantViolation):
             SimpleIntegrand.from_grid_mesh(space, [0, 1, 2], weights)
@@ -193,7 +194,7 @@ class TestContinuityProbe:
 
     def test_shrinking_first_move_bets(self):
         space, S = canonical_walk(1)
-        xi1 = space.innovations[:, 0].astype(float)
+        xi1 = tree_innovations(1)[:, 0].astype(float)
         elements = []
         for k in range(1, 7):
             weights = np.stack([np.zeros(4), xi1 / k], axis=1)

@@ -209,7 +209,7 @@ class TestEnsembleRoundTrip:
         assert not data.values.flags.writeable and not data.xi.flags.writeable
         src = data.to_source()
         assert np.shares_memory(data.values, src.process.values)
-        assert np.shares_memory(data.xi, src.space.innovations)
+        assert np.shares_memory(data.xi, src.xi)
 
     def test_source_rebuilds_the_space(self, tmp_path):
         path = walk_file(tmp_path, level=2)

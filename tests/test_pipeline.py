@@ -45,6 +45,7 @@ from semimart.space import (
     FilteredSpace,
     StoppingTime,
     stop_process,
+    tree_innovations,
 )
 from helpers import binary_tree_space, constant_integrand, recorded_stage, residual_against
 
@@ -54,7 +55,7 @@ CERT_TOL = 1e-10
 
 def canonical_walk(level):
     space = binary_tree_space(level)
-    incr = space.innovations * (2.0 ** -level)
+    incr = tree_innovations(level) * (2.0 ** -level)
     values = np.concatenate(
         [np.zeros((space.n_atoms, 1)), np.cumsum(incr, axis=1)], axis=1
     )
@@ -214,7 +215,7 @@ class TestContinuousStage:
         rec = recorded_stage(monkeypatch)
         cstage = continuous_stage(S, stage.certificates)
         assert cstage.alpha.prob_finite() == 0.0
-        assert np.all(np.isinf(cstage.alpha.times))
+        assert np.all(cstage.alpha.index == cstage.alpha.inf_index)
         assert rec.rbar_limit == pytest.approx(np.ones(space.n_atoms), abs=TOL)
         assert len(rec.scripts) == len(rec.exits)
         for s in rec.selected:
@@ -350,7 +351,7 @@ class TestAssembleDecomposition:
         )
         assert cert.residuals == {"decomposition": 0.0, "martingale": 0.0, "A_start": 0.0}
         # an adapted M with a drift is no martingale, whatever the caller reports
-        drift = AdaptedProcess(space, np.broadcast_to(space.times, S.values.shape))
+        drift = AdaptedProcess(space, np.broadcast_to(space.grid.times, S.values.shape))
         with pytest.raises(InvariantViolation, match="residual martingale"):
             SemimartingaleCertificate(
                 M=drift, A=zero, alpha=never, constants={"tv_bound": 1.0},

@@ -16,6 +16,7 @@ from semimart.errors import ParameterError
 from semimart.generators import KINDS, GeneratorSpec, Source, _empirical_labels, generate
 from semimart.io import fmt17, read_ensemble, report_body, write_ensemble
 from semimart.pipeline import DetectConfig, detect
+from semimart.space import tree_innovations
 from helpers import binary_tree_space
 
 SPECS = [
@@ -68,7 +69,7 @@ def test_generated_and_file_read_sources_agree(tmp_path, fields):
     assert np.array_equal(first_seen_ids(back.space.labels), first_seen_ids(src.space.labels))
     if src.spec.mode == "exact_tree" and src.xi is not None:
         tree = binary_tree_space(src.spec.level)
-        assert np.array_equal(src.xi, tree.innovations)
+        assert np.array_equal(src.xi, tree_innovations(src.spec.level))
         assert np.array_equal(first_seen_ids(src.space.labels), first_seen_ids(tree.labels))
 
     config = DetectConfig()

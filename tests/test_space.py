@@ -22,6 +22,7 @@ from semimart.space import (
     first_hitting_time,
     running_sum,
     stop_process,
+    tree_innovations,
 )
 from helpers import binary_tree_space, build_binary_tree, conditional_expectation
 from test_integral_process import random_stop
@@ -33,7 +34,7 @@ TOL = 1e-12
 def canonical_walk(level):
     """Symmetric random walk with +-2^(-level) steps on the full tree."""
     space = binary_tree_space(level)
-    incr = space.innovations * (2.0 ** -level)
+    incr = tree_innovations(level) * (2.0 ** -level)
     values = np.concatenate(
         [np.zeros((space.n_atoms, 1)), np.cumsum(incr, axis=1)], axis=1
     )
@@ -41,23 +42,13 @@ def canonical_walk(level):
 
 
 class TestDyadicGrid:
-    """Grid construction and time lookup."""
+    """Grid construction."""
 
     def test_level_two_times(self):
         grid = DyadicGrid(2)
         assert grid.n_steps == 4
         assert grid.n_times == 5
         assert grid.times == pytest.approx([0.0, 0.25, 0.5, 0.75, 1.0])
-
-    def test_index_of_grid_point(self):
-        grid = DyadicGrid(3)
-        assert grid.index_of(0.375) == 3
-        assert grid.index_of(1.0) == 8
-
-    def test_index_of_off_grid_time_rejected(self):
-        grid = DyadicGrid(1)
-        with pytest.raises(ParameterError):
-            grid.index_of(0.3)
 
     def test_negative_level_rejected(self):
         with pytest.raises(ParameterError):
@@ -125,45 +116,45 @@ class TestConditionalExpectation:
 
     def test_terminal_given_half_is_current_value(self):
         space, S = canonical_walk(1)
-        cond = conditional_expectation(space, S.at(1.0), 0.5)
-        assert cond == pytest.approx(S.at(0.5), abs=TOL)
+        cond = conditional_expectation(space, S.values[:, 2], 1)
+        assert cond == pytest.approx(S.values[:, 1], abs=TOL)
 
     def test_time_zero_gives_plain_mean(self):
         space, S = canonical_walk(1)
         rng = np.random.default_rng(3)
         x = rng.normal(size=space.n_atoms)
-        cond = conditional_expectation(space, x, 0.0)
+        cond = conditional_expectation(space, x, 0)
         assert cond == pytest.approx(np.full(4, space.expectation(x)), abs=TOL)
 
     def test_constant_is_fixed(self):
         space, _ = canonical_walk(2)
         x = np.full(space.n_atoms, 1.75)
-        for t in space.grid.times:
-            assert conditional_expectation(space, x, t) == pytest.approx(x, abs=TOL)
+        for j in range(space.grid.n_times):
+            assert conditional_expectation(space, x, j) == pytest.approx(x, abs=TOL)
 
     def test_projection_idempotent(self):
         space, _ = canonical_walk(2)
         rng = np.random.default_rng(11)
         x = rng.normal(size=space.n_atoms)
-        once = conditional_expectation(space, x, 0.5)
-        twice = conditional_expectation(space, once, 0.5)
+        once = conditional_expectation(space, x, 2)
+        twice = conditional_expectation(space, once, 2)
         assert np.max(np.abs(twice - once)) <= TOL
 
     def test_tower_property(self):
         space, _ = canonical_walk(2)
         rng = np.random.default_rng(17)
         x = rng.normal(size=space.n_atoms)
-        inner = conditional_expectation(space, x, 0.75)
-        outer = conditional_expectation(space, inner, 0.25)
-        direct = conditional_expectation(space, x, 0.25)
+        inner = conditional_expectation(space, x, 3)
+        outer = conditional_expectation(space, inner, 1)
+        direct = conditional_expectation(space, x, 1)
         assert np.max(np.abs(outer - direct)) <= TOL
 
     def test_mean_preserved(self):
         space, _ = canonical_walk(2)
         rng = np.random.default_rng(23)
         x = rng.normal(size=space.n_atoms)
-        for t in space.grid.times:
-            cond = conditional_expectation(space, x, t)
+        for j in range(space.grid.n_times):
+            cond = conditional_expectation(space, x, j)
             assert space.expectation(cond) == pytest.approx(
                 space.expectation(x), abs=TOL
             )
@@ -205,20 +196,20 @@ class TestStoppingTimes:
 
     def test_never_stopping_is_valid(self):
         space, _ = canonical_walk(1)
-        tau = StoppingTime.constant(space, np.inf)
+        tau = StoppingTime(space, np.full(space.n_atoms, space.grid.n_times))
         assert check_stopping_time(tau)
-        assert np.all(np.isinf(tau.times))
+        assert tau.inf_index == space.grid.n_times
         assert tau.prob_finite() == 0.0
 
     def test_constant_grid_time_is_valid(self):
         space, _ = canonical_walk(1)
-        for t in space.grid.times:
-            assert check_stopping_time(StoppingTime.constant(space, t))
+        for j in range(space.grid.n_times):
+            assert check_stopping_time(StoppingTime(space, np.full(space.n_atoms, j)))
 
     def test_peeking_at_future_innovation_rejected(self):
         # tau = 1/2 exactly when the second innovation is +1: not observable yet
         space, _ = canonical_walk(1)
-        idx = np.where(space.innovations[:, 1] > 0, 1, space.grid.n_times)
+        idx = np.where(tree_innovations(1)[:, 1] > 0, 1, space.grid.n_times)
         tau = StoppingTime(space, idx)
         assert not check_stopping_time(tau)
 
@@ -230,7 +221,7 @@ class TestStoppingTimes:
     def test_min_of_two_stopping_times(self):
         space, S = canonical_walk(2)
         a = first_hitting_time(S, S.values >= 0.5)
-        b = StoppingTime.constant(space, 0.5)
+        b = StoppingTime(space, np.full(space.n_atoms, 2))
         m = a.min_with(b)
         assert check_stopping_time(m)
         assert np.all(m.index <= a.index)
@@ -239,7 +230,8 @@ class TestStoppingTimes:
     def test_min_with_a_later_time_is_the_time_itself(self):
         space, S = canonical_walk(2)
         a = first_hitting_time(S, S.values >= 0.5)
-        never, start = StoppingTime.constant(space, np.inf), StoppingTime.constant(space, 0.0)
+        never = StoppingTime(space, np.full(space.n_atoms, space.grid.n_times))
+        start = StoppingTime(space, np.zeros(space.n_atoms, dtype=np.int64))
         assert a.min_with(never) is a and never.min_with(a) is a
         assert a.min_with(start) is start and start.min_with(a) is start
 
@@ -304,19 +296,19 @@ class TestStopProcess:
 
     def test_never_stopping_leaves_process(self):
         space, S = canonical_walk(1)
-        tau = StoppingTime.constant(space, np.inf)
+        tau = StoppingTime(space, np.full(space.n_atoms, space.grid.n_times))
         assert np.array_equal(stop_process(S, tau).values, S.values)
 
     def test_stop_at_zero_freezes_start(self):
         space, S = canonical_walk(1)
-        tau = StoppingTime.constant(space, 0.0)
+        tau = StoppingTime(space, np.zeros(space.n_atoms, dtype=np.int64))
         stopped = stop_process(S, tau)
         assert np.max(np.abs(stopped.values - S.values[:, :1])) <= TOL
 
     def test_stop_on_first_up_move(self):
         # stop at 1/2 on the first innovation +1, never otherwise
         space, S = canonical_walk(1)
-        idx = np.where(space.innovations[:, 0] > 0, 1, space.grid.n_times)
+        idx = np.where(tree_innovations(1)[:, 0] > 0, 1, space.grid.n_times)
         tau = StoppingTime(space, idx)
         assert check_stopping_time(tau)
         stopped = stop_process(S, tau)
@@ -344,7 +336,7 @@ class TestStopProcess:
 
     def test_non_stopping_time_rejected(self):
         space, S = canonical_walk(1)
-        idx = np.where(space.innovations[:, 1] > 0, 1, space.grid.n_times)
+        idx = np.where(tree_innovations(1)[:, 1] > 0, 1, space.grid.n_times)
         with pytest.raises(PreconditionError):
             stop_process(S, StoppingTime(space, idx))
 
@@ -354,14 +346,16 @@ class TestStopProcess:
         last = space.grid.n_times - 1
         coarse = restrict_to_level(S, 1)
         head = AdaptedProcess(space, S.values[:, :3], S.time_index[:3])
-        mixed = np.where(space.innovations[:, 0] > 0, last, space.grid.n_times)
-        assert stop_process(S, StoppingTime.constant(space, np.inf)) is S
-        assert stop_process(S, StoppingTime.constant(space, 1.0)) is S
-        assert stop_process(coarse, StoppingTime.constant(space, np.inf)) is coarse
-        assert stop_process(coarse, StoppingTime.constant(space, 1.0)) is coarse
+        mixed = np.where(tree_innovations(2)[:, 0] > 0, last, space.grid.n_times)
+        never = StoppingTime(space, np.full(space.n_atoms, space.grid.n_times))
+        end = StoppingTime(space, np.full(space.n_atoms, last))
+        assert stop_process(S, never) is S
+        assert stop_process(S, end) is S
+        assert stop_process(coarse, never) is coarse
+        assert stop_process(coarse, end) is coarse
         assert stop_process(coarse, StoppingTime(space, mixed)) is coarse
         # the last sampled time of a process sampled up to t = 1/2 only
-        assert stop_process(head, StoppingTime.constant(space, 0.5)) is head
+        assert stop_process(head, StoppingTime(space, np.full(space.n_atoms, 2))) is head
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_a_time_that_stops_one_cell_early_copies_bit_for_bit(self, seed):
@@ -389,7 +383,7 @@ class TestStopProcess:
         space, S = canonical_walk(2)
         head = AdaptedProcess(space, S.values[:, :3], S.time_index[:3])
         with pytest.raises(StructuralError, match="sample times"):
-            stop_process(head, StoppingTime.constant(space, 1.0))
+            stop_process(head, StoppingTime(space, np.full(space.n_atoms, space.grid.n_steps)))
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_matches_per_atom_loop(self, seed):
