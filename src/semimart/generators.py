@@ -16,6 +16,7 @@ available in ensemble mode, where the full tree is out of reach.
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import permutations, product
 
 import numpy as np
 
@@ -53,6 +54,8 @@ class GeneratorSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ParameterError(f"unknown kind {self.kind!r}; choose one of {KINDS}")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
+            raise ParameterError(f"seed must be a non-negative integer, got {self.seed!r}")
         if self.level < 1 or int(self.level) != self.level:
             raise ParameterError(f"level must be a positive integer, got {self.level}")
         if self.level > MAX_LEVEL:
@@ -202,15 +205,78 @@ def _certify_bounded(spec: GeneratorSpec, values: np.ndarray):
         raise InvariantViolation(f"emitted process has sup norm {sup} > 1")
 
 
+# numpy's SeedSequence constants; PCG64's 128-bit multiplier in 64-bit limbs
+_M32, _MIX_L, _MIX_R = 0xFFFFFFFF, 0xCA01F9DD, 0x4973F715
+_HASH_A, _HASH_B = (0x43B0D7E5, 0x931E8875), (0x8B51F9DD, 0x58F38DED)
+_PCG_HI, _PCG_LO = 0x2360ED051FC65DA4, 0x4385DF649FCCF645
+PATH_BLOCK = 1 << 14  # paths sampled together; each uint64 temporary is 128 KB
+
+
+def _hashmix(v, h: list):
+    """SeedSequence's hashmix of v; h = [constant, multiplier] advances."""
+    v, h[0] = v ^ h[0], h[0] * h[1] & _M32
+    v = v * h[0] & _M32
+    return v ^ v >> 16
+
+
+def _mix(x, y):
+    r = ((_MIX_L * x & _M32) - (_MIX_R * y & _M32)) & _M32
+    return r ^ r >> 16
+
+
+def _seed_states(seed: int, rows: np.ndarray) -> list:
+    """`SeedSequence(seed, spawn_key=(r,)).generate_state(4, np.uint64)` for every
+    r in rows at once, as four uint64 arrays, by numpy's published algorithm: the
+    seed's 32-bit words are Python ints all rows share, the spawn word r < 2^32 an array."""
+    # with a spawn key, the seed's words are zero-padded to the pool's four
+    entropy = [seed >> s & _M32 for s in range(0, max(seed.bit_length(), 128), 32)]
+    entropy.append(rows.astype(np.uint32))
+    h = list(_HASH_A)
+    pool = [_hashmix(w, h) for w in entropy[:4]]
+    for src, dst in permutations(range(4), 2):
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], h))
+    for w, dst in product(entropy[4:], range(4)):  # the seed's fifth word on, then r
+        pool[dst] = _mix(pool[dst], _hashmix(w, h))
+    h = list(_HASH_B)
+    state = [_hashmix(pool[i % 4], h).astype(np.uint64) for i in range(8)]
+    return [lo | hi << 32 for lo, hi in zip(state[::2], state[1::2])]
+
+
+def _lcg_step(hi, lo, inc_hi, inc_lo):
+    """PCG64's step state * multiplier + inc mod 2^128, in place on every path's
+    uint64 limbs; hi(lo * _PCG_LO) is summed from 32-bit partial products."""
+    a0, a1 = lo & _M32, lo >> 32
+    t = a1 * (_PCG_LO & _M32) + (a0 * (_PCG_LO & _M32) >> 32)
+    u = a0 * (_PCG_LO >> 32) + (t & _M32)
+    hi *= _PCG_LO
+    hi += a1 * (_PCG_LO >> 32) + (t >> 32) + (u >> 32) + lo * _PCG_HI + inc_hi
+    lo *= _PCG_LO
+    lo += inc_lo
+    hi += lo < inc_lo
+
+
 def _sample_innovations(spec: GeneratorSpec) -> np.ndarray:
     """One +/-1 row per path, each from its own spawned seed stream: row r
-    reads the r-th child's PCG64.  Its bits are those that
-    `Generator.integers(0, 2)` would draw from that stream: the top bit of
-    each 32-bit half of the raw 64-bit outputs, the low half first."""
+    reads the PCG64 seeded by `SeedSequence(seed, spawn_key=(r,))`.  Its
+    bits are those that `Generator.integers(0, 2)` would draw from that
+    stream: the top bit of each 32-bit half of the raw 64-bit outputs, the
+    low half first.  A block of paths' streams is seeded and run together."""
     xi = np.empty((spec.paths, spec.n_steps), dtype=np.int8)
-    for row, child in enumerate(np.random.SeedSequence(spec.seed).spawn(spec.paths)):
-        raw = np.random.PCG64(child).random_raw(spec.n_steps // 2).astype("<u8", copy=False)
-        xi[row] = raw.view("<u4") >> 31
+    n = min(spec.paths, PATH_BLOCK)  # divides the paths, a power of two
+    for r0 in range(0, spec.paths, n):
+        s_hi, s_lo, q_hi, q_lo = _seed_states(spec.seed, np.arange(r0, r0 + n)[:, None])
+        # PCG64's seeding: inc = 2q + 1; the zero state steps to inc, adds s, steps
+        inc_hi, inc_lo = q_hi << 1 | q_lo >> 63, q_lo << 1 | 1
+        lo = inc_lo + s_lo
+        hi = inc_hi + s_hi + (lo < s_lo)
+        _lcg_step(hi, lo, inc_hi, inc_lo)
+        for k in range(spec.n_steps // 2):
+            _lcg_step(hi, lo, inc_hi, inc_lo)
+            # XSL-RR output: hi ^ lo rotated right by the state's top six
+            # bits; keep the top bit of each 32-bit half, in bits 0 and 32
+            x, rot = hi ^ lo, hi >> 58
+            x = (x >> rot | x << (64 - rot & 63)) >> 31 & 0x100000001
+            xi[r0:r0 + n, 2 * k:2 * k + 2] = x.astype("<u8", copy=False).view("<u4")
     xi *= -2  # bits 0 and 1 to innovations +1 and -1, in place
     xi += 1
     return xi
@@ -226,6 +292,10 @@ def _empirical_labels(xi: np.ndarray) -> np.ndarray:
         # dense ranks by counting, as np.unique would give them without a sort
         rank = np.cumsum(np.bincount(pairs) > 0) - 1
         labels[j] = rank[pairs]
+        if rank[-1] == paths - 1:
+            # singleton cells: ranking distinct 2 label + bit keeps each label
+            labels[j + 1:] = labels[j]
+            break
     labels.setflags(write=False)  # fresh, so the space keeps it uncopied
     return labels
 

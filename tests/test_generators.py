@@ -1,11 +1,15 @@
 """Tests for the reference process generators and their drift oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from semimart import space as space_module
 from semimart.doob import doob_decompose, restrict_to_level
 from semimart.errors import InvariantViolation, ParameterError, ResourceLimitError
 from semimart.generators import (
+    PATH_BLOCK,
     GeneratorSpec,
     Source,
     bound_factor_for,
@@ -15,6 +19,8 @@ from semimart.generators import (
     rl_kernel,
     rl_normalizer,
 )
+from semimart.generators import _empirical_labels, _seed_states
+from semimart.space import tree_innovations
 from helpers import sampled_innovations
 
 TOL = 1e-12
@@ -63,6 +69,11 @@ class TestSpecValidation:
     def test_ensemble_cells_cap_admits_the_largest_supported(self, level, paths):
         assert GeneratorSpec(kind="rademacher_bm", level=level, mode="ensemble",
                              paths=paths).paths == paths
+
+    @pytest.mark.parametrize("seed", [-1, -(2**70), True, 1.0, "3", None])
+    def test_seed_must_be_a_non_negative_int(self, seed):
+        with pytest.raises(ParameterError, match="^seed must be a non-negative integer"):
+            GeneratorSpec(kind="rl_fractional", level=3, mode="ensemble", paths=4, seed=seed)
 
     def test_hurst_range(self):
         with pytest.raises(ParameterError):
@@ -254,6 +265,8 @@ class TestEnsembles:
         ("jump", 6, 32, 3),
         ("rl_fractional", 8, 256, 1),
         ("rl_fractional", 10, 4, 2**40 + 5),
+        ("drifted", 3, 16, 2**128 + 1),  # five seed words
+        ("rademacher_bm", 1, 2 * PATH_BLOCK, 11),  # two path blocks
     ])
     def test_innovations_match_the_per_path_generators(self, kind, level, paths, seed):
         """The raw-stream sampler draws the bits that one Generator per path
@@ -262,6 +275,44 @@ class TestEnsembles:
         xi = generate(spec).xi
         assert xi.dtype == np.int8
         assert xi.tobytes() == sampled_innovations(seed, paths, 1 << level).tobytes()
+
+    def test_block_edges_match_the_spawned_streams(self):
+        """At L1 with 2^17 paths, the first and last rows and the rows on
+        each side of every block edge are those of path r's own stream."""
+        seed, paths = 2**64 + 3, 1 << 17
+        xi = generate(GeneratorSpec(kind="rademacher_bm", level=1, mode="ensemble",
+                                    paths=paths, seed=seed)).xi
+        rows = {0, paths - 1}
+        for edge in range(PATH_BLOCK, paths, PATH_BLOCK):
+            rows |= {edge - 1, edge}
+        assert len(rows) == 2 * (paths // PATH_BLOCK)
+        for r in sorted(rows):
+            stream = np.random.SeedSequence(seed, spawn_key=(r,))
+            bits = np.random.default_rng(stream).integers(0, 2, size=2)
+            assert xi[r].tolist() == (1 - 2 * bits).tolist(), r
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 7, 2**128 + 1, 2**200 + 3])
+    def test_seed_hashing_matches_numpy(self, seed):
+        """The vectorised SeedSequence hash gives numpy's state words, so a
+        numpy that changed its algorithm fails here first."""
+        rows = [0, 1, 2, 12345, PATH_BLOCK, 2**23 - 1]
+        got = _seed_states(seed, np.array(rows))
+        for i, r in enumerate(rows):
+            want = np.random.SeedSequence(seed, spawn_key=(r,)).generate_state(4, np.uint64)
+            assert [int(w[i]) for w in got] == want.tolist(), r
+
+    def test_generate_holds_no_per_path_objects(self):
+        """Sampling L1 x 2^18 paths peaks at about 2.1 (atoms x times)
+        float64 units traced; one seed object per path took about 15."""
+        spec = GeneratorSpec(kind="rademacher_bm", level=1, mode="ensemble", paths=1 << 18, seed=3)
+        unit = spec.paths * (spec.n_steps + 1) * 8
+        tracemalloc.start()
+        try:
+            generate(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * unit
 
     def test_decomposer_uses_the_oracle(self):
         spec = GeneratorSpec(kind="drifted", level=3, mode="ensemble", paths=64, seed=5)
@@ -301,3 +352,49 @@ class TestEnsembles:
         assert bound_factor_for(spec) == pytest.approx(2.0 ** 2)
         small = GeneratorSpec(kind="rademacher_bm", level=4, scale=2.0 ** -3)
         assert bound_factor_for(small) == 1.0
+
+
+def full_labels(xi: np.ndarray) -> np.ndarray:
+    """The empirical labels refined at every time, with no early stop."""
+    paths, L = xi.shape
+    labels = np.zeros((L + 1, paths), dtype=np.int32)
+    for j in range(1, L + 1):
+        pairs = labels[j - 1] * 2 + (xi[:, j - 1] > 0)
+        labels[j] = np.unique(pairs, return_inverse=True)[1]
+    return labels
+
+
+class TestEmpiricalLabels:
+    """Labels stop refining once every path is its own cell."""
+
+    @pytest.mark.parametrize("level, paths, seed", [
+        (8, 4096, 1),  # the ensemble-L8 benchmark's source
+        (3, 2, 5),
+        (10, 8, 2),
+        (6, 1 << 10, 4),
+    ])
+    def test_the_early_stop_gives_the_full_labels(self, level, paths, seed):
+        spec = GeneratorSpec(kind="rl_fractional", level=level, mode="ensemble", paths=paths,
+                             hurst=0.75, seed=seed)
+        xi = generate(spec).xi
+        assert np.array_equal(_empirical_labels(xi), full_labels(xi))
+
+    @pytest.mark.parametrize("level", [1, 2, 3, 4])
+    def test_exact_trees_reach_singletons_only_at_the_end(self, level):
+        xi = tree_innovations(level)
+        labels = _empirical_labels(xi)
+        assert np.array_equal(labels, full_labels(xi))
+        assert labels[-2].max() + 1 < xi.shape[0] == labels[-1].max() + 1
+
+    def test_the_refinement_check_reads_every_time(self, monkeypatch):
+        seen = []
+
+        def spy(labels, x, atol=0.0):
+            seen.append(labels.shape)
+            return cell_mismatch(labels, x, atol)
+
+        cell_mismatch = space_module.cell_mismatch
+        monkeypatch.setattr(space_module, "cell_mismatch", spy)
+        spec = GeneratorSpec(kind="rl_fractional", level=8, mode="ensemble", paths=64, seed=1)
+        generate(spec).space
+        assert seen == [(spec.n_steps, spec.paths)]

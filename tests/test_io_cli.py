@@ -286,6 +286,18 @@ class TestEnsembleErrors:
         with pytest.raises(ParameterError, match="header: paths"):
             read_ensemble(path)
 
+    @pytest.mark.parametrize("seed", [-1, -(2**70)])
+    def test_header_with_a_negative_seed(self, tmp_path, capsys, seed):
+        path, lines = self.lines(tmp_path)
+        header = json.loads(lines[0])
+        header["seed"] = seed
+        lines[0] = json.dumps(header)
+        self.rewrite(path, lines)
+        with pytest.raises(ParameterError, match="^header: seed must be a non-negative integer"):
+            read_ensemble(path)
+        assert main(["detect", path, "--out", str(tmp_path / "r.json")]) == 2
+        assert "header: seed must be a non-negative integer" in capsys.readouterr().err
+
     def test_atom_count_mismatch(self, tmp_path):
         path, lines = self.lines(tmp_path)
         self.rewrite(path, lines[:-1])
@@ -1442,6 +1454,15 @@ class TestCliFlows:
         rc = main(["generate", "--kind", kind, "--level", "2", flag, value, "--out", out])
         assert rc == 2
         assert f"{field} must be finite" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("mode", ["ensemble", "exact"])
+    def test_generate_refuses_a_negative_seed(self, tmp_path, capsys, mode):
+        out = str(tmp_path / "gen.jsonl")
+        rc = main(["generate", "--kind", "rl_fractional", "--level", "3", "--mode", mode,
+                   "--paths", "4", "--seed", "-1", "--out", out])
+        assert rc == 2
+        assert "seed must be a non-negative integer, got -1" in capsys.readouterr().err
         assert not os.path.exists(out)
 
     def test_generate_refuses_too_many_paths_before_sampling(self, tmp_path, capsys,
