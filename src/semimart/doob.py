@@ -127,7 +127,7 @@ def martingale_residual(M: AdaptedProcess) -> float:
 
 def _predictable(A: AdaptedProcess) -> bool:
     """Each A_{t_c} is constant on the cells at the preceding sample time."""
-    return cell_mismatch(A.space.labels[A.time_index[:-1]], A.values[:, 1:].T, ATOL) is None
+    return cell_mismatch(A.space.labels_at(A.time_index[:-1]), A.values[:, 1:].T, ATOL) is None
 
 
 def _identity_error(M: np.ndarray, A: np.ndarray, S: np.ndarray) -> float:

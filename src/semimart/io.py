@@ -8,25 +8,32 @@ body is byte-reproducible from the ensemble file and the configuration,
 which is what `verify` exploits.
 
 Rows are written and read in blocks of about BLOCK_CELLS cells.  The
-writer formats each distinct value of a block once when its values
-repeat, and gathers the block's text from a table of those texts.  The
-reader has two block paths.  A block whose text has exactly the writer's
-layout is converted with one `np.loadtxt` call; any other block goes
-through the checked row path, which decodes each row as JSON and names
-the atom and the field of a fault.  Both paths give the same arrays for
-every row the first takes.
+writer gathers every block's text from NUL-padded tables of cell texts,
+formatting each distinct value of a block once when its values repeat
+and every cell in place otherwise.  Its float texts, and those of the
+report's array digests, come from one vectorised kernel, `_fmt17_table`,
+byte for byte what `fmt17` writes: it rounds |x| * 10**(16 - d) to 17
+digits in double-double arithmetic (Dekker, 1971) and leaves to `fmt17`
+the cells it cannot decide, near-ties and those out of its range, and
+the cells of a call too small to repay its fixed cost.
+The reader has two block paths.  A block whose text has exactly the
+writer's layout is converted with one `np.loadtxt` call; any other block
+goes through the checked row path, which decodes each row as JSON and
+names the atom and the field of a fault.  Both paths give the same
+arrays for every row the first takes.
 
 Both share the blocks out through one helper, `_forked`: this process
 takes the first contiguous share of them, and when the values are mostly
-distinct a forked child takes each further one, one per CPU, and sends
-back one message through a pipe: the writer's child its share's file
-text, the reader's child the bytes of the rows it parsed and their p
-entries.  The shares are taken in file order, so the file's bytes, the
-arrays read and the first fault's message do not depend on the CPU
-count.
+distinct a forked child takes each further one, one per CPU, and streams
+it back through a pipe in length-prefixed frames, one per part as it is
+made, ended by a marker: the writer's child its share's file text, the
+reader's child the bytes of the rows it parsed and their p entries.  The
+shares are taken in file order, so the file's bytes, the arrays read and
+the first fault's message do not depend on the CPU count.
 """
 
 import errno
+import functools
 import hashlib
 import io
 import itertools
@@ -53,6 +60,9 @@ INLINE_ATOM_LIMIT = 1024
 BLOCK_CELLS = 1 << 16
 # the most bytes of a forked child's message held here at a time
 PIECE = 1 << 20
+# the frame lengths, which no part has, that end a forked child's
+# message: whole, or at a fault
+_END, _FAULT = (1 << 64) - 1, (1 << 64) - 2
 # cells sampled to decide whether a payload array repeats its values
 PAYLOAD_SAMPLE = 4096
 # the characters of a number; every other character of a row in the
@@ -68,12 +78,6 @@ _ROW = re.compile(rb'^\{"p":(\[[^]]*\]),"v":\[("[^]]*")\],"xi":\[([^]]*)\]\}$', 
 def fmt17(x) -> str:
     """Decimal encoding that round-trips float64 exactly."""
     return format(float(x), ".17g")
-
-
-def _cells(cell: str, k: int) -> str:
-    """A `%` template for k comma-separated cells.  `"%.17g" % x` runs the
-    same float-to-string conversion as `fmt17`, one C call per row."""
-    return ",".join([cell] * k)
 
 
 def _blocks(n: int, width: int):
@@ -180,11 +184,10 @@ def write_ensemble(path, spec: GeneratorSpec, probs, xi, values) -> None:
         "atoms": n,
     }
     distinct, inverse = np.unique(probs, return_inverse=True)
-    codes = ["%d,%d" % tuple(dyadic_encode(p)) for p in distinct]
-    # each row's text up to its first value, for blocks gathered whole
-    heads = _table([b'{"p":[%s],"v":[' % c.encode() for c in codes])
+    # each row's text up to its first value
+    heads = _table([b'{"p":[%d,%d],"v":[' % tuple(dyadic_encode(p)) for p in distinct])
     spans = _blocks(n, values.shape[1] + xi.shape[1])
-    state = (codes, heads, inverse, values, xi)
+    state = (heads, inverse, values, xi)
     workers = 1 if _repeats(values) else _cpus(len(spans))
     with open_output(path, "wb") as fh:
         fh.write((_canonical(header) + "\n").encode())
@@ -194,29 +197,16 @@ def write_ensemble(path, spec: GeneratorSpec, probs, xi, values) -> None:
 
 def _block_text(state, lo: int, hi: int) -> bytes:
     """The file text of atom rows lo..hi-1, in the key order and with the
-    separators of `_canonical`.  A block whose values repeat is gathered
-    whole from tables of cell texts; otherwise its values take the
-    per-row template, and only its innovations are gathered."""
-    codes, heads, inverse, values, xi = state
+    separators of `_canonical`, gathered whole from tables of cell texts."""
+    heads, inverse, values, xi = state
     v, n = values[lo:hi], hi - lo
-    innovations = _gathered(_INNOVATIONS, xi[lo:hi].view(np.uint8))
-    if _repeats(v):
-        return _joined([
-            np.take(heads, inverse[lo:hi], axis=0),
-            *_value_cells(v, b'"%.17g"'),
-            _constant(b'],"xi":[', n),
-            *innovations,
-            _constant(b"]}\n", n),
-        ])
-    row = _cells('"%.17g"', v.shape[1])
-    return "".join([
-        '{"p":[%s],"v":[%s],"xi":[%s]}\n' % (codes[c], row % tuple(r), x)
-        for c, r, x in zip(
-            inverse[lo:hi].tolist(),
-            v.tolist(),
-            _joined([*innovations, _constant(b"\n", n)]).decode().split("\n"),
-        )
-    ]).encode()
+    return _joined([
+        np.take(heads, inverse[lo:hi], axis=0),
+        *_value_cells(v, b'"', _repeats(v)),
+        _constant(b'],"xi":[', n),
+        *_gathered(_INNOVATIONS, xi[lo:hi].view(np.uint8)),
+        _constant(b"]}\n", n),
+    ])
 
 
 def _cpus(tasks: int) -> int:
@@ -234,26 +224,40 @@ def _forked(fn, spans, parts: int):
     generator fn(share) yields.
 
     This process computes the first share, when the pieces are taken.  A
-    child forked for each further share computes it and sends its bytes
-    through a pipe as one message, their length first; the message is
-    yielded in pieces of at most PIECE bytes, so this process never holds
-    a child's whole share.  A share whose child could not be forked or
-    exited before sending the length is computed here in its turn, so
-    the first fault in share order raises here.  A child that sends the
-    length but not all the bytes raises ChildProcessError.  Every child
+    child forked for each further share sends each part that fn(share)
+    yields through a pipe as it comes, as a frame: the part's length,
+    then its bytes.  An _END length ends the message; a _FAULT length
+    ends it where fn raised.  The frames are yielded in pieces of at most
+    PIECE bytes, so neither process holds a child's whole share.  A share
+    whose child could not be forked or exited before sending its first
+    length is computed here in its turn, and so are the parts after a
+    fault, so the first fault in share order raises here.  A child whose
+    message stops before its end raises ChildProcessError.  Every child
     is reaped before this returns or raises."""
     # not imported at module level, where it measurably slowed `semimart
     # verify`'s argument parsing
     import signal
 
-    def message(fh, size: int, share):
-        while size:
-            piece = fh.read(min(size, PIECE))
-            if not piece:
-                raise ChildProcessError(
-                    f"rows {share[0][0]}-{share[-1][1] - 1}: the child's message ended {size} bytes short")
-            size -= len(piece)
-            yield piece
+    def message(fh, length: bytes, share):
+        def cut(what):
+            return ChildProcessError(f"rows {share[0][0]}-{share[-1][1] - 1}: the child's message ended {what}")
+
+        for frames in itertools.count():
+            size = int.from_bytes(length, "little")
+            if size == _END:
+                return
+            if size == _FAULT:
+                yield from itertools.islice(fn(share), frames, None)
+                return
+            while size:
+                piece = fh.read(min(size, PIECE))
+                if not piece:
+                    raise cut(f"{size} bytes short of a frame")
+                size -= len(piece)
+                yield piece
+            length = fh.read(8)
+            if len(length) < 8:
+                raise cut("before its end")
 
     cuts = [k * len(spans) // parts for k in range(parts + 1)]
     shares = [spans[lo:hi] for lo, hi in zip(cuts, cuts[1:]) if lo < hi]
@@ -262,8 +266,8 @@ def _forked(fn, spans, parts: int):
         for share in shares[1:]:
             children.append(_fork(fn, share))
         for share, child in zip(shares, [None, *children]):
-            size = child[1].read(8) if child else b""
-            yield share, message(child[1], int.from_bytes(size, "little"), share) if len(size) == 8 else fn(share)
+            length = child[1].read(8) if child else b""
+            yield share, message(child[1], length, share) if len(length) == 8 else fn(share)
     finally:
         for pid, fh in filter(None, children):
             os.kill(pid, signal.SIGKILL)
@@ -272,8 +276,8 @@ def _forked(fn, spans, parts: int):
 
 
 def _fork(fn, share):
-    """(pid, read end of its pipe) of a child forked to send the bytes of
-    fn(share) through the pipe, their length first, and exit; None when
+    """(pid, read end of its pipe) of a child forked to send the parts of
+    fn(share) through the pipe in frames (`_forked`) and exit; None when
     no child could be forked."""
     try:
         r, w = os.pipe()
@@ -289,10 +293,17 @@ def _fork(fn, share):
         os.close(w)
         return pid, os.fdopen(r, "rb")
     try:
-        parts = list(fn(share))
         with os.fdopen(w, "wb") as fh:
-            fh.write(sum(map(len, parts)).to_bytes(8, "little"))
-            fh.writelines(parts)
+            try:
+                for part in fn(share):
+                    fh.write(len(part).to_bytes(8, "little"))
+                    fh.write(part)
+            except Exception:
+                # the parent computes the rest of the share, and so raises
+                # this fault with its own traceback, in share order
+                fh.write(_FAULT.to_bytes(8, "little"))
+            else:
+                fh.write(_END.to_bytes(8, "little"))
     finally:
         # the message, whole or not, is all that this process reports
         os._exit(0)
@@ -597,24 +608,26 @@ def _repeats(arr: np.ndarray) -> bool:
 def _table(texts) -> np.ndarray:
     """The byte strings `texts` as the rows of a uint8 table, each padded
     with NULs to the longest; no text written here holds a NUL."""
-    width = max(map(len, texts))
-    return np.frombuffer(b"".join([t.ljust(width, b"\0") for t in texts]), np.uint8).reshape(-1, width)
+    width = max(map(len, texts), default=0)
+    return np.frombuffer(b"".join([t.ljust(width, b"\0") for t in texts]), np.uint8).reshape(len(texts), width)
 
 
-def _cell_tables(texts) -> tuple:
-    """Two tables of the cell `texts`: each text followed by its comma,
-    for every column of a row but the last, and each text alone."""
-    return _table([t + b"," for t in texts]), _table(texts)
+def _cell_table(table: np.ndarray, quote: bytes = b"") -> np.ndarray:
+    """The cell texts that are the rows of a NUL-padded uint8 table, each
+    in `quote`s and followed by its comma."""
+    n = table.shape[0]
+    q = _constant(quote, n)
+    return np.concatenate([q, table, q, _constant(b",", n)], axis=1)
 
 
-def _gathered(tables, idx: np.ndarray) -> list:
+def _gathered(cells: np.ndarray, idx: np.ndarray) -> list:
     """Parts for `_joined`: the padded texts of the cells idx (rows x
-    columns) from `tables` (`_cell_tables`), a row's cells joined by commas."""
+    columns) from `cells` (`_cell_table`), a row's cells joined by commas;
+    the last cell of a row drops its comma."""
     if idx.shape[1] == 0:
         return []
-    sep, last = tables
     n = idx.shape[0]
-    return [np.take(sep, idx[:, :-1], axis=0).reshape(n, -1), np.take(last, idx[:, -1], axis=0)]
+    return [np.take(cells, idx[:, :-1], axis=0).reshape(n, -1), np.take(cells, idx[:, -1], axis=0)[:, :-1]]
 
 
 def _constant(text: bytes, n: int) -> np.ndarray:
@@ -628,33 +641,190 @@ def _joined(parts) -> bytes:
     return np.concatenate(parts, axis=1).tobytes().translate(None, b"\0")
 
 
-def _value_cells(arr: np.ndarray, cell: bytes) -> list:
-    """`_gathered` parts of the float cells of arr, each `cell % value`.
-    Each distinct bit pattern is formatted once, so -0.0 and 0.0 stay
-    apart; bytes and str `%` run the same float-to-string conversion."""
-    distinct, inverse = np.unique(arr.view(np.uint64), return_inverse=True)
-    texts = [cell % x for x in distinct.view(np.float64).tolist()]
-    return _gathered(_cell_tables(texts), inverse.reshape(arr.shape))
+def _value_cells(arr: np.ndarray, quote: bytes, repeats: bool) -> list:
+    """`_gathered` parts of the float cells of arr, each as `fmt17` writes
+    it, in `quote`s.  When they repeat, each distinct bit pattern is
+    formatted once, so -0.0 and 0.0 stay apart; otherwise every cell is."""
+    if repeats:
+        distinct, idx = np.unique(arr.view(np.uint64), return_inverse=True)
+        table = _fmt17_table(distinct.view(np.float64))
+    else:
+        table, idx = _fmt17_table(arr.ravel()), np.arange(arr.size)
+    return _gathered(_cell_table(table, quote), idx.reshape(arr.shape))
 
 
 # the text of each int8 innovation, by its bit pattern as a uint8
-_INNOVATIONS = _cell_tables([b"%d" % x for x in np.arange(256, dtype=np.uint8).view(np.int8).tolist()])
+_INNOVATIONS = _cell_table(_table([b"%d" % x for x in np.arange(256, dtype=np.uint8).view(np.int8).tolist()]))
+
+# `_fmt17_table` formats the cells of these magnitudes itself, trying the
+# decades d = floor(log10|x|) in _DECADES
+_FAST = (1e-280, 1e280)
+_DECADES = np.arange(-281, 282)
+# the band around a half-integer, far wider than the error of V (under
+# 2**-47), in which it leaves the rounding to `fmt17`
+_TIE = 2.0 ** -20
+# below this many cells `fmt17` formats them all: the vectorised path
+# costs about 100 us a call whatever its size, `fmt17` about 1 us a cell
+_FEW = 128
+# the divisors that cut the 16 digits after the lead one into groups of 4
+_POW4 = np.array([10 ** 16, 10 ** 12, 10 ** 8, 10 ** 4, 1])[:, None]
+
+
+def _halves(a):
+    """Dekker's split of a into a high and a low half of at most 26
+    significant bits each, high + low == a exactly."""
+    c = 134217729.0 * a  # 2**27 + 1
+    high = c - (c - a)
+    return high, a - high
+
+
+@functools.cache
+def _fmt17_tables() -> tuple:
+    """The constant tables of `_fmt17_table`, built at its first call.
+
+    pow10: for each decade d, 10**(16 - d) as the double-double hi + lo,
+    each part correctly rounded from exact integers, with the halves of hi.
+    groups: the 4 digits of 0..9999 as uint32 words, then the same with
+    their trailing zeros dropped, then an empty word.  And per decade, as
+    `%.17g` lays the cell out: the text before the lead digit,
+    right-aligned in the first 6 bytes of a word, for nonnegative then
+    negative cells; the word of text after the digits; the digit after
+    which the point goes (17: none); the widths of the two texts."""
+    his, los = [], []
+    for k in (16 - _DECADES).tolist():
+        if k >= 0:
+            his.append(float(10 ** k))
+            los.append(float(10 ** k - int(his[-1])))
+        else:
+            m = 10 ** -k
+            his.append(1 / m)
+            num, den = his[-1].as_integer_ratio()
+            los.append((den - num * m) / (den * m))
+    hi = np.array(his)
+    pow10 = np.array([hi, *_halves(hi), los])
+    digits = (np.arange(10000)[:, None] // np.array([1000, 100, 10, 1]) % 10 + 48).astype(np.uint8)
+    trailing = np.logical_and.accumulate(digits[:, ::-1] == 48, axis=1)[:, ::-1]
+    groups = np.concatenate([digits, np.where(trailing, 0, digits), np.zeros((1, 4))]).astype(np.uint8)
+    decades = _DECADES.tolist()
+    heads = [b"0." + b"0" * (-d - 1) if -4 <= d < 0 else b"" for d in decades]
+    tails = [b"" if -4 <= d < 17 else b"e%+03d" % d for d in decades]
+    points = [17 if -4 <= d < 0 else d if 0 <= d < 17 else 0 for d in decades]
+    words = [h.rjust(6, b"\0") for h in heads] + [(b"-" + h).rjust(6, b"\0") for h in heads] + tails
+    words = np.frombuffer(b"".join([w.ljust(8, b"\0") for w in words]), np.uint64)
+    widths = np.array([[len(h) + 1, len(t)] for h, t in zip(heads, tails)])
+    tables = pow10, groups.view(np.uint32).ravel(), words[:-len(tails)], words[-len(tails):], np.array(points), widths
+    for table in tables:
+        table.setflags(write=False)  # shared by every call
+    return tables
+
+
+def _decades(a: np.ndarray) -> np.ndarray:
+    """floor(log10(a)) of positive cells, as an estimate: near a power of
+    ten `log10` may round to the next integer, which `_fmt17_table` mends."""
+    return np.floor(np.log10(a)).astype(np.int64)
+
+
+def _scaled(a: np.ndarray, d: np.ndarray) -> tuple:
+    """V = a * 10**(16 - d) as (p, t): p the rounded product a * hi, and t
+    its exact error by Dekker's product plus a * lo."""
+    hi, high, low, lo = np.take(_fmt17_tables()[0], d - _DECADES[0], axis=1)
+    p = a * hi
+    ah, al = _halves(a)
+    return p, ((ah * high - p) + ah * low + al * high) + al * low + a * lo
+
+
+def _off_decade(p: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """+1 where V = p + t >= 1e17, -1 where V < 1e16, else 0.  Near either
+    bound p minus it is exact and |t| is below the spacing of p, so the
+    signs are those of V minus the bound."""
+    return ((p - 1e17) + t >= 0).view(np.int8) - ((p - 1e16) + t < 0).view(np.int8)
+
+
+def _fmt17_table(x: np.ndarray) -> np.ndarray:
+    """The texts `fmt17` writes for the 1-D float64 cells x, as the rows of
+    a uint8 table padded with NULs, which may sit anywhere in a row.
+
+    The fast path takes +-0 and the cells with 1e-280 <= |x| <= 1e280.
+    From an estimate d of the decade of |x| it forms V = |x| * 10**(16 - d)
+    as p + t, from a double-double power of ten and Dekker's exact
+    product.  Where V falls outside [1e16, 1e17), d moves by one and V is
+    formed again, so the text does not hang on the last bit of `log10`.
+    The 17 digits N = p + rint(t) (10**17 carries into the next decade)
+    are gathered from a table of 4-digit groups, trailing zeros dropped,
+    and laid out as `%g` does, with a point or an exponent.  Every other
+    cell goes to `fmt17`: one outside that range or not finite, one whose
+    decade is still off, and one whose t lies within _TIE of a
+    half-integer, ties such as 1234567890123456.25 included.  So do all
+    the cells of a call with fewer than _FEW of them."""
+    if x.size < _FEW:
+        return _table([fmt17(v).encode() for v in x.tolist()])
+    pow10, groups, heads, tails, points, widths = _fmt17_tables()
+    zero = x == 0
+    a = np.abs(x)
+    fast = (a >= _FAST[0]) & (a <= _FAST[1])
+    a = np.where(fast, a, 1.0)  # zeros and cells left to fmt17 read as 1
+    d = np.clip(_decades(a), _DECADES[0], _DECADES[-1])
+    p, t = _scaled(a, d)
+    shift = _off_decade(p, t)
+    moved = np.flatnonzero(shift)
+    if moved.size:
+        d[moved] += shift[moved]
+        p[moved], t[moved] = _scaled(a[moved], d[moved])
+        fast[moved[_off_decade(p[moved], t[moved]) != 0]] = False
+    r = np.rint(t)
+    slow = np.flatnonzero(~(fast | zero) | (np.abs(t - r) > 0.5 - _TIE))
+    n = p.astype(np.int64) + r.astype(np.int64)
+    carry = n == 10 ** 17
+    n[carry] = 10 ** 16
+    d += carry
+    lead = n // 10 ** 16
+    rest = n - lead * 10 ** 16
+    # q[j]: the first j groups of rest; low[j]: its digits after them.  A
+    # group after the last nonzero one is empty, that one drops its zeros
+    q = rest // _POW4
+    low = rest - q * _POW4
+    empty = (low == 0) * 10000
+    # a row: the head word, the four groups, the tail word.  The head
+    # word holds its text in bytes 0-5, the lead digit in byte 6 and, when
+    # the point follows it and digits follow the point, the point in 7
+    out = np.empty((x.size, 8), np.uint32)
+    out[:, 2:6] = np.take(groups, q[1:] - q[:-1] * 10 ** 4 + empty[:-1] + empty[1:]).T
+    text, words = out.view(np.uint8), out.view(np.uint64)
+    di = d - _DECADES[0]
+    point = np.take(points, di)
+    lead_point = (48 + lead * ~zero) << 48 | ((point == 0) & (rest != 0)) * (46 << 56)
+    words[:, 0] = np.take(heads, di + _DECADES.size * np.signbit(x)) | lead_point.astype(np.uint64)
+    words[:, 3] = np.take(tails, di)
+    present = np.flatnonzero(np.bincount(di, minlength=_DECADES.size))
+    # a cell with i > 0 integer digits after the lead one moves them left
+    # over the point's byte, zeros kept, and takes the point after them
+    for i in sorted(set(points[present].tolist()) - {0, 17}):
+        rows = np.flatnonzero(point == i)
+        text[rows, 7:7 + i] = np.maximum(text[rows, 8:8 + i], 48)
+        text[rows, 7 + i] = (rest[rows] % 10 ** (16 - i) != 0) * 46
+    # the bytes that some cell fills: the head text, the lead digit and a
+    # point, then the groups up to the tail's end, or else up to the last
+    # nonempty group or moved integer digit
+    head, tail = widths[present].max(0, initial=0)
+    moves = points[present]
+    table = text[:, 6 - head:24 + tail if tail else 8 + max(4 * np.count_nonzero(low[:-1].any(1)),
+                                                             moves[moves < 17].max(initial=0))]
+    if slow.size:
+        texts = _table([fmt17(v).encode() for v in x[slow].tolist()])
+        width = max(table.shape[1], texts.shape[1])
+        table = np.pad(table, ((0, 0), (0, width - table.shape[1])))
+        table[slow] = np.pad(texts, ((0, 0), (0, width - texts.shape[1])))
+    return table
 
 
 def _payload_blocks(arr: np.ndarray):
     """The text of a float array in blocks (`_blocks`): a line per row,
     its cells formatted as `fmt17` does and joined by commas, each line
-    ended by "\n".  Cells that repeat (`_repeats`) are gathered; mostly
-    distinct ones, where that costs more than it saves, take the per-row
-    template."""
+    ended by "\n"."""
     n, width = arr.shape
     repeats = _repeats(arr)
-    row = _cells("%.17g", width) + "\n"
     for lo, hi in _blocks(n, width):
-        if repeats:
-            yield _joined([*_value_cells(arr[lo:hi], b"%.17g"), _constant(b"\n", hi - lo)])
-        else:
-            yield "".join([row % tuple(r) for r in arr[lo:hi].tolist()]).encode()
+        yield _joined([*_value_cells(arr[lo:hi], b"", repeats), _constant(b"\n", hi - lo)])
 
 
 def array_payload(arr: np.ndarray) -> dict:

@@ -164,6 +164,15 @@ class FilteredSpace:
     def n_atoms(self) -> int:
         return self.probs.size
 
+    def labels_at(self, index: np.ndarray) -> np.ndarray:
+        """labels[index] of increasing grid indices: a view, not a copy,
+        when they are evenly spaced, as the whole grid and a level's are."""
+        index = np.asarray(index)
+        step = int(index[1] - index[0]) if index.size > 1 else 1
+        if index.size and np.array_equal(index, np.arange(index[0], index[-1] + 1, step)):
+            return self.labels[index[0]:index[-1] + 1:step]
+        return self.labels[index]
+
     def cell_average(self, x: np.ndarray, j: int) -> np.ndarray:
         """Probability-weighted average of x over each cell at time index j.
 
@@ -296,7 +305,7 @@ class AdaptedProcess:
 
     def nonadapted_at(self) -> tuple[int, int] | None:
         """(column, atom) of the first value not constant on its cell, or None."""
-        return cell_mismatch(self.space.labels[self.time_index], self.values.T, ATOL)
+        return cell_mismatch(self.space.labels_at(self.time_index), self.values.T, ATOL)
 
     def is_adapted(self) -> bool:
         return self.nonadapted_at() is None

@@ -24,7 +24,7 @@ from semimart.integrands import (
     vr_metric,
     win_probabilities,
 )
-from semimart.io import _cells, _repeats
+from semimart.io import _repeats
 from semimart.pipeline import PAD_COPIES, extend_martingale
 from semimart.space import AdaptedProcess, DyadicGrid, FilteredSpace, stop_process, tree_innovations
 
@@ -36,7 +36,7 @@ def payload_lines(arr: np.ndarray, cell: str = "%.17g") -> list:
     each distinct bit pattern is formatted once and mapped back through
     Python objects; otherwise each row takes the per-row template."""
     if not _repeats(arr):
-        row = _cells(cell, arr.shape[1])
+        row = ",".join([cell] * arr.shape[1])
         return [row % tuple(r) for r in arr.tolist()]
     n, width = arr.shape
     bits = arr.view(f"u{arr.itemsize}")

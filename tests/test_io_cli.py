@@ -842,6 +842,82 @@ def same_lines(got, want) -> bool:
     return True
 
 
+class TestFmt17Kernel:
+    """`_fmt17_table` against `b"%.17g" % x`, byte for byte.  Every case
+    runs with the vectorised path taking calls of any size."""
+
+    @pytest.fixture(autouse=True)
+    def every_size_vectorised(self, monkeypatch):
+        monkeypatch.setattr(sio, "_FEW", 0)
+
+    @staticmethod
+    def assert_texts(x):
+        x = np.asarray(x, dtype=np.float64)
+        got = sio._joined([sio._fmt17_table(x), sio._constant(b"\n", x.size)])
+        assert same_lines(got, b"".join([b"%.17g\n" % v for v in x.tolist()]))
+
+    def test_random_bit_patterns(self):
+        """Every exponent, subnormals, NaN payloads and infinities."""
+        rng = np.random.default_rng(29)
+        self.assert_texts(rng.integers(0, 1 << 64, 10 ** 6, dtype=np.uint64, endpoint=False).view(np.float64))
+
+    def test_edges_of_the_binary64_range(self):
+        tiny = np.array([5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308, 1.7976931348623157e308])
+        subnormals = np.random.default_rng(3).integers(1, 1 << 52, 1000, dtype=np.uint64).view(np.float64)
+        edges = [1e-280, 1e280, np.nextafter(1e-280, 0), np.nextafter(1e280, np.inf)]
+        x = np.concatenate([[0.0], tiny, subnormals, edges])
+        self.assert_texts(np.concatenate([x, -x]))
+
+    def test_powers_of_ten_and_their_neighbours(self):
+        """Each 10**k one ulp away on either side; the double below 1e-14
+        is within 5e-18 of it, so its 17 digits carry into the next decade."""
+        p = np.array([float(f"1e{k}") for k in range(-30, 31)])
+        x = np.concatenate([p, np.nextafter(p, 0), np.nextafter(p, np.inf)])
+        assert Fraction(1e-14) < Fraction(1, 10 ** 14) and b"%.17g" % 1e-14 == b"1e-14"
+        self.assert_texts(np.concatenate([x, -x]))
+
+    def test_values_that_carry_into_the_next_decade(self):
+        x = np.array([9.9999999999999999e-5, 9.99999999999999999e-1, 1e-14, 1e98, 1e-243])
+        for _ in range(3):
+            x = np.concatenate([x, np.nextafter(x, 0), np.nextafter(x, np.inf)])
+        self.assert_texts(x)
+
+    def test_ties_round_half_even(self):
+        """m / 4 for odd m in [4e15, 9e15] ends in .25 or .75, exactly
+        half a unit of its 17th digit."""
+        m = 2 * np.random.default_rng(7).integers(2 * 10 ** 15, 45 * 10 ** 14, 10 ** 5) + 1
+        assert sio._fmt17_table(np.array([1234567890123456.25])).tobytes().strip(b"\0") == b"1234567890123456.2"
+        self.assert_texts(np.concatenate([m / 4, -m / 4]))
+
+    @pytest.mark.parametrize("off", [1, -1])
+    def test_a_decade_estimate_one_off_gives_the_same_bytes(self, monkeypatch, off):
+        rng = np.random.default_rng(11)
+        x = rng.standard_normal(10 ** 5) * 10.0 ** rng.integers(-300, 300, 10 ** 5)
+        decades = sio._decades
+        monkeypatch.setattr(sio, "_decades", lambda a: decades(a) + off)
+        self.assert_texts(np.concatenate([x, [0.0, -0.0, 1.0, 1e16, 1e17, 9.9999999999999999e-5]]))
+
+    def test_a_cell_in_the_tie_band_goes_to_fmt17(self, monkeypatch):
+        formatted = []
+        fmt17 = sio.fmt17
+
+        def spy(v):
+            formatted.append(v)
+            return fmt17(v)
+
+        monkeypatch.setattr(sio, "fmt17", spy)
+        x = np.array([1234567890123456.25, 0.1, -2.5e-300, 1e300, np.inf])
+        self.assert_texts(x)
+        assert formatted == [1234567890123456.25, -2.5e-300, 1e300, np.inf]
+
+    def test_a_small_call_gives_the_same_bytes(self, monkeypatch):
+        x = np.random.default_rng(13).standard_normal(40) * 1e-5
+        fast = sio._fmt17_table(x).tobytes().translate(None, b"\0")
+        monkeypatch.setattr(sio, "_FEW", 128)
+        assert sio._fmt17_table(x).tobytes().translate(None, b"\0") == fast
+        assert sio._fmt17_table(np.empty(0)).shape[0] == 0
+
+
 class TestTableGather:
     """The table-gather kernel against the per-row expression it replaced
     (`helpers.payload_lines`), byte for byte."""
@@ -872,9 +948,9 @@ class TestTableGather:
         self.assert_rows(rng, values, None)
 
     @pytest.mark.parametrize("seed", range(3))
-    def test_template_rows_take_the_innovation_table(self, monkeypatch, seed):
-        """Mostly distinct values keep the per-row template beside the
-        gathered innovations, including a single column of them."""
+    def test_distinct_rows_are_gathered_with_the_innovation_table(self, monkeypatch, seed):
+        """Mostly distinct values, each formatted in place and gathered
+        beside the gathered innovations, including a single column of them."""
         monkeypatch.setattr(sio, "BLOCK_CELLS", 40)
         rng = np.random.default_rng(seed)
         values = random_floats(rng, (200, 5))
@@ -890,7 +966,7 @@ class TestTableGather:
         heads = sio._table([b'{"p":[%s],"v":[' % c.encode() for c in codes])
         if xi is None:
             xi = np.empty((n, 0), dtype=np.int8)
-        state = (codes, heads, inverse, values, xi)
+        state = (heads, inverse, values, xi)
         spans = sio._blocks(n, values.shape[1] + xi.shape[1])
         got = b"".join(sio._block_text(state, lo, hi) for lo, hi in spans).decode()
         assert same_lines(got, ensemble_rows_text(codes, inverse, values, xi))
@@ -926,10 +1002,13 @@ class TestTableGather:
 
 class CutOff(io.FileIO):
     """A forked child's pipe, when a test makes it `os.fdopen` in the child:
-    the child is killed once it has sent its message's length."""
+    the child is killed once it has sent its first frame's length, when
+    it comes to write more than a length."""
 
-    def writelines(self, parts):
-        os.kill(os.getpid(), signal.SIGKILL)
+    def write(self, data):
+        if len(data) > 8:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return super().write(data)
 
 
 class TestPooledWriter:
@@ -1170,6 +1249,16 @@ class TestSplitReader:
         reference = self.assert_same_at_any_cpus(monkeypatch, path)
         src = generate(self.SPEC)
         assert reference[2] == src.values.tobytes() and reference[1] == src.xi.tobytes()
+
+    def test_rows_without_innovations_read_the_same(self, tmp_path, monkeypatch):
+        """A child's xi part is empty when the file has no innovations: a
+        frame of length 0, which must not end its message."""
+        spec = GeneratorSpec(kind="deterministic_drift", level=4, mu=0.5)
+        values = np.random.default_rng(5).standard_normal((256, 17))
+        path = tmp_path / "no-xi.jsonl"
+        write_ensemble(str(path), spec, np.full(256, 1 / 256), None, values)
+        reference = self.assert_same_at_any_cpus(monkeypatch, path)
+        assert reference[1] == b"" and reference[2] == values.tobytes()
 
     def test_a_repeating_tree_is_read_here(self, tmp_path, monkeypatch):
         spec = GeneratorSpec(kind="rademacher_bm", level=4, mode="exact_tree", seed=1)

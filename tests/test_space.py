@@ -1,5 +1,7 @@
 """Tests for finite filtered spaces, conditional expectation, and stopping."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -479,3 +481,28 @@ def test_running_sum_has_the_bits_of_a_concatenated_cumsum(order, steps):
     ref = np.concatenate([np.zeros((37, 1)), np.cumsum(d, axis=1)], axis=1)
     assert np.array_equal(out.view(np.uint64), ref.view(np.uint64))
     assert not out.flags.writeable
+
+
+# Traced peak of `is_adapted` on the L4 tree, counted in (atoms x times)
+# float64 arrays: 0.74 while it gathered the int32 labels of every time,
+# half an array, rather than viewing them
+IS_ADAPTED_TRACED_PEAK_ARRAYS = 0.3
+
+
+def test_is_adapted_views_the_labels_of_an_evenly_spaced_grid():
+    S = generate(GeneratorSpec(kind="rademacher_bm", level=4, mode="exact_tree", seed=1)).process
+    for index in (S.time_index, S.time_index[::4], S.time_index[3:4], S.time_index[:0]):
+        labels = S.space.labels_at(index)
+        assert np.shares_memory(labels, S.space.labels) == (index.size > 0)
+        assert np.array_equal(labels, S.space.labels[index])
+    gathered = S.space.labels_at(np.array([0, 1, 3]))
+    assert not np.shares_memory(gathered, S.space.labels)
+    assert np.array_equal(gathered, S.space.labels[[0, 1, 3]])
+    tracemalloc.start()
+    try:
+        adapted = S.is_adapted()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert adapted
+    assert peak / S.values.nbytes < IS_ADAPTED_TRACED_PEAK_ARRAYS
