@@ -22,12 +22,15 @@ goes through the checked row path, which decodes each row as JSON and
 names the atom and the field of a fault.  Both paths give the same
 arrays for every row the first takes.
 
-Both share the blocks out through one helper, `_forked`: this process
-takes the first contiguous share of them, and when the values are mostly
-distinct a forked child takes each further one, one per CPU, and streams
-it back through a pipe in length-prefixed frames, one per part as it is
-made, ended by a marker: the writer's child its share's file text, the
-reader's child the bytes of the rows it parsed and their p entries.  The
+Both deal shares of the blocks out through one helper, `_forked`, when
+the values are mostly distinct: round-robin to this process and a forked
+child per further CPU.  A child streams each of its shares back through
+a pipe in length-prefixed frames, one per part as it is made, ended by a
+marker.  The writer deals single blocks, and its child sends each
+block's file text as soon as it is formatted, so it runs at most one
+block ahead of this process.  The reader cuts the blocks into one
+contiguous share per process, and its child parses its whole share,
+then sends the bytes of the rows it parsed and their p entries.  The
 shares are taken in file order, so the file's bytes, the arrays read and
 the first fault's message do not depend on the CPU count.
 """
@@ -161,11 +164,13 @@ def write_ensemble(path, spec: GeneratorSpec, probs, xi, values) -> None:
     """Write an ensemble file: the header line, then one row per atom.
 
     Rows are formatted in blocks (`_blocks`).  When a sample of `values`
-    shows mostly distinct cells, they are shared out to forked children,
-    one per CPU (`_forked`), and this process writes their text in
-    order; values that repeat, a single block or a single CPU keep the
-    formatting here.  Either way every block is the same text, so the
-    file's bytes do not depend on the CPU count."""
+    shows mostly distinct cells, the blocks are dealt out round-robin to
+    this process and a forked child per further CPU (`_forked`), so that
+    a child formats its next block while this process formats its own,
+    and this process writes their text in order; values that repeat, a
+    single block or a single CPU keep the formatting here.  Either way
+    every block is the same text, so the file's bytes do not depend on
+    the CPU count."""
     probs = np.asarray(probs, dtype=float)
     values = np.asarray(values, dtype=float)
     n = probs.size
@@ -186,12 +191,12 @@ def write_ensemble(path, spec: GeneratorSpec, probs, xi, values) -> None:
     distinct, inverse = np.unique(probs, return_inverse=True)
     # each row's text up to its first value
     heads = _table([b'{"p":[%d,%d],"v":[' % tuple(dyadic_encode(p)) for p in distinct])
-    spans = _blocks(n, values.shape[1] + xi.shape[1])
+    shares = [[span] for span in _blocks(n, values.shape[1] + xi.shape[1])]
     state = (heads, inverse, values, xi)
-    workers = 1 if _repeats(values) else _cpus(len(spans))
+    workers = 1 if _repeats(values) else _cpus(len(shares))
     with open_output(path, "wb") as fh:
         fh.write((_canonical(header) + "\n").encode())
-        for _, pieces in _forked(lambda share: (_block_text(state, lo, hi) for lo, hi in share), spans, workers):
+        for _, pieces in _forked(lambda share: [_block_text(state, *share[0])], shares, workers):
             fh.writelines(pieces)
 
 
@@ -218,22 +223,24 @@ def _cpus(tasks: int) -> int:
     return min(len(os.sched_getaffinity(0)), tasks)
 
 
-def _forked(fn, spans, parts: int):
-    """Yield (share, pieces) for each of up to `parts` contiguous shares of
-    the row blocks `spans`, in order: the pieces are the bytes that the
-    generator fn(share) yields.
+def _forked(fn, shares, parts: int):
+    """Yield (share, pieces) for each share of row blocks in `shares`, in
+    order: the pieces are the bytes of the parts that fn(share) yields.
 
-    This process computes the first share, when the pieces are taken.  A
-    child forked for each further share sends each part that fn(share)
-    yields through a pipe as it comes, as a frame: the part's length,
-    then its bytes.  An _END length ends the message; a _FAULT length
+    The shares are dealt out round-robin to `parts` processes: this one
+    computes shares 0, parts, 2 * parts, ..., each when its pieces are
+    taken, and a child forked for each k in 1..parts-1 computes shares k,
+    k + parts, ...  The child sends each part through a pipe as it comes,
+    as a frame: the part's length, then its bytes.  An _END length ends a
+    share's message, and is sent at once, so that the child goes on to
+    its next share while this process takes the message; a _FAULT length
     ends it where fn raised.  The frames are yielded in pieces of at most
-    PIECE bytes, so neither process holds a child's whole share.  A share
-    whose child could not be forked or exited before sending its first
-    length is computed here in its turn, and so are the parts after a
-    fault, so the first fault in share order raises here.  A child whose
-    message stops before its end raises ChildProcessError.  Every child
-    is reaped before this returns or raises."""
+    PIECE bytes.  A share whose child could not be forked, or has exited
+    before sending its first length, is computed here in its turn, and so
+    are the parts after a fault, so the first fault in share order raises
+    here.  A child whose message stops before its end raises
+    ChildProcessError.  Every child is reaped before this returns or
+    raises."""
     # not imported at module level, where it measurably slowed `semimart
     # verify`'s argument parsing
     import signal
@@ -259,13 +266,12 @@ def _forked(fn, spans, parts: int):
             if len(length) < 8:
                 raise cut("before its end")
 
-    cuts = [k * len(spans) // parts for k in range(parts + 1)]
-    shares = [spans[lo:hi] for lo, hi in zip(cuts, cuts[1:]) if lo < hi]
-    children = []  # (pid, read end of its pipe) of each share after the first, or None
+    children = [None]  # (pid, read end of its pipe) of each process, or None
     try:
-        for share in shares[1:]:
-            children.append(_fork(fn, share))
-        for share, child in zip(shares, [None, *children]):
+        for k in range(1, parts):
+            children.append(_fork(fn, shares[k::parts]))
+        for i, share in enumerate(shares):
+            child = children[i % parts]
             length = child[1].read(8) if child else b""
             yield share, message(child[1], length, share) if len(length) == 8 else fn(share)
     finally:
@@ -275,10 +281,10 @@ def _forked(fn, spans, parts: int):
             os.waitpid(pid, 0)
 
 
-def _fork(fn, share):
+def _fork(fn, shares):
     """(pid, read end of its pipe) of a child forked to send the parts of
-    fn(share) through the pipe in frames (`_forked`) and exit; None when
-    no child could be forked."""
+    fn(share) for each of `shares` through the pipe in frames (`_forked`)
+    and exit; None when no child could be forked."""
     try:
         r, w = os.pipe()
         try:
@@ -294,18 +300,20 @@ def _fork(fn, share):
         return pid, os.fdopen(r, "rb")
     try:
         with os.fdopen(w, "wb") as fh:
-            try:
-                for part in fn(share):
-                    fh.write(len(part).to_bytes(8, "little"))
-                    fh.write(part)
-            except Exception:
-                # the parent computes the rest of the share, and so raises
-                # this fault with its own traceback, in share order
-                fh.write(_FAULT.to_bytes(8, "little"))
-            else:
+            for share in shares:
+                try:
+                    for part in fn(share):
+                        fh.write(len(part).to_bytes(8, "little"))
+                        fh.write(part)
+                except Exception:
+                    # the parent computes the rest of the share, and so
+                    # raises this fault with its own traceback, in order
+                    fh.write(_FAULT.to_bytes(8, "little"))
+                    break
                 fh.write(_END.to_bytes(8, "little"))
+                fh.flush()
     finally:
-        # the message, whole or not, is all that this process reports
+        # the messages, whole or not, are all that this process reports
         os._exit(0)
 
 
@@ -417,10 +425,11 @@ def _parse_blocks(raw: bytes, at: int, spans, codes: dict, out) -> None:
     `codes`, xi and values.
 
     The first block is parsed here.  When its values are mostly distinct
-    (`_repeats`), the later blocks are shared out to forked children, one
-    per CPU (`_forked`); otherwise they make one share, parsed here.  Each
-    share is parsed into `out` with `codes` as the process that parses it
-    knows it.  Its message is the bytes of its values rows, then of its
+    (`_repeats`), the later blocks are cut into contiguous shares, one per
+    CPU, and each share after the first goes to a forked child
+    (`_forked`); otherwise they make one share, parsed here.  A share is
+    parsed whole before its message is sent, into `out`, with `codes` as
+    the process that parses it knows it.  Its message is the bytes of its values rows, then of its
     xi rows, then the pickled [numerator, k] entries known then and each
     row's position among them.  The messages are merged in file order, a
     child's rows copied into `out` as they arrive, so `codes` and the
@@ -467,8 +476,10 @@ def _parse_blocks(raw: bytes, at: int, spans, codes: dict, out) -> None:
         out[0][lo:hi] = known[positions]
 
     merge(spans[:1], parse(spans[:1]))
-    workers = 1 if _repeats(out[2][:spans[0][1]]) else _cpus(len(spans) - 1)
-    for share, pieces in _forked(parse, spans[1:], workers):
+    parts = 1 if _repeats(out[2][:spans[0][1]]) else _cpus(len(spans) - 1)
+    cuts = [1 + k * (len(spans) - 1) // parts for k in range(parts + 1)]
+    shares = [spans[lo:hi] for lo, hi in zip(cuts, cuts[1:]) if lo < hi]
+    for share, pieces in _forked(parse, shares, len(shares)):
         merge(share, pieces)
 
 
@@ -642,15 +653,19 @@ def _joined(parts) -> bytes:
 
 
 def _value_cells(arr: np.ndarray, quote: bytes, repeats: bool) -> list:
-    """`_gathered` parts of the float cells of arr, each as `fmt17` writes
-    it, in `quote`s.  When they repeat, each distinct bit pattern is
-    formatted once, so -0.0 and 0.0 stay apart; otherwise every cell is."""
+    """Parts for `_joined`: the float cells of arr, each as `fmt17` writes
+    it, in `quote`s, a row's cells joined by commas.  When they repeat,
+    each distinct bit pattern is formatted once and gathered
+    (`_gathered`), so -0.0 and 0.0 stay apart; otherwise every cell is
+    formatted in place."""
     if repeats:
         distinct, idx = np.unique(arr.view(np.uint64), return_inverse=True)
-        table = _fmt17_table(distinct.view(np.float64))
-    else:
-        table, idx = _fmt17_table(arr.ravel()), np.arange(arr.size)
-    return _gathered(_cell_table(table, quote), idx.reshape(arr.shape))
+        return _gathered(_cell_table(_fmt17_table(distinct.view(np.float64)), quote), idx.reshape(arr.shape))
+    if not arr.size:  # rows without cells
+        return []
+    cells = _cell_table(_fmt17_table(arr.ravel()), quote).reshape(arr.shape[0], -1)
+    cells[:, -1] = 0  # the last cell of a row drops its comma
+    return [cells]
 
 
 # the text of each int8 innovation, by its bit pattern as a uint8
@@ -684,8 +699,8 @@ def _fmt17_tables() -> tuple:
 
     pow10: for each decade d, 10**(16 - d) as the double-double hi + lo,
     each part correctly rounded from exact integers, with the halves of hi.
-    groups: the 4 digits of 0..9999 as uint32 words, then the same with
-    their trailing zeros dropped, then an empty word.  And per decade, as
+    groups: the 4 digits of 0..9999 as little-endian uint32 words, then
+    the same with their trailing zeros dropped, then an empty word.  And per decade, as
     `%.17g` lays the cell out: the text before the lead digit,
     right-aligned in the first 6 bytes of a word, for nonnegative then
     negative cells; the word of text after the digits; the digit after
@@ -710,9 +725,9 @@ def _fmt17_tables() -> tuple:
     tails = [b"" if -4 <= d < 17 else b"e%+03d" % d for d in decades]
     points = [17 if -4 <= d < 0 else d if 0 <= d < 17 else 0 for d in decades]
     words = [h.rjust(6, b"\0") for h in heads] + [(b"-" + h).rjust(6, b"\0") for h in heads] + tails
-    words = np.frombuffer(b"".join([w.ljust(8, b"\0") for w in words]), np.uint64)
+    words = np.frombuffer(b"".join([w.ljust(8, b"\0") for w in words]), "<u8")
     widths = np.array([[len(h) + 1, len(t)] for h, t in zip(heads, tails)])
-    tables = pow10, groups.view(np.uint32).ravel(), words[:-len(tails)], words[-len(tails):], np.array(points), widths
+    tables = pow10, groups.view("<u4").ravel(), words[:-len(tails)], words[-len(tails):], np.array(points), widths
     for table in tables:
         table.setflags(write=False)  # shared by every call
     return tables
@@ -784,12 +799,14 @@ def _fmt17_table(x: np.ndarray) -> np.ndarray:
     q = rest // _POW4
     low = rest - q * _POW4
     empty = (low == 0) * 10000
-    # a row: the head word, the four groups, the tail word.  The head
-    # word holds its text in bytes 0-5, the lead digit in byte 6 and, when
-    # the point follows it and digits follow the point, the point in 7
-    out = np.empty((x.size, 8), np.uint32)
+    # a row: the head word, the four groups, the tail word, little-endian
+    # whatever the host, so that byte k of a word is bits 8k..8k+7.  The
+    # head word holds its text in bytes 0-5, the lead digit in byte 6
+    # and, when the point follows it and digits follow the point, the
+    # point in 7
+    out = np.empty((x.size, 8), "<u4")
     out[:, 2:6] = np.take(groups, q[1:] - q[:-1] * 10 ** 4 + empty[:-1] + empty[1:]).T
-    text, words = out.view(np.uint8), out.view(np.uint64)
+    text, words = out.view(np.uint8), out.view("<u8")
     di = d - _DECADES[0]
     point = np.take(points, di)
     lead_point = (48 + lead * ~zero) << 48 | ((point == 0) & (rest != 0)) * (46 << 56)

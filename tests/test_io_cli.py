@@ -11,6 +11,7 @@ import random
 import re
 import shlex
 import signal
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -1013,12 +1014,13 @@ class CutOff(io.FileIO):
 
 class TestPooledWriter:
     """write_ensemble formats mostly distinct values in forked children:
-    this process formats the first share of the blocks and a child each
-    further one.  The file must not depend on how many there are, and
+    the blocks are dealt out round-robin to this process and a child per
+    further CPU.  The file must not depend on how many there are, and
     none may outlive the call.  An L4 row holds 17 values and 16
     innovations, so blocks of 7 rows cut a 256-path ensemble into 37
-    blocks: at 2 CPUs a child formats blocks 18-36 (atoms 126-255), at 3
-    CPUs one child blocks 12-23 (atoms 84-167) and another the rest."""
+    blocks: at 2 CPUs a child formats the odd blocks, the first of them
+    atoms 7-13; at 3 CPUs one child blocks 1, 4, ... and another blocks
+    2, 5, ..."""
 
     SPEC = GeneratorSpec(kind="rl_fractional", level=4, mode="ensemble", paths=256, hurst=0.75)
 
@@ -1114,9 +1116,10 @@ class TestPooledWriter:
     @pytest.mark.parametrize("cpus", [2, 3])
     @pytest.mark.parametrize("case", ["fork-fails", "child-killed", "block-raises"])
     def test_a_share_without_its_child_is_formatted_here(self, tmp_path, monkeypatch, case, cpus):
-        """A share whose child cannot be forked, is killed before it sends
+        """A block whose child cannot be forked, is killed before it sends
         or raises is formatted here in its turn: the same bytes as at one
-        CPU, or the same exception, from a block in the last share."""
+        CPU, or the same exception, from block 31, which a child formats
+        at 2 and at 3 CPUs."""
         monkeypatch.setattr(sio, "BLOCK_CELLS", 33 * 7)
         spec = self.SPEC
         src = generate(spec)
@@ -1124,13 +1127,13 @@ class TestPooledWriter:
             block_text = sio._block_text
 
             def fail_late(state, lo, hi):
-                if lo >= 210:
+                if lo >= 217:
                     raise ValueError(f"no text for rows {lo}-{hi - 1}")
                 return block_text(state, lo, hi)
 
             monkeypatch.setattr(sio, "_block_text", fail_late)
         reference = self.one_cpu_bytes(tmp_path, monkeypatch, spec, src)
-        assert (reference == "ValueError('no text for rows 210-216')") == (case == "block-raises")
+        assert (reference == "ValueError('no text for rows 217-223')") == (case == "block-raises")
         self.cpus(monkeypatch, cpus)
         child = {"child-killed": lambda: os.kill(os.getpid(), signal.SIGKILL)}.get(case)
         started = self.spy_pool(monkeypatch, "fails" if case == "fork-fails" else child)
@@ -1141,15 +1144,41 @@ class TestPooledWriter:
     def test_a_child_cut_off_mid_message_raises(self, tmp_path, monkeypatch, cpus):
         """A child killed after it sent its message's length, before its
         bytes, neither hangs the write nor leaves a short file without an
-        error: ChildProcessError names the child's share."""
+        error: ChildProcessError names the child's first block."""
         monkeypatch.setattr(sio, "BLOCK_CELLS", 33 * 7)
         src = generate(self.SPEC)
         self.cpus(monkeypatch, cpus)
         started = self.spy_pool(monkeypatch, lambda: setattr(os, "fdopen", CutOff))
-        rows = "126-255" if cpus == 2 else "84-167"
-        with pytest.raises(ChildProcessError, match=f"rows {rows}: the child's message ended"):
+        with pytest.raises(ChildProcessError, match="rows 7-13: the child's message ended"):
             self.written(tmp_path, "cut.jsonl", self.SPEC, src)
         assert len(started) == cpus - 1
+
+    def test_a_child_sends_each_block_before_it_formats_the_next(self, tmp_path, monkeypatch):
+        """At 2 CPUs a child's block reaches this process whole before the
+        child formats its next one: here the child's second block (block
+        3) stalls for a minute, and block 2, formatted here after the
+        child's first, raises long before."""
+        monkeypatch.setattr(sio, "BLOCK_CELLS", 33 * 7)
+        src = generate(self.SPEC)
+        block_text = sio._block_text
+        parent = os.getpid()
+
+        def stall_or_fail(state, lo, hi):
+            if lo == 21:
+                time.sleep(60)
+            if lo == 14 and os.getpid() == parent:
+                raise ValueError("no text for block 2")
+            return block_text(state, lo, hi)
+
+        monkeypatch.setattr(sio, "_block_text", stall_or_fail)
+        self.cpus(monkeypatch, 2)
+        started = self.spy_pool(monkeypatch)
+        t = time.monotonic()
+        with pytest.raises(ValueError, match="no text for block 2"):
+            write_ensemble(str(tmp_path / "stalled.jsonl"), self.SPEC, src.probs, src.xi, src.values)
+        assert time.monotonic() - t < 30 and len(started) == 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     def test_a_failing_block_stops_every_worker(self, tmp_path, monkeypatch):
         monkeypatch.setattr(sio, "BLOCK_CELLS", 33 * 7)
