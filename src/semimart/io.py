@@ -22,17 +22,18 @@ goes through the checked row path, which decodes each row as JSON and
 names the atom and the field of a fault.  Both paths give the same
 arrays for every row the first takes.
 
-Both deal shares of the blocks out through one helper, `_forked`, when
-the values are mostly distinct: round-robin to this process and a forked
-child per further CPU.  A child streams each of its shares back through
-a pipe in length-prefixed frames, one per part as it is made, ended by a
-marker.  The writer deals single blocks, and its child sends each
-block's file text as soon as it is formatted, so it runs at most one
-block ahead of this process.  The reader cuts the blocks into one
+Both deal shares of the blocks out through one helper, `_forked`,
+round-robin to this process and a forked child per further CPU, never
+more processes than blocks.  A child streams each of its shares back
+through a pipe in length-prefixed frames, one per part as it is made,
+ended by a marker.  The writer deals single blocks, and its child sends
+each block's file text as soon as it is formatted, so it runs at most
+one block ahead of this process.  The reader cuts the blocks into one
 contiguous share per process, and its child parses its whole share,
-then sends the bytes of the rows it parsed and their p entries.  The
-shares are taken in file order, so the file's bytes, the arrays read and
-the first fault's message do not depend on the CPU count.
+then sends the bytes of the rows it parsed: p as [numerator, k] pairs,
+xi and values.  The shares are taken in file order, so the file's bytes,
+the arrays read and the first fault's message do not depend on the CPU
+count.
 """
 
 import errno
@@ -43,7 +44,6 @@ import itertools
 import json
 import math
 import os
-import pickle
 import re
 import reprlib
 import time
@@ -66,7 +66,7 @@ PIECE = 1 << 20
 # the frame lengths, which no part has, that end a forked child's
 # message: whole, or at a fault
 _END, _FAULT = (1 << 64) - 1, (1 << 64) - 2
-# cells sampled to decide whether a payload array repeats its values
+# cells sampled to decide whether a block repeats its values
 PAYLOAD_SAMPLE = 4096
 # the characters of a number; every other character of a row in the
 # writer's layout belongs to its fixed skeleton
@@ -163,14 +163,12 @@ class EnsembleData:
 def write_ensemble(path, spec: GeneratorSpec, probs, xi, values) -> None:
     """Write an ensemble file: the header line, then one row per atom.
 
-    Rows are formatted in blocks (`_blocks`).  When a sample of `values`
-    shows mostly distinct cells, the blocks are dealt out round-robin to
-    this process and a forked child per further CPU (`_forked`), so that
-    a child formats its next block while this process formats its own,
-    and this process writes their text in order; values that repeat, a
-    single block or a single CPU keep the formatting here.  Either way
-    every block is the same text, so the file's bytes do not depend on
-    the CPU count."""
+    Rows are formatted in blocks (`_blocks`), dealt out round-robin to
+    this process and a forked child per further CPU, at most one per
+    block (`_forked`), so that a child formats its next block while this
+    process formats its own, and this process writes their text in
+    order.  Every block is the same text wherever it is formatted, so the
+    file's bytes do not depend on the CPU count."""
     probs = np.asarray(probs, dtype=float)
     values = np.asarray(values, dtype=float)
     n = probs.size
@@ -193,10 +191,9 @@ def write_ensemble(path, spec: GeneratorSpec, probs, xi, values) -> None:
     heads = _table([b'{"p":[%d,%d],"v":[' % tuple(dyadic_encode(p)) for p in distinct])
     shares = [[span] for span in _blocks(n, values.shape[1] + xi.shape[1])]
     state = (heads, inverse, values, xi)
-    workers = 1 if _repeats(values) else _cpus(len(shares))
     with open_output(path, "wb") as fh:
         fh.write((_canonical(header) + "\n").encode())
-        for _, pieces in _forked(lambda share: [_block_text(state, *share[0])], shares, workers):
+        for _, pieces in _forked(lambda share: [_block_text(state, *share[0])], shares, _cpus(len(shares))):
             fh.writelines(pieces)
 
 
@@ -207,7 +204,7 @@ def _block_text(state, lo: int, hi: int) -> bytes:
     v, n = values[lo:hi], hi - lo
     return _joined([
         np.take(heads, inverse[lo:hi], axis=0),
-        *_value_cells(v, b'"', _repeats(v)),
+        *_value_cells(v, b'"'),
         _constant(b'],"xi":[', n),
         *_gathered(_INNOVATIONS, xi[lo:hi].view(np.uint8)),
         _constant(b"]}\n", n),
@@ -393,20 +390,20 @@ def read_ensemble(path) -> EnsembleData:
 
     n_values = spec.n_steps + 1
     xi_len = 0 if kind == "deterministic_drift" else spec.n_steps
-    codes = {}  # [numerator, k] pair -> its position in the dict
-    out = (np.empty(n, dtype=np.intp), np.empty((n, xi_len), dtype=np.int8), np.empty((n, n_values)))
-    spans = _blocks(n, n_values + xi_len)
-    if spans:
-        _parse_blocks(raw, head_end + 1, spans, codes, out)
-    inverse, xi, values = out
-    distinct = list(codes)
-    counts = np.bincount(inverse, minlength=len(distinct)).tolist()
-    probs = np.array([dyadic_decode(list(e), "p") for e in distinct])[inverse]
-    if not _sums_to_one(distinct, counts):
+    out = p, xi, values = (np.empty((n, 2), dtype=np.int64), np.empty((n, xi_len), dtype=np.int8),
+                           np.empty((n, n_values)))
+    _parse_blocks(raw, head_end + 1, _blocks(n, n_values + xi_len), out)
+    # numerator / 2**k as `dyadic_decode` gives it: the numerator rounded
+    # to a float, then scaled
+    probs = np.ldexp(p[:, 0].astype(float), -p[:, 1])
+    # the distinct [numerator, k] rows, each first in a run of equal rows
+    ordered = p[np.lexsort(p.T)]
+    first = np.flatnonzero(np.r_[n > 0, (ordered[1:] != ordered[:-1]).any(1)])
+    if not _sums_to_one(ordered[first].tolist(), np.diff(first, append=n).tolist()):
         raise ParameterError("p (sum): probabilities do not sum to 1 exactly")
     if not probs.all():
         a = int(np.argmin(probs))
-        raise ParameterError(f"atom {a}.p: {list(distinct[inverse[a]])} is below the least positive float64")
+        raise ParameterError(f"atom {a}.p: {p[a].tolist()} is below the least positive float64")
     # read-only, so the source's process shares these arrays instead of copying
     values.setflags(write=False)
     xi.setflags(write=False)
@@ -419,26 +416,23 @@ def read_ensemble(path) -> EnsembleData:
     )
 
 
-def _parse_blocks(raw: bytes, at: int, spans, codes: dict, out) -> None:
+def _parse_blocks(raw: bytes, at: int, spans, out) -> None:
     """Parse the atom rows of `spans`, the row blocks from atom 0 on, whose
-    first row starts at byte `at` of `raw`, into `out`: the p positions in
-    `codes`, xi and values.
+    first row starts at byte `at` of `raw`, into `out`: p as [numerator,
+    k] rows, xi and values.
 
-    The first block is parsed here.  When its values are mostly distinct
-    (`_repeats`), the later blocks are cut into contiguous shares, one per
-    CPU, and each share after the first goes to a forked child
-    (`_forked`); otherwise they make one share, parsed here.  A share is
-    parsed whole before its message is sent, into `out`, with `codes` as
-    the process that parses it knows it.  Its message is the bytes of its values rows, then of its
-    xi rows, then the pickled [numerator, k] entries known then and each
-    row's position among them.  The messages are merged in file order, a
-    child's rows copied into `out` as they arrive, so `codes` and the
-    arrays are those of a one-process read."""
+    The blocks are cut into contiguous shares, one per CPU and at most one
+    per block; the first is parsed here and each later one by a forked
+    child (`_forked`).  A share is parsed whole, into `out`, before its
+    message is sent: the bytes of its p rows, then of its xi rows, then
+    of its values rows.  The messages are taken in file order, a child's
+    rows copied into `out` as they arrive, so the arrays are those of a
+    one-process read."""
     xi_len, n_values = out[1].shape[1], out[2].shape[1]
 
     def rows(lo, hi):
-        """The bytes of values rows lo..hi-1, then of xi rows lo..hi-1, as views."""
-        return [a[lo:hi].reshape(-1).view(np.uint8) for a in (out[2], out[1])]
+        """The bytes of rows lo..hi-1 of each array of `out`, as views."""
+        return [a[lo:hi].reshape(-1).view(np.uint8) for a in out]
 
     def parse(share):
         lo, hi = share[0][0], share[-1][1]
@@ -447,22 +441,19 @@ def _parse_blocks(raw: bytes, at: int, spans, codes: dict, out) -> None:
             start = raw.index(b"\n", start) + 1
         lines_in = io.BytesIO(raw)  # shares raw's buffer
         lines_in.seek(start)
-        positions = np.empty(hi - lo, dtype=np.intp)
         for a, b in share:
             # rows a..b-1, each ended by "\n" unless it ends the file
             block = b"".join(itertools.islice(lines_in, b - a))
-            parsed = _parse_block(block, b - a, xi_len, n_values, codes) or _checked_rows(
-                block.decode().splitlines(), a, xi_len, n_values, codes)
-            for arr, part in zip([positions[a - lo:], out[1][a:], out[2][a:]], parsed):
-                arr[:b - a] = part
+            parsed = _parse_block(block, b - a, xi_len, n_values) or _checked_rows(
+                block.decode().splitlines(), a, xi_len, n_values)
+            for arr, part in zip(out, parsed):
+                arr[a:b] = part
         yield from map(memoryview, rows(lo, hi))
-        yield pickle.dumps((list(codes), positions))
 
     def merge(share, pieces):
-        lo, hi = share[0][0], share[-1][1]
         rest = b""
         # a share parsed here is copied onto itself
-        for dest in rows(lo, hi):
+        for dest in rows(share[0][0], share[-1][1]):
             done = 0
             while done < dest.size:
                 rest = rest or memoryview(next(pieces))
@@ -471,13 +462,9 @@ def _parse_blocks(raw: bytes, at: int, spans, codes: dict, out) -> None:
                 done += k
                 # an empty slice would still hold its whole piece
                 rest = rest[k:] if k < len(rest) else b""
-        entries, positions = pickle.loads(b"".join([rest, *pieces]))
-        known = np.array([codes.setdefault(e, len(codes)) for e in entries], dtype=np.intp)
-        out[0][lo:hi] = known[positions]
 
-    merge(spans[:1], parse(spans[:1]))
-    parts = 1 if _repeats(out[2][:spans[0][1]]) else _cpus(len(spans) - 1)
-    cuts = [1 + k * (len(spans) - 1) // parts for k in range(parts + 1)]
+    parts = _cpus(len(spans))
+    cuts = [k * len(spans) // parts for k in range(parts + 1)]
     shares = [spans[lo:hi] for lo, hi in zip(cuts, cuts[1:]) if lo < hi]
     for share, pieces in _forked(parse, shares, len(shares)):
         merge(share, pieces)
@@ -503,8 +490,8 @@ def _sums_to_one(entries, counts) -> bool:
     return at is not None and acc & (acc - 1) == 0 and acc.bit_length() - 1 == at
 
 
-def _parse_block(block: bytes, b: int, xi_len: int, n_values: int, codes: dict):
-    """(p positions in `codes`, xi, values) of b atom rows whose text has
+def _parse_block(block: bytes, b: int, xi_len: int, n_values: int):
+    """(p as [numerator, k] rows, xi, values) of b atom rows whose text has
     exactly the layout `write_ensemble` writes, or None for any other text.
 
     The regex pins each row's layout outside its v cells.  Within them,
@@ -527,8 +514,9 @@ def _parse_block(block: bytes, b: int, xi_len: int, n_values: int, codes: dict):
     ones = b",".join([b"1"] * xi_len)
     if xi_text.translate(None, b"-") != b"\n".join([ones] * b) or xi_text.count(b"-") != xi_text.count(b"-1"):
         return None
-    texts = {}  # each distinct [numerator, k] text -> its position in `codes`
-    for text in dict.fromkeys(p_texts):
+    texts = dict.fromkeys(p_texts)  # each distinct [numerator, k] text -> its position in `entries`
+    entries = []
+    for i, text in enumerate(texts):
         try:
             entry = json.loads(text.decode())
         except ValueError:
@@ -540,7 +528,8 @@ def _parse_block(block: bytes, b: int, xi_len: int, n_values: int, codes: dict):
             and 0 <= entry[1] < 1 << 63
         ):
             return None
-        texts[text] = codes.setdefault(tuple(entry), len(codes))
+        entries.append(entry)
+        texts[text] = i
     try:
         # a number put outside its quotes becomes a token of its own here
         v = np.loadtxt(v_text.translate(_CELLS_TO_SPACES).split(b"\n"), comments=None, ndmin=2)
@@ -552,11 +541,11 @@ def _parse_block(block: bytes, b: int, xi_len: int, n_values: int, codes: dict):
     # starts with a 1 wraps round to its last character, also a 1
     u = np.frombuffer(xi_text, dtype=np.uint8)
     x = np.where(u[np.flatnonzero(u == ord("1")) - 1] == ord("-"), -1, 1)
-    return [texts[t] for t in p_texts], x.reshape(b, xi_len), v
+    return np.array(entries, dtype=np.int64)[[texts[t] for t in p_texts]], x.reshape(b, xi_len), v
 
 
-def _checked_rows(lines, lo: int, xi_len: int, n_values: int, codes: dict):
-    """(p positions in `codes`, xi, values) of the atom rows lo, lo+1, ...,
+def _checked_rows(lines, lo: int, xi_len: int, n_values: int):
+    """(p as [numerator, k] rows, xi, values) of the atom rows lo, lo+1, ...,
     one JSON text per line in any layout.  Every check runs row by row, in
     order, and raises the ParameterError naming the first faulty atom and
     field."""
@@ -592,14 +581,14 @@ def _checked_rows(lines, lo: int, xi_len: int, n_values: int, codes: dict):
             raise ParameterError(f"{where}.v: {exc}") from exc
         if not all(map(math.isfinite, v)):
             raise ParameterError(f"{where}.v: values must be finite")
-        ps.append(tuple(p))
+        ps.append(p)
         xs.append(x)
         vs.append(v)
     # every row passed on its own; the block conversion takes 64-bit
     # [numerator, k] entries only, and so does this path
     if max(map(max, ps)) >= 1 << 63:
         raise ParameterError(f"atoms {lo}-{a}.p: entries must fit in 64-bit integers")
-    return [codes.setdefault(p, len(codes)) for p in ps], xs, vs
+    return ps, xs, vs
 
 
 def _repeats(arr: np.ndarray) -> bool:
@@ -652,13 +641,13 @@ def _joined(parts) -> bytes:
     return np.concatenate(parts, axis=1).tobytes().translate(None, b"\0")
 
 
-def _value_cells(arr: np.ndarray, quote: bytes, repeats: bool) -> list:
+def _value_cells(arr: np.ndarray, quote: bytes) -> list:
     """Parts for `_joined`: the float cells of arr, each as `fmt17` writes
-    it, in `quote`s, a row's cells joined by commas.  When they repeat,
-    each distinct bit pattern is formatted once and gathered
+    it, in `quote`s, a row's cells joined by commas.  When they repeat
+    (`_repeats`), each distinct bit pattern is formatted once and gathered
     (`_gathered`), so -0.0 and 0.0 stay apart; otherwise every cell is
-    formatted in place."""
-    if repeats:
+    formatted in place.  Either way the text is the same."""
+    if _repeats(arr):
         distinct, idx = np.unique(arr.view(np.uint64), return_inverse=True)
         return _gathered(_cell_table(_fmt17_table(distinct.view(np.float64)), quote), idx.reshape(arr.shape))
     if not arr.size:  # rows without cells
@@ -838,10 +827,8 @@ def _payload_blocks(arr: np.ndarray):
     """The text of a float array in blocks (`_blocks`): a line per row,
     its cells formatted as `fmt17` does and joined by commas, each line
     ended by "\n"."""
-    n, width = arr.shape
-    repeats = _repeats(arr)
-    for lo, hi in _blocks(n, width):
-        yield _joined([*_value_cells(arr[lo:hi], b"", repeats), _constant(b"\n", hi - lo)])
+    for lo, hi in _blocks(*arr.shape):
+        yield _joined([*_value_cells(arr[lo:hi], b""), _constant(b"\n", hi - lo)])
 
 
 def array_payload(arr: np.ndarray) -> dict:

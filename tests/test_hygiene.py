@@ -268,9 +268,9 @@ def test_importing_the_package_and_cli_leaves_out_multiprocessing():
 
 
 def test_forked_ensemble_io_leaves_out_multiprocessing(tmp_path):
-    """At 2 CPUs a distinct-valued ensemble of several blocks is written
-    and read with one forked child each, and no multiprocessing or mmap
-    module is loaded."""
+    """At 2 CPUs a distinct-valued ensemble and a repeating exact tree, each
+    of several blocks, are written and read with one forked child each,
+    and no multiprocessing or mmap module is loaded."""
     code = (
         "import os, sys\n"
         "os.sched_getaffinity = lambda pid: {0, 1}\n"
@@ -279,13 +279,17 @@ def test_forked_ensemble_io_leaves_out_multiprocessing(tmp_path):
         "import semimart.io as sio\n"
         "from semimart.generators import GeneratorSpec, generate\n"
         "sio.BLOCK_CELLS = 33 * 7\n"
-        "spec = GeneratorSpec(kind='rl_fractional', level=4, mode='ensemble', paths=256, hurst=0.75)\n"
-        "src = generate(spec)\n"
-        "path = sys.argv[1]\n"
-        "sio.write_ensemble(path, spec, src.probs, src.xi, src.values)\n"
-        "assert sio.read_ensemble(path).values.tobytes() == src.values.tobytes()\n"
-        "print(len(forks), sorted(m for m in sys.modules if m.startswith(('multiprocessing', 'mmap'))))"
+        "for spec in (GeneratorSpec(kind='rl_fractional', level=4, mode='ensemble', paths=256, hurst=0.75),\n"
+        "             GeneratorSpec(kind='rademacher_bm', level=3, mode='exact_tree', seed=1)):\n"
+        "    src = generate(spec)\n"
+        "    assert len(sio._blocks(src.probs.size, src.values.shape[1] + src.xi.shape[1])) > 1\n"
+        "    assert sio._repeats(src.values) == (spec.mode == 'exact_tree')\n"
+        "    path = sys.argv[1]\n"
+        "    sio.write_ensemble(path, spec, src.probs, src.xi, src.values)\n"
+        "    assert sio.read_ensemble(path).values.tobytes() == src.values.tobytes()\n"
+        "    print(len(forks), end=' ')\n"
+        "print(sorted(m for m in sys.modules if m.startswith(('multiprocessing', 'mmap'))))"
     )
     out = subprocess.run([sys.executable, "-c", code, str(tmp_path / "ensemble.jsonl")], capture_output=True,
                          text=True, check=True, env=dict(os.environ, PYTHONPATH=str(PACKAGE.parent)), timeout=120)
-    assert out.stdout.strip() == "2 []"
+    assert out.stdout.strip() == "2 4 []"

@@ -1013,14 +1013,14 @@ class CutOff(io.FileIO):
 
 
 class TestPooledWriter:
-    """write_ensemble formats mostly distinct values in forked children:
-    the blocks are dealt out round-robin to this process and a child per
-    further CPU.  The file must not depend on how many there are, and
-    none may outlive the call.  An L4 row holds 17 values and 16
-    innovations, so blocks of 7 rows cut a 256-path ensemble into 37
-    blocks: at 2 CPUs a child formats the odd blocks, the first of them
-    atoms 7-13; at 3 CPUs one child blocks 1, 4, ... and another blocks
-    2, 5, ..."""
+    """write_ensemble formats its blocks in forked children: they are dealt
+    out round-robin to this process and a child per further CPU, at most
+    one process per block, whatever the values.  The file must not
+    depend on how many there are, and none may outlive the call.  An L4
+    row holds 17 values and 16 innovations, so blocks of 7 rows cut a
+    256-path ensemble into 37 blocks: at 2 CPUs a child formats the odd
+    blocks, the first of them atoms 7-13; at 3 CPUs one child blocks 1,
+    4, ... and another blocks 2, 5, ..."""
 
     SPEC = GeneratorSpec(kind="rl_fractional", level=4, mode="ensemble", paths=256, hurst=0.75)
 
@@ -1056,20 +1056,20 @@ class TestPooledWriter:
         assert started == []
         return data
 
-    # name -> (spec fields, BLOCK_CELLS, blocks, whether children format
-    # them); an L4 row holds 17 values and 16 innovations.  The values of
-    # a jump ensemble repeat, so they are formatted here.
+    # name -> (spec fields, BLOCK_CELLS, blocks); an L4 row holds 17
+    # values and 16 innovations.  The values of a jump ensemble repeat,
+    # and children format them as they format distinct ones.
     ENSEMBLES = {
-        "rl-1-block": (dict(kind="rl_fractional", level=4, paths=256, hurst=0.75), None, 1, False),
-        "rl-2-blocks": (dict(kind="rl_fractional", level=4, paths=2048, hurst=0.3), None, 2, True),
-        "rl-many-blocks": (dict(kind="rl_fractional", level=4, paths=256, hurst=0.75), 33 * 7, 37, True),
-        "jump": (dict(kind="jump", level=4, paths=512, seed=3), 33 * 50, 11, False),
+        "rl-1-block": (dict(kind="rl_fractional", level=4, paths=256, hurst=0.75), None, 1),
+        "rl-2-blocks": (dict(kind="rl_fractional", level=4, paths=2048, hurst=0.3), None, 2),
+        "rl-many-blocks": (dict(kind="rl_fractional", level=4, paths=256, hurst=0.75), 33 * 7, 37),
+        "jump": (dict(kind="jump", level=4, paths=512, seed=3), 33 * 50, 11),
     }
 
     @pytest.mark.parametrize("cpus", [2, 3])
     @pytest.mark.parametrize("case", list(ENSEMBLES))
     def test_bytes_do_not_depend_on_the_cpus(self, tmp_path, monkeypatch, case, cpus):
-        fields, block_cells, blocks, pooled = self.ENSEMBLES[case]
+        fields, block_cells, blocks = self.ENSEMBLES[case]
         if block_cells:
             monkeypatch.setattr(sio, "BLOCK_CELLS", block_cells)
         spec = GeneratorSpec(mode="ensemble", **fields)
@@ -1080,20 +1080,24 @@ class TestPooledWriter:
         started = self.spy_pool(monkeypatch)
         assert self.written(tmp_path, "pooled.jsonl", spec, src) == reference
         # this process and a child per further CPU, never more than blocks
-        assert len(started) == (min(cpus, blocks) - 1 if pooled else 0)
+        assert len(started) == min(cpus, blocks) - 1
 
-    @pytest.mark.parametrize("spec", [
-        GeneratorSpec(kind="rademacher_bm", level=4, mode="exact_tree", seed=1),
-        GeneratorSpec(kind="deterministic_drift", level=8, mu=0.5),
+    @pytest.mark.parametrize("spec, blocks", [
+        (GeneratorSpec(kind="rademacher_bm", level=4, mode="exact_tree", seed=1), 34),
+        (GeneratorSpec(kind="deterministic_drift", level=8, mu=0.5), 1),
     ], ids=["L4-tree", "deterministic-drift"])
-    def test_repeated_values_or_one_row_are_formatted_here(self, tmp_path, monkeypatch, spec):
-        """The L4 tree's 65,536 rows repeat 33 values; deterministic_drift
-        has one row, whose values are distinct."""
+    def test_forks_follow_the_blocks_alone(self, tmp_path, monkeypatch, spec, blocks):
+        """The L4 tree's 65,536 rows repeat 33 values, and at 2 CPUs a child
+        formats half of its 34 blocks, to the same bytes; deterministic_drift
+        has one row, whose values are distinct: one block, formatted here."""
         src = generate(spec)
+        width = src.values.shape[1] + (0 if src.xi is None else src.xi.shape[1])
+        assert len(sio._blocks(src.probs.size, width)) == blocks
+        reference = self.one_cpu_bytes(tmp_path, monkeypatch, spec, src)
         self.cpus(monkeypatch, 2)
         started = self.spy_pool(monkeypatch)
-        self.written(tmp_path, "repeats.jsonl", spec, src)
-        assert started == []
+        assert self.written(tmp_path, "repeats.jsonl", spec, src) == reference
+        assert len(started) == min(2, blocks) - 1
 
     @pytest.mark.parametrize("case", ["daemonic", "no-affinity"])
     def test_falls_back_to_this_process(self, tmp_path, monkeypatch, case):
@@ -1202,14 +1206,15 @@ class TestPooledWriter:
 
 
 class TestSplitReader:
-    """read_ensemble parses the later blocks of a file whose values are
-    mostly distinct in forked children, one per CPU.  Whatever the CPU
-    count, a file must read to the same arrays, sha256 and error text,
-    and no child may outlive the read.  An L4 row holds 17 values and
-    16 innovations, so blocks of 7 rows cut a 256-path ensemble into 37
-    blocks.  This process parses block 0, then shares out the other 36:
-    at 2 CPUs it parses blocks 0-18 (atoms 0-132), at 3 CPUs blocks 0-12
-    (atoms 0-90), and children parse the rest."""
+    """read_ensemble cuts a file's blocks into one contiguous share per
+    CPU, at most one per block, and parses the shares after the first in
+    forked children.  Whatever the CPU count, a file must read to the same
+    arrays, sha256 and error text, and no child may outlive the read.  An
+    L4 row holds 17 values and 16 innovations, so blocks of 7 rows cut a
+    256-path ensemble into 37 blocks: at 2 CPUs this process parses
+    blocks 0-17 (atoms 0-125) and a child the rest; at 3 CPUs this
+    process blocks 0-11 (atoms 0-83), a child blocks 12-23 (atoms 84-167)
+    and another the rest."""
 
     SPEC = GeneratorSpec(kind="rl_fractional", level=4, mode="ensemble", paths=256, hurst=0.75)
 
@@ -1258,19 +1263,19 @@ class TestSplitReader:
         write_spec(str(path), spec)
         return path
 
-    def assert_same_at_any_cpus(self, monkeypatch, path, split=True):
+    def assert_same_at_any_cpus(self, monkeypatch, path):
         reference, forks = self.read(monkeypatch, path, 1)
         assert forks == 0
         for cpus in (2, 3):
-            assert self.read(monkeypatch, path, cpus) == (reference, cpus - 1 if split else 0)
+            assert self.read(monkeypatch, path, cpus) == (reference, cpus - 1)
         return reference
 
     @pytest.fixture(autouse=True)
     def small_blocks(self, monkeypatch):
         monkeypatch.setattr(sio, "BLOCK_CELLS", 33 * 7)
 
-    # a child's message holds its values rows, its xi rows, then its p
-    # entries; small pieces straddle the boundaries between them
+    # a child's message holds its p rows, its xi rows, then its values
+    # rows; small pieces straddle the boundaries between them
     @pytest.mark.parametrize("piece", [1, 7, sio.PIECE])
     def test_distinct_values_read_the_same(self, tmp_path, monkeypatch, piece):
         monkeypatch.setattr(sio, "PIECE", piece)
@@ -1289,12 +1294,45 @@ class TestSplitReader:
         reference = self.assert_same_at_any_cpus(monkeypatch, path)
         assert reference[1] == b"" and reference[2] == values.tobytes()
 
-    def test_a_repeating_tree_is_read_here(self, tmp_path, monkeypatch):
+    def test_a_repeating_tree_reads_the_same(self, tmp_path, monkeypatch):
+        """Repeating values are shared out as distinct ones are."""
         spec = GeneratorSpec(kind="rademacher_bm", level=4, mode="exact_tree", seed=1)
         monkeypatch.setattr(sio, "BLOCK_CELLS", 33 * 500)
         path = self.write(tmp_path, spec)
         assert len(sio._blocks(65536, 33)) == 132
-        self.assert_same_at_any_cpus(monkeypatch, path, split=False)
+        reference = self.assert_same_at_any_cpus(monkeypatch, path)
+        src = generate(spec)
+        assert reference[2] == src.values.tobytes() and reference[0] == src.probs.tobytes()
+
+    # [numerator, k] entries that sum to 1: 147 atoms of 2**-8, two of
+    # them unreduced, and 90 of 2**-9, which the last child meets first
+    # at 2 CPUs; then, in the last child's share at 2 and at 3 CPUs, the
+    # chain 2**-2 - 2**-65, 2**-65 - 2**-128, ..., 2**-1010 - 2**-1073,
+    # and 2**-1073 as 2**-1074 plus 2 * 2**-1075, subnormal and unreduced
+    CHAIN = [[2**63 - 1, 2 + 63 * j] for j in range(1, 18)] + [[1, 1074], [2, 1075]]
+
+    @pytest.mark.parametrize("fault", [False, True], ids=["sums-to-one", "below-float64"])
+    def test_entries_first_met_in_a_child_read_the_same(self, tmp_path, monkeypatch, fault):
+        """The probabilities are those `dyadic_decode` gives row by row at
+        every CPU count; with atom 255's entry halved to 2**-1075, which
+        is 0.0, and atom 254's made 3 * 2**-1075 so that the sum stays 1,
+        every CPU count names atom 255."""
+        entries = [[1, 8]] * 147 + [[1, 9]] * 90 + self.CHAIN
+        entries[10], entries[100] = [2, 9], [4, 10]
+        if fault:
+            entries[-2:] = [[3, 1075], [1, 1075]]
+        path = self.write(tmp_path)
+        header, *rows = path.read_text().splitlines()
+        for a, entry in enumerate(entries):
+            row = json.loads(rows[a])
+            row["p"] = entry
+            rows[a] = json.dumps(row, separators=(",", ":"))
+        path.write_text("\n".join([header, *rows]) + "\n")
+        reference = self.assert_same_at_any_cpus(monkeypatch, path)
+        if fault:
+            assert reference == "atom 255.p: [1, 1075] is below the least positive float64"
+        else:
+            assert reference[0] == np.array([dyadic_decode(e, "p") for e in entries]).tobytes()
 
     def test_a_last_row_without_a_line_break(self, tmp_path, monkeypatch):
         path = self.write(tmp_path)
@@ -1322,9 +1360,9 @@ class TestSplitReader:
         plain = self.outcome(read_ensemble(str(self.write(tmp_path, name="plain.jsonl"))))
         assert reference[:3] == plain[:3]
 
-    # atoms: 3 in the first block, read before any fork; 60 in this
-    # process's share; 100 in this process's share at 2 CPUs and in the
-    # first child's at 3; 200 in the last child's share
+    # atoms: 3 in the first block and 60, both in this process's share;
+    # 100 in this process's share at 2 CPUs and in the first child's at 3;
+    # 200 in the last child's share
     @pytest.mark.parametrize("atoms", [(3,), (60,), (200,), (60, 200), (100, 200), (3, 100, 200)],
                              ids=lambda atoms: "-".join(map(str, atoms)))
     @pytest.mark.parametrize("fault", ["not-json", "v-inf", "p-past-64-bits"])
@@ -1347,7 +1385,7 @@ class TestSplitReader:
         lo = first - first % 7
         assert message.startswith(f"atoms {lo}-{lo + 6}.p" if fault == "p-past-64-bits" else f"atom {first}")
         for cpus in (2, 3):
-            assert self.read(monkeypatch, path, cpus) == (message, 0 if first < 7 else cpus - 1)
+            assert self.read(monkeypatch, path, cpus) == (message, cpus - 1)
 
     @pytest.mark.parametrize("case", ["no-affinity", "daemonic", "fork-fails", "child-killed"])
     def test_falls_back_to_this_process(self, tmp_path, monkeypatch, case):
@@ -1371,7 +1409,7 @@ class TestSplitReader:
         with monkeypatch.context() as m:
             m.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
             self.spy_fork(m, lambda: setattr(os, "fdopen", CutOff))
-            with pytest.raises(ChildProcessError, match="rows 133-255: the child's message ended"):
+            with pytest.raises(ChildProcessError, match="rows 126-255: the child's message ended"):
                 read_ensemble(str(path))
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
@@ -1403,7 +1441,8 @@ class TestSplitReader:
             two, forks = self.read(monkeypatch, path, 2)
             assert two == one, f"mutation {i}"
             kinds[isinstance(one, str), forks] += 1
-        # reads and refusals split across children, and faults in the first block
+        # reads and refusals split across children, and faults found
+        # before any row is parsed
         assert min(kinds[False, 1], kinds[True, 1], kinds[True, 0]) > 0, kinds
 
     def test_a_report_written_at_one_cpu_verifies_at_two(self, tmp_path, monkeypatch, capsys):
