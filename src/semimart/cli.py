@@ -1,4 +1,4 @@
-"""Command-line entry points: generate, decompose, detect, verify.
+"""Command-line entry points: generate, detect, verify.
 
 Exit codes: 0 success (or verified), 1 invariant failure or failed
 verification, 2 parameter error, malformed file or unwritable output
@@ -10,7 +10,6 @@ import argparse
 import os
 import sys
 
-from .doob import doob_decompose
 from .errors import (
     ConvergenceError,
     InvariantViolation,
@@ -21,16 +20,13 @@ from .errors import (
 )
 from .generators import KINDS, GeneratorSpec, generate
 from .io import (
-    array_payload,
     check_output,
-    fmt17,
     first_mismatch,
     json_field,
     read_ensemble,
     read_report,
     report_body,
     write_ensemble,
-    write_json,
     write_report,
 )
 from .pipeline import DetectConfig, detect
@@ -65,32 +61,6 @@ def cmd_generate(args) -> int:
     src = generate(spec)
     write_ensemble(out, spec, src.probs, src.xi, src.values)
     print(f"wrote {out} ({src.probs.size} atoms, level {spec.level}, {spec.mode})")
-    return EXIT_OK
-
-
-def cmd_decompose(args) -> int:
-    # an explicit output file fails before the read; a default name needs
-    # the file's level, and is checked before the decomposition runs
-    if args.out and not os.path.isdir(args.out):
-        check_output(args.out)
-    data = read_ensemble(args.input)
-    src = data.to_source()
-    level = args.level if args.level is not None else data.spec.level
-    out = _resolve_out(args.out, f"decomposition-L{level}.json")
-    check_output(out)
-    D = doob_decompose(src.process, level, src.drift_increments(level))
-    doc = {
-        "format": "semimart-decomposition-1",
-        "source_sha256": data.sha256,
-        "level": D.level,
-        "qv_mean": fmt17(src.space.expectation(D.qv)),
-        "tv_mean": fmt17(src.space.expectation(D.tv)),
-        "m_l2": fmt17(D.m_l2),
-        "M": array_payload(D.M.values),
-        "A": array_payload(D.A.values),
-    }
-    write_json(out, doc)
-    print(f"wrote {out} (level {level}: E[QV]={doc['qv_mean']}, E[TV]={doc['tv_mean']})")
     return EXIT_OK
 
 
@@ -180,12 +150,6 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--jump-size", type=float, default=GeneratorSpec.jump_size)
     gen.add_argument("--out")
     gen.set_defaults(func=cmd_generate)
-
-    dec = sub.add_parser("decompose", help="dump one level's Doob decomposition")
-    dec.add_argument("input")
-    dec.add_argument("--level", type=int)
-    dec.add_argument("--out")
-    dec.set_defaults(func=cmd_decompose)
 
     det = sub.add_parser("detect", help="run the dichotomy and write a report")
     det.add_argument("input")

@@ -88,11 +88,12 @@ class DoobDecomposition:
     analytic: bool = False
 
     def __post_init__(self):
-        if np.abs(self.A.values[:, 0]).max() > IDENT_TOL:
+        # the identity rules are written so that a NaN fails them
+        if not np.abs(self.A.values[:, 0]).max() <= IDENT_TOL:
             raise InvariantViolation("predictable part must start at 0")
         if not self.analytic:
             resid = martingale_residual(self.M)
-            if resid > IDENT_TOL:
+            if not resid <= IDENT_TOL:
                 raise InvariantViolation(f"martingale residual {resid} exceeds {IDENT_TOL}")
             if not _predictable(self.A):
                 raise InvariantViolation("A-increments are not predictable")
@@ -158,7 +159,7 @@ def doob_decompose(S: AdaptedProcess, n: int, dA: np.ndarray | None = None) -> D
     step = max(1, IDENT_BLOCK_CELLS // Sn.n_times)
     err = np.max([_identity_error(M_vals[lo:lo + step], A_vals[lo:lo + step], Sn.values[lo:lo + step])
                   for lo in range(0, space.n_atoms, step)])
-    if err > IDENT_TOL:
+    if not err <= IDENT_TOL:
         raise InvariantViolation(f"M + A differs from S by {err}")
     # the fresh M is handed over read-only, as A is, so AdaptedProcess keeps it uncopied
     M_vals.setflags(write=False)

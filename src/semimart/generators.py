@@ -307,8 +307,8 @@ class Source:
     and the path values.
 
     The filtration is rebuilt from the innovations, and ``process`` rejects
-    values that are not adapted to it, so every source is checked once,
-    where it enters the pipeline.
+    values that are not finite or not adapted to it, so every source is
+    checked once, where it enters the pipeline.
     """
 
     spec: GeneratorSpec
@@ -328,6 +328,8 @@ class Source:
     @cached_property
     def process(self) -> AdaptedProcess:
         S = AdaptedProcess(self.space, self.values)
+        if not np.all(np.isfinite(S.values)):
+            raise ParameterError("process values must be finite")
         S.require_adapted()
         return S
 

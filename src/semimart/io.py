@@ -116,12 +116,6 @@ def check_output(path) -> None:
     raise ParameterError(f"cannot write {path}: {os.strerror(code)}")
 
 
-def write_json(path, doc: dict) -> None:
-    """doc as one canonical JSON line."""
-    with open_output(path) as fh:
-        fh.write(_canonical(doc) + "\n")
-
-
 def dyadic_encode(p: float) -> list:
     """Probability as [numerator, k] meaning numerator / 2**k, exactly."""
     frac = Fraction(p)
@@ -156,7 +150,7 @@ class EnsembleData:
     sha256: str
 
     def to_source(self) -> Source:
-        """The object `detect`/`decompose` consume."""
+        """The object `detect` consumes."""
         return Source(self.spec, self.probs, self.xi, self.values)
 
 
@@ -923,7 +917,8 @@ def write_report(path, body: dict, source_name: str) -> None:
         "source_name": source_name,
         "body": body,
     }
-    write_json(path, doc)
+    with open_output(path) as fh:
+        fh.write(_canonical(doc) + "\n")
 
 
 def read_report(path) -> dict:

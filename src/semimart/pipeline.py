@@ -115,11 +115,12 @@ class SemimartingaleCertificate:
             "A_start": float(np.abs(self.A.values[:, 0]).max()),
         }
         object.__setattr__(self, "residuals", residuals)
+        # every rule is written so that a NaN fails it
         for name, value in residuals.items():
-            if value > CERT_TOL:
+            if not value <= CERT_TOL:
                 raise InvariantViolation(f"certificate residual {name} = {value} above {CERT_TOL}")
         tv = float(np.abs(self.A.increments()).sum(axis=1).max())
-        if tv > self.constants["tv_bound"] + CERT_TOL:
+        if not tv <= self.constants["tv_bound"] + CERT_TOL:
             raise InvariantViolation(
                 f"TV(A) = {tv} exceeds the reported bound {self.constants['tv_bound']}"
             )
@@ -338,7 +339,7 @@ def _mix_step(s: int, mu: np.ndarray, idx: np.ndarray, R: np.ndarray, inc: list,
     del w
     # the two mixes must reassemble the source stopped at the exit time
     resid = float(_identity_error(m_script.values, a_script.values, stop_process(source, alpha_k).values))
-    if resid > IDENT_TOL:
+    if not resid <= IDENT_TOL:
         raise InvariantViolation(f"mix identity off by {resid} at step {s}")
     return m_script, a_script
 
@@ -351,7 +352,7 @@ def _stopped_mix(s: int, level: int, m_script: AdaptedProcess, a_script: Adapted
     m_st = stop_process(m_script, alpha)
     a_st = stop_process(a_script, alpha)
     resid = float(_identity_error(m_st.values, a_st.values, stopped_source.values))
-    if resid > IDENT_TOL:
+    if not resid <= IDENT_TOL:
         raise InvariantViolation(f"stopped mix identity off by {resid} at step {s}")
     m_sq = space.expectation(m_st.values[:, -1] ** 2)
     if m_sq > 4.0 * C + BOUND_TOL:

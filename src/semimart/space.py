@@ -116,7 +116,8 @@ def _block_mismatch(labels: np.ndarray, x: np.ndarray, atol: float) -> tuple[int
     rep = np.zeros(labels.shape[0] * stride, dtype=x.dtype)
     rep[glob] = x
     dev = rep[glob]
-    bad = dev != x if atol == 0 else np.abs(np.subtract(x, dev, out=dev), out=dev) > atol
+    # written so that NaN is a mismatch: NaN != NaN, and NaN <= atol is False
+    bad = dev != x if atol == 0 else ~(np.abs(np.subtract(x, dev, out=dev), out=dev) <= atol)
     return divmod(int(bad[:, ::-1].argmax()), bad.shape[1]) if bad.any() else None
 
 
@@ -148,9 +149,10 @@ class FilteredSpace:
         object.__setattr__(self, "labels", labels)
         if probs.ndim != 1 or probs.size == 0:
             raise ParameterError("probs must be a non-empty 1-d array")
-        if np.any(probs <= 0):
+        # both written so that a NaN probability fails them
+        if not np.all(probs > 0):
             raise InvariantViolation("all atom probabilities must be > 0")
-        if abs(probs.sum() - 1.0) > ATOL:
+        if not abs(probs.sum() - 1.0) <= ATOL:
             raise InvariantViolation(f"probabilities sum to {probs.sum()!r}, not 1 within {ATOL}")
         if labels.shape != (self.grid.n_times, probs.size):
             raise ParameterError(
@@ -225,6 +227,8 @@ class StoppingTime:
         return self.space.grid.n_times
 
     def prob_finite(self) -> float:
+        # atom probabilities are dyadic, so their sums are exact in any
+        # order and need neither fsum nor a fixed order
         return float(self.space.probs[self.index < self.inf_index].sum())
 
     def min_with(self, other: "StoppingTime") -> "StoppingTime":
@@ -282,8 +286,6 @@ class AdaptedProcess:
             raise ParameterError("values and time_index disagree on the number of columns")
         if np.any(np.diff(ti) <= 0) or ti[0] < 0 or ti[-1] >= self.space.grid.n_times:
             raise ParameterError("time_index must be strictly increasing within the grid")
-        if not np.all(np.isfinite(vals)):
-            raise ParameterError("process values must be finite")
 
     @property
     def n_times(self) -> int:

@@ -5,11 +5,16 @@ the pipeline's one-integral-per-strategy path is compared against, the
 constant strategy, the continuity probe along vanishing-position
 strategies, the line formatter that the writer's table gather is
 compared against, the per-row sampler that the ensemble innovations are
-compared against, and spies that record what the continuous stage
-builds but does not keep."""
+compared against, spies that record what the continuous stage
+builds but does not keep, and the independent rechecker of a verdict,
+perfbench/checks.py, which shares no code with the package; it is
+loaded by path, so nothing under perfbench/ is imported as a package."""
 
+import functools
+import importlib.util
 import warnings
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -375,3 +380,31 @@ def sum_by_parts_bound(f: StepFunction, g: GridFunction, partition) -> tuple[flo
     if lhs > rhs + 1e-10:
         raise InvariantViolation(f"summation-by-parts bound violated: {lhs} > {rhs}")
     return lhs, rhs
+
+
+CHECKS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "checks.py"
+
+
+@functools.cache
+def load_checks():
+    spec = importlib.util.spec_from_file_location("perfbench_checks", CHECKS_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def recheck_errors(source, verdict) -> list:
+    """The rules of perfbench/checks.py that the verdict breaks, read
+    from the source's and the verdict's raw arrays as the benchmark reads them."""
+    checks = load_checks()
+    space, S = source.space, source.process
+    if verdict.kind == "certificate":
+        return checks.certificate_errors(
+            S.values, space.probs, space.labels, verdict.M.values, verdict.A.values,
+            verdict.alpha.index, verdict.constants["tv_bound"],
+        )
+    strategies = [
+        (np.column_stack([tau.index for tau in H.mesh]), H.weights)
+        for H in verdict.strategies.elements
+    ]
+    return checks.free_lunch_errors(S.values, space.probs, strategies, verdict.alpha_star)

@@ -7,14 +7,12 @@ change that alters any of these bytes on purpose says so and updates
 the hashes together with the reason.
 
 Every conclusive verdict is also rechecked from raw arrays by
-perfbench/checks.py, which shares no code with the package; it is
-loaded by path, so nothing under perfbench/ is imported as a package.
+perfbench/checks.py, which shares no code with the package, through
+`helpers.recheck_errors`.
 """
 
 import hashlib
-import importlib.util
 import json
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +20,7 @@ import pytest
 from semimart.generators import GeneratorSpec, generate
 from semimart.io import read_ensemble, report_body, write_ensemble
 from semimart.pipeline import DetectConfig, detect
+from helpers import load_checks, recheck_errors
 
 # name -> (spec fields, detect levels, verdict, ensemble sha256, body sha256
 #          [, transform of the generated values before they are written])
@@ -135,16 +134,6 @@ CASES = {
 }
 
 
-CHECKS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "checks.py"
-
-
-def load_checks():
-    spec = importlib.util.spec_from_file_location("perfbench_checks", CHECKS_PATH)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 CHECKS = load_checks()
 
 
@@ -170,22 +159,6 @@ def run_case(tmp_path, fields, levels, transform=None):
     data, config, _, verdict, path = detected(tmp_path, fields, levels, transform)
     body = json.dumps(report_body(data, config, verdict), sort_keys=True, separators=(",", ":"))
     return verdict.kind, _sha(path.read_bytes()), _sha(body.encode())
-
-
-def recheck_errors(source, verdict) -> list:
-    """The rules of perfbench/checks.py that the verdict breaks, read
-    from the source's and the verdict's raw arrays as the benchmark reads them."""
-    space, S = source.space, source.process
-    if verdict.kind == "certificate":
-        return CHECKS.certificate_errors(
-            S.values, space.probs, space.labels, verdict.M.values, verdict.A.values,
-            verdict.alpha.index, verdict.constants["tv_bound"],
-        )
-    strategies = [
-        (np.column_stack([tau.index for tau in H.mesh]), H.weights)
-        for H in verdict.strategies.elements
-    ]
-    return CHECKS.free_lunch_errors(S.values, space.probs, strategies, verdict.alpha_star)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

@@ -1672,22 +1672,24 @@ class TestCliFlows:
         err = capsys.readouterr().err
         assert err.startswith(f"parameter error: cannot write {bad}")
 
-    @pytest.mark.parametrize("command", ["probe", "detect-csv"])
+    @pytest.mark.parametrize("command", ["probe", "detect-csv", "decompose"])
     def test_removed_cli_surface_is_refused_by_argparse(self, tmp_path, capsys, command):
-        """`semimart probe` and `detect --csv` are gone: argparse refuses
-        them with exit 2 before any output is created."""
+        """`semimart probe`, `detect --csv` and `semimart decompose` are
+        gone: argparse refuses them with exit 2 before any output is created."""
         src = walk_file(tmp_path, level=2)
-        x, r, c = (str(tmp_path / name) for name in ("probe.json", "report.json", "series.csv"))
+        x, r, c, d = (str(tmp_path / name)
+                      for name in ("probe.json", "report.json", "series.csv", "decomposition.json"))
         argv = {
             "probe": ["probe", src, "--out", x],
             "detect-csv": ["detect", src, "--out", r, "--csv", c],
+            "decompose": ["decompose", src, "--out", d],
         }[command]
         with pytest.raises(SystemExit) as refused:
             main(argv)
         assert refused.value.code == 2
-        assert not any(os.path.exists(path) for path in (x, r, c))
+        assert not any(os.path.exists(path) for path in (x, r, c, d))
 
-    @pytest.mark.parametrize("command", ["generate", "decompose"])
+    @pytest.mark.parametrize("command", ["generate", "detect"])
     def test_unwritable_output_fails_before_the_work(self, tmp_path, capsys, monkeypatch,
                                                      command):
         src = walk_file(tmp_path, level=2)
@@ -1698,11 +1700,11 @@ class TestCliFlows:
         monkeypatch.setattr(cli, "generate", refuse)
         # an explicit output file is checked before the ensemble is read
         monkeypatch.setattr(cli, "read_ensemble", refuse)
-        monkeypatch.setattr(cli, "doob_decompose", refuse)
+        monkeypatch.setattr(cli, "detect", refuse)
         bad = str(tmp_path / "missing" / "x.jsonl")
         argv = {
             "generate": ["generate", "--kind", "rademacher_bm", "--level", "2", "--out", bad],
-            "decompose": ["decompose", src, "--out", bad],
+            "detect": ["detect", src, "--out", bad],
         }[command]
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith(f"parameter error: cannot write {bad}")
@@ -1871,21 +1873,6 @@ class TestCliFlows:
         assert f"atom 0.v[{col}]" in err and f"time index {col}" in err
         assert "not adapted" in err
 
-    @pytest.mark.parametrize("col", [1, 0])
-    @pytest.mark.parametrize("command", ["decompose"])
-    def test_rejects_non_adapted_source(self, tmp_path, capsys, command, col):
-        """decompose rejects the file at the same boundary as detect."""
-        src = self.non_adapted_walk(tmp_path, col)
-        out = str(tmp_path / f"{command}.json")
-        capsys.readouterr()
-
-        rc = main([command, src, "--out", out])
-        err = capsys.readouterr().err
-        assert rc == 2
-        assert f"atom 0.v[{col}]" in err and f"time index {col}" in err
-        assert "not adapted" in err
-        assert not os.path.exists(out)
-
     def test_detect_inconclusive_exit_code(self, tmp_path, capsys):
         src = str(tmp_path / "mc.jsonl")
         report = str(tmp_path / "report.json")
@@ -1913,23 +1900,6 @@ class TestCliFlows:
         assert "verdict: inconclusive" in out
         body = read_report(report)["body"]
         assert "exact" in body["payload"]["reason"]
-
-    def test_decompose_writes_document(self, tmp_path, capsys):
-        src = str(tmp_path / "walk.jsonl")
-        out = str(tmp_path / "dec.json")
-        main(["generate", "--kind", "rademacher_bm", "--level", "2", "--out", src])
-        rc = main(["decompose", src, "--out", out])
-        assert rc == 0
-        assert "E[QV]" in capsys.readouterr().out
-        with open(out) as fh:
-            doc = json.load(fh)
-        assert doc["format"] == "semimart-decomposition-1"
-        assert doc["level"] == 2
-        assert doc["source_sha256"] == read_ensemble(src).sha256
-        assert float(doc["qv_mean"]) == pytest.approx(0.25, abs=TOL)
-        assert float(doc["tv_mean"]) == pytest.approx(0.0, abs=TOL)
-        A = np.array(doc["A"]["data"], dtype=float)
-        assert np.max(np.abs(A)) == pytest.approx(0.0, abs=TOL)
 
     def test_default_out_respects_env(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("SEMIMART_OUT", str(tmp_path))
@@ -1991,5 +1961,5 @@ def test_readme_commands_parse():
     for words in commands:
         parser.parse_args(words[1:])
     sub = next(a for a in parser._actions if a.dest == "command")
-    assert list(sub.choices) == ["generate", "decompose", "detect", "verify"]
+    assert list(sub.choices) == ["generate", "detect", "verify"]
     assert {words[1] for words in commands} == set(sub.choices)

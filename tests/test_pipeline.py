@@ -1,6 +1,7 @@
 """Tests for the jump split, budget-stopped mixing, and the full dichotomy."""
 
 import gc
+import os
 import re
 import tracemalloc
 import weakref
@@ -9,6 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import semimart.doob as doob_module
 import semimart.pipeline as pipeline
 import semimart.space as space_module
 from semimart.doob import (
@@ -20,7 +22,9 @@ from semimart.doob import (
 )
 from semimart.komlos import ConvexWeights, WeightBlock
 from semimart.errors import ConvergenceError, InvariantViolation, ParameterError, PreconditionError
+from semimart.cli import main
 from semimart.generators import GeneratorSpec, generate
+from semimart.io import write_ensemble
 from semimart.integrands import (
     SimpleIntegrand,
     StrategySequence,
@@ -361,6 +365,33 @@ class TestAssembleDecomposition:
             SemimartingaleCertificate(
                 M=S, A=AdaptedProcess(space, np.ones_like(S.values)), alpha=never,
                 constants={"tv_bound": 1.0}, residuals={},
+            )
+
+    @pytest.mark.parametrize("cell", [(0, 0), (3, -1)])
+    @pytest.mark.parametrize("part", ["M", "A"])
+    def test_certificate_refuses_a_nan_part(self, part, cell):
+        """A NaN made inside is no input fault: processes are not scanned
+        once they are built, and the certificate's rules fail on it."""
+        space, S = canonical_walk(2)
+        parts = {"M": S.values.copy(), "A": np.zeros_like(S.values)}
+        parts[part][cell] = np.nan
+        with pytest.raises(InvariantViolation):
+            SemimartingaleCertificate(
+                alpha=StoppingTime(space, np.full(space.n_atoms, space.grid.n_times)),
+                constants={"tv_bound": 1.0}, residuals={"decomposition": 0.0},
+                **{name: AdaptedProcess(space, v) for name, v in parts.items()},
+            )
+
+    @pytest.mark.parametrize("field", ["decomposition", "tv_bound"])
+    def test_certificate_refuses_a_nan_the_caller_reports(self, field):
+        """The caller's residual and TV bound are read by rules that NaN fails."""
+        space, S = canonical_walk(2)
+        with pytest.raises(InvariantViolation, match="= nan|bound nan"):
+            SemimartingaleCertificate(
+                M=S, A=AdaptedProcess(space, np.zeros_like(S.values)),
+                alpha=StoppingTime(space, np.full(space.n_atoms, space.grid.n_times)),
+                constants={"tv_bound": np.nan if field == "tv_bound" else 1.0},
+                residuals={"decomposition": np.nan if field == "decomposition" else 0.0},
             )
 
 
@@ -742,6 +773,37 @@ def test_ensemble_detect_traced_peak_stays_bounded():
         tracemalloc.stop()
     assert verdict.kind == "free_lunch"
     assert peak / S.values.nbytes < ENSEMBLE_DETECT_TRACED_PEAK_ARRAYS
+
+
+@pytest.mark.parametrize(
+    "spec, levels",
+    [(dict(kind="rademacher_bm", level=2), None),
+     (dict(kind="rl_fractional", level=4, hurst=0.75, mode="ensemble", paths=64, seed=1), (2, 3, 4))],
+    ids=["tree", "ensemble"],
+)
+def test_a_nan_made_inside_never_becomes_a_verdict(tmp_path, monkeypatch, capsys, spec, levels):
+    """A NaN planted in the A that `doob_decompose` builds breaks its
+    M + A = S rule: detect raises InvariantViolation, an internal fault,
+    and the CLI exits 1 without a report, instead of a verdict or an exit
+    2 that blames the input."""
+    source = generate(GeneratorSpec(**spec))
+    path = str(tmp_path / "source.jsonl")
+    write_ensemble(path, source.spec, source.probs, source.xi, source.values)
+    built = doob_module.running_sum
+
+    def planted(d):
+        out = built(d).copy()
+        out[0, -1] = np.nan
+        return out
+
+    monkeypatch.setattr(doob_module, "running_sum", planted)
+    with pytest.raises(InvariantViolation, match="M \\+ A differs from S by nan"):
+        detect(source, DetectConfig(levels=levels))
+    report = str(tmp_path / "report.json")
+    argv = ["detect", path, "--out", report] + (["--levels", ",".join(map(str, levels))] if levels else [])
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("invariant failure: M + A differs from S by nan")
+    assert not os.path.exists(report)
 
 
 @pytest.mark.parametrize(

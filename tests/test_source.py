@@ -12,7 +12,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from semimart.errors import ParameterError
+from semimart.errors import InvariantViolation, ParameterError
 from semimart.generators import KINDS, GeneratorSpec, Source, _empirical_labels, generate
 from semimart.io import fmt17, read_ensemble, report_body, write_ensemble
 from semimart.pipeline import DetectConfig, detect
@@ -149,3 +149,24 @@ def test_future_peeking_file_rejected_at_to_source(tmp_path, fields, col):
 
     with pytest.raises(ParameterError, match=peek_message(src, col)):
         read_ensemble(path).to_source().process
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("fields", PEEK_SPECS, ids=spec_id)
+def test_non_finite_values_rejected_at_process(fields, bad):
+    """A source's values are checked for finiteness once, where they
+    enter, before the adaptedness check would name the cell as a peek."""
+    src = generate(GeneratorSpec(**fields))
+    values = src.values.copy()
+    values[-1, 1] = bad
+    for run in (lambda s: s.process, detect):
+        with pytest.raises(ParameterError, match="^process values must be finite$"):
+            run(replace(src, values=values))
+
+
+def test_a_nan_probability_is_refused_by_the_space():
+    src = generate(GeneratorSpec(kind="rademacher_bm", level=1))
+    probs = src.probs.copy()
+    probs[-1] = np.nan
+    with pytest.raises(InvariantViolation, match="^all atom probabilities must be > 0$"):
+        replace(src, probs=probs).space

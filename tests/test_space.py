@@ -423,8 +423,9 @@ class TestAdaptedProcess:
         values = np.zeros((4, 3))
         values[0, 1] = 1.0  # differs inside a time-1/2 cell
         assert not AdaptedProcess(space, values).is_adapted()
-        with pytest.raises(ParameterError):
-            AdaptedProcess(space, np.full((4, 3), np.nan))
+        # values are checked for finiteness where they enter, in Source.process;
+        # inside, a NaN is never a cell's constant value
+        assert not AdaptedProcess(space, np.full((4, 3), np.nan)).is_adapted()
 
     def test_increments_and_sup_norm(self):
         space, S = canonical_walk(1)

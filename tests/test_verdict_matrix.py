@@ -5,12 +5,15 @@ the cheap inputs: a certificate on every exact tree at levels 2 and 3,
 Inconclusive on a sampled ensemble (certificates are only issued on the
 exact tree), and free-lunch evidence for the Riemann-Liouville
 fractional walk at every Hurst index away from 1/2, in both modes.
+Every certificate and every free-lunch evidence must also pass the
+independent recheck from raw arrays.
 """
 
 import pytest
 
 from semimart.generators import GeneratorSpec, generate
 from semimart.pipeline import detect
+from helpers import recheck_errors
 
 SEEDS = (1, 2, 3)
 ENSEMBLE = dict(mode="ensemble", level=6, paths=1024)
@@ -31,7 +34,13 @@ FREE_LUNCH_HURST = (0.25, 0.4, 0.6, 0.75, 0.9)
 
 
 def verdict(**spec):
-    return detect(generate(GeneratorSpec(**spec)))
+    """The verdict on the generated source; a conclusive one must break no
+    rule of the independent recheck."""
+    source = generate(GeneratorSpec(**spec))
+    result = detect(source)
+    if result.kind != "inconclusive":
+        assert recheck_errors(source, result) == []
+    return result
 
 
 @pytest.mark.parametrize("seed", SEEDS)
