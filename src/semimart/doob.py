@@ -22,6 +22,7 @@ from .space import (
     AdaptedProcess,
     FilteredSpace,
     StoppingTime,
+    _handed_over,
     cell_mismatch,
     first_hitting_time,
     running_sum,
@@ -53,17 +54,13 @@ def ladder(cap: float = LADDER_MAX) -> list[float]:
     return out
 
 
-def _level_indices(space: FilteredSpace, n: int) -> np.ndarray:
-    finest = space.grid.level
-    if n < 0 or n > finest:
-        raise ParameterError(f"level {n} outside the grid (finest level {finest})")
-    step = 1 << (finest - n)
-    return np.arange(0, space.grid.n_times, step)
-
-
 def restrict_to_level(S: AdaptedProcess, n: int) -> AdaptedProcess:
-    """Sample S on the level-n dyadic grid."""
-    return S.restrict(_level_indices(S.space, n))
+    """Sample S on the level-n dyadic grid, n at most S's own level."""
+    if not 0 <= n <= S.level:
+        raise ParameterError(f"level {n} outside the process's levels 0..{S.level}")
+    pos = np.arange(0, S.n_times, 1 << (S.level - n))
+    # the gather is F-ordered, a layout the reductions over it inherit
+    return AdaptedProcess(S.space, _handed_over(S.values[:, pos]), n)
 
 
 @dataclass(frozen=True)
@@ -107,7 +104,7 @@ def _rebuilt(S: AdaptedProcess, n: int, A: AdaptedProcess, qv, tv, m_l2: float,
     M = restrict_to_level(S, n).values - A.values
     M.setflags(write=False)
     D = object.__new__(DoobDecomposition)
-    for name, value in (("level", n), ("M", AdaptedProcess(S.space, M, A.time_index)), ("A", A),
+    for name, value in (("level", n), ("M", AdaptedProcess(S.space, M, n)), ("A", A),
                         ("qv", qv), ("tv", tv), ("m_l2", m_l2), ("analytic", analytic)):
         object.__setattr__(D, name, value)
     return D
@@ -118,7 +115,7 @@ def conditional_increments(X: AdaptedProcess) -> np.ndarray:
     dX = X.increments()
     out = np.empty_like(dX)
     for c in range(1, X.n_times):
-        out[:, c - 1] = X.space.cell_average(dX[:, c - 1], X.time_index[c - 1])
+        out[:, c - 1] = X.space.cell_average(dX[:, c - 1], (c - 1) * X.step)
     return out
 
 
@@ -128,7 +125,7 @@ def martingale_residual(M: AdaptedProcess) -> float:
 
 def _predictable(A: AdaptedProcess) -> bool:
     """Each A_{t_c} is constant on the cells at the preceding sample time."""
-    return cell_mismatch(A.space.labels_at(A.time_index[:-1]), A.values[:, 1:].T, ATOL) is None
+    return cell_mismatch(A.space.labels[:-1:A.step], A.values[:, 1:].T, ATOL) is None
 
 
 def _identity_error(M: np.ndarray, A: np.ndarray, S: np.ndarray) -> float:
@@ -173,8 +170,8 @@ def doob_decompose(S: AdaptedProcess, n: int, dA: np.ndarray | None = None) -> D
     qv = np.einsum("ij,ij->i", dS, dS)
     del dS
     m_l2 = float(space.expectation(M_vals[:, -1] ** 2))
-    M = AdaptedProcess(space, M_vals, Sn.time_index)
-    A = AdaptedProcess(space, A_vals, Sn.time_index)
+    M = AdaptedProcess(space, M_vals, n)
+    A = AdaptedProcess(space, A_vals, n)
     return DoobDecomposition(n, M, A, qv, tv, m_l2, analytic=analytic)
 
 
@@ -196,9 +193,7 @@ def qv_strategy(S: AdaptedProcess, n: int) -> SimpleIntegrand:
     """
     require_unit_band(S, "qv_strategy", start=False)
     Sn = restrict_to_level(S, n)
-    idx = _level_indices(S.space, n)
-    weights = -Sn.values[:, :-1]
-    return SimpleIntegrand.from_grid_mesh(S.space, idx, weights)
+    return SimpleIntegrand.from_grid_mesh(S.space, Sn.time_index, -Sn.values[:, :-1])
 
 
 def _budget_stop(X: AdaptedProcess, terms: np.ndarray, c: float, offset: float) -> StoppingTime:
@@ -256,8 +251,7 @@ def sign_strategy(D: DoobDecomposition, stop: StoppingTime) -> SimpleIntegrand:
     """
     A_st = stop_process(D.A, stop)
     b = np.sign(A_st.increments())
-    idx = A_st.time_index
-    return SimpleIntegrand.from_grid_mesh(D.A.space, idx, b)
+    return SimpleIntegrand.from_grid_mesh(D.A.space, A_st.time_index, b)
 
 
 def doob_maximal_stop(D: DoobDecomposition, h: SimpleIntegrand, c2: float) -> StoppingTime:

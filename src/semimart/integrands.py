@@ -46,9 +46,10 @@ def _deterministic(index: np.ndarray, n_steps: int) -> bool:
 
 
 def _held_weights(eff: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Finite weights, read-only, with positions on empty intervals stored as +0."""
+    """Finite weights, read-only, with positions on empty intervals stored as +0;
+    every integrand is built inside, so a non-finite weight is an internal fault."""
     if not np.all(np.isfinite(w)):
-        raise ParameterError("weights must be finite")
+        raise InvariantViolation("strategy weights must be finite")
     # positions on empty intervals are never held; store them as 0
     w = np.where(eff[:, 1:] > eff[:, :-1], w, 0.0)
     w.setflags(write=False)
@@ -185,10 +186,8 @@ def integral_process(H: SimpleIntegrand, S: AdaptedProcess) -> AdaptedProcess:
     if H.space is not S.space:
         raise StructuralError("integrand and process live on different spaces")
     eff = H._eff
-    n_grid = S.space.grid.n_times
-    sampled = np.zeros(n_grid, dtype=bool)
-    sampled[S.time_index] = True
-    if not sampled[eff].all():
+    n_grid, step = S.space.grid.n_times, S.step
+    if not (eff % step == 0).all():
         raise StructuralError("mesh times are not all sampled by the process")
 
     rows = eff.shape[0]
@@ -203,10 +202,10 @@ def integral_process(H: SimpleIntegrand, S: AdaptedProcess) -> AdaptedProcess:
     # zero columns on both sides stand for "before the first" and "after
     # the last" interval, so every j from 0 to N + 1 reads a position
     padded = np.pad(H.weights, ((0, 0), (1, 1)))
-    hold = np.take_along_axis(padded, below[:, S.time_index[1:]], axis=1)
+    hold = np.take_along_axis(padded, below[:, step:n_grid:step], axis=1)
     del padded
     hold *= np.diff(S.values, axis=1)
-    return AdaptedProcess(S.space, running_sum(hold), S.time_index)
+    return AdaptedProcess(S.space, running_sum(hold), S.level)
 
 
 def terminal_and_drawdown(H: SimpleIntegrand, S: AdaptedProcess) -> tuple[np.ndarray, float]:

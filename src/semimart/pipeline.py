@@ -194,8 +194,8 @@ def big_jump_split(S: AdaptedProcess) -> tuple[AdaptedProcess, AdaptedProcess]:
     dS = S.increments()
     big = np.abs(dS) >= 1.0
     if not big.any():
-        return S, AdaptedProcess(S.space, np.broadcast_to(_ZERO, S.values.shape), S.time_index)
-    J = AdaptedProcess(S.space, running_sum(np.where(big, dS, 0.0)), S.time_index)
+        return S, AdaptedProcess(S.space, np.broadcast_to(_ZERO, S.values.shape), S.level)
+    J = AdaptedProcess(S.space, running_sum(np.where(big, dS, 0.0)), S.level)
     X = S - J
     if np.abs(X.increments()).max() >= 1.0:
         raise InvariantViolation("split left an increment of size >= 1 in the continuous part")
@@ -501,8 +501,8 @@ def assemble_decomposition(
     tol: float = 1e-8,
     window: int = DEFAULT_WINDOW,
 ) -> SemimartingaleCertificate:
-    """One simultaneous extraction over the stopped mixed terminals and
-    every per-time drift column; the limits define M and A."""
+    """One extraction over the stopped mixed terminals and every per-time
+    drift column; its limits define M and A, and its lines are the log."""
     space = stage.stopped_source.space
     cw, limits = _assembly_limits(stage, tol, window)
     M = AdaptedProcess(space, space.conditional_path(limits[0]))
@@ -518,7 +518,7 @@ def assemble_decomposition(
         alpha=stage.alpha,
         constants={"C": stage.C, "tv_bound": _tv_cap(stage.C), "eps": stage.eps},
         residuals={"decomposition": resid_sum},
-        log=stage.log + tuple(cw.log),
+        log=tuple(cw.log),
     )
 
 
@@ -674,7 +674,7 @@ def detect(source, config: DetectConfig | None = None):
     except ConvergenceError as exc:
         log.append(f"extraction failed to converge: {exc}")
         return Inconclusive("convex-combination extraction did not converge", tuple(log), table)
-    log.extend(inner.log[len(cstage.log):])
+    log.extend(inner.log)
     del cstage  # the steps' scripts and the stopped mixes are not read again
     log.append(
         f"assembled decomposition: |M+A-S^alpha| = {inner.residuals['decomposition']:.3g}, "

@@ -166,15 +166,6 @@ class FilteredSpace:
     def n_atoms(self) -> int:
         return self.probs.size
 
-    def labels_at(self, index: np.ndarray) -> np.ndarray:
-        """labels[index] of increasing grid indices: a view, not a copy,
-        when they are evenly spaced, as the whole grid and a level's are."""
-        index = np.asarray(index)
-        step = int(index[1] - index[0]) if index.size > 1 else 1
-        if index.size and np.array_equal(index, np.arange(index[0], index[-1] + 1, step)):
-            return self.labels[index[0]:index[-1] + 1:step]
-        return self.labels[index]
-
     def cell_average(self, x: np.ndarray, j: int) -> np.ndarray:
         """Probability-weighted average of x over each cell at time index j.
 
@@ -227,8 +218,9 @@ class StoppingTime:
         return self.space.grid.n_times
 
     def prob_finite(self) -> float:
-        # atom probabilities are dyadic, so their sums are exact in any
-        # order and need neither fsum nor a fixed order
+        # multiples of 2^-53 in [0, 1], as every generated source's 1/n is,
+        # sum exactly and so alike in any order; a file may declare others
+        # (2^-60 beside 1/2), and their sum rounds by order
         return float(self.space.probs[self.index < self.inf_index].sum())
 
     def min_with(self, other: "StoppingTime") -> "StoppingTime":
@@ -260,36 +252,40 @@ def tree_innovations(level: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class AdaptedProcess:
-    """Grid-indexed values per atom, constant on partition cells.
+    """Values per atom on the times of one dyadic level, constant on partition cells.
 
-    ``time_index`` maps columns to grid indices: every index of the
-    grid, or any increasing subset of them (used for processes sampled
-    at a coarser dyadic level).
+    ``level`` is that level n (None: the grid's finest); column c holds
+    time c / 2^n, which is grid index c * ``step``.
     """
 
     space: FilteredSpace
     values: np.ndarray
-    time_index: np.ndarray | None = None
+    level: int | None = None
 
     def __post_init__(self):
         vals = _frozen(np.asarray(self.values, dtype=float))
         object.__setattr__(self, "values", vals)
-        if self.time_index is None:
-            ti = np.arange(self.space.grid.n_times)
-        else:
-            ti = np.asarray(self.time_index, dtype=np.int64)
-        ti = _frozen(ti)
-        object.__setattr__(self, "time_index", ti)
-        if vals.ndim != 2 or vals.shape[0] != self.space.n_atoms:
-            raise ParameterError("values must have shape (n_atoms, n_times)")
-        if vals.shape[1] != ti.size:
-            raise ParameterError("values and time_index disagree on the number of columns")
-        if np.any(np.diff(ti) <= 0) or ti[0] < 0 or ti[-1] >= self.space.grid.n_times:
-            raise ParameterError("time_index must be strictly increasing within the grid")
+        finest = self.space.grid.level
+        n = finest if self.level is None else self.level
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or not 0 <= n <= finest:
+            raise ParameterError(f"level must be an integer in 0..{finest}, got {self.level!r}")
+        object.__setattr__(self, "level", int(n))
+        if vals.shape != (self.space.n_atoms, self.n_times):
+            raise ParameterError(f"values must have shape (n_atoms, 2^level + 1), got {vals.shape}")
+
+    @property
+    def step(self) -> int:
+        """Grid indices between two sample times."""
+        return 1 << (self.space.grid.level - self.level)
+
+    @property
+    def time_index(self) -> np.ndarray:
+        """The grid index of each column, read-only."""
+        return _handed_over(np.arange(0, self.space.grid.n_times, self.step))
 
     @property
     def n_times(self) -> int:
-        return self.time_index.size
+        return (1 << self.level) + 1
 
     def increments(self) -> np.ndarray:
         return np.diff(self.values, axis=1)
@@ -297,17 +293,9 @@ class AdaptedProcess:
     def sup_norm(self) -> float:
         return float(np.abs(self.values).max())
 
-    def restrict(self, grid_indices: np.ndarray) -> "AdaptedProcess":
-        """Subsample onto the given grid-time indices (must be sampled)."""
-        pos = np.searchsorted(self.time_index, grid_indices)
-        if np.any(pos >= self.time_index.size) or np.any(self.time_index[pos] != grid_indices):
-            raise ParameterError("process is not sampled at all requested times")
-        # the gather is F-ordered, a layout the reductions over it inherit
-        return AdaptedProcess(self.space, _handed_over(self.values[:, pos]), grid_indices)
-
     def nonadapted_at(self) -> tuple[int, int] | None:
         """(column, atom) of the first value not constant on its cell, or None."""
-        return cell_mismatch(self.space.labels_at(self.time_index), self.values.T, ATOL)
+        return cell_mismatch(self.space.labels[::self.step], self.values.T, ATOL)
 
     def is_adapted(self) -> bool:
         return self.nonadapted_at() is None
@@ -317,34 +305,34 @@ class AdaptedProcess:
         bad = self.nonadapted_at()
         if bad is not None:
             c, a = bad
-            cell = self.space.labels[self.time_index[c]]
+            cell = self.space.labels[c * self.step]
             first = int(np.argmax(cell == cell[a]))
             raise ParameterError(
                 f"atom {a}.v[{c}] = {self.values[a, c]:.17g} differs from atom {first}.v[{c}] = "
-                f"{self.values[first, c]:.17g} in the same cell at time index {self.time_index[c]}: "
+                f"{self.values[first, c]:.17g} in the same cell at time index {c * self.step}: "
                 "the source is not adapted")
 
     def _same_shape(self, other: "AdaptedProcess"):
         if other.space is not self.space:
             raise StructuralError("processes live on different spaces")
-        if not np.array_equal(other.time_index, self.time_index):
-            raise StructuralError("processes are sampled on different time sets")
+        if other.level != self.level:
+            raise StructuralError("processes are sampled on different levels")
 
     def __add__(self, other):
         self._same_shape(other)
-        return AdaptedProcess(self.space, _handed_over(self.values + other.values), self.time_index)
+        return AdaptedProcess(self.space, _handed_over(self.values + other.values), self.level)
 
     def __sub__(self, other):
         self._same_shape(other)
-        return AdaptedProcess(self.space, _handed_over(self.values - other.values), self.time_index)
+        return AdaptedProcess(self.space, _handed_over(self.values - other.values), self.level)
 
     def scale(self, factor: float) -> "AdaptedProcess":
-        return AdaptedProcess(self.space, _handed_over(self.values * factor), self.time_index)
+        return AdaptedProcess(self.space, _handed_over(self.values * factor), self.level)
 
     def shift(self, offset: np.ndarray) -> "AdaptedProcess":
         """Add a per-atom constant (an F_0-measurable shift)."""
         off = np.asarray(offset, dtype=float).reshape(-1, 1)
-        return AdaptedProcess(self.space, _handed_over(self.values + off), self.time_index)
+        return AdaptedProcess(self.space, _handed_over(self.values + off), self.level)
 
 
 def check_stopping_time(tau: StoppingTime) -> bool:
@@ -369,23 +357,21 @@ def require_stopping_time(tau: StoppingTime, space: FilteredSpace) -> None:
 def stop_process(S: AdaptedProcess, tau: StoppingTime) -> AdaptedProcess:
     """Freeze S at tau: values become S_{t ∧ tau} per atom.
 
-    When tau stops no atom before S's last sampled time (it is infinite,
-    or equals that time), the result is S itself, shared uncopied;
-    processes are read-only, and tau is validated either way.
+    When tau stops no atom before the horizon (it is infinite, or 1),
+    the result is S itself, shared uncopied; processes are read-only,
+    and tau is validated either way.
     """
     require_stopping_time(tau, S.space)
-    # position of tau inside S's own column set; tau must be sampled by S
+    # tau's column in S; every finite value must be one of S's sample times
     finite = tau.index < tau.inf_index
-    pos = np.searchsorted(S.time_index, np.minimum(tau.index, S.time_index[-1]))
-    bad = finite & ((pos >= S.time_index.size) | (S.time_index[np.minimum(pos, S.time_index.size - 1)] != tau.index))
-    if np.any(bad):
+    if np.any(finite & (tau.index % S.step != 0)):
         raise StructuralError("stopping time takes values outside the process's sample times")
-    cap = np.where(finite, pos, S.n_times - 1)
+    cap = np.where(finite, tau.index // S.step, S.n_times - 1)
     if cap.min() == S.n_times - 1:
         return S
     frozen = S.values[np.arange(S.space.n_atoms), cap][:, None]
     values = np.where(np.arange(S.n_times) > cap[:, None], frozen, S.values)
-    return AdaptedProcess(S.space, _handed_over(values), S.time_index)
+    return AdaptedProcess(S.space, _handed_over(values), S.level)
 
 
 def first_hitting_time(process: AdaptedProcess, hit: np.ndarray, start_col: int = 0) -> StoppingTime:
@@ -399,6 +385,5 @@ def first_hitting_time(process: AdaptedProcess, hit: np.ndarray, start_col: int 
         raise ParameterError("hit mask must match the process's shape")
     padded = np.concatenate([hit[:, start_col:], np.ones((hit.shape[0], 1), dtype=bool)], axis=1)
     first = padded.argmax(axis=1) + start_col
-    idx = np.where(first < process.n_times, process.time_index[np.minimum(first, process.n_times - 1)],
-                   process.space.grid.n_times)
+    idx = np.where(first < process.n_times, first * process.step, process.space.grid.n_times)
     return StoppingTime(process.space, idx)

@@ -143,8 +143,8 @@ class TestDoobDecompose:
         D = doob_decompose(Sd, 2)
         bump = 0.1 * np.arange(D.A.n_times)[None, :] * np.ones((space.n_atoms, 1))
         bump[:, 0] = 0.0
-        A2 = AdaptedProcess(space, D.A.values + bump, D.A.time_index)
-        M2 = AdaptedProcess(space, D.M.values - bump, D.M.time_index)
+        A2 = AdaptedProcess(space, D.A.values + bump, D.A.level)
+        M2 = AdaptedProcess(space, D.M.values - bump, D.M.level)
         with pytest.raises(InvariantViolation):
             DoobDecomposition(level=2, M=M2, A=A2, qv=D.qv, tv=D.tv, m_l2=D.m_l2)
 
@@ -152,8 +152,8 @@ class TestDoobDecompose:
         space, Sd = drifted_walk(2)
         D = doob_decompose(Sd, 2)
         shift = D.M.values - D.M.values[:, :1]
-        A2 = AdaptedProcess(space, D.A.values + shift, D.A.time_index)
-        M2 = AdaptedProcess(space, D.M.values - shift, D.M.time_index)
+        A2 = AdaptedProcess(space, D.A.values + shift, D.A.level)
+        M2 = AdaptedProcess(space, D.M.values - shift, D.M.level)
         with pytest.raises(InvariantViolation):
             DoobDecomposition(level=2, M=M2, A=A2, qv=D.qv, tv=D.tv, m_l2=D.m_l2)
 

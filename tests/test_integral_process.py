@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from semimart.doob import restrict_to_level
-from semimart.errors import ParameterError, PreconditionError, StructuralError
+from semimart.errors import InvariantViolation, ParameterError, PreconditionError, StructuralError
 from semimart.generators import GeneratorSpec, generate
 from semimart.integrands import (
     SimpleIntegrand,
@@ -108,7 +108,7 @@ def test_integral_process_keeps_the_bits_of_its_old_kernel(seed):
     kernel gives the old expression's bits, and the drawdown is the old
     np.maximum(-v, 0.0).max(), sign of zero included."""
     H, S = random_case(np.random.default_rng(seed))
-    S = AdaptedProcess(S.space, S.values / 3.0 + 0.1, S.time_index)
+    S = AdaptedProcess(S.space, S.values / 3.0 + 0.1, S.level)
     H = H.scale(0.7)
     proc = integral_process(H, S)
     assert proc.values.base is None and not proc.values.flags.writeable
@@ -269,7 +269,7 @@ def test_truncate_rejects_non_stopping_time():
 @pytest.mark.parametrize("factor", [np.inf, -np.inf, np.nan])
 def test_scale_rejects_non_finite_factor(factor):
     H, _ = random_case(np.random.default_rng(0))
-    with pytest.raises(ParameterError, match="finite"):
+    with pytest.raises(InvariantViolation, match="finite"):
         H.scale(factor)
 
 

@@ -20,8 +20,9 @@ import pytest
 
 import semimart.cli as cli
 import semimart.io as sio
+import semimart.pipeline as pipeline
 from semimart.cli import main
-from semimart.errors import ParameterError
+from semimart.errors import InvariantViolation, ParameterError
 from semimart.generators import GeneratorSpec, generate
 from semimart.io import (
     array_payload,
@@ -1528,6 +1529,23 @@ class TestReports:
             read_report(out)
         with pytest.raises(ParameterError):
             read_report(str(tmp_path / "missing.json"))
+
+
+def test_a_nan_made_inside_a_witness_is_an_internal_fault(tmp_path, monkeypatch, capsys):
+    """A NaN that reaches a strategy's weights was made inside the package,
+    not read from the input: detect raises InvariantViolation, and the CLI
+    exits 1 and writes no report."""
+    spec = GeneratorSpec(kind="rl_fractional", level=4, mode="ensemble", paths=64, seed=1)
+    path, report = str(tmp_path / "ens.jsonl"), tmp_path / "report.json"
+    write_spec(path, spec)
+    assert detect(generate(spec), DetectConfig()).kind == "free_lunch"
+    # FL_TARGET is a factor of every witness's scale in _free_lunch
+    monkeypatch.setattr(pipeline, "FL_TARGET", float("nan"))
+    with pytest.raises(InvariantViolation, match="weights must be finite"):
+        detect(generate(spec), DetectConfig())
+    assert main(["detect", path, "--out", str(report)]) == 1
+    assert "invariant failure: strategy weights must be finite" in capsys.readouterr().err
+    assert not report.exists()
 
 
 class TestCliFlows:

@@ -284,6 +284,9 @@ class TestAssembleDecomposition:
         assert np.max(np.abs(cert.M.values - S.values)) <= 1e-8
         assert np.max(np.abs(cert.A.values)) <= 1e-8
         assert cert.residuals["decomposition"] <= CERT_TOL
+        # the log is the assembly's own extraction, not the stage's lines before it
+        own, _ = pipeline._assembly_limits(cstage, 1e-8, pipeline.DEFAULT_WINDOW)
+        assert cert.log and cert.log == tuple(own.log)
 
     def test_assembly_reads_the_stopped_mixes_without_stopping(self, monkeypatch):
         source = generate(GeneratorSpec(kind="rademacher_bm", level=3))

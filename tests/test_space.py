@@ -265,8 +265,8 @@ class TestFrozenInputs:
     def test_frozen_data_is_shared(self):
         space, S = canonical_walk(2)
         assert AdaptedProcess(space, S.values).values is S.values
-        tail = AdaptedProcess(space, S.values[:, 1:], S.time_index[1:])
-        assert np.shares_memory(tail.values, S.values)
+        coarse = AdaptedProcess(space, S.values[:, ::2], 1)
+        assert np.shares_memory(coarse.values, S.values)
         grid = np.array([0, 2, 4])
         grid.setflags(write=False)
         tau = StoppingTime(space, np.broadcast_to(grid[1:2], (space.n_atoms,)))
@@ -347,7 +347,6 @@ class TestStopProcess:
         space, S = canonical_walk(2)
         last = space.grid.n_times - 1
         coarse = restrict_to_level(S, 1)
-        head = AdaptedProcess(space, S.values[:, :3], S.time_index[:3])
         mixed = np.where(tree_innovations(2)[:, 0] > 0, last, space.grid.n_times)
         never = StoppingTime(space, np.full(space.n_atoms, space.grid.n_times))
         end = StoppingTime(space, np.full(space.n_atoms, last))
@@ -356,8 +355,6 @@ class TestStopProcess:
         assert stop_process(coarse, never) is coarse
         assert stop_process(coarse, end) is coarse
         assert stop_process(coarse, StoppingTime(space, mixed)) is coarse
-        # the last sampled time of a process sampled up to t = 1/2 only
-        assert stop_process(head, StoppingTime(space, np.full(space.n_atoms, 2))) is head
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_a_time_that_stops_one_cell_early_copies_bit_for_bit(self, seed):
@@ -380,12 +377,6 @@ class TestStopProcess:
         last = grid.n_times - 1
         with pytest.raises(PreconditionError):
             stop_process(S, StoppingTime(space, np.array([last, grid.n_times, last, grid.n_times])))
-
-    def test_a_time_past_the_last_sample_is_rejected_before_sharing(self):
-        space, S = canonical_walk(2)
-        head = AdaptedProcess(space, S.values[:, :3], S.time_index[:3])
-        with pytest.raises(StructuralError, match="sample times"):
-            stop_process(head, StoppingTime(space, np.full(space.n_atoms, space.grid.n_steps)))
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_matches_per_atom_loop(self, seed):
@@ -436,9 +427,56 @@ class TestAdaptedProcess:
 
     def test_restrict_to_coarser_grid(self):
         space, S = canonical_walk(2)
-        coarse = S.restrict(np.array([0, 2, 4]))
+        coarse = restrict_to_level(S, 1)
+        assert (coarse.level, coarse.step, coarse.n_times) == (1, 2, 3)
         assert coarse.values.shape == (space.n_atoms, 3)
         assert np.array_equal(coarse.values, S.values[:, [0, 2, 4]])
+        assert np.array_equal(coarse.time_index, [0, 2, 4]) and not coarse.time_index.flags.writeable
+        assert np.array_equal(restrict_to_level(coarse, 0).values, S.values[:, [0, 4]])
+
+    def test_the_level_defaults_to_the_finest(self):
+        space, S = canonical_walk(2)
+        assert (S.level, S.step, S.n_times) == (2, 1, 5)
+        assert np.array_equal(S.time_index, np.arange(5))
+
+    @pytest.mark.parametrize("level", [-1, 3, 1.0, True, False, np.bool_(True), "1"])
+    def test_a_level_off_the_grid_is_refused(self, level):
+        space, S = canonical_walk(2)
+        with pytest.raises(ParameterError, match="level must be an integer in 0..2"):
+            AdaptedProcess(space, S.values[:, :2], level)
+
+    def test_a_numpy_integer_level_is_kept_as_int(self):
+        space, S = canonical_walk(2)
+        coarse = AdaptedProcess(space, S.values[:, ::2], np.int64(1))
+        assert coarse.level == 1 and type(coarse.level) is int
+
+    @pytest.mark.parametrize("level, width", [(0, 3), (1, 2), (1, 5), (2, 3), (None, 3)])
+    def test_a_width_other_than_the_levels_is_refused(self, level, width):
+        space, S = canonical_walk(2)
+        with pytest.raises(ParameterError, match="2\\^level \\+ 1\\), got"):
+            AdaptedProcess(space, np.zeros((space.n_atoms, width)), level)
+
+    def test_values_must_be_one_row_per_atom(self):
+        space, _ = canonical_walk(2)
+        for values in (np.zeros((space.n_atoms - 1, 5)), np.zeros(5), np.zeros((space.n_atoms, 5, 1))):
+            with pytest.raises(ParameterError, match="values must have shape"):
+                AdaptedProcess(space, values)
+
+    @pytest.mark.parametrize("n", [-1, 2, 3])
+    def test_restricting_above_the_process_level_is_refused(self, n):
+        space, S = canonical_walk(2)
+        with pytest.raises(ParameterError, match=f"level {n} outside the process's levels 0..1"):
+            restrict_to_level(restrict_to_level(S, 1), n)
+
+    def test_sums_of_two_levels_are_refused(self):
+        space, S = canonical_walk(2)
+        coarse = restrict_to_level(S, 1)
+        for op in (lambda a, b: a + b, lambda a, b: a - b):
+            with pytest.raises(StructuralError, match="different levels"):
+                op(S, coarse)
+            with pytest.raises(StructuralError, match="different levels"):
+                op(coarse, S)
+        assert np.array_equal((coarse + coarse).values, 2 * S.values[:, ::2])
 
     def test_restrictions_keep_the_layout_of_their_gather(self):
         """A restriction is its gather, F-ordered and uncopied: a copy
@@ -492,13 +530,15 @@ IS_ADAPTED_TRACED_PEAK_ARRAYS = 0.3
 
 def test_is_adapted_views_the_labels_of_an_evenly_spaced_grid():
     S = generate(GeneratorSpec(kind="rademacher_bm", level=4, mode="exact_tree", seed=1)).process
-    for index in (S.time_index, S.time_index[::4], S.time_index[3:4], S.time_index[:0]):
-        labels = S.space.labels_at(index)
-        assert np.shares_memory(labels, S.space.labels) == (index.size > 0)
-        assert np.array_equal(labels, S.space.labels[index])
-    gathered = S.space.labels_at(np.array([0, 1, 3]))
-    assert not np.shares_memory(gathered, S.space.labels)
-    assert np.array_equal(gathered, S.space.labels[[0, 1, 3]])
+    for n in range(S.level + 1):
+        Sn = restrict_to_level(S, n)
+        assert Sn.is_adapted()
+        assert np.array_equal(Sn.time_index, np.arange(0, S.n_times, 1 << (S.level - n)))
+        if n:  # atoms 0 and 1 share every cell before the horizon
+            values = Sn.values.copy()
+            values[1, 1] += 1.0
+            with pytest.raises(ParameterError, match=f"atom 1.v\\[1\\] .* at time index {Sn.step}:"):
+                AdaptedProcess(S.space, values, n).require_adapted()
     tracemalloc.start()
     try:
         adapted = S.is_adapted()
